@@ -11,12 +11,19 @@ Conventions used throughout the package:
 * All arithmetic is exact: ints and fractions.Fraction, never floats.
 * Short simple roots are normalized to squared length 2 in each connected
   component.
+* Heights, the Gram matrix of the fundamental weights and root coordinates
+  are held as integers over one denominator per diagram (``denom``, the
+  least common denominator of the inverse Cartan matrix).  The ``*_scaled``
+  methods return these integer numerators for the hot loops; ``height``,
+  ``inner_product`` and ``to_root_coords`` build a Fraction from them only
+  at the public edge.
 """
 
 import json
 import os
 import re
 from fractions import Fraction
+from math import lcm
 
 from .errors import NotFiniteType, NotGCM, OrbitTooLarge
 
@@ -253,16 +260,22 @@ class DynkinDiagram:
                   for j in range(n))
             for i in range(n))
 
-        # <omega_i, omega_j> = Q_ji * <a_i,a_i> / 2
+        # integer numerators over one denominator: Q = q_num / denom
         q = self.inverse_cartan
-        self._gram = tuple(tuple(q[j][i] * self.root_lengths[i] / 2 for j in range(n))
-                           for i in range(n))
+        self.denom = lcm(*(x.denominator for row in q for x in row))
+        q_num = [[int(x * self.denom) for x in row] for row in q]
+        # root coordinates of mu are Q^T mu, so keep the columns of Q
+        self._q_cols = tuple(tuple(q_num[j][k] for j in range(n)) for k in range(n))
+        # <omega_i, rho_vee> = sum_k Q_ik
+        self._heights_scaled = tuple(sum(row) for row in q_num)
+        # <omega_i, omega_j> = Q_ji * <a_i,a_i> / 2, and <a_i,a_i> / 2 is 1, 2 or 3
+        half = [int(x / 2) for x in self.root_lengths]
+        self.gram_scaled = tuple(tuple(q_num[j][i] * half[i] for j in range(n))
+                                 for i in range(n))
 
-        hts = [sum(q[i]) for i in range(n)]        # <omega_i, rho_vee>
-        self._fund_heights = tuple(hts)
         prod = 1
-        for h in hts:
-            prod *= h.denominator
+        for h in self._heights_scaled:
+            prod *= Fraction(h, self.denom).denominator
         self.mesh_size = Fraction(1, prod)
 
         self._constants = None
@@ -270,8 +283,8 @@ class DynkinDiagram:
         # sanity: M * Q = identity exactly
         for i in range(n):
             for j in range(n):
-                s = sum(Fraction(cartan[i][k]) * q[k][j] for k in range(n))
-                assert s == (1 if i == j else 0)
+                s = sum(cartan[i][k] * q_num[k][j] for k in range(n))
+                assert s == (self.denom if i == j else 0)
 
     # -- basic data -------------------------------------------------------
 
@@ -319,21 +332,29 @@ class DynkinDiagram:
             mu = self.simple_reflection(i, mu)
         return mu
 
+    def root_coords_scaled(self, mu):
+        """denom times the coefficients of mu on the simple roots (Q^T mu)."""
+        return tuple(sum(m * c for m, c in zip(mu, col)) for col in self._q_cols)
+
+    def height_scaled(self, mu):
+        """denom * ht(mu)."""
+        return sum(m * h for m, h in zip(mu, self._heights_scaled))
+
+    def inner_product_scaled(self, u, v):
+        """denom * <u, v>."""
+        return sum(a * sum(g * b for g, b in zip(row, v))
+                   for a, row in zip(u, self.gram_scaled) if a)
+
     def to_root_coords(self, mu):
         """Coefficients of mu on the simple roots: Q^T applied to mu, exact."""
-        q = self.inverse_cartan
-        n = self.rank
-        return tuple(sum(Fraction(mu[j]) * q[j][k] for j in range(n)) for k in range(n))
+        return tuple(Fraction(c, self.denom) for c in self.root_coords_scaled(mu))
 
     def height(self, mu):
         """ht(mu) = <mu, rho_vee> = sum of the root coordinates of mu."""
-        return sum(m * h for m, h in zip(mu, self._fund_heights))
+        return Fraction(self.height_scaled(mu), self.denom)
 
     def inner_product(self, u, v):
-        g = self._gram
-        n = self.rank
-        return sum(u[i] * v[j] * g[i][j] for i in range(n) for j in range(n)
-                   if u[i] and v[j])
+        return Fraction(self.inner_product_scaled(u, v), self.denom)
 
     def norm2(self, u):
         return self.inner_product(u, u)

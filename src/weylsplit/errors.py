@@ -10,6 +10,13 @@ class DomainError(Exception):
     pass
 
 
+class ExactnessError(ArithmeticError):
+    """An exact computation left the integers, or two exact routes disagreed.
+
+    A library bug, not bad input, so it does not derive from DomainError.
+    """
+
+
 # --- cartan ---
 
 class NotGCM(DomainError):
@@ -31,6 +38,10 @@ class IllegalFire(DomainError):
 
 
 # --- wsf ---
+
+class NotDominant(DomainError):
+    """Operation requires a dominant weight."""
+
 
 class DiagramMismatch(DomainError):
     """Binary operation on objects over different diagrams."""

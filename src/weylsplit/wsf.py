@@ -11,10 +11,12 @@ nonzero ints.
 
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import mul
 
 from . import numbersgame, qpoly
-from .cartan import wadd, wneg, wscale, wsub, zero_weight
-from .errors import DiagramMismatch, NotInvariant, OrbitTooLarge
+from .cartan import wadd, wneg, wsub, zero_weight
+from .errors import (DiagramMismatch, ExactnessError, NotDominant,
+                     NotInvariant, OrbitTooLarge)
 
 # Orbit-sum routes (alternant, Kostant multiplicity) stay desk scale; F4's
 # group is the largest allowed.  Freudenthal has no such cap.
@@ -141,28 +143,36 @@ class WeightDiagram:
     top: tuple
 
 
+def _check_dominant(d, lam):
+    if not d.is_dominant(lam):
+        raise NotDominant("weight %s is not dominant" % (tuple(lam),))
+
+
 def dominant_weights_below(d, lam):
-    """All dominant nu <= lam: bounded search over alpha-coordinate boxes."""
-    assert d.is_dominant(lam)
-    n = d.rank
-    box = [int(c) for c in d.to_root_coords(lam)]  # floor, entries nonneg
-    out = []
-    k = [0] * n
+    """All dominant nu <= lam, by a walk down positive roots.
 
-    def descend(i):
-        if i == n:
-            nu = tuple(lam[j] - sum(k[a] * d.cartan[a][j] for a in range(n))
-                       for j in range(n))
-            if all(c >= 0 for c in nu):
-                out.append(nu)
-            return
-        for v in range(box[i] + 1):
-            k[i] = v
-            descend(i + 1)
-        k[i] = 0
-
-    descend(0)
-    return out
+    Stembridge, "The partial order of dominant weights" (Adv. Math. 136,
+    1998): every dominant nu <= lam is reached from lam through dominant
+    weights, each step subtracting one positive root.  The list is sorted
+    lexicographically by the root coordinates of lam - nu, so lam comes
+    first.
+    """
+    lam = tuple(lam)
+    _check_dominant(d, lam)
+    steps = [(r.root, r.alpha_coords) for r in d.positive_roots()]
+    depth = {lam: (0,) * d.rank}     # nu -> root coordinates of lam - nu
+    frontier = [lam]
+    while frontier:
+        nxt = []
+        for mu in frontier:
+            k = depth[mu]
+            for root, coords in steps:
+                nu = wsub(mu, root)
+                if nu not in depth and all(c >= 0 for c in nu):
+                    depth[nu] = wadd(k, coords)
+                    nxt.append(nu)
+        frontier = nxt
+    return sorted(depth, key=depth.__getitem__)
 
 
 def weight_diagram(d, lam):
@@ -178,17 +188,25 @@ def weight_diagram(d, lam):
             nu = wadd(mu, a)
             if nu in weights:
                 edges.append((mu, i, nu))
-    base = d.height(wadd(lam, lam))
-    rank_of = {mu: _as_int(d.height(mu) + d.height(lam)) for mu in weights}
+    ht_lam = d.height_scaled(lam)
+    base = _as_int(2 * ht_lam, d.denom)
+    rank_of = {mu: _as_int(d.height_scaled(mu) + ht_lam, d.denom) for mu in weights}
     assert all(0 <= r <= base for r in rank_of.values())
     doms = tuple(sorted(m for m in weights if d.is_dominant(m)))
     return WeightDiagram(d, frozenset(weights), tuple(sorted(edges)), doms,
                          rank_of, lam)
 
 
-def _as_int(x):
-    assert isinstance(x, int) or x.denominator == 1
-    return int(x)
+def _dot(u, v):
+    return sum(map(mul, u, v))
+
+
+def _as_int(num, den):
+    """num / den, which the exact algebra guarantees to be an integer."""
+    q, r = divmod(num, den)
+    if r:
+        raise ExactnessError("%s/%s is not an integer" % (num, den))
+    return q
 
 
 # ---------------------------------------------------------------------------
@@ -199,10 +217,11 @@ _kostant_memo = {}
 
 def kostant_partition(d, mu):
     """Number of ways mu = sum k_alpha * alpha over positive roots, k >= 0."""
-    rc = d.to_root_coords(mu)
-    if any(c.denominator != 1 or c < 0 for c in rc):
+    den = d.denom
+    rc = d.root_coords_scaled(mu)
+    if any(c < 0 or c % den for c in rc):
         return 0
-    vec = tuple(int(c) for c in rc)
+    vec = tuple(c // den for c in rc)
     roots = tuple(r.alpha_coords for r in d.positive_roots())
     memo = _kostant_memo.setdefault(d, {})
 
@@ -247,33 +266,41 @@ def dominant_multiplicities(d, lam):
     got = _freudenthal_memo.get(key)
     if got is not None:
         return got
-    assert d.is_dominant(lam)
+    _check_dominant(d, lam)
     doms = dominant_weights_below(d, lam)
-    doms.sort(key=lambda m: (-d.height(m), m))   # by depth, ties lexicographic
+    doms.sort(key=lambda m: (-d.height_scaled(m), m))   # by depth, ties lexicographic
+    # every inner product below is scaled by d.denom; the scale cancels in val
     rho = d.rho()
-    top_norm = d.norm2(wadd(lam, rho))
-    pos_roots = [r.root for r in d.positive_roots()]
+    top = wadd(lam, rho)
+    top_norm = d.inner_product_scaled(top, top)
+    # (alpha, G alpha, <alpha, alpha>), so that <alpha, nu> = G alpha . nu
+    pos_roots = []
+    for r in d.positive_roots():
+        g_alpha = tuple(_dot(row, r.root) for row in d.gram_scaled)   # G symmetric
+        pos_roots.append((r.root, g_alpha, _dot(r.root, g_alpha)))
     mult = {lam: 1}
     members = set(doms)
     for mu in doms:
         if mu == lam:
             continue
-        total = Fraction(0)
-        for alpha in pos_roots:
-            k = 1
+        total = 0
+        for alpha, g_alpha, aa in pos_roots:
+            nu, a_nu = mu, _dot(mu, g_alpha)
             while True:
-                nu = wadd(mu, wscale(k, alpha))
+                nu, a_nu = wadd(nu, alpha), a_nu + aa    # nu = mu + k alpha
                 rep = d.dominant_rep(nu)
                 if rep not in members:
                     break
                 m_rep = mult.get(rep)
                 assert m_rep is not None    # shallower depth, already done
-                total += d.inner_product(alpha, nu) * m_rep
-                k += 1
-        denom = top_norm - d.norm2(wadd(mu, rho))
-        val = 2 * total / denom
-        assert val.denominator == 1 and val > 0
-        mult[mu] = int(val)
+                total += a_nu * m_rep
+        shifted = wadd(mu, rho)
+        denom = top_norm - d.inner_product_scaled(shifted, shifted)
+        val = _as_int(2 * total, denom)
+        if val <= 0:
+            raise ExactnessError("Freudenthal multiplicity %d at %s is not positive"
+                                 % (val, mu))
+        mult[mu] = val
     _freudenthal_memo[key] = mult
     return mult
 
@@ -294,7 +321,7 @@ def kostant_multiplicity(d, lam, mu):
     Sums det(w) * P(w(lam + rho) - (mu + rho)) over the parity-tagged orbit
     of the regular weight lam + rho.
     """
-    assert d.is_dominant(lam)
+    _check_dominant(d, lam)
     _check_group_cap(d)
     rho = d.rho()
     shifted = wadd(lam, rho)
@@ -314,7 +341,7 @@ def _check_group_cap(d):
 
 def alternant(d, lam):
     """A(e^lambda) = sum det(w) e^{w(lambda)}; zero unless strongly dominant."""
-    assert d.is_dominant(lam)
+    _check_dominant(d, lam)
     _check_group_cap(d)
     if not d.is_strongly_dominant(lam):
         return WeylSymFn(d)
@@ -323,13 +350,13 @@ def alternant(d, lam):
 
 def monomial_wsf(d, lam):
     """zeta_lambda: the orbit indicator function."""
-    assert d.is_dominant(lam)
+    _check_dominant(d, lam)
     return WeylSymFn(d, {w: 1 for w in d.weyl_orbit(lam)})
 
 
 def elementary_wsf(d, lam):
     """psi_lambda: product of fundamental bialternant powers."""
-    assert d.is_dominant(lam)
+    _check_dominant(d, lam)
     out = WeylSymFn.unit(d)
     for i, a in enumerate(lam, start=1):
         if a:
@@ -352,8 +379,8 @@ def expand_in_bialternants(f):
     out = {}
     rem = f
     while rem:
-        top = max(d.height(m) for m in rem.terms)
-        layer = [m for m in rem.terms if d.height(m) == top]
+        top = max(d.height_scaled(m) for m in rem.terms)
+        layer = [m for m in rem.terms if d.height_scaled(m) == top]
         if not all(d.is_dominant(m) for m in layer):
             raise NotInvariant("top-height support is not dominant")
         for m in layer:
@@ -386,22 +413,25 @@ def specialize(d, lam):
     agree exactly.
     """
     lam = tuple(lam)
-    assert d.is_dominant(lam)
-    ht_lam = d.height(lam)
-    deg = _as_int(2 * ht_lam)
+    _check_dominant(d, lam)
+    den = d.denom
+    ht_lam = d.height_scaled(lam)
+    deg = _as_int(2 * ht_lam, den)
     coeffs = [0] * (deg + 1)
     for rep, c in dominant_multiplicities(d, lam).items():
         for w in d.weyl_orbit(rep):
-            coeffs[_as_int(d.height(w) + ht_lam)] += c
+            coeffs[_as_int(d.height_scaled(w) + ht_lam, den)] += c
     nums = numbersgame.rgf_exponents(d, lam)
     dens = numbersgame.rgf_exponents(d, zero_weight(d.rank))
     quot = qpoly.quotient_rgf(nums, dens)
-    assert quot == coeffs, "Dynkin polynomial routes disagree"
+    if quot != coeffs:
+        raise ExactnessError("Dynkin polynomial routes disagree")
     dim = qpoly.eval_at_one(coeffs)
     prod_dim = Fraction(1)
     for c in nums:
         prod_dim *= c
     for e in dens:
         prod_dim /= e
-    assert prod_dim == dim
+    if prod_dim != dim:
+        raise ExactnessError("dimension routes disagree: %s != %s" % (prod_dim, dim))
     return Specialization(tuple(coeffs), dim)

@@ -128,3 +128,33 @@ def brute_partition_count(d, mu, roots):
         return total
 
     return count(0, target)
+
+
+def brute_dominant_weights_below(d, lam):
+    """All dominant nu <= lam from the whole box of root coordinates.
+
+    nu = lam - sum k_a alpha_a for 0 <= k_a <= (root coordinate a of lam),
+    in lexicographic order of k.  A partial k is cut only when the later
+    k_a cannot add enough to some coordinate of nu to make it nonnegative,
+    so the result is exactly the dominant part of the box.
+    """
+    n = d.rank
+    box = [int(c) for c in d.to_root_coords(lam)]
+    # gain[i][j]: the most that k_i, ..., k_{n-1} can still add to nu_j
+    gain = [[0] * n for _ in range(n + 1)]
+    for i in reversed(range(n)):
+        for j in range(n):
+            gain[i][j] = gain[i + 1][j] + box[i] * max(0, -d.cartan[i][j])
+    out = []
+
+    def descend(i, nu):
+        if any(c + g < 0 for c, g in zip(nu, gain[i])):
+            return
+        if i == n:
+            out.append(nu)
+            return
+        for v in range(box[i] + 1):
+            descend(i + 1, tuple(c - v * a for c, a in zip(nu, d.cartan[i])))
+
+    descend(0, tuple(lam))
+    return out

@@ -2,6 +2,7 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weylsplit import build_diagram
 from weylsplit.errors import NotFiniteType, NotGCM, OrbitTooLarge
@@ -231,3 +232,26 @@ def test_root_lengths_relation():
         # short simple roots have squared length 2 in every component
         for _, _, nodes in d.components:
             assert min(d.root_lengths[v - 1] for v in nodes) == 2
+
+
+SCALED_SPECS = ["A1", "A2", "A4", "B3", "C3", "D4", "G2", "F4", "E6", "E8",
+                "A2+G2", "B3+A1", "cartan:[[2,0,-1],[0,2,-1],[-1,-1,2]]"]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_scaled_forms_match_direct_fractions(data):
+    d = build_diagram(data.draw(st.sampled_from(SCALED_SPECS)))
+    weight = st.tuples(*[st.integers(-20, 20)] * d.rank)
+    u, v = data.draw(weight), data.draw(weight)
+    q = d.inverse_cartan
+    n = d.rank
+    coords = tuple(sum(Fraction(u[j]) * q[j][k] for j in range(n)) for k in range(n))
+    assert d.to_root_coords(u) == coords
+    assert all(type(c) is Fraction for c in d.to_root_coords(u))
+    assert d.height(u) == sum(coords)
+    # <omega_i, omega_j> = Q_ji * <alpha_i, alpha_i> / 2
+    ip = sum(u[i] * v[j] * q[j][i] * d.root_lengths[i] / 2
+             for i in range(n) for j in range(n))
+    assert d.inner_product(u, v) == ip
+    assert type(d.height(u)) is Fraction and type(d.inner_product(u, v)) is Fraction

@@ -1,7 +1,12 @@
 import json
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
+import weylsplit
 from weylsplit.cli import main
 
 
@@ -67,6 +72,8 @@ def test_domain_error_exit_1(capsys):
     rc, _, err = run(capsys, "info", "--diagram", "cartan:[[2,-2],[-2,2]]")
     assert rc == 1
     assert "NotFiniteType" in err
+    rc, out, err = run(capsys, "char", "--diagram", "G2", "--weight=-1,0")
+    assert rc == 1 and out == "" and err.startswith("NotDominant:")
 
 
 def test_decompose_and_branch(capsys):
@@ -207,3 +214,30 @@ def test_verify_subblock_witness_cli(capsys, tmp_path):
     rc, out, _ = run(capsys, "verify", "--diagram", "A2", "--poset", str(pj),
                      "--coloring", str(wj))
     assert rc == 0 and "subblock coloring: ok" in out
+
+
+def _cli(*argv, optimize=False):
+    src = str(Path(weylsplit.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    flags = ["-O"] if optimize else []
+    return subprocess.run([sys.executable, *flags, "-m", "weylsplit.cli", *argv],
+                          capture_output=True, text=True, env=env, timeout=120)
+
+
+@pytest.mark.parametrize("argv", [
+    ("char", "--diagram", "G2", "--weight", "1,1"),
+    ("char", "--diagram", "B3", "--weight", "0,1,0", "--method", "kostant"),
+])
+def test_optimized_run_identical(argv):
+    plain = _cli(*argv)
+    optimized = _cli(*argv, optimize=True)
+    assert plain.returncode == optimized.returncode == 0
+    assert plain.stdout and optimized.stdout == plain.stdout
+
+
+def test_optimized_run_rejects_non_dominant():
+    res = _cli("char", "--diagram", "G2", "--weight=-1,0", optimize=True)
+    assert res.returncode == 1
+    assert res.stdout == "" and "NotDominant:" in res.stderr
+    assert "Traceback" not in res.stderr

@@ -1,12 +1,14 @@
+import itertools
 import random
 
 import pytest
 
 from weylsplit import build_diagram, wsf
 from weylsplit.cartan import wadd, wneg
-from weylsplit.errors import NotInvariant
+from weylsplit.errors import ExactnessError, NotDominant, NotInvariant
 
-from conftest import brute_partition_count, load_fixture
+from conftest import (brute_dominant_weights_below, brute_partition_count,
+                      load_fixture)
 
 G2FIX = load_fixture("g2_reference.json")
 
@@ -270,3 +272,36 @@ def test_reducible_diagram_characters():
     assert dim == wsf.specialize(a2, (1, 0)).dimension \
         * wsf.specialize(a1, (1,)).dimension
     assert sum(f.terms.values()) == dim
+
+
+A3_PERMUTED = "cartan:[[2,0,-1],[0,2,-1],[-1,-1,2]]"     # classical node 2 is node 3
+
+
+@pytest.mark.parametrize("spec, top", [
+    ("A1", 2), ("A2", 2), ("A3", 2), ("A4", 2), ("B3", 2), ("B4", 2),
+    ("C2", 2), ("C3", 2), ("C4", 2), ("D4", 2), ("G2", 2), ("A2+G2", 2),
+    (A3_PERMUTED, 2), ("F4", 1), ("E6", 1)])
+def test_dominant_weights_below_matches_box(spec, top):
+    d = build_diagram(spec)
+    for lam in itertools.product(range(top + 1), repeat=d.rank):
+        assert wsf.dominant_weights_below(d, lam) \
+            == brute_dominant_weights_below(d, lam), lam
+
+
+def test_non_dominant_weight_raises():
+    g2 = build_diagram("G2")
+    lam = (-1, 0)
+    for fn in (wsf.dominant_weights_below, wsf.dominant_multiplicities,
+               wsf.specialize, wsf.alternant, wsf.monomial_wsf,
+               wsf.elementary_wsf, wsf.freudenthal, wsf.weight_diagram):
+        with pytest.raises(NotDominant):
+            fn(g2, lam)
+    with pytest.raises(NotDominant):
+        wsf.kostant_multiplicity(g2, lam, (0, 0))
+
+
+def test_as_int_is_exact():
+    assert wsf._as_int(12, 4) == 3
+    assert wsf._as_int(-6, 3) == -2
+    with pytest.raises(ExactnessError):
+        wsf._as_int(7, 2)
