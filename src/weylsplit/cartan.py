@@ -25,7 +25,7 @@ import re
 from fractions import Fraction
 from math import lcm
 
-from .errors import NotFiniteType, NotGCM, OrbitTooLarge
+from .errors import NotDominant, NotFiniteType, NotGCM, OrbitTooLarge
 
 DEFAULT_ORBIT_CAP = 10 ** 6
 
@@ -179,6 +179,24 @@ def _invert_exact(m):
     return tuple(tuple(a[i][n + j] for j in range(n)) for i in range(n))
 
 
+def gcm_matrix(cartan):
+    """The matrix as int tuples; NotGCM unless it is a generalized Cartan matrix."""
+    cartan = tuple(tuple(int(x) for x in row) for row in cartan)
+    n = len(cartan)
+    if n == 0 or any(len(row) != n for row in cartan):
+        raise NotGCM("Cartan matrix must be square and nonempty")
+    for i in range(n):
+        if cartan[i][i] != 2:
+            raise NotGCM("diagonal entries must equal 2")
+        for j in range(n):
+            if i != j:
+                if cartan[i][j] > 0:
+                    raise NotGCM("off-diagonal entries must be <= 0")
+                if (cartan[i][j] == 0) != (cartan[j][i] == 0):
+                    raise NotGCM("M_ij = 0 must imply M_ji = 0")
+    return cartan
+
+
 _MIJ_FROM_PRODUCT = {0: 2, 1: 3, 2: 4, 3: 6}
 
 
@@ -191,19 +209,8 @@ class DynkinDiagram:
     """
 
     def __init__(self, cartan):
-        cartan = tuple(tuple(int(x) for x in row) for row in cartan)
+        cartan = gcm_matrix(cartan)
         n = len(cartan)
-        if n == 0 or any(len(row) != n for row in cartan):
-            raise NotGCM("Cartan matrix must be square and nonempty")
-        for i in range(n):
-            if cartan[i][i] != 2:
-                raise NotGCM("diagonal entries must equal 2")
-            for j in range(n):
-                if i != j:
-                    if cartan[i][j] > 0:
-                        raise NotGCM("off-diagonal entries must be <= 0")
-                    if (cartan[i][j] == 0) != (cartan[j][i] == 0):
-                        raise NotGCM("M_ij = 0 must imply M_ji = 0")
         self.cartan = cartan
         self.rank = n
 
@@ -312,6 +319,11 @@ class DynkinDiagram:
 
     def is_dominant(self, mu):
         return all(c >= 0 for c in mu)
+
+    def check_dominant(self, mu):
+        """Raise NotDominant unless mu is dominant."""
+        if not self.is_dominant(mu):
+            raise NotDominant("weight %s is not dominant" % (tuple(mu),))
 
     def is_strongly_dominant(self, mu):
         return all(c > 0 for c in mu)

@@ -23,10 +23,6 @@ def _weight(d, text):
     return parse_weight(text, d.rank)
 
 
-def _sorted_terms(fn):
-    return fn.sorted_terms()
-
-
 def _emit_terms(items, as_json):
     if as_json:
         print(json.dumps(
@@ -227,8 +223,6 @@ def cmd_experiment(args):
 
 def make_parser():
     ap = argparse.ArgumentParser(prog="weylsplit")
-    ap.add_argument("--threads", type=int, default=1,
-                    help="accepted for compatibility; computation is single-process")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
     def add(name, fn, **kw):

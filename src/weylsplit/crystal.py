@@ -249,7 +249,9 @@ def omega_expression(d, lam, max_len=None):
     the coset of lambda modulo the root lattice contains a minuscule class.
     """
     lam = tuple(lam)
-    assert d.is_dominant(lam) and any(lam)
+    d.check_dominant(lam)
+    if not any(lam):
+        raise NoExpression("the zero weight has no nonempty expression")
     if len(d.components) != 1:
         raise NotIrreducible("omega expressions are per irreducible component")
     minus = minuscule_dominant_weights(d)
@@ -339,7 +341,7 @@ def build_crystal(d, lam):
     got = _crystal_memo.get((d, lam))
     if got is not None:
         return got
-    assert d.is_dominant(lam)
+    d.check_dominant(lam)
     if not any(lam):
         poset = ecposet.ColoredPoset(1, [], diagram=d, labels=[()])
     else:
@@ -366,7 +368,7 @@ def m_set(p, nodes, nu):
 def decompose(d, nu, lam):
     """Expansion of chi_nu * chi_lambda from M_{I,nu}(R(lambda))."""
     nu = tuple(nu)
-    assert d.is_dominant(nu)
+    d.check_dominant(nu)
     r = build_crystal(d, lam)
     nodes = tuple(range(1, d.rank + 1))
     out = {}
@@ -414,32 +416,13 @@ def jnu_coloring(factors, poset, nodes, nu):
     for f in factors:
         if not f.is_primary():
             raise NotPrimaryFactor("all factors must be primary")
-    def ops_delta(x, upto, j):
-        best, arg, pref = None, None, 0
-        for q in range(upto):
-            f, v = factors[q], x[q]
-            val = -pref + f.delta(j, v)
-            if best is None or val > best:
-                best, arg = val, q
-            pref += f.m(j, v)
-        return best, arg
-
-    def ops_rho(x, upto, j):
-        suff = [0] * (upto + 1)
-        for r in range(upto - 1, -1, -1):
-            suff[r] = suff[r + 1] + factors[r].m(j, x[r])
-        best, arg = None, None
-        for r in range(upto):
-            val = factors[r].rho[j][x[r]] + suff[r + 1]
-            if best is None or val >= best:
-                best, arg = val, r
-        return best, arg
+    ops = TensorOps(factors)
 
     def kappa_prefix(x, upto):
         """kappa of the length-upto prefix, or None when it is in M_{J,nu}."""
         if upto == 1:
             return _primary_kappa(factors[0], nodes, nu_of, x[0])
-        k_set = [j for j in nodes if ops_delta(x, upto, j)[0] > nu_of[j]]
+        k_set = [j for j in nodes if ops.delta_data(j, x[:upto])[0] > nu_of[j]]
         if not k_set:
             return None
         prev = kappa_prefix(x, upto - 1)
@@ -448,7 +431,7 @@ def jnu_coloring(factors, poset, nodes, nu):
         f, v = factors[upto - 1], x[upto - 1]
         special = [j for j in k_set
                    if max(f.rho[j][v],
-                          f.lng[j][v] - ops_rho(x, upto - 1, j)[0]) >= 2]
+                          f.lng[j][v] - ops.rho_data(j, x[:upto - 1])[0]) >= 2]
         if special:
             assert len(special) == 1
             return special[0]

@@ -16,8 +16,9 @@ from itertools import permutations
 
 from . import wsf
 from .cartan import wadd, wsub
-from .errors import (DiagramMismatch, NotAcyclic, NotChainProduct,
-                     NotConnected, NotCovering, NotMStructured, NotRanked)
+from .errors import (DiagramMismatch, MalformedPoset, NotAcyclic,
+                     NotChainProduct, NotConnected, NotCovering, NotMStructured,
+                     NotRanked)
 
 LATTICE_CHECK_LIMIT = 900
 
@@ -256,10 +257,10 @@ class ColoredPoset:
                         return False
         return True
 
-    def is_lattice(self, limit=LATTICE_CHECK_LIMIT):
+    def is_lattice(self):
         if self._is_lattice is not None:
             return self._is_lattice
-        if self.n > limit:
+        if self.n > LATTICE_CHECK_LIMIT:
             return None
         if not self.is_connected():
             self._is_lattice = self.n <= 1
@@ -268,7 +269,6 @@ class ColoredPoset:
         down = [0] * self.n
         for v in range(self.n):
             m = up[v]
-            w = 0
             while m:
                 low = m & -m
                 down[low.bit_length() - 1] |= 1 << v
@@ -863,13 +863,20 @@ def import_poset(data, diagram=None):
     import json
     if isinstance(data, str):
         data = json.loads(data)
-    n = len(data["vertices"])
-    ids = sorted(v["id"] for v in data["vertices"])
-    assert ids == list(range(n)), "vertex ids must be dense"
-    edges = [(e["from"], e["to"], e["color"]) for e in data["edges"]]
-    p = ColoredPoset(n, edges, diagram=diagram, n_colors=data["rank_n"])
-    for v in data["vertices"]:
-        if tuple(v["wt"]) != p.wt[v["id"]]:
+    try:
+        n_colors = data["rank_n"]
+        wts = [(v["id"], tuple(v["wt"])) for v in data["vertices"]]
+        edges = [(e["from"], e["to"], e["color"]) for e in data["edges"]]
+        n = len(wts)
+        dense = sorted(vid for vid, _ in wts) == list(range(n))
+    except (KeyError, TypeError) as e:
+        raise MalformedPoset("bad poset JSON (%s: %s)"
+                             % (type(e).__name__, e)) from None
+    if not dense:
+        raise MalformedPoset("vertex ids must be 0..%d, each once" % (n - 1))
+    p = ColoredPoset(n, edges, diagram=diagram, n_colors=n_colors)
+    for vid, wt in wts:
+        if wt != p.wt[vid]:
             raise NotMStructured("stored wt disagrees with recomputed wt at id %d"
-                                 % v["id"])
+                                 % vid)
     return p

@@ -77,6 +77,10 @@ class NotChainProduct(DomainError):
     """A monochromatic component failed chain-product factorization."""
 
 
+class MalformedPoset(DomainError):
+    """Poset JSON lacks a required key or has non-dense or duplicate vertex ids."""
+
+
 # --- crystal ---
 
 class NotMinuscule(DomainError):

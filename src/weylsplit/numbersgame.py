@@ -13,10 +13,9 @@ needs n independent symbols once the rank exceeds two.
 """
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .cartan import DynkinDiagram
-from .errors import IllegalFire, NotGCM, NotIrreducible
+from .cartan import DynkinDiagram, gcm_matrix
+from .errors import IllegalFire, NotIrreducible
 
 DEFAULT_FIRING_CAP = 10_000
 
@@ -30,53 +29,36 @@ class RawGCMGraph:
     """
 
     def __init__(self, cartan):
-        cartan = tuple(tuple(int(x) for x in row) for row in cartan)
-        n = len(cartan)
-        if n == 0 or any(len(row) != n for row in cartan):
-            raise NotGCM("Cartan matrix must be square and nonempty")
-        for i in range(n):
-            if cartan[i][i] != 2:
-                raise NotGCM("diagonal entries must equal 2")
-            for j in range(n):
-                if i != j:
-                    if cartan[i][j] > 0:
-                        raise NotGCM("off-diagonal entries must be <= 0")
-                    if (cartan[i][j] == 0) != (cartan[j][i] == 0):
-                        raise NotGCM("M_ij = 0 must imply M_ji = 0")
-        self.cartan = cartan
-        self.rank = n
+        self.cartan = gcm_matrix(cartan)
+        self.rank = len(self.cartan)
 
 
 class LinForm:
-    """Exact linear form c_1*x_1 + ... + c_k*x_k + const."""
+    """Exact linear form c_1*x_1 + ... + c_k*x_k with integer coefficients."""
 
-    __slots__ = ("coeffs", "const")
+    __slots__ = ("coeffs",)
 
-    def __init__(self, coeffs, const=0):
-        self.coeffs = tuple(Fraction(c) for c in coeffs)
-        self.const = Fraction(const)
+    def __init__(self, coeffs):
+        self.coeffs = tuple(coeffs)
 
     @classmethod
-    def symbol(cls, k, index, const=0):
-        return cls(tuple(int(i == index) for i in range(k)), const)
+    def symbol(cls, k, index):
+        return cls(int(i == index) for i in range(k))
 
     def __add__(self, other):
-        return LinForm([a + b for a, b in zip(self.coeffs, other.coeffs)],
-                       self.const + other.const)
+        return LinForm(a + b for a, b in zip(self.coeffs, other.coeffs))
 
     def __sub__(self, other):
-        return LinForm([a - b for a, b in zip(self.coeffs, other.coeffs)],
-                       self.const - other.const)
+        return LinForm(a - b for a, b in zip(self.coeffs, other.coeffs))
 
     def __neg__(self):
-        return LinForm([-a for a in self.coeffs], -self.const)
+        return LinForm(-a for a in self.coeffs)
 
     def scaled(self, f):
-        return LinForm([f * a for a in self.coeffs], f * self.const)
+        return LinForm(f * a for a in self.coeffs)
 
     def __eq__(self, other):
-        return (isinstance(other, LinForm) and self.coeffs == other.coeffs
-                and self.const == other.const)
+        return isinstance(other, LinForm) and self.coeffs == other.coeffs
 
     def __repr__(self):
         names = "abcdefgh"
@@ -84,9 +66,7 @@ class LinForm:
         for c, nm in zip(self.coeffs, names):
             if c:
                 bits.append("%s%s" % ("" if c == 1 else str(c), nm))
-        if self.const or not bits:
-            bits.append(str(self.const))
-        return "+".join(bits).replace("+-", "-")
+        return "+".join(bits).replace("+-", "-") or "0"
 
 
 def generic_position(d):
@@ -149,23 +129,29 @@ def play(d, position, strategy="first", cap=DEFAULT_FIRING_CAP):
     """
     position = tuple(position)
     if strategy == "all":
-        records = []
-
-        def descend(pos, fired, trace):
+        # depth-first over shared fired/trace lists; todo[k] holds the nodes
+        # still to fire from trace[k], lowest last so pop() takes it first
+        records, fired, trace, todo = [], [], [position], []
+        while True:
+            pos = trace[-1]
             if len(fired) >= cap:
                 records.append(GameRecord(position, tuple(fired), tuple(trace),
                                           pos, True, cap))
-                return
-            nodes = _positive_nodes(d, pos)
-            if not nodes:
-                records.append(GameRecord(position, tuple(fired), tuple(trace), pos))
-                return
-            for i in nodes:
-                nxt = fire(d, pos, i)
-                descend(nxt, fired + [i], trace + [nxt])
-
-        descend(position, [], [position])
-        return records
+                nodes = []
+            else:
+                nodes = _positive_nodes(d, pos)
+                if not nodes:
+                    records.append(GameRecord(position, tuple(fired), tuple(trace), pos))
+            todo.append(nodes[::-1])
+            while not todo[-1]:
+                todo.pop()
+                if not todo:
+                    return records
+                fired.pop()
+                trace.pop()
+            i = todo[-1].pop()
+            fired.append(i)
+            trace.append(fire(d, trace[-1], i))
 
     fired, trace = [], [position]
     pos = position
@@ -249,9 +235,7 @@ def enumerate_positive_roots(d):
     pos = generic_position(dT)
     roots = []
     for i in word:
-        form = pos[i - 1]
-        assert form.const == 0 and all(c.denominator == 1 for c in form.coeffs)
-        k = tuple(int(c) for c in form.coeffs)
+        k = pos[i - 1].coeffs
         omega = tuple(sum(k[a] * d.cartan[a][j] for a in range(d.rank) if k[a])
                       for j in range(d.rank))
         cls = "short" if _is_short_node(d, i) else "long"
@@ -267,7 +251,7 @@ def rgf_exponents(d, lam):
     These are the exponents <lambda + rho, beta_j_vee> appearing in rank
     generating function and dimension formulas.
     """
-    assert d.is_dominant(lam)
+    d.check_dominant(lam)
     word = longest_word(d).word
     pos = tuple(c + 1 for c in lam)
     out = []

@@ -15,8 +15,7 @@ from operator import mul
 
 from . import numbersgame, qpoly
 from .cartan import wadd, wneg, wsub, zero_weight
-from .errors import (DiagramMismatch, ExactnessError, NotDominant,
-                     NotInvariant, OrbitTooLarge)
+from .errors import DiagramMismatch, ExactnessError, NotInvariant, OrbitTooLarge
 
 # Orbit-sum routes (alternant, Kostant multiplicity) stay desk scale; F4's
 # group is the largest allowed.  Freudenthal has no such cap.
@@ -143,11 +142,6 @@ class WeightDiagram:
     top: tuple
 
 
-def _check_dominant(d, lam):
-    if not d.is_dominant(lam):
-        raise NotDominant("weight %s is not dominant" % (tuple(lam),))
-
-
 def dominant_weights_below(d, lam):
     """All dominant nu <= lam, by a walk down positive roots.
 
@@ -158,7 +152,7 @@ def dominant_weights_below(d, lam):
     first.
     """
     lam = tuple(lam)
-    _check_dominant(d, lam)
+    d.check_dominant(lam)
     steps = [(r.root, r.alpha_coords) for r in d.positive_roots()]
     depth = {lam: (0,) * d.rank}     # nu -> root coordinates of lam - nu
     frontier = [lam]
@@ -266,7 +260,7 @@ def dominant_multiplicities(d, lam):
     got = _freudenthal_memo.get(key)
     if got is not None:
         return got
-    _check_dominant(d, lam)
+    d.check_dominant(lam)
     doms = dominant_weights_below(d, lam)
     doms.sort(key=lambda m: (-d.height_scaled(m), m))   # by depth, ties lexicographic
     # every inner product below is scaled by d.denom; the scale cancels in val
@@ -321,7 +315,7 @@ def kostant_multiplicity(d, lam, mu):
     Sums det(w) * P(w(lam + rho) - (mu + rho)) over the parity-tagged orbit
     of the regular weight lam + rho.
     """
-    _check_dominant(d, lam)
+    d.check_dominant(lam)
     _check_group_cap(d)
     rho = d.rho()
     shifted = wadd(lam, rho)
@@ -341,7 +335,7 @@ def _check_group_cap(d):
 
 def alternant(d, lam):
     """A(e^lambda) = sum det(w) e^{w(lambda)}; zero unless strongly dominant."""
-    _check_dominant(d, lam)
+    d.check_dominant(lam)
     _check_group_cap(d)
     if not d.is_strongly_dominant(lam):
         return WeylSymFn(d)
@@ -350,13 +344,13 @@ def alternant(d, lam):
 
 def monomial_wsf(d, lam):
     """zeta_lambda: the orbit indicator function."""
-    _check_dominant(d, lam)
+    d.check_dominant(lam)
     return WeylSymFn(d, {w: 1 for w in d.weyl_orbit(lam)})
 
 
 def elementary_wsf(d, lam):
     """psi_lambda: product of fundamental bialternant powers."""
-    _check_dominant(d, lam)
+    d.check_dominant(lam)
     out = WeylSymFn.unit(d)
     for i, a in enumerate(lam, start=1):
         if a:
@@ -413,7 +407,7 @@ def specialize(d, lam):
     agree exactly.
     """
     lam = tuple(lam)
-    _check_dominant(d, lam)
+    d.check_dominant(lam)
     den = d.denom
     ht_lam = d.height_scaled(lam)
     deg = _as_int(2 * ht_lam, den)

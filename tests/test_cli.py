@@ -241,3 +241,30 @@ def test_optimized_run_rejects_non_dominant():
     assert res.returncode == 1
     assert res.stdout == "" and "NotDominant:" in res.stderr
     assert "Traceback" not in res.stderr
+
+
+@pytest.mark.parametrize("argv, error", [
+    (("decompose", "--diagram", "G2", "--lhs=-1,0", "--rhs", "1,0"), "NotDominant"),
+    (("crystal", "--diagram", "G2", "--weight=-1,0"), "NotDominant"),
+    (("branch", "--diagram", "G2", "--weight=-1,0", "--subset", "1"), "NotDominant"),
+    (("experiment", "--diagram", "G2", "--weight=-1,0"), "NotDominant"),
+    (("rgf", "--diagram", "G2", "--weight=-1,0"), "NotDominant"),
+    (("verify", "--diagram", "A2", "--poset", "{sparse}", "--targets", "1,0"),
+     "MalformedPoset"),
+    (("verify", "--diagram", "A2", "--poset", "{keyless}", "--targets", "1,0"),
+     "MalformedPoset"),
+])
+def test_bad_input_exit_1_under_optimize(argv, error, tmp_path, capsys):
+    from weylsplit import crystal as cr, ecposet as ec, build_diagram
+    data = json.loads(ec.export_poset(cr.minuscule_poset(build_diagram("A2"), (1, 0))))
+    data["vertices"][0]["id"] = 7
+    (tmp_path / "sparse.json").write_text(json.dumps(data))
+    del data["edges"]
+    (tmp_path / "keyless.json").write_text(json.dumps(data))
+    argv = [a.format(sparse=tmp_path / "sparse.json",
+                     keyless=tmp_path / "keyless.json") for a in argv]
+    rc, out, err = run(capsys, *argv)
+    assert rc == 1 and out == "" and err.startswith(error + ":")
+    optimized = _cli(*argv, optimize=True)
+    assert (optimized.returncode, optimized.stdout, optimized.stderr) == (rc, out, err)
+    assert "Traceback" not in optimized.stderr

@@ -1,8 +1,8 @@
 import pytest
 
 from weylsplit import build_diagram, crystal as cr, ecposet as ec, wsf
-from weylsplit.errors import (NotFibrous, NotIrreducible, NotMinuscule,
-                              NotPrimaryFactor)
+from weylsplit.errors import (NoExpression, NotDominant, NotFibrous,
+                              NotIrreducible, NotMinuscule, NotPrimaryFactor)
 
 from conftest import load_fixture
 
@@ -394,3 +394,15 @@ def test_branch_to_disconnected_subset():
             want = wsf.expand_in_bialternants(
                 wsf.freudenthal(d4, lam).restrict(nodes))
             assert cr.branch(d4, lam, nodes) == want
+
+
+def test_non_dominant_input_raises():
+    for call in (lambda: cr.omega_expression(G2, (-1, 1)),
+                 lambda: cr.build_crystal(G2, (-1, 0)),
+                 lambda: cr.decompose(G2, (-1, 0), (1, 0)),
+                 lambda: cr.decompose(G2, (1, 0), (0, -1)),
+                 lambda: cr.branch(G2, (-1, 0), (1,))):
+        with pytest.raises(NotDominant):
+            call()
+    with pytest.raises(NoExpression):
+        cr.omega_expression(G2, (0, 0))

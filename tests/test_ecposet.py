@@ -3,8 +3,8 @@ import json
 import pytest
 
 from weylsplit import build_diagram, crystal, ecposet as ec, wsf
-from weylsplit.errors import (NotAcyclic, NotChainProduct, NotCovering,
-                              NotMStructured, NotRanked)
+from weylsplit.errors import (MalformedPoset, NotAcyclic, NotChainProduct,
+                              NotCovering, NotMStructured, NotRanked)
 
 from conftest import load_fixture
 
@@ -279,3 +279,20 @@ def test_dual_is_identity_on_ids():
     r1 = crystal.minuscule_poset(A2, (1, 0))
     dd = ec.dual(ec.dual(r1))
     assert dd.edges == r1.edges and dd.labels == r1.labels
+
+
+@pytest.mark.parametrize("spoil", [
+    lambda d: d["vertices"][0].update(id=7),          # ids not dense
+    lambda d: d["vertices"][1].update(id=0),          # duplicate id
+    lambda d: d["vertices"][1].update(id="1"),        # id not an int
+    lambda d: d.pop("rank_n"),
+    lambda d: d.pop("vertices"),
+    lambda d: d.pop("edges"),
+    lambda d: d["vertices"][0].pop("wt"),
+    lambda d: d["edges"][0].pop("color"),
+])
+def test_import_rejects_malformed_json(spoil):
+    data = json.loads(ec.export_poset(crystal.minuscule_poset(A2, (1, 0))))
+    spoil(data)
+    with pytest.raises(MalformedPoset):
+        ec.import_poset(data, diagram=A2)

@@ -5,7 +5,7 @@ import pytest
 
 from weylsplit import build_diagram
 from weylsplit import numbersgame as ng
-from weylsplit.errors import IllegalFire
+from weylsplit.errors import IllegalFire, NotDominant
 
 from conftest import brute_positive_roots, brute_weyl_group
 
@@ -183,3 +183,28 @@ def test_raw_gcm_diagnostics_mode():
     assert not out.diverged and out.terminal == (-1, -1)
     with pytest.raises(Exception):
         ng.RawGCMGraph([[2, -1], [0, 2]])
+
+
+def test_play_all_affine_diverges():
+    affine = ng.RawGCMGraph([[2, -2], [-2, 2]])
+    recs = ng.play(affine, (1, 0), "all")
+    assert len(recs) == 1
+    rec = recs[0]
+    assert rec.diverged and len(rec.fired) == rec.cap == ng.DEFAULT_FIRING_CAP
+    assert len(rec.trace) == len(rec.fired) + 1 and rec.terminal == rec.trace[-1]
+
+
+def test_play_all_lists_reduced_words_in_order():
+    # from rho every maximal play is a reduced word for w0; A3 has 16 of them
+    a3 = build_diagram("A3")
+    recs = ng.play(a3, a3.rho(), "all")
+    words = [r.fired for r in recs]
+    assert len(set(words)) == 16 and words == sorted(words)
+    for r in recs:
+        assert not r.diverged and len(r.fired) == 6
+        assert r.trace == ng.play(a3, a3.rho(), r.fired).trace
+
+
+def test_rgf_exponents_rejects_non_dominant():
+    with pytest.raises(NotDominant):
+        ng.rgf_exponents(build_diagram("G2"), (-1, 0))

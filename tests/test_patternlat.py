@@ -1,7 +1,11 @@
+import itertools
+
 import pytest
 
 from weylsplit import build_diagram, ecposet as ec, patternlat as pl, qpoly, wsf
 from weylsplit.errors import InvalidFamilyParams
+
+from test_acceptance import _lattices
 
 
 def all_nodes(d):
@@ -179,3 +183,27 @@ def test_even_orth_d5_splitting():
         lat = pl.even_orth_lattice(5, 1, node)
         assert lat.poset.n == 16
         verify_all(lat)
+
+
+def test_min_max_closure():
+    """Distributivity witness: patterns are closed under componentwise min/max.
+
+    PatternLattice relies on this and marks every poset as a lattice.  Every
+    pair is checked on the criterion-06 lattices and the D5 lattices of
+    test_even_orth_d5_splitting;
+    each one small enough for ColoredPoset.is_lattice is also rebuilt without
+    the hint and checked by that predicate.
+    """
+    lattices = [lat for _, lat in _lattices()]
+    lattices += [pl.even_orth_lattice(5, 1, node) for node in (4, 5)]
+    for lat in lattices:
+        # all patterns of one lattice share a shape, so flattening is faithful
+        flat = [sum(t, ()) for t in lat.patterns]
+        members = set(flat)
+        for a, b in itertools.combinations(flat, 2):
+            assert tuple(map(min, a, b)) in members
+            assert tuple(map(max, a, b)) in members
+        p = lat.poset
+        if p.n <= ec.LATTICE_CHECK_LIMIT:
+            plain = ec.ColoredPoset(p.n, p.edges, diagram=p.d, labels=p.labels)
+            assert plain.is_lattice() is True
