@@ -24,6 +24,7 @@ import os
 import re
 from fractions import Fraction
 from math import lcm
+from operator import mul
 
 from .errors import NotDominant, NotFiniteType, NotGCM, OrbitTooLarge
 
@@ -48,10 +49,6 @@ def wsub(u, v):
 
 def wneg(u):
     return tuple(-a for a in u)
-
-
-def wscale(k, u):
-    return tuple(k * a for a in u)
 
 
 def zero_weight(n):
@@ -205,7 +202,12 @@ class DynkinDiagram:
 
     Immutable after construction and safe to share.  Derived root-system
     constants (positive roots, longest word, sigma_0, Weyl order) are
-    computed lazily through the numbers-game engine and cached.
+    computed lazily through the numbers-game engine and cached.  Every other
+    derived result lives in ``memo``, a dict from kind to that kind's
+    results: "kostant" and "freudenthal" (wsf), "crystal" (the R(lambda)
+    posets) and "sub" (the diagrams sub_diagram returned, by node tuple).
+    The results are freed with the diagram; an equal diagram built afresh
+    starts with an empty memo.
     """
 
     def __init__(self, cartan):
@@ -286,6 +288,7 @@ class DynkinDiagram:
         self.mesh_size = Fraction(1, prod)
 
         self._constants = None
+        self.memo = {}
 
         # sanity: M * Q = identity exactly
         for i in range(n):
@@ -346,7 +349,7 @@ class DynkinDiagram:
 
     def root_coords_scaled(self, mu):
         """denom times the coefficients of mu on the simple roots (Q^T mu)."""
-        return tuple(sum(m * c for m, c in zip(mu, col)) for col in self._q_cols)
+        return tuple(sum(map(mul, mu, col)) for col in self._q_cols)
 
     def height_scaled(self, mu):
         """denom * ht(mu)."""
@@ -356,6 +359,14 @@ class DynkinDiagram:
         """denom * <u, v>."""
         return sum(a * sum(g * b for g, b in zip(row, v))
                    for a, row in zip(u, self.gram_scaled) if a)
+
+    def root_lattice_coords(self, mu):
+        """Integer coefficients of mu on the simple roots; None off the root lattice."""
+        den = self.denom
+        rc = self.root_coords_scaled(mu)
+        if any(c % den for c in rc):
+            return None
+        return tuple(c // den for c in rc)
 
     def to_root_coords(self, mu):
         """Coefficients of mu on the simple roots: Q^T applied to mu, exact."""
@@ -420,15 +431,12 @@ class DynkinDiagram:
             return {w: None for w in parities}
         return parities
 
-    def orbit_size(self, mu):
-        return len(self.weyl_orbit(mu))
-
     # -- derived constants (delegating to the numbers game) ------------------
 
     def constants(self):
         if self._constants is None:
             from . import numbersgame
-            self._constants = numbersgame.diagram_constants(self)
+            self._constants = numbersgame.DiagramConstants(self)
         return self._constants
 
     def positive_roots(self):
@@ -451,12 +459,19 @@ class DynkinDiagram:
     # -- subdiagrams ----------------------------------------------------------
 
     def sub_diagram(self, nodes):
-        """Diagram on a subset of nodes (1-based, sorted); returns (diagram, nodes)."""
+        """Diagram on a subset of nodes (1-based, sorted); returns (diagram, nodes).
+
+        The diagram is built once per node set and kept in memo["sub"], so a
+        restriction keeps its own memo hits.
+        """
         nodes = tuple(sorted(set(nodes)))
         if any(not 1 <= j <= self.rank for j in nodes):
             raise NotGCM("node subset out of range")
-        sub = [[self.cartan[a - 1][b - 1] for b in nodes] for a in nodes]
-        return DynkinDiagram(sub), nodes
+        subs = self.memo.setdefault("sub", {})
+        if nodes not in subs:
+            subs[nodes] = DynkinDiagram([[self.cartan[a - 1][b - 1] for b in nodes]
+                                         for a in nodes])
+        return subs[nodes], nodes
 
     def project(self, mu, nodes):
         """Projection of mu onto the sub-lattice for the given nodes."""

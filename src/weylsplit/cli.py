@@ -12,7 +12,7 @@ import sys
 
 from . import crystal, ecposet, numbersgame, patternlat, wsf
 from .cartan import build_diagram, parse_weight
-from .errors import DomainError
+from .errors import DomainError, MalformedPoset
 
 
 def _diagram(args):
@@ -41,7 +41,7 @@ def cmd_info(args):
     print("cartan: %s" % json.dumps([list(r) for r in d.cartan]))
     print("positive roots: %d" % len(c.positive_roots))
     print("weyl order: %d" % c.weyl_order)
-    print("mesh size: %s" % c.mesh_size)
+    print("mesh size: %s" % d.mesh_size)
     print("sigma0: %s" % json.dumps({str(k): v for k, v in sorted(c.sigma0.items())}))
     if c.highest_root is not None:
         print("highest root: %s" % ",".join(map(str, c.highest_root)))
@@ -191,12 +191,16 @@ def cmd_verify(args):
     if args.coloring:
         with open(args.coloring) as fh:
             w = json.load(fh)
-        nodes = tuple(w.get("J", range(1, d.rank + 1)))
-        nu = tuple(w.get("nu", [0] * len(nodes)))
-        s_set = set(w["S"])
-        kappa = {int(k): v for k, v in w["kappa"].items()}
-        if w.get("tau"):
-            tau = {int(k): v for k, v in w["tau"].items()}
+        try:
+            nodes = tuple(w.get("J", range(1, d.rank + 1)))
+            nu = tuple(w.get("nu", [0] * len(nodes)))
+            s_set = set(w["S"])
+            kappa = {int(k): v for k, v in w["kappa"].items()}
+            tau = {int(k): v for k, v in w["tau"].items()} if w.get("tau") else None
+        except (AttributeError, KeyError, TypeError, ValueError) as e:
+            raise MalformedPoset("bad witness JSON (%s: %s)"
+                                 % (type(e).__name__, e)) from None
+        if tau:
             wit = ecposet.ColoringWitness(S=frozenset(s_set), kappa=kappa, tau=tau)
             ok, why = ecposet.verify_tau_kappa(p, nodes, nu, wit)
             print("tau-kappa: %s" % ("ok" if ok else "FAIL (%s)" % why))

@@ -11,8 +11,8 @@ from dataclasses import dataclass
 
 from . import ecposet, wsf
 from .cartan import wadd, wsub, zero_weight
-from .errors import (NoExpression, NotFibrous, NotIrreducible, NotMinuscule,
-                     NotPrimaryFactor, DiagramMismatch)
+from .errors import (DiagramMismatch, ExactnessError, NoExpression, NotFibrous,
+                     NotIrreducible, NotMinuscule, NotPrimaryFactor)
 
 
 # ---------------------------------------------------------------------------
@@ -237,10 +237,6 @@ def _alphabet(d, flavor):
     return letters
 
 
-def _in_root_lattice(d, mu):
-    return all(c.denominator == 1 for c in d.to_root_coords(mu))
-
-
 def omega_expression(d, lam, max_len=None):
     """Shortest, then letter-order-least, expression of lambda.
 
@@ -256,7 +252,7 @@ def omega_expression(d, lam, max_len=None):
         raise NotIrreducible("omega expressions are per irreducible component")
     minus = minuscule_dominant_weights(d)
     flavor = "quasi-minuscule"
-    if any(_in_root_lattice(d, wsub(lam, m)) for m in minus):
+    if any(d.root_lattice_coords(wsub(lam, m)) is not None for m in minus):
         flavor = "minuscule"
     letters = _alphabet(d, flavor)
     if max_len is None:
@@ -327,18 +323,17 @@ def _inflate(p, d, sel):
     return ecposet.ColoredPoset(p.n, edges, diagram=d, labels=p.labels)
 
 
-_crystal_memo = {}
-
-
 def build_crystal(d, lam):
     """The crystalline splitting poset R(lambda).
 
     Extracts the connected component of the seed maximal vertex by closing
     under the raising/lowering operators; the full product of the factors
-    is never materialized.  Results are cached (posets are immutable).
+    is never materialized.  Results are cached in d.memo (posets are
+    immutable).
     """
     lam = tuple(lam)
-    got = _crystal_memo.get((d, lam))
+    memo = d.memo.setdefault("crystal", {})
+    got = memo.get(lam)
     if got is not None:
         return got
     d.check_dominant(lam)
@@ -348,10 +343,11 @@ def build_crystal(d, lam):
         factors, seeds = _component_factors(d, lam)
         ops = TensorOps(factors)
         seed = tuple(seeds)
-        assert ops.wt(seed) == lam
+        if ops.wt(seed) != lam:
+            raise ExactnessError("seed weight %s is not %s" % (ops.wt(seed), lam))
         poset = ops.closure([seed])
         poset.tensor_ops = ops
-    _crystal_memo[(d, lam)] = poset
+    memo[lam] = poset
     return poset
 
 

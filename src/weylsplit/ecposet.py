@@ -16,11 +16,28 @@ from itertools import permutations
 
 from . import wsf
 from .cartan import wadd, wsub
-from .errors import (DiagramMismatch, MalformedPoset, NotAcyclic,
-                     NotChainProduct, NotConnected, NotCovering, NotMStructured,
-                     NotRanked)
+from .errors import (DiagramMismatch, ExactnessError, MalformedPoset,
+                     NotAcyclic, NotChainProduct, NotConnected, NotCovering,
+                     NotMStructured, NotRanked)
 
 LATTICE_CHECK_LIMIT = 900
+
+
+def _has_bound(closure, common, from_top):
+    """Whether some z in the bitmask common has closure[z] == common.
+
+    Over the up-sets such a z is the join of a pair, over the down-sets its
+    meet.  Joins are scanned from the lowest id and meets from the highest: when the
+    ids follow a linear extension (as on pattern lattices), both are found at
+    the first bit.
+    """
+    m = common
+    while m:
+        z = m.bit_length() - 1 if from_top else (m & -m).bit_length() - 1
+        if closure[z] == common:
+            return True
+        m ^= 1 << z
+    return False
 
 
 class ColoredPoset:
@@ -210,9 +227,6 @@ class ColoredPoset:
     def maximal_vertices(self):
         return [v for v in range(self.n) if not self.out[v]]
 
-    def leq(self, x, y):
-        return self.reach()[x] >> y & 1
-
     def wt_restricted(self, x, nodes):
         return tuple(self.wt[x][j - 1] for j in nodes)
 
@@ -273,32 +287,11 @@ class ColoredPoset:
                 low = m & -m
                 down[low.bit_length() - 1] |= 1 << v
                 m ^= low
-        ok = True
-        for x in range(self.n):
-            for y in range(x + 1, self.n):
-                for closure in (up, down):
-                    common = closure[x] & closure[y]
-                    if not common:
-                        ok = False
-                        break
-                    found = False
-                    m = common
-                    while m:
-                        low = m & -m
-                        z = low.bit_length() - 1
-                        if closure[z] == common:
-                            found = True
-                            break
-                        m ^= low
-                    if not found:
-                        ok = False
-                        break
-                if not ok:
-                    break
-            if not ok:
-                break
-        self._is_lattice = ok
-        return ok
+        self._is_lattice = all(
+            _has_bound(up, up[x] & up[y], False)
+            and _has_bound(down, down[x] & down[y], True)
+            for x in range(self.n) for y in range(x + 1, self.n))
+        return self._is_lattice
 
     def diamond_condition(self):
         """In every diamond, parallel edges carry equal colors."""
@@ -464,20 +457,19 @@ def prominent_vertices(p):
             if all(p.delta(c, x) == 0 for c in range(1, p.n_colors + 1))]
 
 
-def _wt_leq(d, mu, nu):
-    """mu <= nu in the root order: nu - mu a nonnegative integer root sum."""
-    diff = d.to_root_coords(wsub(nu, mu))
-    return all(c.denominator == 1 and c >= 0 for c in diff)
-
-
 def minimally_indomitable(p):
     """Pare the prominent vertices to one representative per maximal weight."""
     if not p.is_m_structured():
         raise NotMStructured("indomitable sets need an M-structured poset")
     prom = prominent_vertices(p)
     wts = {p.wt[x] for x in prom}
-    kept_wts = [w for w in wts
-                if not any(w != w2 and _wt_leq(p.d, w, w2) for w2 in wts)]
+
+    def leq(mu, nu):
+        """mu <= nu in the root order: nu - mu a nonnegative integer root sum."""
+        diff = p.d.root_lattice_coords(wsub(nu, mu))
+        return diff is not None and min(diff) >= 0
+
+    kept_wts = [w for w in wts if not any(w != w2 and leq(w, w2) for w2 in wts)]
     out = []
     for w in sorted(kept_wts):
         out.append(min(x for x in prom if p.wt[x] == w))
@@ -501,10 +493,10 @@ def rank_function(p):
     out = {}
     for x in range(p.n):
         r = d.height(wsub(p.wt[x], w0lam))
-        assert r.denominator == 1
-        r = int(r)
-        assert r == p.global_rank(x), "weight rank disagrees with BFS rank"
-        out[x] = r
+        if r != p.global_rank(x):
+            raise ExactnessError("weight rank %s disagrees with BFS rank %d at %d"
+                                 % (r, p.global_rank(x), x))
+        out[x] = int(r)
     return out
 
 

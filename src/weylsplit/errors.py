@@ -78,7 +78,12 @@ class NotChainProduct(DomainError):
 
 
 class MalformedPoset(DomainError):
-    """Poset JSON lacks a required key or has non-dense or duplicate vertex ids."""
+    """Poset or witness JSON is malformed.
+
+    Poset JSON lacking a required key or with non-dense or duplicate vertex
+    ids; witness JSON that is not an object, lacks S or kappa, or has
+    non-int kappa or tau keys.
+    """
 
 
 # --- crystal ---

@@ -15,7 +15,7 @@ needs n independent symbols once the rank exceeds two.
 from dataclasses import dataclass
 
 from .cartan import DynkinDiagram, gcm_matrix
-from .errors import IllegalFire, NotIrreducible
+from .errors import IllegalFire
 
 DEFAULT_FIRING_CAP = 10_000
 
@@ -252,7 +252,7 @@ def rgf_exponents(d, lam):
     generating function and dimension formulas.
     """
     d.check_dominant(lam)
-    word = longest_word(d).word
+    word = d.constants().longest_word
     pos = tuple(c + 1 for c in lam)
     out = []
     for i in word:
@@ -262,72 +262,36 @@ def rgf_exponents(d, lam):
 
 
 def weyl_order(d):
-    """|W| by recursion on the stabilizer of the highest-root orbit."""
-    order = 1
-    for letter, rk, nodes in d.components:
-        sub, _ = d.sub_diagram(nodes)
-        order *= _weyl_order_connected(sub)
-    return order
-
-
-def _weyl_order_connected(d):
-    if d.rank == 0:
-        return 1
-    roots = enumerate_positive_roots(d)
-    longs = [r for r in roots if r.length_class == "long"] or roots
-    highest = max(longs, key=lambda r: sum(r.alpha_coords))
-    n_long = 2 * len(longs)
-    j = tuple(i + 1 for i, c in enumerate(highest.root) if c == 0)
-    if not j:
-        return n_long
-    sub, _ = d.sub_diagram(j)
-    return n_long * weyl_order(sub)
+    """|W|, from the heights of the positive roots (see DiagramConstants)."""
+    return d.constants().weyl_order
 
 
 class DiagramConstants:
     """Exact derived constants for a diagram; built once, then cached.
 
-    For reducible diagrams highest_root and highest_short_root are None;
-    the per-component values are kept in the *_by_component lists.
+    For reducible diagrams highest_root and highest_short_root are None.
     """
 
     def __init__(self, d):
-        self.rho = d.rho()
         self.positive_roots = tuple(enumerate_positive_roots(d))
-        self.mesh_size = d.mesh_size
         lw = longest_word(d)
         self.longest_word = lw.word
         self.sigma0 = lw.sigma0
-        self.weyl_order = weyl_order(d)
 
-        self.highest_root_by_component = []
-        self.highest_short_root_by_component = []
-        for ci in range(len(d.components)):
-            comp = [r for r in self.positive_roots
-                    if d.component_of[_support_node(r)] == ci]
-            longs = [r for r in comp if r.length_class == "long"] or comp
-            shorts = [r for r in comp if r.length_class == "short"]
-            self.highest_root_by_component.append(
-                max(longs, key=lambda r: sum(r.alpha_coords)).root)
-            self.highest_short_root_by_component.append(
-                max(shorts, key=lambda r: sum(r.alpha_coords)).root)
+        # Kostant, "The principal three-dimensional subgroup and the Betti
+        # numbers of a complex simple Lie group" (1959): the numbers of
+        # positive roots of height 1, 2, ... form the partition dual to the
+        # exponents m_i, and |W| = prod (m_i + 1).  Both sides multiply over
+        # components, so reducible diagrams need no special case.
+        heights = [sum(r.alpha_coords) for r in self.positive_roots]
+        at_height = [heights.count(k) for k in range(max(heights) + 2)]
+        self.weyl_order = 1
+        for k in range(1, len(at_height) - 1):
+            self.weyl_order *= (k + 1) ** (at_height[k] - at_height[k + 1])
+
+        self.highest_root = self.highest_short_root = None
         if len(d.components) == 1:
-            self.highest_root = self.highest_root_by_component[0]
-            self.highest_short_root = self.highest_short_root_by_component[0]
-        else:
-            self.highest_root = None
-            self.highest_short_root = None
-
-
-def _support_node(root):
-    return next(a for a, k in enumerate(root.alpha_coords) if k)
-
-
-def diagram_constants(d):
-    return DiagramConstants(d)
-
-
-def highest_short_root(d):
-    if len(d.components) != 1:
-        raise NotIrreducible("highest short root needs an irreducible diagram")
-    return d.constants().highest_short_root
+            # in a simply-laced diagram every root is "short"
+            shorts = [r for r in self.positive_roots if r.length_class == "short"]
+            self.highest_root = self.positive_roots[heights.index(max(heights))].root
+            self.highest_short_root = max(shorts, key=lambda r: sum(r.alpha_coords)).root

@@ -206,18 +206,13 @@ def _as_int(num, den):
 # ---------------------------------------------------------------------------
 # Kostant partition function
 
-_kostant_memo = {}
-
-
 def kostant_partition(d, mu):
     """Number of ways mu = sum k_alpha * alpha over positive roots, k >= 0."""
-    den = d.denom
-    rc = d.root_coords_scaled(mu)
-    if any(c < 0 or c % den for c in rc):
+    vec = d.root_lattice_coords(mu)
+    if vec is None or any(c < 0 for c in vec):
         return 0
-    vec = tuple(c // den for c in rc)
     roots = tuple(r.alpha_coords for r in d.positive_roots())
-    memo = _kostant_memo.setdefault(d, {})
+    memo = d.memo.setdefault("kostant", {})
 
     def f(j, v):
         if not any(v):
@@ -245,9 +240,6 @@ def kostant_partition(d, mu):
 # ---------------------------------------------------------------------------
 # Weyl bialternants
 
-_freudenthal_memo = {}
-
-
 def dominant_multiplicities(d, lam):
     """Freudenthal's recurrence: d_{lam,mu} for dominant mu in Pi(lambda).
 
@@ -256,8 +248,8 @@ def dominant_multiplicities(d, lam):
     outside Pi(lambda).
     """
     lam = tuple(lam)
-    key = (d, lam)
-    got = _freudenthal_memo.get(key)
+    memo = d.memo.setdefault("freudenthal", {})
+    got = memo.get(lam)
     if got is not None:
         return got
     d.check_dominant(lam)
@@ -295,7 +287,7 @@ def dominant_multiplicities(d, lam):
             raise ExactnessError("Freudenthal multiplicity %d at %s is not positive"
                                  % (val, mu))
         mult[mu] = val
-    _freudenthal_memo[key] = mult
+    memo[lam] = mult
     return mult
 
 

@@ -4,7 +4,7 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weylsplit import build_diagram
+from weylsplit import build_diagram, crystal
 from weylsplit.errors import NotFiniteType, NotGCM, OrbitTooLarge
 
 from conftest import brute_positive_roots, brute_weyl_group, mat_det, apply_mat
@@ -165,6 +165,14 @@ def test_diagram_constants_examples():
     assert a2.sigma0() == {1: 2, 2: 1}
     c2 = build_diagram("C2")
     assert len(c2.positive_roots()) == 4
+
+
+def test_derived_results_live_on_the_diagram():
+    d = build_diagram("A3")
+    assert d.sub_diagram((2, 1))[0] is d.sub_diagram((1, 2))[0]
+    assert crystal.build_crystal(d, (1, 0, 1)) is crystal.build_crystal(d, (1, 0, 1))
+    fresh = build_diagram("A3")
+    assert fresh == d and fresh.memo == {}
 
 
 def test_positive_root_count_vs_brute():

@@ -253,16 +253,27 @@ def test_optimized_run_rejects_non_dominant():
      "MalformedPoset"),
     (("verify", "--diagram", "A2", "--poset", "{keyless}", "--targets", "1,0"),
      "MalformedPoset"),
+    (("verify", "--diagram", "A2", "--poset", "{good}", "--coloring", "{no_s}"),
+     "MalformedPoset"),
+    (("verify", "--diagram", "A2", "--poset", "{good}", "--coloring", "{listed}"),
+     "MalformedPoset"),
+    (("verify", "--diagram", "A2", "--poset", "{good}", "--coloring", "{str_key}"),
+     "MalformedPoset"),
 ])
 def test_bad_input_exit_1_under_optimize(argv, error, tmp_path, capsys):
     from weylsplit import crystal as cr, ecposet as ec, build_diagram
-    data = json.loads(ec.export_poset(cr.minuscule_poset(build_diagram("A2"), (1, 0))))
+    good = ec.export_poset(cr.minuscule_poset(build_diagram("A2"), (1, 0)))
+    data = json.loads(good)
     data["vertices"][0]["id"] = 7
-    (tmp_path / "sparse.json").write_text(json.dumps(data))
+    files = {"good": good, "sparse": json.dumps(data),
+             "no_s": '{"kappa": {}}', "listed": "[1, 2]",
+             "str_key": '{"S": [2], "kappa": {"a": 1}}'}
     del data["edges"]
-    (tmp_path / "keyless.json").write_text(json.dumps(data))
-    argv = [a.format(sparse=tmp_path / "sparse.json",
-                     keyless=tmp_path / "keyless.json") for a in argv]
+    files["keyless"] = json.dumps(data)
+    for name, text in files.items():
+        (tmp_path / (name + ".json")).write_text(text)
+    argv = [a.format(**{name: tmp_path / (name + ".json") for name in files})
+            for a in argv]
     rc, out, err = run(capsys, *argv)
     assert rc == 1 and out == "" and err.startswith(error + ":")
     optimized = _cli(*argv, optimize=True)

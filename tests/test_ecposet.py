@@ -37,6 +37,21 @@ def test_build_errors():
         ec.build_poset([(0, 1, 1), (1, 2, 1), (0, 3, 2), (3, 4, 2), (4, 2, 1)], 2)
 
 
+def test_is_lattice_on_connected_posets():
+    # the 2+2 bowtie a, b < c, d: a and b have no join
+    bowtie = ec.build_poset([(0, 2, 1), (0, 3, 2), (1, 2, 2), (1, 3, 1)], 2)
+    # c, d < a, b < e: a and b have the join e, but their common down-set
+    # {c, d} has no greatest element
+    topped = ec.build_poset([(2, 0, 1), (2, 1, 2), (3, 0, 2), (3, 1, 1),
+                             (0, 4, 2), (1, 4, 1)], 2)
+    # the four-element diamond, its ids against every linear extension
+    diamond = ec.build_poset([(3, 1, 1), (3, 2, 2), (1, 0, 2), (2, 0, 1)], 2)
+    assert bowtie.is_connected() and topped.is_connected()
+    assert bowtie.is_lattice() is False
+    assert topped.is_lattice() is False
+    assert diamond.is_lattice() is True
+
+
 def test_tableau_lattice_fixture_checks():
     p = tableau_lattice()
     sc = ec.structure_checks(p)

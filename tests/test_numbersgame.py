@@ -3,7 +3,7 @@ import random
 
 import pytest
 
-from weylsplit import build_diagram
+from weylsplit import DynkinDiagram, build_diagram
 from weylsplit import numbersgame as ng
 from weylsplit.errors import IllegalFire, NotDominant
 
@@ -123,6 +123,21 @@ def test_weyl_order(diagrams):
     for d in diagrams.values():
         assert ng.weyl_order(d) == len(brute_weyl_group(d))
     assert ng.weyl_order(build_diagram("A2+A1")) == 12
+    # classical orders beyond the brute group's reach
+    for spec, order in [("E6", 51_840), ("E7", 2_903_040), ("E8", 696_729_600),
+                        ("F4", 1_152), ("D5", 1_920), ("B8", 10_321_920),
+                        ("C8", 10_321_920)]:
+        assert ng.weyl_order(build_diagram(spec)) == order
+
+
+def test_e8_constants_build_only_the_transpose(monkeypatch):
+    d = build_diagram("E8")
+    built = []
+    init = DynkinDiagram.__init__
+    monkeypatch.setattr(DynkinDiagram, "__init__",
+                        lambda self, cartan: built.append(cartan) or init(self, cartan))
+    d.constants()
+    assert built == [tuple(zip(*d.cartan))]
 
 
 def test_strong_convergence_rank2_exhaustive():
