@@ -205,9 +205,9 @@ class DynkinDiagram:
     computed lazily through the numbers-game engine and cached.  Every other
     derived result lives in ``memo``, a dict from kind to that kind's
     results: "kostant" and "freudenthal" (wsf), "crystal" (the R(lambda)
-    posets) and "sub" (the diagrams sub_diagram returned, by node tuple).
-    The results are freed with the diagram; an equal diagram built afresh
-    starts with an empty memo.
+    posets) and "sub" (the diagrams sub_diagram built on proper node
+    subsets, by node tuple).  The results are freed with the diagram; an
+    equal diagram built afresh starts with an empty memo.
     """
 
     def __init__(self, cartan):
@@ -461,12 +461,15 @@ class DynkinDiagram:
     def sub_diagram(self, nodes):
         """Diagram on a subset of nodes (1-based, sorted); returns (diagram, nodes).
 
-        The diagram is built once per node set and kept in memo["sub"], so a
-        restriction keeps its own memo hits.
+        The full node set gives this diagram itself, so it shares this memo.
+        Any other diagram is built once per node set and kept in memo["sub"],
+        so a restriction keeps its own memo hits.
         """
         nodes = tuple(sorted(set(nodes)))
         if any(not 1 <= j <= self.rank for j in nodes):
             raise NotGCM("node subset out of range")
+        if len(nodes) == self.rank:
+            return self, nodes
         subs = self.memo.setdefault("sub", {})
         if nodes not in subs:
             subs[nodes] = DynkinDiagram([[self.cartan[a - 1][b - 1] for b in nodes]

@@ -14,6 +14,8 @@ from .cartan import wadd, wsub, zero_weight
 from .errors import (DiagramMismatch, ExactnessError, NoExpression, NotFibrous,
                      NotIrreducible, NotMinuscule, NotPrimaryFactor)
 
+EXHAUSTIVE_UNTANGLED_LIMIT = 4
+
 
 # ---------------------------------------------------------------------------
 # building blocks
@@ -31,35 +33,23 @@ def minuscule_poset(d, lam):
     lam = tuple(lam)
     if not is_minuscule_weight(d, lam):
         raise NotMinuscule("%s is not dominant minuscule" % (lam,))
-    orbit = sorted(d.weyl_orbit(lam))
+    pi = wsf.weight_diagram(d, lam)
+    orbit = sorted(pi.weights)
     ids = {w: i for i, w in enumerate(orbit)}
-    edges = []
-    for w in orbit:
-        for i in range(1, d.rank + 1):
-            v = wadd(w, d.alpha(i))
-            if v in ids:
-                edges.append((ids[w], ids[v], i))
+    edges = [(ids[mu], ids[nu], i) for mu, i, nu in pi.edges]
     return ecposet.ColoredPoset(len(orbit), edges, diagram=d, labels=orbit)
 
 
 def quasi_minuscule_poset(d):
-    """Short roots plus one middle-rank vertex per short simple root."""
+    """Pi(theta_s) with the zero weight split into one vertex per short simple root."""
     if len(d.components) != 1:
         raise NotIrreducible("quasi-minuscule poset needs an irreducible diagram")
-    lam = d.constants().highest_short_root
-    shorts = sorted(r.root for r in d.positive_roots() if r.length_class == "short")
-    verts = sorted(shorts + [tuple(-c for c in r) for r in shorts])
-    short_simple = [i for i in range(1, d.rank + 1)
-                    if d.alpha(i) in set(verts)]
-    labels = list(verts) + [("bar", i) for i in short_simple]
+    pi = wsf.weight_diagram(d, d.constants().highest_short_root)
+    verts = sorted(w for w in pi.weights if any(w))
+    short_simple = [i for i in range(1, d.rank + 1) if d.alpha(i) in pi.weights]
+    labels = verts + [("bar", i) for i in short_simple]
     ids = {v: k for k, v in enumerate(labels)}
-    edges = []
-    root_set = set(verts)
-    for w in verts:
-        for i in range(1, d.rank + 1):
-            v = wadd(w, d.alpha(i))
-            if v in root_set and any(v):
-                edges.append((ids[w], ids[v], i))
+    edges = [(ids[mu], ids[nu], i) for mu, i, nu in pi.edges if any(mu) and any(nu)]
     for i in short_simple:
         neg = tuple(-c for c in d.alpha(i))
         edges.append((ids[neg], ids[("bar", i)], i))
@@ -482,14 +472,14 @@ def verify_jnu_coloring(p, nodes, nu, kappa):
 # ---------------------------------------------------------------------------
 # structure classifiers
 
-def strongly_untangled(p, exhaustive_limit=4):
+def strongly_untangled(p):
     """Every J-component has exactly one maximal element.
 
-    All subsets are tested up to the given rank limit; beyond it, all pairs
-    plus the full color set.
+    All subsets are tested up to EXHAUSTIVE_UNTANGLED_LIMIT colors; beyond
+    it, all pairs plus the full color set.
     """
     n = p.n_colors
-    if n <= exhaustive_limit:
+    if n <= EXHAUSTIVE_UNTANGLED_LIMIT:
         subsets = []
         for mask in range(1, 1 << n):
             subsets.append([j + 1 for j in range(n) if mask >> j & 1])

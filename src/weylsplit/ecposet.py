@@ -433,23 +433,12 @@ def cartesian_product(p, q):
 # ---------------------------------------------------------------------------
 # generalized weight diagrams and indomitable sets
 
-@dataclass(frozen=True)
-class GeneralizedWeightDiagram:
-    weights: frozenset
-    edges: frozenset       # (mu, i, nu)
-
-
 def generalized_weight_diagram(p):
+    """Pi(P): the weights of p and the weight triples of its edges."""
     if not p.is_m_structured():
         raise NotMStructured("weight diagram needs an M-structured poset")
-    weights = frozenset(p.wt)
     edges = frozenset((p.wt[u], c, p.wt[v]) for u, v, c in p.edges)
-    return GeneralizedWeightDiagram(weights, edges)
-
-
-def pi_of_weight_diagram(wd):
-    """The same view of a wsf.WeightDiagram, for direct comparison."""
-    return GeneralizedWeightDiagram(frozenset(wd.weights), frozenset(wd.edges))
+    return wsf.WeightDiagram(frozenset(p.wt), edges)
 
 
 def prominent_vertices(p):
@@ -505,13 +494,8 @@ def rank_function(p):
 
 def maximal_splitting_poset(d, lam):
     """U(lambda): d_{lam,mu} symbols per weight, complete bipartite edges."""
-    lam = tuple(lam)
-    mult = wsf.dominant_multiplicities(d, lam)
+    counts = wsf.freudenthal(d, lam).terms
     pi = wsf.weight_diagram(d, lam)
-    counts = {}
-    for rep, c in mult.items():
-        for w in d.weyl_orbit(rep):
-            counts[w] = c
     ids = {}
     labels = []
     for w in sorted(counts):
@@ -556,37 +540,6 @@ class ColoringWitness:
     tau: dict = field(default_factory=dict)
 
 
-def _wj_invariant(p, nodes):
-    """W_J-invariance of WGF(p)|_J.
-
-    Uses the rank-symmetry sufficient condition (J-structured with rank
-    symmetric j-components) when it holds, else a full orbit check.
-    """
-    sub, sel = p.d.sub_diagram(nodes)
-    structured = all(
-        wadd(p.wt_restricted(u, sel), sub.cartan[sel.index(c)])
-        == tuple(p.wt_restricted(v, sel))
-        for u, v, c in p.edges if c in sel)
-    if structured:
-        symmetric = True
-        for j in nodes:
-            sizes = {}
-            for x in range(p.n):
-                sizes.setdefault(p.comp_id[j][x], []).append(p.rho[j][x])
-            for ranks in sizes.values():
-                hist = [0] * (max(ranks) + 1)
-                for r in ranks:
-                    hist[r] += 1
-                if hist != hist[::-1]:
-                    symmetric = False
-                    break
-            if not symmetric:
-                break
-        if symmetric:
-            return True
-    return p.wgf_restricted(nodes).is_invariant()
-
-
 def verify_tau_kappa(p, nodes, nu, witness):
     """Check the tau/kappa splitting hypotheses, then the conclusion identity.
 
@@ -616,10 +569,11 @@ def verify_tau_kappa(p, nodes, nu, witness):
         got = wadd(nu, p.wt_restricted(witness.tau[x], sel))
         if got != want:
             return False, "tau/kappa identity fails at vertex %d" % x
-    if not _wj_invariant(p, nodes):
+    wgf_j = p.wgf_restricted(nodes)
+    if not wgf_j.is_invariant():
         return False, "WGF restricted to J is not W_J-invariant"
     # hypotheses hold; verify the conclusion by direct expansion
-    lhs = wsf.freudenthal(sub, nu) * p.wgf_restricted(nodes)
+    lhs = wsf.freudenthal(sub, nu) * wgf_j
     rhs = wsf.WeylSymFn(sub)
     for s in witness.S:
         rhs = rhs + wsf.freudenthal(sub, wadd(nu, p.wt_restricted(s, sel)))

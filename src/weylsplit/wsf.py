@@ -132,14 +132,16 @@ class WeylSymFn:
 # ---------------------------------------------------------------------------
 # weight diagrams Pi(lambda)
 
-@dataclass
+@dataclass(frozen=True)
 class WeightDiagram:
-    d: object
+    """A weight diagram: its weights and its colored edges.
+
+    Each edge is a triple (mu, i, nu) with nu = mu + alpha_i.  The type holds
+    Pi(lambda) (weight_diagram) and the generalized weight diagram Pi(P) of an
+    M-structured poset (ecposet.generalized_weight_diagram) alike.
+    """
     weights: frozenset
-    edges: tuple            # (mu, i, nu) with mu + alpha_i = nu
-    dominant_members: tuple
-    rank_of: dict           # weight -> int, zero at w0(lambda)
-    top: tuple
+    edges: frozenset
 
 
 def dominant_weights_below(d, lam):
@@ -176,19 +178,13 @@ def weight_diagram(d, lam):
     for nu in dominant_weights_below(d, lam):
         weights.update(d.weyl_orbit(nu))
     alphas = [d.alpha(i) for i in range(1, d.rank + 1)]
-    edges = []
+    edges = set()
     for mu in weights:
         for i, a in enumerate(alphas, start=1):
             nu = wadd(mu, a)
             if nu in weights:
-                edges.append((mu, i, nu))
-    ht_lam = d.height_scaled(lam)
-    base = _as_int(2 * ht_lam, d.denom)
-    rank_of = {mu: _as_int(d.height_scaled(mu) + ht_lam, d.denom) for mu in weights}
-    assert all(0 <= r <= base for r in rank_of.values())
-    doms = tuple(sorted(m for m in weights if d.is_dominant(m)))
-    return WeightDiagram(d, frozenset(weights), tuple(sorted(edges)), doms,
-                         rank_of, lam)
+                edges.add((mu, i, nu))
+    return WeightDiagram(frozenset(weights), frozenset(edges))
 
 
 def _dot(u, v):
@@ -404,9 +400,8 @@ def specialize(d, lam):
     ht_lam = d.height_scaled(lam)
     deg = _as_int(2 * ht_lam, den)
     coeffs = [0] * (deg + 1)
-    for rep, c in dominant_multiplicities(d, lam).items():
-        for w in d.weyl_orbit(rep):
-            coeffs[_as_int(d.height_scaled(w) + ht_lam, den)] += c
+    for mu, c in freudenthal(d, lam).terms.items():
+        coeffs[_as_int(d.height_scaled(mu) + ht_lam, den)] += c
     nums = numbersgame.rgf_exponents(d, lam)
     dens = numbersgame.rgf_exponents(d, zero_weight(d.rank))
     quot = qpoly.quotient_rgf(nums, dens)

@@ -175,6 +175,12 @@ def test_derived_results_live_on_the_diagram():
     assert fresh == d and fresh.memo == {}
 
 
+def test_full_sub_diagram_is_the_diagram():
+    for spec in ["A3", "G2", "A2+G2"]:
+        d = build_diagram(spec)
+        assert d.sub_diagram(range(1, d.rank + 1))[0] is d
+
+
 def test_positive_root_count_vs_brute():
     for spec in ["A1", "A2", "A3", "A4", "B3", "B4", "C2", "C3", "C4",
                  "D4", "F4", "G2", "A2+A1"]:

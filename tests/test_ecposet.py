@@ -1,3 +1,4 @@
+import itertools
 import json
 
 import pytest
@@ -110,7 +111,7 @@ def test_generalized_weight_diagram():
     rq = crystal.quasi_minuscule_poset(G2)
     gwd = ec.generalized_weight_diagram(rq)
     pi = wsf.weight_diagram(G2, (1, 0))
-    assert gwd == ec.pi_of_weight_diagram(pi)
+    assert gwd == pi
     single = ec.build_poset([], 2, n_vertices=1, diagram=G2)
     g1 = ec.generalized_weight_diagram(single)
     assert set(g1.weights) == {(0, 0)} and not g1.edges
@@ -120,6 +121,25 @@ def test_generalized_weight_diagram():
     assert ec.generalized_weight_diagram(twice) == gwd
     dd = ec.minimally_indomitable(twice)
     assert len(dd) == 1 and twice.wt[dd[0]] == (1, 0)
+
+
+@pytest.mark.parametrize("spec", [
+    "A1", "A2", "A3", "A4", "B3", "C2", "C3", "D4", "G2", "A2+G2", "A1+A1",
+    "cartan:[[2,0,-1],[0,2,-1],[-1,-1,2]]"])
+def test_generalized_weight_diagram_is_pi(spec):
+    """Pi(P) == Pi(lambda) for U(lambda), R(lambda) and the building blocks."""
+    d = build_diagram(spec)
+    gwd = ec.generalized_weight_diagram
+    for lam in itertools.product(range(3), repeat=d.rank):
+        if sum(lam) <= 2:
+            pi = wsf.weight_diagram(d, lam)
+            assert gwd(ec.maximal_splitting_poset(d, lam)) == pi
+            assert gwd(crystal.build_crystal(d, lam)) == pi
+    for lam in crystal.minuscule_dominant_weights(d):
+        assert gwd(crystal.minuscule_poset(d, lam)) == wsf.weight_diagram(d, lam)
+    if len(d.components) == 1:
+        theta_s = d.constants().highest_short_root
+        assert gwd(crystal.quasi_minuscule_poset(d)) == wsf.weight_diagram(d, theta_s)
 
 
 def test_rank_function():
@@ -169,6 +189,15 @@ def test_verify_tau_kappa_s_everything():
     assert ok
     ok2, why = ec.verify_tau_kappa(r1, (1, 2), (0, 0), w)
     assert not ok2 and "dominant" in why
+
+
+def test_verify_tau_kappa_rejects_non_invariant_wgf():
+    # weights (-1, 0) and (1, 0): e^(-omega_1) + e^(omega_1) is not W-invariant
+    p = ec.build_poset([(0, 1, 1)], 2, diagram=A2)
+    assert sorted(p.wt) == [(-1, 0), (1, 0)]
+    w = ec.ColoringWitness(S=frozenset(range(p.n)), kappa={}, tau={})
+    ok, why = ec.verify_tau_kappa(p, (1, 2), (1, 1), w)
+    assert not ok and why == "WGF restricted to J is not W_J-invariant"
 
 
 def test_verify_tau_kappa_quasi_minuscule():
