@@ -26,7 +26,7 @@ from fractions import Fraction
 from math import lcm
 from operator import mul
 
-from .errors import NotDominant, NotFiniteType, NotGCM, OrbitTooLarge
+from .errors import ExactnessError, NotDominant, NotFiniteType, NotGCM, OrbitTooLarge
 
 DEFAULT_ORBIT_CAP = 10 ** 6
 
@@ -215,6 +215,9 @@ class DynkinDiagram:
         n = len(cartan)
         self.cartan = cartan
         self.rank = n
+        # the nonzero (j, M_ij) of each row: s_i moves only node i and its neighbours
+        self._sparse_rows = tuple(tuple((j, a) for j, a in enumerate(row) if a)
+                                  for row in cartan)
 
         # connected components of the underlying graph
         seen, comps = [False] * n, []
@@ -294,7 +297,9 @@ class DynkinDiagram:
         for i in range(n):
             for j in range(n):
                 s = sum(cartan[i][k] * q_num[k][j] for k in range(n))
-                assert s == (self.denom if i == j else 0)
+                if s != (self.denom if i == j else 0):
+                    raise ExactnessError("M * Q differs from %d * I at (%d, %d)"
+                                         % (self.denom, i + 1, j + 1))
 
     # -- basic data -------------------------------------------------------
 
@@ -338,8 +343,10 @@ class DynkinDiagram:
         c = mu[i - 1]
         if c == 0:
             return tuple(mu)
-        row = self.cartan[i - 1]
-        return tuple(mu[j] - c * row[j] for j in range(self.rank))
+        out = list(mu)
+        for j, a in self._sparse_rows[i - 1]:
+            out[j] -= c * a
+        return tuple(out)
 
     def act(self, word, mu):
         """Apply s_{i_k} ... s_{i_1} for word = (i_1, ..., i_k)."""
@@ -398,37 +405,43 @@ class DynkinDiagram:
     # -- orbits -------------------------------------------------------------
 
     def weyl_orbit(self, mu, cap=None):
-        """Orbit of mu with det(w) parities.
+        """Orbit of mu with det(w) parities, relative to mu.
 
-        Returns dict weight -> parity in {1, -1, None}; parity is None
-        (Indeterminate) for every element when two generation paths of
-        opposite parity meet, which happens exactly when mu is non-regular.
+        Returns dict weight -> parity in {1, -1, None}.  The orbit is walked
+        down from the dominant representative lam, applying s_i to a weight
+        only where its coordinate i is positive: each such step lengthens the
+        minimal w with w(lam) = weight by exactly one, so the breadth-first
+        level of a weight is its depth (Snow, "Weyl group orbits", ACM TOMS
+        16, 1990).  When every coordinate of lam is positive, w is unique and
+        the parity of a weight is (-1)^(depth(weight) - depth(mu)), so mu
+        itself gets 1.  The parity is None (Indeterminate) for every element
+        exactly when lam has a zero coordinate, that is when mu is
+        non-regular.  Raises OrbitTooLarge when more than cap weights are
+        found.
         """
         cap = cap or orbit_cap()
         mu = tuple(mu)
-        parities = {mu: 1}
-        frontier = [mu]
-        indeterminate = False
+        top = self.dominant_rep(mu)
+        parities = {top: 1}
+        frontier, p = [top], 1
         while frontier:
+            p = -p
             nxt = []
             for v in frontier:
-                pv = parities[v]
-                for i in range(1, self.rank + 1):
-                    w = self.simple_reflection(i, v)
-                    if w == v:
-                        indeterminate = True      # stabilized by a reflection
-                        continue
-                    if w in parities:
-                        if pv is not None and parities[w] == pv:
-                            indeterminate = True
-                        continue
-                    parities[w] = None if pv is None else -pv
-                    nxt.append(w)
-                    if len(parities) > cap:
-                        raise OrbitTooLarge("orbit of %s exceeds cap %d" % (mu, cap))
+                for i, c in enumerate(v, start=1):
+                    if c > 0:
+                        w = self.simple_reflection(i, v)
+                        if w not in parities:
+                            parities[w] = p
+                            nxt.append(w)
+                            if len(parities) > cap:
+                                raise OrbitTooLarge("orbit of %s exceeds cap %d"
+                                                    % (mu, cap))
             frontier = nxt
-        if indeterminate:
-            return {w: None for w in parities}
+        if not self.is_strongly_dominant(top):
+            return dict.fromkeys(parities)
+        if parities[mu] == -1:
+            return {w: -q for w, q in parities.items()}
         return parities
 
     # -- derived constants (delegating to the numbers game) ------------------

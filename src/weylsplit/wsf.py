@@ -310,7 +310,6 @@ def kostant_multiplicity(d, lam, mu):
     target = wadd(mu, rho)
     total = 0
     for w, parity in d.weyl_orbit(shifted).items():
-        assert parity is not None
         total += parity * kostant_partition(d, wsub(w, target))
     return total
 

@@ -2,7 +2,8 @@
 
 The oracles here deliberately avoid the library's own derivations: the
 Weyl group is closed as a set of exact matrices, partition counts come
-from bounded enumeration, and positive roots from reflection closure.
+from bounded enumeration, positive roots from reflection closure, and Weyl
+orbits from a search that tries every simple reflection on every element.
 """
 
 import json
@@ -12,6 +13,8 @@ from importlib import resources
 import pytest
 
 from weylsplit import build_diagram
+from weylsplit.cartan import orbit_cap
+from weylsplit.errors import OrbitTooLarge
 
 
 @pytest.fixture(scope="session")
@@ -158,3 +161,39 @@ def brute_dominant_weights_below(d, lam):
 
     descend(0, tuple(lam))
     return out
+
+
+def brute_weyl_orbit(d, mu, cap=None):
+    """Orbit of mu with det(w) parities, by breadth-first search from mu.
+
+    Tries every simple reflection on every element.  Parities alternate
+    along the search; they are all None when a reflection fixes an element
+    or an element is reached along paths of both parities, which happens
+    exactly when mu is non-regular.
+    """
+    cap = cap or orbit_cap()
+    mu = tuple(mu)
+    parities = {mu: 1}
+    frontier = [mu]
+    indeterminate = False
+    while frontier:
+        nxt = []
+        for v in frontier:
+            pv = parities[v]
+            for i in range(1, d.rank + 1):
+                w = d.simple_reflection(i, v)
+                if w == v:
+                    indeterminate = True      # stabilized by a reflection
+                    continue
+                if w in parities:
+                    if pv is not None and parities[w] == pv:
+                        indeterminate = True
+                    continue
+                parities[w] = None if pv is None else -pv
+                nxt.append(w)
+                if len(parities) > cap:
+                    raise OrbitTooLarge("orbit of %s exceeds cap %d" % (mu, cap))
+        frontier = nxt
+    if indeterminate:
+        return {w: None for w in parities}
+    return parities

@@ -1,13 +1,15 @@
+import itertools
 import random
 from fractions import Fraction
 
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weylsplit import build_diagram, crystal
-from weylsplit.errors import NotFiniteType, NotGCM, OrbitTooLarge
+from weylsplit import build_diagram, cartan, crystal
+from weylsplit.errors import ExactnessError, NotFiniteType, NotGCM, OrbitTooLarge
 
-from conftest import brute_positive_roots, brute_weyl_group, mat_det, apply_mat
+from conftest import (apply_mat, brute_positive_roots, brute_weyl_group,
+                      brute_weyl_orbit, mat_det)
 
 
 def rand_weight(rng, n, lo=-6, hi=6):
@@ -24,6 +26,15 @@ def test_build_g2_from_cartan():
 def test_affine_a1_rejected():
     with pytest.raises(NotFiniteType):
         build_diagram("cartan:[[2,-2],[-2,2]]")
+
+
+def test_wrong_inverse_raises_exactness_error(monkeypatch):
+    # the M * Q = denom * I check is a raise, so python -O keeps it
+    monkeypatch.setattr(cartan, "_invert_exact",
+                        lambda m: tuple(tuple(Fraction(int(i == j)) for j in range(len(m)))
+                                        for i in range(len(m))))
+    with pytest.raises(ExactnessError):
+        build_diagram("A2")
 
 
 def test_not_gcm():
@@ -137,13 +148,16 @@ def test_orbits():
 
 
 def test_orbit_parity_matches_brute(diagrams):
-    for name in ["A2", "C2", "G2"]:
+    # rho, and a non-dominant regular weight: the parity is det(w) relative to mu
+    cases = [(name, diagrams[name].rho()) for name in ["A2", "C2", "G2"]]
+    cases += [(name, diagrams[name].act((1, 2), (1, 2, 1))) for name in ["A3", "B3", "C3"]]
+    for name, mu in cases:
         d = diagrams[name]
-        rho = d.rho()
-        got = d.weyl_orbit(rho)
+        assert d.is_strongly_dominant(d.dominant_rep(mu))
+        got = d.weyl_orbit(mu)
         want = {}
         for g in brute_weyl_group(d):
-            w = tuple(int(x) for x in apply_mat(g, rho))
+            w = tuple(int(x) for x in apply_mat(g, mu))
             want[w] = int(mat_det(g))
         assert got == want
 
@@ -152,6 +166,45 @@ def test_orbit_cap():
     d = build_diagram("A3")
     with pytest.raises(OrbitTooLarge):
         d.weyl_orbit(d.rho(), cap=3)
+    # the cap is exact, the message names the input, and a fixed point never raises
+    d = build_diagram("B3")
+    mu = (1, -3, 2)
+    assert not d.is_dominant(mu)
+    size = len(d.weyl_orbit(mu))
+    assert len(d.weyl_orbit(mu, cap=size)) == size
+    with pytest.raises(OrbitTooLarge, match=r"orbit of \(1, -3, 2\) exceeds cap %d"
+                       % (size - 1)):
+        d.weyl_orbit(mu, cap=size - 1)
+    assert d.weyl_orbit((0, 0, 0), cap=1) == {(0, 0, 0): None}
+
+
+ORBIT_SPECS = ["A1", "A2", "A3", "A4", "C2", "C3", "C4", "B3", "D4", "D5", "G2",
+               "F4", "E6", "A2+G2", "A1+A1", "cartan:[[2,0,-1],[0,2,-1],[-1,-1,2]]"]
+
+
+def test_orbit_matches_brute():
+    for spec in ORBIT_SPECS:
+        d = build_diagram(spec)
+        for mu in itertools.product(range(-1, 3), repeat=d.rank):
+            # above rank 4, only weights of absolute coordinate sum <= 2, so E6 stays fast
+            if d.rank > 4 and sum(map(abs, mu)) > 2:
+                continue
+            assert d.weyl_orbit(mu) == brute_weyl_orbit(d, mu), (spec, mu)
+
+
+SMALL_SPECS = ["A1", "A2", "A3", "B3", "C2", "C3", "G2", "A1+A1", "A2+A1",
+               "A1+G2", "A1+A1+A1"]
+
+
+@settings(max_examples=100, deadline=None)
+@given(st.data())
+def test_orbit_matches_brute_random(data):
+    d = build_diagram(data.draw(st.sampled_from(SMALL_SPECS)))
+    # the same diagram with its nodes renumbered
+    perm = data.draw(st.permutations(range(d.rank)))
+    d = build_diagram([[d.cartan[i][j] for j in perm] for i in perm])
+    mu = data.draw(st.tuples(*[st.integers(-4, 4)] * d.rank))
+    assert d.weyl_orbit(mu) == brute_weyl_orbit(d, mu)
 
 
 def test_diagram_constants_examples():
