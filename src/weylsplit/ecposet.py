@@ -40,6 +40,14 @@ def _has_bound(closure, common, from_top):
     return False
 
 
+def _find(parent, x):
+    """Root of x in a union-find array, halving the path on the way."""
+    while parent[x] != x:
+        parent[x] = parent[parent[x]]
+        x = parent[x]
+    return x
+
+
 class ColoredPoset:
     """Finite ranked poset with covering edges colored by 1..n_colors."""
 
@@ -52,64 +60,70 @@ class ColoredPoset:
             else:
                 n_colors = max((c for _, _, c in edges), default=0)
         self.n_colors = n_colors
-        self.n = n_vertices
+        self.n = n = n_vertices
         edges = sorted((int(u), int(v), int(c)) for u, v, c in edges)
+        self.out = [[] for _ in range(n)]
+        self.inc = [[] for _ in range(n)]
+        repeated = False
+        pu = pv = None
         for u, v, c in edges:
-            if not (0 <= u < self.n and 0 <= v < self.n):
+            if not (0 <= u < n and 0 <= v < n):
                 raise NotAcyclic("edge endpoint out of range")
             if not 1 <= c <= n_colors:
                 raise NotCovering("edge color %d out of range" % c)
             if u == v:
                 raise NotAcyclic("loop edge at vertex %d" % u)
-        if len(set((u, v) for u, v, _ in edges)) != len(edges):
+            repeated = repeated or (u == pu and v == pv)
+            pu, pv = u, v
+            self.out[u].append((v, c))
+            self.inc[v].append((u, c))
+        if repeated:
             raise NotCovering("multiple edges between a vertex pair")
         self.edges = tuple(edges)
         self.labels = tuple(labels) if labels is not None else None
 
-        self.out = [[] for _ in range(self.n)]
-        self.inc = [[] for _ in range(self.n)]
-        for u, v, c in self.edges:
-            self.out[u].append((v, c))
-            self.inc[v].append((u, c))
-
         self._topo_order = self._toposort()
         self._reach = None
-        self._check_covering()
-        self._global_rank, self._poset_comp = self._rank_and_components()
+        # Ranking raises each edge by one rank and each longer path by at least
+        # two, so no path implies an edge: the closure is needed only if it fails.
+        try:
+            self._global_rank, self._poset_comp = self._rank_and_components()
+        except NotRanked:
+            self._check_covering()
+            raise
 
-        # per-color component data
-        n = self.n
+        # per-color components: one union-find per color, all filled in one pass
+        parents = [None] + [list(range(n)) for _ in range(n_colors)]
+        for u, v, c in self.edges:
+            parent = parents[c]
+            parent[_find(parent, u)] = _find(parent, v)
+        rank = self._global_rank
         self.comp_id = [[0] * n for _ in range(n_colors + 1)]   # 1-based color
         self.rho = [[0] * n for _ in range(n_colors + 1)]
         self.lng = [[0] * n for _ in range(n_colors + 1)]
+        self._members = [()] * (n_colors + 1)
         for c in range(1, n_colors + 1):
-            parent = list(range(n))
-
-            def find(x):
-                while parent[x] != x:
-                    parent[x] = parent[parent[x]]
-                    x = parent[x]
-                return x
-
-            for u, v, cc in self.edges:
-                if cc == c:
-                    parent[find(u)] = find(v)
+            parent = parents[c]
+            parents[c] = None
             groups = {}
             for x in range(n):
-                groups.setdefault(find(x), []).append(x)
-            for gid, (root, members) in enumerate(sorted(groups.items())):
-                lo = min(self._global_rank[x] for x in members)
-                hi = max(self._global_rank[x] for x in members)
+                groups.setdefault(_find(parent, x), []).append(x)
+            comp_id, rho, lng = self.comp_id[c], self.rho[c], self.lng[c]
+            members_c = []
+            for gid, (_, members) in enumerate(sorted(groups.items())):
+                lo = min(rank[x] for x in members)
+                hi = max(rank[x] for x in members)
                 for x in members:
-                    self.comp_id[c][x] = gid
-                    self.rho[c][x] = self._global_rank[x] - lo
-                    self.lng[c][x] = hi - lo
+                    comp_id[x] = gid
+                    rho[x] = rank[x] - lo
+                    lng[x] = hi - lo
+                members_c.append(tuple(members))
+            self._members[c] = members_c
         self.wt = tuple(
             tuple(2 * self.rho[c][x] - self.lng[c][x]
                   for c in range(1, n_colors + 1))
             for x in range(n))
         self._is_lattice = is_lattice_hint
-        self._comp_members_cache = {}
 
     # -- construction helpers ------------------------------------------------
 
@@ -200,13 +214,8 @@ class ColoredPoset:
         return self._global_rank[x]
 
     def comp_members(self, c, x):
-        key = (c, self.comp_id[c][x])
-        got = self._comp_members_cache.get(key)
-        if got is None:
-            gid = self.comp_id[c][x]
-            got = tuple(v for v in range(self.n) if self.comp_id[c][v] == gid)
-            self._comp_members_cache[key] = got
-        return got
+        """The color-c component of x, in ascending id order."""
+        return self._members[c][self.comp_id[c][x]]
 
     def up(self, c, x):
         """The unique color-c cover above x, or None (chain components only)."""
@@ -496,17 +505,16 @@ def maximal_splitting_poset(d, lam):
     """U(lambda): d_{lam,mu} symbols per weight, complete bipartite edges."""
     counts = wsf.freudenthal(d, lam).terms
     pi = wsf.weight_diagram(d, lam)
-    ids = {}
+    start = {}          # the symbol (w, pnum) gets the id start[w] + pnum - 1
     labels = []
     for w in sorted(counts):
-        for pnum in range(1, counts[w] + 1):
-            ids[(w, pnum)] = len(labels)
-            labels.append((w, pnum))
+        start[w] = len(labels)
+        labels.extend((w, pnum) for pnum in range(1, counts[w] + 1))
     edges = []
     for mu, i, nu in pi.edges:
-        for a in range(1, counts[mu] + 1):
-            for b in range(1, counts[nu] + 1):
-                edges.append((ids[(mu, a)], ids[(nu, b)], i))
+        tops = range(start[nu], start[nu] + counts[nu])
+        for a in range(start[mu], start[mu] + counts[mu]):
+            edges.extend((a, b, i) for b in tops)
     return ColoredPoset(len(labels), edges, diagram=d, labels=labels)
 
 
@@ -688,7 +696,7 @@ def verify_subblock_coloring(p, nodes, nu, s_set, kappa):
     nodes = tuple(sorted(nodes))
     nu_of = {j: nu[t] for t, j in enumerate(nodes)}
     s_set = frozenset(s_set)
-    fact_cache = {}
+    passed = set()      # (k, component): the verdict depends on nothing else
     for x in range(p.n):
         if x in s_set:
             continue
@@ -696,9 +704,9 @@ def verify_subblock_coloring(p, nodes, nu, s_set, kappa):
         if k not in nodes:
             return False, "kappa(%d) missing or outside J" % x
         ckey = (k, p.comp_id[k][x])
-        if ckey not in fact_cache:
-            fact_cache[ckey] = chain_product_factorization(p, k, x)
-        members, chains, coords = fact_cache[ckey]
+        if ckey in passed:
+            continue
+        members, chains, coords = chain_product_factorization(p, k, x)
         kx = frozenset(y for y in members
                        if y not in s_set and kappa.get(y) == k)
         b = nu_of[k] + 1
@@ -716,6 +724,7 @@ def verify_subblock_coloring(p, nodes, nu, s_set, kappa):
                 break
         if not ok:
             return False, "K(%d) is not a %d-sub-block of its %d-component" % (x, b, k)
+        passed.add(ckey)
     return True, None
 
 
@@ -813,11 +822,16 @@ def import_poset(data, diagram=None):
         n_colors = data["rank_n"]
         wts = [(v["id"], tuple(v["wt"])) for v in data["vertices"]]
         edges = [(e["from"], e["to"], e["color"]) for e in data["edges"]]
-        n = len(wts)
-        dense = sorted(vid for vid, _ in wts) == list(range(n))
     except (KeyError, TypeError) as e:
         raise MalformedPoset("bad poset JSON (%s: %s)"
                              % (type(e).__name__, e)) from None
+    numbers = ([n_colors] + [vid for vid, _ in wts] + [x for _, wt in wts for x in wt]
+               + [x for e in edges for x in e])
+    for x in numbers:
+        if type(x) is not int:          # bool, float and str are rejected too
+            raise MalformedPoset("poset JSON number %r is not an integer" % (x,))
+    n = len(wts)
+    dense = sorted(vid for vid, _ in wts) == list(range(n))
     if not dense:
         raise MalformedPoset("vertex ids must be 0..%d, each once" % (n - 1))
     p = ColoredPoset(n, edges, diagram=diagram, n_colors=n_colors)

@@ -80,9 +80,9 @@ class NotChainProduct(DomainError):
 class MalformedPoset(DomainError):
     """Poset or witness JSON is malformed.
 
-    Poset JSON lacking a required key or with non-dense or duplicate vertex
-    ids; witness JSON that is not an object, lacks S or kappa, or has
-    non-int kappa or tau keys.
+    Poset JSON lacking a required key, with a number that is not a plain
+    int, or with non-dense or duplicate vertex ids; witness JSON that is not
+    an object, lacks S or kappa, or has non-int kappa or tau keys.
     """
 
 

@@ -2,8 +2,9 @@
 
 The oracles here deliberately avoid the library's own derivations: the
 Weyl group is closed as a set of exact matrices, partition counts come
-from bounded enumeration, positive roots from reflection closure, and Weyl
-orbits from a search that tries every simple reflection on every element.
+from bounded enumeration, positive roots from reflection closure, Weyl
+orbits from a search that tries every simple reflection on every element,
+and colored posets are checked against their full transitive closure.
 """
 
 import json
@@ -14,7 +15,7 @@ import pytest
 
 from weylsplit import build_diagram
 from weylsplit.cartan import orbit_cap
-from weylsplit.errors import OrbitTooLarge
+from weylsplit.errors import NotAcyclic, NotCovering, NotRanked, OrbitTooLarge
 
 
 @pytest.fixture(scope="session")
@@ -197,3 +198,105 @@ def brute_weyl_orbit(d, mu, cap=None):
     if indeterminate:
         return {w: None for w in parities}
     return parities
+
+
+# ---------------------------------------------------------------------------
+# colored posets: every check in its original order, on the full closure
+
+def brute_ranks(n, edges):
+    """Ranks that go up by one along every edge and start at 0 in each
+    connected component, or None when no such ranks exist."""
+    nbrs = [[] for _ in range(n)]
+    for u, v, _ in edges:
+        nbrs[u].append((v, 1))
+        nbrs[v].append((u, -1))
+    rank = [None] * n
+    for s in range(n):
+        if rank[s] is not None:
+            continue
+        rank[s] = 0
+        comp, stack = [s], [s]
+        while stack:
+            x = stack.pop()
+            for y, step in nbrs[x]:
+                if rank[y] is None:
+                    rank[y] = rank[x] + step
+                    comp.append(y)
+                    stack.append(y)
+                elif rank[y] != rank[x] + step:
+                    return None
+        lo = min(rank[x] for x in comp)
+        for x in comp:
+            rank[x] -= lo
+    return rank
+
+
+def brute_poset_error(n, edges, n_colors):
+    """The error class ColoredPoset(n, edges, n_colors=n_colors) must raise, or None.
+
+    The checks run in this order: endpoint range, color range and loops,
+    edge by edge in sorted order; then a repeated vertex pair; then a
+    directed cycle; then an edge implied by a longer path, found on the
+    full transitive closure; and only then ranking.
+    """
+    edges = sorted((int(u), int(v), int(c)) for u, v, c in edges)
+    for u, v, c in edges:
+        if not (0 <= u < n and 0 <= v < n):
+            return NotAcyclic
+        if not 1 <= c <= n_colors:
+            return NotCovering
+        if u == v:
+            return NotAcyclic
+    if len({(u, v) for u, v, _ in edges}) != len(edges):
+        return NotCovering
+    succ = [{v for u2, v, _ in edges if u2 == u} for u in range(n)]
+    above = []          # above[x]: the vertices at the end of a nonempty path from x
+    for x in range(n):
+        seen, stack = set(), list(succ[x])
+        while stack:
+            y = stack.pop()
+            if y not in seen:
+                seen.add(y)
+                stack.extend(succ[y])
+        above.append(seen)
+    if any(x in above[x] for x in range(n)):
+        return NotAcyclic
+    if any(v in above[w] for u in range(n) for v in succ[u] for w in succ[u]):
+        return NotCovering
+    if brute_ranks(n, edges) is None:
+        return NotRanked
+    return None
+
+
+def brute_color_tables(n, edges, n_colors):
+    """(rank, comp_id, rho, lng) of a valid poset, one rescan of the edges per color.
+
+    comp_id numbers the color-c components in the order of their union-find
+    roots (unions u -> v in sorted edge order, with path halving).
+    """
+    edges = sorted(edges)
+    rank = brute_ranks(n, edges)
+    comp_id, rho, lng = ([[0] * n for _ in range(n_colors + 1)] for _ in range(3))
+    for c in range(1, n_colors + 1):
+        parent = list(range(n))
+
+        def find(x):
+            while parent[x] != x:
+                parent[x] = parent[parent[x]]
+                x = parent[x]
+            return x
+
+        for u, v, cc in edges:
+            if cc == c:
+                parent[find(u)] = find(v)
+        groups = {}
+        for x in range(n):
+            groups.setdefault(find(x), []).append(x)
+        for gid, (_, members) in enumerate(sorted(groups.items())):
+            lo = min(rank[x] for x in members)
+            hi = max(rank[x] for x in members)
+            for x in members:
+                comp_id[c][x] = gid
+                rho[c][x] = rank[x] - lo
+                lng[c][x] = hi - lo
+    return rank, comp_id, rho, lng

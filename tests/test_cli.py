@@ -259,6 +259,12 @@ def test_optimized_run_rejects_non_dominant():
      "MalformedPoset"),
     (("verify", "--diagram", "A2", "--poset", "{good}", "--coloring", "{str_key}"),
      "MalformedPoset"),
+    (("verify", "--diagram", "A2", "--poset", "{str_rank}", "--targets", "1,0"),
+     "MalformedPoset"),
+    (("verify", "--diagram", "A2", "--poset", "{float_from}", "--targets", "1,0"),
+     "MalformedPoset"),
+    (("verify", "--diagram", "A2", "--poset", "{str_from}", "--targets", "1,0"),
+     "MalformedPoset"),
 ])
 def test_bad_input_exit_1_under_optimize(argv, error, tmp_path, capsys):
     from weylsplit import crystal as cr, ecposet as ec, build_diagram
@@ -267,7 +273,10 @@ def test_bad_input_exit_1_under_optimize(argv, error, tmp_path, capsys):
     data["vertices"][0]["id"] = 7
     files = {"good": good, "sparse": json.dumps(data),
              "no_s": '{"kappa": {}}', "listed": "[1, 2]",
-             "str_key": '{"S": [2], "kappa": {"a": 1}}'}
+             "str_key": '{"S": [2], "kappa": {"a": 1}}',
+             "str_rank": good.replace('"rank_n":2', '"rank_n":"2"'),
+             "float_from": good.replace('"from":0', '"from":0.9'),
+             "str_from": good.replace('"from":0', '"from":"x"')}
     del data["edges"]
     files["keyless"] = json.dumps(data)
     for name, text in files.items():

@@ -1,13 +1,16 @@
 import itertools
 import json
 
+import networkx as nx
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weylsplit import build_diagram, crystal, ecposet as ec, wsf
-from weylsplit.errors import (MalformedPoset, NotAcyclic, NotChainProduct,
-                              NotCovering, NotMStructured, NotRanked)
+from weylsplit.errors import (DomainError, MalformedPoset, NotAcyclic,
+                              NotChainProduct, NotCovering, NotMStructured,
+                              NotRanked)
 
-from conftest import load_fixture
+from conftest import brute_color_tables, brute_poset_error, load_fixture
 
 A2 = build_diagram("A2")
 G2 = build_diagram("G2")
@@ -36,6 +39,55 @@ def test_build_errors():
     with pytest.raises(NotRanked):
         # two paths of different lengths between the same endpoints
         ec.build_poset([(0, 1, 1), (1, 2, 1), (0, 3, 2), (3, 4, 2), (4, 2, 1)], 2)
+
+
+@settings(max_examples=400, deadline=None)
+@given(st.data())
+def test_constructor_matches_brute_checks(data):
+    """Same error class as the closure-first oracle, or the same tables."""
+    n = data.draw(st.integers(1, 7), label="n")
+    n_colors = data.draw(st.integers(1, 3), label="n_colors")
+    color = st.integers(1, n_colors)
+    kind = data.draw(st.sampled_from(["graded", "skipping", "ring", "any"]), label="kind")
+    if kind in ("graded", "skipping"):
+        # edges up one level only are ranked and covering unless repeated;
+        # edges up two levels are often implied by a path
+        steps = (1,) if kind == "graded" else (1, 2)
+        level = data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+        pairs = [(u, v) for u in range(n) for v in range(n) if level[v] - level[u] in steps]
+        chosen = data.draw(st.lists(st.sampled_from(pairs), max_size=12)) if pairs else []
+        edges = [(u, v, data.draw(color)) for u, v in chosen]
+    elif kind == "ring":
+        # a cycle of randomly oriented edges is ranked only if it goes up as
+        # often as down; from five edges on it can fail that and still cover
+        ring = data.draw(st.permutations(range(n)))[:data.draw(st.integers(min(5, n), n))]
+        edges = [(u, v, data.draw(color)) if data.draw(st.booleans())
+                 else (v, u, data.draw(color)) for u, v in zip(ring, ring[1:] + ring[:1])]
+    else:
+        vertex = st.integers(0, n - 1)
+        edges = data.draw(st.lists(st.tuples(vertex, vertex, color), max_size=10))
+    # at most one more edge, whose endpoints or color may be out of range
+    edges += data.draw(st.lists(st.tuples(st.integers(-1, n), st.integers(-1, n),
+                                          st.integers(0, n_colors + 1)), max_size=1))
+    want = brute_poset_error(n, edges, n_colors)
+    try:
+        p = ec.ColoredPoset(n, edges, n_colors=n_colors)
+    except DomainError as e:
+        assert type(e) is want, (edges, e)
+        return
+    assert want is None, edges
+    assert p.edges == tuple(sorted(edges))
+    rank, comp_id, rho, lng = brute_color_tables(n, edges, n_colors)
+    assert [p.global_rank(x) for x in range(n)] == rank
+    assert (p.comp_id, p.rho, p.lng) == (comp_id, rho, lng)
+    for c in range(1, n_colors + 1):
+        for x in range(n):
+            assert p.comp_members(c, x) == tuple(
+                y for y in range(n) if comp_id[c][y] == comp_id[c][x])
+    g = nx.DiGraph()
+    g.add_nodes_from(range(n))
+    g.add_edges_from((u, v) for u, v, _ in edges)
+    assert sorted(nx.transitive_reduction(g).edges) == [(u, v) for u, v, _ in p.edges]
 
 
 def test_is_lattice_on_connected_posets():
@@ -257,6 +309,27 @@ def test_subblock_vacuous_and_fibrous():
     assert ok, why
 
 
+def test_subblock_failure_names_first_vertex_of_its_component():
+    """A failing (kappa, component) is reported at its lowest id, as a
+    vertex-by-vertex scan would."""
+    from weylsplit import patternlat
+    lat = patternlat.gt_lattice(3, (1, 2))
+    p, top = lat.poset, lat.index[lat.max_pattern]
+    kappa = lat.slantwise_coloring()
+    failures = 0
+    for v, k in itertools.product(sorted(kappa), (1, 2)):
+        bad = {x: (k if x == v else c) for x, c in kappa.items()}
+        ok, why = ec.verify_subblock_coloring(p, (1, 2), (0, 0), {top}, bad)
+        if ok:
+            continue
+        failures += 1
+        x = int(why.split("K(")[1].split(")")[0])
+        same = [y for y in range(p.n) if y != top and bad[y] == bad[x]
+                and p.comp_id[bad[x]][y] == p.comp_id[bad[x]][x]]
+        assert x == min(same), (v, k, why)
+    assert failures
+
+
 def test_lemma_3_4_invariants():
     p = tableau_lattice()
     sub, sel = A2.sub_diagram((1, 2))
@@ -334,6 +407,13 @@ def test_dual_is_identity_on_ids():
     lambda d: d.pop("edges"),
     lambda d: d["vertices"][0].pop("wt"),
     lambda d: d["edges"][0].pop("color"),
+    lambda d: d.update(rank_n="2"),                   # numbers must be plain ints
+    lambda d: d.update(rank_n=2.0),
+    lambda d: d["vertices"][1].update(id=True),
+    lambda d: d["vertices"][0].update(wt=[1.0, 0]),
+    lambda d: d["vertices"][0].update(wt=[None, 0]),
+    lambda d: d["edges"][0].update(to=1.9),
+    lambda d: d["edges"][0].update(color=True),
 ])
 def test_import_rejects_malformed_json(spoil):
     data = json.loads(ec.export_poset(crystal.minuscule_poset(A2, (1, 0))))
