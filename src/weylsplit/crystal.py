@@ -84,7 +84,7 @@ def quasi_minuscule_tau_kappa(d, poset):
             kappa[v] = neg_simple
         else:
             tau[v] = v
-            kappa[v] = next(c for _, c in poset.out[v])
+            kappa[v] = next(c for _, _, c in poset.out[v])
     return ecposet.ColoringWitness(S=s_set, kappa=kappa, tau=tau)
 
 
@@ -507,7 +507,7 @@ def _unique_max_components(p, js):
             parent[find(u)] = find(v)
     maxes = {}
     for x in range(p.n):
-        if not any(c in jset for _, c in p.out[x]):
+        if not any(c in jset for _, _, c in p.out[x]):
             r = find(x)
             maxes[r] = maxes.get(r, 0) + 1
     return all(v == 1 for v in maxes.values())

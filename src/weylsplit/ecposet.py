@@ -8,11 +8,15 @@ predicates (M-structured, fibrous, primary, diamond-colored), weight
 generating functions, poset transforms, generalized weight diagrams,
 the unique maximal splitting poset, and the splitting verifiers.
 
+Edges are triples (u, v, c) of plain ints, kept sorted in `edges`.  The
+adjacency lists `out[u]` and `inc[v]` hold those same triple objects, in
+sorted-edge order, so nothing else is allocated per edge.
+
 Posets are immutable after construction; every cache is computed once.
 """
 
 from dataclasses import dataclass, field
-from itertools import permutations
+from itertools import chain, permutations
 
 from . import wsf
 from .cartan import wadd, wsub
@@ -61,12 +65,17 @@ class ColoredPoset:
                 n_colors = max((c for _, _, c in edges), default=0)
         self.n_colors = n_colors
         self.n = n = n_vertices
-        edges = sorted((int(u), int(v), int(c)) for u, v, c in edges)
-        self.out = [[] for _ in range(n)]
-        self.inc = [[] for _ in range(n)]
+        edges = list(map(tuple, edges))
+        if not set(map(type, chain.from_iterable(edges))) <= {int}:
+            raise MalformedPoset("edge entries must be ints (bool, float and "
+                                 "str are rejected)")
+        edges.sort()
+        self.out = out = [[] for _ in range(n)]
+        self.inc = inc = [[] for _ in range(n)]
         repeated = False
         pu = pv = None
-        for u, v, c in edges:
+        for e in edges:
+            u, v, c = e
             if not (0 <= u < n and 0 <= v < n):
                 raise NotAcyclic("edge endpoint out of range")
             if not 1 <= c <= n_colors:
@@ -75,21 +84,21 @@ class ColoredPoset:
                 raise NotAcyclic("loop edge at vertex %d" % u)
             repeated = repeated or (u == pu and v == pv)
             pu, pv = u, v
-            self.out[u].append((v, c))
-            self.inc[v].append((u, c))
+            out[u].append(e)
+            inc[v].append(e)
         if repeated:
             raise NotCovering("multiple edges between a vertex pair")
         self.edges = tuple(edges)
         self.labels = tuple(labels) if labels is not None else None
 
-        self._topo_order = self._toposort()
         self._reach = None
         # Ranking raises each edge by one rank and each longer path by at least
-        # two, so no path implies an edge: the closure is needed only if it fails.
+        # two, so a ranked poset is acyclic and no path implies an edge: the
+        # cycle and closure checks are needed only if ranking fails.
         try:
             self._global_rank, self._poset_comp = self._rank_and_components()
         except NotRanked:
-            self._check_covering()
+            self._check_covering(self._toposort())
             raise
 
         # per-color components: one union-find per color, all filled in one pass
@@ -134,7 +143,7 @@ class ColoredPoset:
         while i < len(order):
             v = order[i]
             i += 1
-            for w, _ in self.out[v]:
+            for _, w, _ in self.out[v]:
                 indeg[w] -= 1
                 if indeg[w] == 0:
                     order.append(w)
@@ -142,25 +151,30 @@ class ColoredPoset:
             raise NotAcyclic("edge relation has a directed cycle")
         return order
 
+    def _closure(self, order):
+        """Bitmask closure, filled from the top of a topological order."""
+        r = [0] * self.n
+        for v in reversed(order):
+            m = 1 << v
+            for _, w, _ in self.out[v]:
+                m |= r[w]
+            r[v] = m
+        return r
+
     def reach(self):
         """Bitmask closure: reach()[v] has bit w set iff v <= w."""
         if self._reach is None:
-            r = [0] * self.n
-            for v in reversed(self._topo_order):
-                m = 1 << v
-                for w, _ in self.out[v]:
-                    m |= r[w]
-                r[v] = m
-            self._reach = r
+            self._reach = self._closure(
+                sorted(range(self.n), key=self._global_rank.__getitem__))
         return self._reach
 
-    def _check_covering(self):
-        r = self.reach()
+    def _check_covering(self, order):
+        r = self._closure(order)
         for u in range(self.n):
             acc = 0
-            for w, _ in self.out[u]:
+            for _, w, _ in self.out[u]:
                 acc |= r[w] & ~(1 << w)
-            for v, _ in self.out[u]:
+            for _, v, _ in self.out[u]:
                 if acc >> v & 1:
                     raise NotCovering("edge %d->%d is implied by a longer path"
                                       % (u, v))
@@ -178,7 +192,7 @@ class ColoredPoset:
             members = [s]
             while frontier:
                 v = frontier.pop()
-                for w, _ in self.out[v]:
+                for _, w, _ in self.out[v]:
                     if rank[w] is None:
                         rank[w] = rank[v] + 1
                         comp[w] = nc
@@ -186,7 +200,7 @@ class ColoredPoset:
                         members.append(w)
                     elif rank[w] != rank[v] + 1:
                         raise NotRanked("rank conflict on edge %d->%d" % (v, w))
-                for w, _ in self.inc[v]:
+                for w, _, _ in self.inc[v]:
                     if rank[w] is None:
                         rank[w] = rank[v] - 1
                         comp[w] = nc
@@ -219,13 +233,13 @@ class ColoredPoset:
 
     def up(self, c, x):
         """The unique color-c cover above x, or None (chain components only)."""
-        for w, cc in self.out[x]:
+        for _, w, cc in self.out[x]:
             if cc == c:
                 return w
         return None
 
     def down(self, c, x):
-        for w, cc in self.inc[x]:
+        for w, _, cc in self.inc[x]:
             if cc == c:
                 return w
         return None
@@ -244,11 +258,11 @@ class ColoredPoset:
     def is_fibrous(self):
         for v in range(self.n):
             seen_out, seen_in = set(), set()
-            for _, c in self.out[v]:
+            for _, _, c in self.out[v]:
                 if c in seen_out:
                     return False
                 seen_out.add(c)
-            for _, c in self.inc[v]:
+            for _, _, c in self.inc[v]:
                 if c in seen_in:
                     return False
                 seen_in.add(c)
@@ -307,11 +321,11 @@ class ColoredPoset:
         for b in range(self.n):
             outs = self.out[b]
             for a in range(len(outs)):
-                s, i = outs[a]
+                _, s, i = outs[a]
                 for bb in range(a + 1, len(outs)):
-                    t, j = outs[bb]
-                    tops = {w: c for w, c in self.out[s]}
-                    for w, l in self.out[t]:
+                    _, t, j = outs[bb]
+                    tops = {w: c for _, w, c in self.out[s]}
+                    for _, w, l in self.out[t]:
                         k = tops.get(w)
                         if k is None:
                             continue
@@ -604,9 +618,9 @@ def chain_product_factorization(p, color, x):
     """
     members = p.comp_members(color, x)
     index = {v: i for i, v in enumerate(members)}
-    loc_out = {v: [w for w, c in p.out[v] if c == color and w in index]
+    loc_out = {v: [w for _, w, c in p.out[v] if c == color and w in index]
                for v in members}
-    loc_in = {v: [w for w, c in p.inc[v] if c == color and w in index]
+    loc_in = {v: [w for w, _, c in p.inc[v] if c == color and w in index]
               for v in members}
     order = sorted(members, key=lambda v: p.rho[color][v])
     reach = {v: 1 << index[v] for v in members}
@@ -733,15 +747,15 @@ def verify_subblock_coloring(p, nodes, nu, s_set, kappa):
 
 def _refine(p):
     sig = [(p.global_rank(v),
-            tuple(sorted(c for _, c in p.out[v])),
-            tuple(sorted(c for _, c in p.inc[v])))
+            tuple(sorted(c for _, _, c in p.out[v])),
+            tuple(sorted(c for _, _, c in p.inc[v])))
            for v in range(p.n)]
     colors = {s: i for i, s in enumerate(sorted(set(sig)))}
     cur = [colors[s] for s in sig]
     for _ in range(p.n):
         sig = [(cur[v],
-                tuple(sorted((c, cur[w]) for w, c in p.out[v])),
-                tuple(sorted((c, cur[w]) for w, c in p.inc[v])))
+                tuple(sorted((c, cur[w]) for _, w, c in p.out[v])),
+                tuple(sorted((c, cur[w]) for w, _, c in p.inc[v])))
                for v in range(p.n)]
         colors = {s: i for i, s in enumerate(sorted(set(sig)))}
         nxt = [colors[s] for s in sig]
@@ -764,14 +778,12 @@ def colored_isomorphic(p, q):
     used = set()
 
     def compatible(v, w):
-        for x, c in p.out[v]:
-            if x in match:
-                if (match[x], c) not in [(y, cc) for y, cc in q.out[w]]:
-                    return False
-        for x, c in p.inc[v]:
-            if x in match:
-                if (match[x], c) not in [(y, cc) for y, cc in q.inc[w]]:
-                    return False
+        for _, x, c in p.out[v]:
+            if x in match and (w, match[x], c) not in q.out[w]:
+                return False
+        for x, _, c in p.inc[v]:
+            if x in match and (match[x], w, c) not in q.inc[w]:
+                return False
         return True
 
     def backtrack(idx):
@@ -816,20 +828,29 @@ def export_poset(p, fmt="json"):
 
 def import_poset(data, diagram=None):
     import json
-    if isinstance(data, str):
-        data = json.loads(data)
     try:
+        if isinstance(data, str):
+            data = json.loads(data)
         n_colors = data["rank_n"]
         wts = [(v["id"], tuple(v["wt"])) for v in data["vertices"]]
         edges = [(e["from"], e["to"], e["color"]) for e in data["edges"]]
-    except (KeyError, TypeError) as e:
+    except (KeyError, TypeError, json.JSONDecodeError) as e:
         raise MalformedPoset("bad poset JSON (%s: %s)"
                              % (type(e).__name__, e)) from None
-    numbers = ([n_colors] + [vid for vid, _ in wts] + [x for _, wt in wts for x in wt]
-               + [x for e in edges for x in e])
+    # the constructor checks the edge entries the same way
+    numbers = [n_colors] + [vid for vid, _ in wts] + [x for _, wt in wts for x in wt]
     for x in numbers:
         if type(x) is not int:          # bool, float and str are rejected too
             raise MalformedPoset("poset JSON number %r is not an integer" % (x,))
+    if n_colors < 0:
+        raise MalformedPoset("rank_n %d is negative" % n_colors)
+    for vid, wt in wts:
+        if len(wt) != n_colors:
+            raise MalformedPoset("wt of id %d has %d entries, rank_n is %d"
+                                 % (vid, len(wt), n_colors))
+    if diagram is not None and n_colors != diagram.rank:
+        raise DiagramMismatch("rank_n %d on a diagram of rank %d"
+                              % (n_colors, diagram.rank))
     n = len(wts)
     dense = sorted(vid for vid, _ in wts) == list(range(n))
     if not dense:

@@ -265,6 +265,14 @@ def test_optimized_run_rejects_non_dominant():
      "MalformedPoset"),
     (("verify", "--diagram", "A2", "--poset", "{str_from}", "--targets", "1,0"),
      "MalformedPoset"),
+    (("verify", "--diagram", "A2", "--poset", "{neg_rank}", "--targets", "1,0"),
+     "MalformedPoset"),
+    (("verify", "--diagram", "A2", "--poset", "{short_wt}", "--targets", "1,0"),
+     "MalformedPoset"),
+    (("verify", "--diagram", "A2", "--poset", "{rank_3}", "--targets", "1,0"),
+     "DiagramMismatch"),
+    (("verify", "--diagram", "A2", "--poset", "{truncated}", "--targets", "1,0"),
+     "MalformedPoset"),
 ])
 def test_bad_input_exit_1_under_optimize(argv, error, tmp_path, capsys):
     from weylsplit import crystal as cr, ecposet as ec, build_diagram
@@ -276,7 +284,11 @@ def test_bad_input_exit_1_under_optimize(argv, error, tmp_path, capsys):
              "str_key": '{"S": [2], "kappa": {"a": 1}}',
              "str_rank": good.replace('"rank_n":2', '"rank_n":"2"'),
              "float_from": good.replace('"from":0', '"from":0.9'),
-             "str_from": good.replace('"from":0', '"from":"x"')}
+             "str_from": good.replace('"from":0', '"from":"x"'),
+             "neg_rank": '{"rank_n":-1,"vertices":[{"id":0,"wt":[]}],"edges":[]}',
+             "short_wt": '{"rank_n":2,"vertices":[{"id":0,"wt":[0]}],"edges":[]}',
+             "rank_3": '{"rank_n":3,"vertices":[{"id":0,"wt":[0,0,0]}],"edges":[]}',
+             "truncated": '{"rank_n":2,'}
     del data["edges"]
     files["keyless"] = json.dumps(data)
     for name, text in files.items():

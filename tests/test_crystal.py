@@ -19,9 +19,9 @@ def test_minuscule_poset_a2():
     assert r.n == 3
     # 3-chain, colors bottom-to-top 2 then 1
     bottom = next(v for v in range(3) if not r.inc[v])
-    c_bottom = r.out[bottom][0][1]
-    mid = r.out[bottom][0][0]
-    c_top = r.out[mid][0][1]
+    c_bottom = r.out[bottom][0][2]
+    mid = r.out[bottom][0][1]
+    c_top = r.out[mid][0][2]
     assert (c_bottom, c_top) == (2, 1)
     with pytest.raises(NotMinuscule):
         cr.minuscule_poset(A2, (1, 1))

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weylsplit import build_diagram, crystal, ecposet as ec, wsf
-from weylsplit.errors import (DomainError, MalformedPoset, NotAcyclic,
-                              NotChainProduct, NotCovering, NotMStructured,
-                              NotRanked)
+from weylsplit.errors import (DiagramMismatch, DomainError, MalformedPoset,
+                              NotAcyclic, NotChainProduct, NotCovering,
+                              NotMStructured, NotRanked)
 
 from conftest import brute_color_tables, brute_poset_error, load_fixture
 
@@ -77,6 +77,12 @@ def test_constructor_matches_brute_checks(data):
         return
     assert want is None, edges
     assert p.edges == tuple(sorted(edges))
+    # the adjacency lists hold the edge triples themselves, in sorted order
+    for x in range(n):
+        assert p.out[x] == [e for e in p.edges if e[0] == x]
+        assert p.inc[x] == [e for e in p.edges if e[1] == x]
+    kept = {id(e) for e in p.edges}
+    assert all(id(e) in kept for adj in (p.out, p.inc) for es in adj for e in es)
     rank, comp_id, rho, lng = brute_color_tables(n, edges, n_colors)
     assert [p.global_rank(x) for x in range(n)] == rank
     assert (p.comp_id, p.rho, p.lng) == (comp_id, rho, lng)
@@ -88,6 +94,30 @@ def test_constructor_matches_brute_checks(data):
     g.add_nodes_from(range(n))
     g.add_edges_from((u, v) for u, v, _ in edges)
     assert sorted(nx.transitive_reduction(g).edges) == [(u, v) for u, v, _ in p.edges]
+    # reach() walks the vertices in rank order: it must still be the closure
+    assert p.reach() == [sum(1 << w for w in nx.descendants(g, v) | {v})
+                         for v in range(n)]
+
+
+@pytest.mark.parametrize("edges", [
+    [(0, 1.0, 1), (1, 2, 1)],                   # float endpoint
+    [(0, 1, 1), ("1", 2, 1)],                   # str endpoint
+    [(0, 1, True), (1, 2, 1)],                  # bool color
+    [[0, 1, 1], [1, 2.5, 1]],                   # float inside a list edge
+    [(0, 1.7, 1), ("1", 2, True)],              # mixed: no sort is attempted
+])
+def test_constructor_rejects_non_int_entries(edges):
+    with pytest.raises(MalformedPoset):
+        ec.ColoredPoset(3, edges, n_colors=1)
+
+
+def test_constructor_takes_list_edges():
+    tuples = [(1, 2, 1), (0, 1, 1)]
+    p = ec.ColoredPoset(3, tuples, n_colors=1)
+    q = ec.ColoredPoset(3, [list(e) for e in tuples], n_colors=1)
+    assert p.edges == q.edges == ((0, 1, 1), (1, 2, 1))
+    assert all(type(e) is tuple for e in q.edges)
+    assert q.out == p.out and q.inc == p.inc
 
 
 def test_is_lattice_on_connected_posets():
@@ -216,13 +246,9 @@ def test_maximal_splitting_poset():
     # each weight-0 vertex joins completely to the adjacent weight classes
     zero_ids = [v for v in range(ug.n) if ug.wt[v] == (0, 0)]
     assert len(zero_ids) == 2
-    for v in zero_ids:
-        ups = {(w, c) for w, c in ug.out[v]}
-        downs = {(w, c) for w, c in ug.inc[v]}
-        assert ups == {(w, c) for w, c in ug.out[zero_ids[0]] } or True
-    up_sets = [frozenset(ug.out[v][k] for k in range(len(ug.out[v])))
-               for v in zero_ids]
-    assert up_sets[0] == up_sets[1]
+    up_sets = [frozenset((w, c) for _, w, c in ug.out[v]) for v in zero_ids]
+    down_sets = [frozenset((w, c) for w, _, c in ug.inc[v]) for v in zero_ids]
+    assert up_sets[0] == up_sets[1] and down_sets[0] == down_sets[1]
 
 
 def test_verify_splitting_examples():
@@ -304,7 +330,7 @@ def test_subblock_vacuous_and_fibrous():
     for v in range(rq.n):
         if v == top:
             continue
-        kappa[v] = next(c for _, c in rq.out[v])
+        kappa[v] = next(c for _, _, c in rq.out[v])
     ok, why = ec.verify_subblock_coloring(rq, (1, 2), (0, 0), {top}, kappa)
     assert ok, why
 
@@ -414,9 +440,30 @@ def test_dual_is_identity_on_ids():
     lambda d: d["vertices"][0].update(wt=[None, 0]),
     lambda d: d["edges"][0].update(to=1.9),
     lambda d: d["edges"][0].update(color=True),
+    lambda d: d.update(rank_n=-1),                    # rank_n must be >= 0
+    lambda d: d["vertices"][0].update(wt=[0]),        # wt of length rank_n
+    lambda d: d["vertices"][2].update(wt=[0, 0, 0]),
 ])
 def test_import_rejects_malformed_json(spoil):
     data = json.loads(ec.export_poset(crystal.minuscule_poset(A2, (1, 0))))
     spoil(data)
     with pytest.raises(MalformedPoset):
         ec.import_poset(data, diagram=A2)
+
+
+def test_import_checks_rank_n():
+    with pytest.raises(MalformedPoset):
+        ec.import_poset({"rank_n": -1, "vertices": [{"id": 0, "wt": []}], "edges": []})
+    with pytest.raises(MalformedPoset):
+        ec.import_poset({"rank_n": 1, "vertices": [{"id": 0, "wt": []}], "edges": []})
+    three = {"rank_n": 3, "vertices": [{"id": 0, "wt": [0, 0, 0]}], "edges": []}
+    with pytest.raises(DiagramMismatch):
+        ec.import_poset(three, diagram=A2)
+    assert ec.import_poset(three).wt == ((0, 0, 0),)
+    assert ec.import_poset(three, diagram=build_diagram("A3")).n == 1
+
+
+@pytest.mark.parametrize("text", ['{"rank_n":2,', "", "[1, 2", "rank_n"])
+def test_import_rejects_invalid_json_text(text):
+    with pytest.raises(MalformedPoset):
+        ec.import_poset(text, diagram=A2)
