@@ -12,7 +12,8 @@ from dataclasses import dataclass
 from . import ecposet, wsf
 from .cartan import wadd, wsub, zero_weight
 from .errors import (DiagramMismatch, ExactnessError, NoExpression, NotFibrous,
-                     NotIrreducible, NotMinuscule, NotPrimaryFactor)
+                     NotIrreducible, NotMinuscule, NotMStructured,
+                     NotPrimaryFactor)
 
 EXHAUSTIVE_UNTANGLED_LIMIT = 4
 
@@ -495,20 +496,13 @@ def strongly_untangled(p):
 def _unique_max_components(p, js):
     jset = set(js)
     parent = list(range(p.n))
-
-    def find(a):
-        while parent[a] != a:
-            parent[a] = parent[parent[a]]
-            a = parent[a]
-        return a
-
     for u, v, c in p.edges:
         if c in jset:
-            parent[find(u)] = find(v)
+            parent[ecposet._find(parent, u)] = ecposet._find(parent, v)
     maxes = {}
     for x in range(p.n):
         if not any(c in jset for _, _, c in p.out[x]):
-            r = find(x)
+            r = ecposet._find(parent, x)
             maxes[r] = maxes.get(r, 0) + 1
     return all(v == 1 for v in maxes.values())
 
@@ -521,7 +515,7 @@ def classify_primary_plus(p):
     try:
         if not p.is_m_structured():
             return neither
-    except Exception:
+    except NotMStructured:
         return neither
     maxes = p.maximal_vertices()
     if len(maxes) != 1:

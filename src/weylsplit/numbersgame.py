@@ -208,13 +208,6 @@ def longest_word(d):
     return LongestWord(rec.fired, sigma, len(rec.fired))
 
 
-def _is_short_node(d, i):
-    ci = d.component_of[i - 1]
-    shortest = min(d.root_lengths[v] for v in range(d.rank)
-                   if d.component_of[v] == ci)
-    return d.root_lengths[i - 1] == shortest
-
-
 @dataclass(frozen=True)
 class PositiveRoot:
     root: tuple            # omega coordinates
@@ -238,7 +231,7 @@ def enumerate_positive_roots(d):
         k = pos[i - 1].coeffs
         omega = tuple(sum(k[a] * d.cartan[a][j] for a in range(d.rank) if k[a])
                       for j in range(d.rank))
-        cls = "short" if _is_short_node(d, i) else "long"
+        cls = "short" if d.root_lengths[i - 1] == 2 else "long"
         roots.append(PositiveRoot(omega, k, cls))
         pos = fire(dT, pos, i, check=False)
     assert len({r.alpha_coords for r in roots}) == len(roots)
@@ -259,11 +252,6 @@ def rgf_exponents(d, lam):
         out.append(pos[i - 1])
         pos = fire(d, pos, i)
     return out
-
-
-def weyl_order(d):
-    """|W|, from the heights of the positive roots (see DiagramConstants)."""
-    return d.constants().weyl_order
 
 
 class DiagramConstants:

@@ -334,9 +334,8 @@ def rgf_closed_form(family, n, lam=None, m=None):
                     dens.append(2 * n + 2 - i - j)
     else:
         raise InvalidFamilyParams("closed product only for families A, B, C")
-    num = qpoly.prod([qpoly.q_int(a) for a in nums])
-    den = qpoly.prod([qpoly.q_int(b) for b in dens])
-    return tuple(qpoly.divexact(num, den))
+    # equal lengths, so prod [a]_q / prod [b]_q = prod(1-q^a) / prod(1-q^b)
+    return tuple(qpoly.quotient_rgf(nums, dens))
 
 
 def rgf_quotient(d, lam):

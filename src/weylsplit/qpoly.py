@@ -1,73 +1,15 @@
-"""Tiny exact integer polynomial arithmetic in one variable q.
+"""Exact quotients of (1 - q^k) products, and two shape tests.
 
-Polynomials are lists of int coefficients, index = exponent.  Used for
-Dynkin polynomials and rank generating functions, where denominators always
-divide exactly.
+Polynomials are lists of int coefficients, index = exponent.  Dynkin
+polynomials and rank generating functions are quotients
+prod(1 - q^c) / prod(1 - q^e).  ``quotient_rgf`` computes one on a single
+int list of length sum(c) + 1: the power series of the quotient, truncated
+past the numerator's degree.  Multiplying by (1 - q^c) subtracts the series
+shifted by c; dividing by (1 - q^e) = 1 + q^e + q^2e + ... is a prefix sum
+with stride e.  Each step is linear in the degree.
 """
 
-
-def trim(p):
-    while p and p[-1] == 0:
-        p.pop()
-    return p
-
-
-def mul(a, b):
-    out = [0] * (len(a) + len(b) - 1) if a and b else []
-    for i, x in enumerate(a):
-        if x:
-            for j, y in enumerate(b):
-                if y:
-                    out[i + j] += x * y
-    return trim(out)
-
-
-def divexact(num, den):
-    """Exact division; raises if the remainder is nonzero."""
-    num = list(num)
-    den = list(den)
-    trim(num)
-    trim(den)
-    if not den:
-        raise ZeroDivisionError
-    if not num:
-        return []
-    lead = den[-1]
-    out = [0] * (len(num) - len(den) + 1)
-    for k in range(len(out) - 1, -1, -1):
-        c = num[k + len(den) - 1]
-        if c % lead:
-            raise ValueError("inexact polynomial division")
-        q = c // lead
-        out[k] = q
-        if q:
-            for j, y in enumerate(den):
-                num[k + j] -= q * y
-    if any(num):
-        raise ValueError("inexact polynomial division")
-    return trim(out)
-
-
-def one_minus_qk(k):
-    p = [0] * (k + 1)
-    p[0], p[k] = 1, -1
-    return p
-
-
-def q_int(k):
-    """[k]_q = 1 + q + ... + q^(k-1)."""
-    return [1] * k
-
-
-def prod(polys):
-    out = [1]
-    for p in polys:
-        out = mul(out, p)
-    return out
-
-
-def eval_at_one(p):
-    return sum(p)
+from itertools import accumulate
 
 
 def is_palindromic(p):
@@ -85,7 +27,22 @@ def is_unimodal(p):
 
 
 def quotient_rgf(num_exponents, den_exponents):
-    """prod(1-q^c) / prod(1-q^e), exact."""
-    num = prod([one_minus_qk(c) for c in num_exponents])
-    den = prod([one_minus_qk(e) for e in den_exponents])
-    return divexact(num, den)
+    """prod(1-q^c) / prod(1-q^e), exact; raises ValueError otherwise.
+
+    The quotient is a polynomial exactly when the truncated series vanishes
+    past sum(c) - sum(e): then it times the denominator agrees with the
+    numerator up to and including their common degree sum(c).
+    """
+    if min([*num_exponents, *den_exponents], default=1) < 1:
+        raise ValueError("exponents must be positive")
+    top = sum(num_exponents)
+    s = [1] + [0] * top
+    for c in num_exponents:
+        s[c:] = [x - y for x, y in zip(s[c:], s)]
+    for e in den_exponents:
+        for r in range(e):
+            s[r::e] = accumulate(s[r::e])
+    deg = top - sum(den_exponents)
+    if deg < 0 or any(s[deg + 1:]):
+        raise ValueError("inexact polynomial division")
+    return s[:deg + 1]

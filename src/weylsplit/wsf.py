@@ -28,8 +28,11 @@ class WeylSymFn:
     __slots__ = ("d", "terms")
 
     def __init__(self, d, terms=()):
+        terms = dict(terms)
+        if not set(map(type, terms.values())) <= {int}:
+            raise TypeError("WeylSymFn coefficients must be plain ints")
         self.d = d
-        self.terms = {tuple(m): int(c) for m, c in dict(terms).items() if c}
+        self.terms = {tuple(m): c for m, c in terms.items() if c}
 
     @classmethod
     def monomial(cls, d, mu, coeff=1):
@@ -406,7 +409,7 @@ def specialize(d, lam):
     quot = qpoly.quotient_rgf(nums, dens)
     if quot != coeffs:
         raise ExactnessError("Dynkin polynomial routes disagree")
-    dim = qpoly.eval_at_one(coeffs)
+    dim = sum(coeffs)
     prod_dim = Fraction(1)
     for c in nums:
         prod_dim *= c

@@ -2,7 +2,8 @@ import pytest
 
 from weylsplit import build_diagram, crystal as cr, ecposet as ec, wsf
 from weylsplit.errors import (NoExpression, NotDominant, NotFibrous,
-                              NotIrreducible, NotMinuscule, NotPrimaryFactor)
+                              NotIrreducible, NotMinuscule, NotMStructured,
+                              NotPrimaryFactor)
 
 from conftest import load_fixture
 
@@ -289,6 +290,23 @@ def test_classifier(diagrams):
         assert cr.classify_primary_plus(q) == ("quasi-minuscule", lam)
     adj = cr.build_crystal(G2, (0, 1))
     assert cr.classify_primary_plus(adj)[0] == "neither"
+
+
+def test_classify_without_diagram(monkeypatch):
+    r = cr.minuscule_poset(A2, (1, 0))
+    bare = ec.ColoredPoset(r.n, r.edges, n_colors=r.n_colors)
+    assert bare.is_connected() and bare.is_fibrous()
+    with pytest.raises(NotMStructured):
+        bare.is_m_structured()
+    assert cr.classify_primary_plus(bare) == ("neither", None)
+    # any other error from the M-structure check propagates
+
+    def broken(self):
+        raise RuntimeError("broken check")
+
+    monkeypatch.setattr(ec.ColoredPoset, "is_m_structured", broken)
+    with pytest.raises(RuntimeError, match="broken check"):
+        cr.classify_primary_plus(r)
 
 
 def test_u_tables_fixture(diagrams):

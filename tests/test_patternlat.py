@@ -1,6 +1,8 @@
 import itertools
 
 import pytest
+import sympy
+from hypothesis import given, settings, strategies as st
 
 from weylsplit import build_diagram, ecposet as ec, patternlat as pl, qpoly, wsf
 from weylsplit.errors import InvalidFamilyParams
@@ -134,16 +136,44 @@ def test_slantwise_prior_entries_maximal():
 def test_rgf_closed_forms():
     # A2 lam=(1,2): [2][5][3]/[2] = [5][3], 15 elements
     got = pl.rgf_closed_form("A", 2, lam=(1, 2))
-    want = qpoly.divexact(
-        qpoly.prod([qpoly.q_int(2), qpoly.q_int(5), qpoly.q_int(3)]),
-        qpoly.q_int(2))
-    assert list(got) == want
+    assert got == (1, 2, 3, 3, 3, 2, 1)
     assert sum(got) == 15
     assert pl.rgf_closed_form("A", 2, lam=(0, 0)) == (1,)
     g2 = build_diagram("G2")
     assert pl.rgf_quotient(g2, (0, 1)) == (1, 1, 1, 1, 2, 2, 2, 1, 1, 1, 1)
     with pytest.raises(InvalidFamilyParams):
         pl.rgf_closed_form("D", 4, m=1)
+
+
+_EXPONENTS = st.lists(st.integers(1, 9), max_size=6)
+
+
+@settings(max_examples=300, deadline=None)
+@given(_EXPONENTS, _EXPONENTS, st.lists(st.integers(1, 3), max_size=6))
+def test_quotient_rgf_matches_sympy(nums, free, cuts):
+    # a free denominator rarely divides; one made of divisors of the
+    # numerator exponents, such as (1-q^6)/(1-q^2), always does
+    q = sympy.Symbol("q")
+
+    def poly(exps):
+        return sympy.Poly(sympy.prod([1 - q ** k for k in exps]), q)
+
+    for dens in (free, [c // k for c, k in zip(nums, cuts) if c % k == 0]):
+        quot, rem = poly(nums).div(poly(dens))
+        if rem.is_zero:
+            want = [int(c) for c in reversed(quot.all_coeffs())]
+            assert qpoly.quotient_rgf(nums, dens) == want
+        else:
+            with pytest.raises(ValueError, match="inexact"):
+                qpoly.quotient_rgf(nums, dens)
+    assert qpoly.quotient_rgf(nums, nums) == [1]
+    assert qpoly.quotient_rgf([], []) == [1]
+
+
+def test_quotient_rgf_rejects_non_positive_exponents():
+    for nums, dens in (([0], []), ([2], [0]), ([3, -1], [2])):
+        with pytest.raises(ValueError, match="positive"):
+            qpoly.quotient_rgf(nums, dens)
 
 
 def test_rgf_triple_agreement_small():

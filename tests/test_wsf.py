@@ -1,5 +1,6 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
@@ -28,6 +29,18 @@ def test_ring_ops():
     assert c1.w_action((1,)) == c1
     with pytest.raises(Exception):
         e(a2, (1, 0)) + e(g2, (1, 0))
+
+
+def test_non_int_coefficients_raise():
+    # a float or Fraction coefficient used to be truncated by int() in silence
+    a2 = build_diagram("A2")
+    for c in (0.5, 2.7, 1.0, Fraction(1, 2), Fraction(3), True):
+        with pytest.raises(TypeError):
+            wsf.WeylSymFn(a2, {(1, 0): c})
+        with pytest.raises(TypeError):
+            wsf.WeylSymFn.monomial(a2, (1, 0), c)
+    assert wsf.WeylSymFn(a2, {(1, 0): 0}) == wsf.WeylSymFn(a2)
+    assert wsf.WeylSymFn(a2, {(1, 0): -2}).terms == {(1, 0): -2}
 
 
 def test_weight_diagram_examples():
