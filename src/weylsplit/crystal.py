@@ -34,11 +34,7 @@ def minuscule_poset(d, lam):
     lam = tuple(lam)
     if not is_minuscule_weight(d, lam):
         raise NotMinuscule("%s is not dominant minuscule" % (lam,))
-    pi = wsf.weight_diagram(d, lam)
-    orbit = sorted(pi.weights)
-    ids = {w: i for i, w in enumerate(orbit)}
-    edges = [(ids[mu], ids[nu], i) for mu, i, nu in pi.edges]
-    return ecposet.ColoredPoset(len(orbit), edges, diagram=d, labels=orbit)
+    return ecposet.weight_poset(d, lam)
 
 
 def quasi_minuscule_poset(d):

@@ -8,6 +8,11 @@ predicates (M-structured, fibrous, primary, diamond-colored), weight
 generating functions, poset transforms, generalized weight diagrams,
 the unique maximal splitting poset, and the splitting verifiers.
 
+The unique maximal splitting poset U(lambda) is the blow-up of Pi(lambda):
+d_{lambda,mu} copies of each weight mu, and a complete bipartite block for
+each edge.  Only Pi(lambda) goes through the constructor's checks; U(lambda)
+repeats its rows, as `_blow_up` proves sound.
+
 Edges are triples (u, v, c) of plain ints, kept sorted in `edges`.  The
 adjacency lists `out[u]` and `inc[v]` hold those same triple objects, in
 sorted-edge order, so nothing else is allocated per edge.
@@ -16,7 +21,7 @@ Posets are immutable after construction; every cache is computed once.
 """
 
 from dataclasses import dataclass, field
-from itertools import chain, permutations
+from itertools import chain, permutations, repeat
 
 from . import wsf
 from .cartan import wadd, wsub
@@ -114,12 +119,12 @@ class ColoredPoset:
         for c in range(1, n_colors + 1):
             parent = parents[c]
             parents[c] = None
-            groups = {}
+            groups = {}         # by root, in order of each group's smallest member
             for x in range(n):
                 groups.setdefault(_find(parent, x), []).append(x)
             comp_id, rho, lng = self.comp_id[c], self.rho[c], self.lng[c]
             members_c = []
-            for gid, (_, members) in enumerate(sorted(groups.items())):
+            for gid, members in enumerate(groups.values()):
                 lo = min(rank[x] for x in members)
                 hi = max(rank[x] for x in members)
                 for x in members:
@@ -515,21 +520,115 @@ def rank_function(p):
 # ---------------------------------------------------------------------------
 # the unique maximal splitting poset U(lambda)
 
-def maximal_splitting_poset(d, lam):
-    """U(lambda): d_{lam,mu} symbols per weight, complete bipartite edges."""
-    counts = wsf.freudenthal(d, lam).terms
+def weight_poset(d, lam):
+    """Pi(lambda) as a colored poset, its weights numbered in sorted order."""
     pi = wsf.weight_diagram(d, lam)
-    start = {}          # the symbol (w, pnum) gets the id start[w] + pnum - 1
-    labels = []
-    for w in sorted(counts):
-        start[w] = len(labels)
-        labels.extend((w, pnum) for pnum in range(1, counts[w] + 1))
-    edges = []
-    for mu, i, nu in pi.edges:
-        tops = range(start[nu], start[nu] + counts[nu])
-        for a in range(start[mu], start[mu] + counts[mu]):
-            edges.extend((a, b, i) for b in tops)
-    return ColoredPoset(len(labels), edges, diagram=d, labels=labels)
+    weights = sorted(pi.weights)
+    ids = {w: x for x, w in enumerate(weights)}
+    edges = [(ids[mu], ids[nu], i) for mu, i, nu in pi.edges]
+    return ColoredPoset(len(weights), edges, diagram=d, labels=weights)
+
+
+def maximal_splitting_poset(d, lam):
+    """U(lambda): d_{lam,mu} symbols per weight, complete bipartite edges.
+
+    The blow-up of Pi(lambda) by the multiplicities: the symbol (mu, j) is
+    copy j of the weight mu.
+    """
+    counts = wsf.freudenthal(d, lam).terms
+    q = weight_poset(d, lam)
+    sizes = [counts[w] for w in q.labels]
+    labels = [(w, j) for w, k in zip(q.labels, sizes) for j in range(1, k + 1)]
+    return _blow_up(q, sizes, labels)
+
+
+def _blow_up(q, sizes, labels=None):
+    """q with sizes[x] >= 1 interchangeable copies of each vertex x.
+
+    The copies of x are numbered consecutively, x by x, and each edge
+    x -c-> y of q becomes the complete bipartite block of c-edges from the
+    copies of x to the copies of y.  The result equals ColoredPoset on the
+    blown-up edges, but its tables are read off q's instead of computed
+    from the edges, because q already passed every check.  Let f send a
+    copy to its vertex of q; f is onto and nondecreasing.
+
+    - Each edge (a, b, c) comes from the edge (f(a), f(b), c) of q, so its
+      endpoints and color are in range and a != b; and each pair (a, b)
+      comes from at most one edge of q, once, so no pair repeats.
+    - rank(f(b)) = rank(f(a)) + 1 on every edge, so the rank of q composed
+      with f ranks the blow-up; it is then acyclic, and covering because no
+      longer path can join the ends of an edge.
+    - A path of q lifts to one between any copies of its ends, and two
+      copies of a vertex with an edge meet through a copy of a neighbour.
+      So a component of q (of the poset, or of one color) with an edge
+      lifts to one component on all the copies of its vertices, with the
+      same rank span, and a lone vertex to one singleton per copy.
+
+    Components are numbered by their smallest member, as the constructor
+    numbers them; f keeps that order.
+    """
+    n = sum(sizes)
+    ids = list(range(n))            # each id is one int object, shared by its edges
+    fibre, of = [], []
+    for x, k in enumerate(sizes):
+        fibre.append(ids[len(of):len(of) + k])
+        of += [x] * k
+    out = []
+    blocks_into = [[] for _ in range(q.n)]
+    for x in range(q.n):
+        for a in fibre[x]:
+            row = []
+            for _, y, c in q.out[x]:
+                block = tuple(zip(repeat(a), fibre[y], repeat(c)))
+                row += block
+                blocks_into[y].append(block)
+            out.append(row)
+    inc = []
+    for y, blocks in enumerate(blocks_into):
+        # column j of the blocks into y holds the edges into copy j of y
+        inc.extend(map(list, zip(*blocks)) if blocks else ([] for _ in fibre[y]))
+
+    def rows(table):
+        return list(map(table.__getitem__, of))
+
+    def renumber(comp, alone):
+        """Component ids of q on the copies, numbered by smallest member."""
+        row, first, count = [], {}, 0
+        for k, lone, size in zip(comp, alone, sizes):
+            if lone:
+                row += range(count, count + size)
+                count += size
+            else:
+                if k not in first:
+                    first[k] = count
+                    count += 1
+                row += [first[k]] * size
+        return row, count
+
+    u = ColoredPoset.__new__(ColoredPoset)
+    u.d, u.n_colors, u.n = q.d, q.n_colors, n
+    u.out, u.inc = out, inc
+    u.edges = tuple(chain.from_iterable(out))
+    u.labels = tuple(labels) if labels is not None else None
+    u._reach = None
+    u._global_rank = tuple(rows(q._global_rank))
+    poset_comp, u.n_poset_components = renumber(
+        q._poset_comp, [not (o or i) for o, i in zip(q.out, q.inc)])
+    u._poset_comp = tuple(poset_comp)
+    u.comp_id = [[0] * n]
+    u.rho = [[0] * n] + [rows(r) for r in q.rho[1:]]
+    u.lng = [[0] * n] + [rows(r) for r in q.lng[1:]]
+    u._members = [()]
+    for c in range(1, q.n_colors + 1):
+        comp_id, count = renumber(q.comp_id[c], [not span for span in q.lng[c]])
+        members = [[] for _ in range(count)]
+        for a, k in zip(ids, comp_id):
+            members[k].append(a)
+        u.comp_id.append(comp_id)
+        u._members.append(list(map(tuple, members)))
+    u.wt = tuple(rows(q.wt))
+    u._is_lattice = None
+    return u
 
 
 # ---------------------------------------------------------------------------

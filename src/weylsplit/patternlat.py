@@ -309,7 +309,8 @@ def rgf_closed_form(family, n, lam=None, m=None):
     nums, dens = [], []
     if family == "A":
         lam = tuple(lam)
-        assert len(lam) == n
+        if len(lam) != n:
+            raise InvalidFamilyParams("A form needs a weight of length n = %d" % n)
         for i in range(1, n + 1):
             for j in range(i, n + 1):
                 nums.append(_lam_sum(lam, i, j) + j + 1 - i)

@@ -51,6 +51,8 @@ class WeylSymFn:
             and self.terms == other.terms
 
     def __add__(self, other):
+        if not isinstance(other, WeylSymFn):
+            return NotImplemented
         self._check(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
@@ -58,6 +60,8 @@ class WeylSymFn:
         return WeylSymFn(self.d, out)
 
     def __sub__(self, other):
+        if not isinstance(other, WeylSymFn):
+            return NotImplemented
         self._check(other)
         out = dict(self.terms)
         for m, c in other.terms.items():
@@ -67,6 +71,8 @@ class WeylSymFn:
     def __mul__(self, other):
         if isinstance(other, int):
             return WeylSymFn(self.d, {m: c * other for m, c in self.terms.items()})
+        if not isinstance(other, WeylSymFn):
+            return NotImplemented
         self._check(other)
         out = {}
         for m1, c1 in self.terms.items():

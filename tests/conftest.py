@@ -271,8 +271,8 @@ def brute_poset_error(n, edges, n_colors):
 def brute_color_tables(n, edges, n_colors):
     """(rank, comp_id, rho, lng) of a valid poset, one rescan of the edges per color.
 
-    comp_id numbers the color-c components in the order of their union-find
-    roots (unions u -> v in sorted edge order, with path halving).
+    comp_id numbers the color-c components in the order of their smallest
+    members.
     """
     edges = sorted(edges)
     rank = brute_ranks(n, edges)
@@ -292,7 +292,7 @@ def brute_color_tables(n, edges, n_colors):
         groups = {}
         for x in range(n):
             groups.setdefault(find(x), []).append(x)
-        for gid, (_, members) in enumerate(sorted(groups.items())):
+        for gid, members in enumerate(groups.values()):
             lo = min(rank[x] for x in members)
             hi = max(rank[x] for x in members)
             for x in members:

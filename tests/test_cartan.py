@@ -241,6 +241,17 @@ def test_positive_root_count_vs_brute():
         assert len(d.positive_roots()) == len(brute_positive_roots(d))
 
 
+@pytest.mark.parametrize("spec", ["A3", "B4", "C3", "D5", "E6", "E7", "E8", "F4", "G2"])
+def test_weyl_order_and_root_count_match_sympy(spec):
+    # sympy builds W and the roots from its own tables: an independent oracle
+    from sympy.liealgebras.root_system import RootSystem
+    from sympy.liealgebras.weyl_group import WeylGroup
+    d = build_diagram(spec)
+    # group_order() is a float on the classical types
+    assert d.weyl_order() == int(WeylGroup(spec).group_order())
+    assert 2 * len(d.positive_roots()) == len(RootSystem(spec).all_roots())
+
+
 def test_positive_roots_match_brute_sets(diagrams):
     for d in diagrams.values():
         got = {r.root for r in d.positive_roots()}

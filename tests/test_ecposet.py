@@ -251,6 +251,49 @@ def test_maximal_splitting_poset():
     assert up_sets[0] == up_sets[1] and down_sets[0] == down_sets[1]
 
 
+def _same_as_generic(p, diagram=None):
+    """p equals the generic constructor on its edges, and shares their triples."""
+    generic = ec.ColoredPoset(p.n, list(p.edges), diagram=diagram,
+                              n_colors=p.n_colors, labels=p.labels)
+    assert vars(p) == vars(generic)
+    kept = {id(e) for e in p.edges}
+    assert all(id(e) in kept for adj in (p.out, p.inc) for es in adj for e in es)
+
+
+@pytest.mark.parametrize("spec, lam", [
+    ("A1", (3,)), ("A2", (2, 2)), ("A3", (1, 1, 1)), ("B3", (1, 0, 1)),
+    ("C2", (2, 1)), ("C3", (1, 1, 0)), ("D4", (0, 1, 0, 0)), ("D4", (1, 1, 1, 1)),
+    # F4 (0,0,0,1) and A2+G2 have weights of multiplicity 2 with no edge of
+    # some color: each copy is a singleton component of that color
+    ("F4", (0, 0, 0, 1)), ("G2", (1, 1)), ("G2", (3, 3)),
+    ("E6", (1, 0, 0, 0, 0, 1)), ("A2+G2", (1, 1, 1, 0)), ("A1+A1", (2, 1))])
+def test_maximal_splitting_poset_is_the_generic_poset(spec, lam):
+    d = build_diagram(spec)
+    u = ec.maximal_splitting_poset(d, lam)
+    _same_as_generic(u, diagram=d)
+    assert u.wgf() == wsf.freudenthal(d, lam)
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_blow_up_matches_constructor(data):
+    n = data.draw(st.integers(1, 7), label="n")
+    n_colors = data.draw(st.integers(1, 3), label="n_colors")
+    # edges up one level, no pair twice: ranked and covering
+    level = data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    pairs = [(u, v) for u in range(n) for v in range(n) if level[v] == level[u] + 1]
+    chosen = data.draw(st.lists(st.sampled_from(pairs), max_size=12, unique=True)) if pairs else []
+    q = ec.ColoredPoset(n, [(u, v, data.draw(st.integers(1, n_colors))) for u, v in chosen],
+                        n_colors=n_colors)
+    sizes = data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n), label="sizes")
+    start = list(itertools.accumulate([0] + sizes))
+    p = ec._blow_up(q, sizes)
+    assert p.edges == tuple(sorted(
+        (a, b, c) for x, y, c in q.edges
+        for a in range(start[x], start[x + 1]) for b in range(start[y], start[y + 1])))
+    _same_as_generic(p)
+
+
 def test_verify_splitting_examples():
     single = ec.build_poset([], 2, n_vertices=1, diagram=A2)
     assert ec.verify_splitting(single, [(0, 0)])[0]

@@ -145,6 +145,14 @@ def test_rgf_closed_forms():
         pl.rgf_closed_form("D", 4, m=1)
 
 
+@pytest.mark.parametrize("lam", [(1, 2, 3), (1,), ()])
+def test_rgf_closed_form_a_checks_weight_length(lam):
+    # an assert used to check this, so python -O returned the answer for
+    # lam[:2] in silence: (1, 2, 3) gave the (1, 2) product
+    with pytest.raises(InvalidFamilyParams):
+        pl.rgf_closed_form("A", 2, lam=lam)
+
+
 _EXPONENTS = st.lists(st.integers(1, 9), max_size=6)
 
 

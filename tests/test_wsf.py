@@ -43,6 +43,22 @@ def test_non_int_coefficients_raise():
     assert wsf.WeylSymFn(a2, {(1, 0): -2}).terms == {(1, 0): -2}
 
 
+@pytest.mark.parametrize("other", [0.5, 1, Fraction(1, 2), "x", None])
+def test_foreign_operands_raise_type_error(other):
+    # these used to end in AttributeError from reading other.d
+    f = wsf.WeylSymFn.monomial(build_diagram("A2"), (1, 0))
+    for op in (lambda: f + other, lambda: other + f, lambda: f - other,
+               lambda: other - f):
+        with pytest.raises(TypeError):
+            op()
+    if not isinstance(other, int):
+        with pytest.raises(TypeError):
+            f * other
+        with pytest.raises(TypeError):
+            other * f
+    assert f * 3 == 3 * f == wsf.WeylSymFn.monomial(f.d, (1, 0), 3)
+
+
 def test_weight_diagram_examples():
     g2 = build_diagram("G2")
     pi = wsf.weight_diagram(g2, (1, 0))
