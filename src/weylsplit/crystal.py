@@ -5,14 +5,20 @@ fibrous posets with its raising/lowering operators, product expressions
 over the minuscule/quasi-minuscule alphabet, lazy construction of the
 connected component R(lambda), (J,nu)-colorings of products of primary
 posets, tensor/branching decomposition, and the saturation tables.
+
+Both operators follow the tensor product rule (Kashiwara, Duke Math. J. 63,
+1991): one scan of the i-signature of a factor tuple gives delta_i with its
+first argmax, where raising acts, and rho_i with its last argmax, where
+lowering acts.  The two operators are mutually inverse, so a closure walks
+down from its seeds by lowering alone and records every edge once.
 """
 
 from dataclasses import dataclass
 
 from . import ecposet, wsf
 from .cartan import wadd, wsub, zero_weight
-from .errors import (DiagramMismatch, ExactnessError, NoExpression, NotFibrous,
-                     NotIrreducible, NotMinuscule, NotMStructured,
+from .errors import (DiagramMismatch, ExactnessError, NoExpression, NotDominant,
+                     NotFibrous, NotIrreducible, NotMinuscule, NotMStructured,
                      NotPrimaryFactor)
 
 EXHAUSTIVE_UNTANGLED_LIMIT = 4
@@ -109,60 +115,83 @@ class TensorOps:
             out = wadd(out, f.wt[v])
         return out
 
-    def delta_data(self, i, x):
-        """delta_i of the tuple and the smallest index attaining the max."""
-        best, arg, pref = None, None, 0
-        for q, (f, v) in enumerate(zip(self.factors, x)):
-            val = -pref + f.delta(i, v)
-            if best is None or val > best:
-                best, arg = val, q
-            pref += f.m(i, v)
-        return best, arg
+    def signature(self, i, x):
+        """(delta_i, first, rho_i, last) of a tuple or prefix, in one scan.
 
-    def rho_data(self, i, x):
-        """rho_i of the tuple and the largest index attaining the max."""
-        suffixes = [0] * (len(x) + 1)
-        for r in range(len(x) - 1, -1, -1):
-            suffixes[r] = suffixes[r + 1] + self.factors[r].m(i, x[r])
-        best, arg = None, None
-        for r, (f, v) in enumerate(zip(self.factors, x)):
-            val = f.rho[i][v] + suffixes[r + 1]
-            if best is None or val >= best:
-                best, arg = val, r
-        return best, arg
+        This is the tensor product rule read off the i-signature.  With
+        val_q = delta_i(x_q) - (m_i(x_1) + ... + m_i(x_{q-1})), delta_i(x) is
+        the largest val_q and `first` the first index attaining it.  Since
+        rho_i - delta_i = m_i on every factor, rho_i(x) = val_q + m_i(x) for
+        every q attaining it, where m_i(x) is the total; `last` is the last
+        index attaining it.
+        """
+        best = first = last = None
+        pref = 0
+        for q, (f, v) in enumerate(zip(self.factors, x)):
+            rho, lng = f.rho[i][v], f.lng[i][v]
+            val = lng - rho - pref
+            if best is None or val > best:
+                best, first, last = val, q, q
+            elif val == best:
+                last = q
+            pref += 2 * rho - lng
+        return best, first, best + pref, last
 
     def raising(self, i, x):
-        dl, q = self.delta_data(i, x)
+        """Raise factor `first`, or None when delta_i(x) = 0.
+
+        The factor has an i-cover above it.  If first = 0, delta_i(x_0) =
+        delta_i(x) > 0.  Otherwise val_first > val_{first-1}, that is
+        delta_i(x_first) > delta_i(x_{first-1}) + m_i(x_{first-1}) =
+        rho_i(x_{first-1}) >= 0.  On a fibrous factor delta_i > 0 means
+        x_first is not the top of its i-chain.
+        """
+        dl, q, _, _ = self.signature(i, x)
         if dl <= 0:
             return None
-        w = self.factors[q].up(i, x[q])
-        assert w is not None
-        return x[:q] + (w,) + x[q + 1:]
+        return x[:q] + (self.factors[q].up(i, x[q]),) + x[q + 1:]
 
     def lowering(self, i, x):
-        rh, r = self.rho_data(i, x)
+        """Lower factor `last`, or None when rho_i(x) = 0.
+
+        The factor has an i-cover below it.  If last is the final index,
+        rho_i(x_last) = rho_i(x) > 0.  Otherwise val_last > val_{last+1},
+        that is delta_i(x_last) + m_i(x_last) = rho_i(x_last) >
+        delta_i(x_{last+1}) >= 0.
+
+        Raising and lowering are mutually inverse.  Lowering x at r = last
+        adds 1 to val_r and 2 to every later val_q, which were at most
+        delta_i(x) - 1; so r is the first argmax of the new signature, with
+        value delta_i(x) + 1 > 0, and raising moves x_r back up.  Raising x
+        at q = first subtracts 1 from val_q and 2 from every later val_p;
+        every earlier val_p was at most delta_i(x) - 1, so q is the last
+        argmax, the new rho_i is rho_i(x) + 1 > 0, and lowering moves x_q
+        back down.
+        """
+        _, _, rh, r = self.signature(i, x)
         if rh <= 0:
             return None
-        w = self.factors[r].down(i, x[r])
-        assert w is not None
-        return x[:r] + (w,) + x[r + 1:]
+        return x[:r] + (self.factors[r].down(i, x[r]),) + x[r + 1:]
 
     def closure(self, seeds):
-        """Connected component(s) of the seed tuples under raising/lowering."""
+        """Everything reached from the seed tuples by lowering.
+
+        Each edge is recorded once, as (lowering(x), x, i).  Since raising
+        and lowering are mutually inverse, these are exactly the raising
+        edges of the vertices reached.  When every tuple is a seed
+        (crystal_product) this is the whole product; a seed of R(lambda) is
+        the highest-weight vertex of its component (see build_crystal), and
+        the whole component lies below it.
+        """
         seen = set(seeds)
         frontier = list(seeds)
         edges = []
         while frontier:
             x = frontier.pop()
             for i in range(1, self.d.rank + 1):
-                y = self.raising(i, x)
-                if y is not None:
-                    edges.append((x, y, i))
-                    if y not in seen:
-                        seen.add(y)
-                        frontier.append(y)
                 z = self.lowering(i, x)
                 if z is not None:
+                    edges.append((z, x, i))
                     if z not in seen:
                         seen.add(z)
                         frontier.append(z)
@@ -313,9 +342,18 @@ def _inflate(p, d, sel):
 def build_crystal(d, lam):
     """The crystalline splitting poset R(lambda).
 
-    Extracts the connected component of the seed maximal vertex by closing
-    under the raising/lowering operators; the full product of the factors
-    is never materialized.  Results are cached in d.memo (posets are
+    The connected component of the seed, walked down from it by lowering;
+    the full product of the factors is never materialized.  The seed x has
+    wt(x_q) = mu_q, the q-th letter of the omega expression.  Each x_q ends
+    every i-chain through it, so delta_i(x_q) = max(0, -<mu_q, alpha_i^v>):
+    minuscule chains have length <= 1, and the middle vertex of a length-2
+    chain of a quasi-minuscule poset has weight 0, since beta + alpha_i
+    with <beta, alpha_i^v> = 0 is longer than a short root beta != 0.  The
+    partial sums s_{q-1} and s_{q-1} + mu_q are dominant, so val_q =
+    delta_i(x_q) - <s_{q-1}, alpha_i^v> <= 0 and no raising applies to x.
+    So x is the highest-weight vertex of its component, which in a product
+    of the crystals B(mu_q-hat) is B(lambda), all of it below x under
+    lowering (Kashiwara).  Results are cached in d.memo (posets are
     immutable).
     """
     lam = tuple(lam)
@@ -380,11 +418,10 @@ def _primary_kappa(f, nodes, nu_of, v):
     k_set = [j for j in nodes if f.delta(j, v) > nu_of[j]]
     if not k_set:
         return None
+    # v is below the top of every chain in k_set (delta_j > nu_j >= 0); on a
+    # primary factor at most one of those chains is long
     long_ones = [j for j in k_set if f.lng[j][v] >= 2]
-    if long_ones:
-        assert len(long_ones) == 1
-        return long_ones[0]
-    return min(k_set)
+    return long_ones[0] if long_ones else min(k_set)
 
 
 def jnu_coloring(factors, poset, nodes, nu):
@@ -396,6 +433,8 @@ def jnu_coloring(factors, poset, nodes, nu):
     """
     nodes = tuple(sorted(nodes))
     nu_of = dict(zip(nodes, nu))
+    if any(c < 0 for c in nu):
+        raise NotDominant("nu %s has a negative entry" % (tuple(nu),))
     for f in factors:
         if not f.is_primary():
             raise NotPrimaryFactor("all factors must be primary")
@@ -405,7 +444,7 @@ def jnu_coloring(factors, poset, nodes, nu):
         """kappa of the length-upto prefix, or None when it is in M_{J,nu}."""
         if upto == 1:
             return _primary_kappa(factors[0], nodes, nu_of, x[0])
-        k_set = [j for j in nodes if ops.delta_data(j, x[:upto])[0] > nu_of[j]]
+        k_set = [j for j in nodes if ops.signature(j, x[:upto])[0] > nu_of[j]]
         if not k_set:
             return None
         prev = kappa_prefix(x, upto - 1)
@@ -414,11 +453,10 @@ def jnu_coloring(factors, poset, nodes, nu):
         f, v = factors[upto - 1], x[upto - 1]
         special = [j for j in k_set
                    if max(f.rho[j][v],
-                          f.lng[j][v] - ops.rho_data(j, x[:upto - 1])[0]) >= 2]
-        if special:
-            assert len(special) == 1
-            return special[0]
-        return min(k_set)
+                          f.lng[j][v] - ops.signature(j, x[:upto - 1])[2]) >= 2]
+        if len(special) > 1:
+            raise ExactnessError("colors %s are all special at %s" % (special, x))
+        return special[0] if special else min(k_set)
 
     out = {}
     for vid in range(poset.n):

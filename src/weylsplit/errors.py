@@ -11,9 +11,10 @@ class DomainError(Exception):
 
 
 class ExactnessError(ArithmeticError):
-    """An exact computation left the integers, or two exact routes disagreed.
+    """An exact computation left the integers, or a proven invariant failed.
 
-    A library bug, not bad input, so it does not derive from DomainError.
+    Two exact routes that disagree are such a failure.  A library bug, not
+    bad input, so it does not derive from DomainError.
     """
 
 

@@ -15,7 +15,7 @@ needs n independent symbols once the rank exceeds two.
 from dataclasses import dataclass
 
 from .cartan import DynkinDiagram, gcm_matrix
-from .errors import IllegalFire
+from .errors import ExactnessError, IllegalFire
 
 DEFAULT_FIRING_CAP = 10_000
 
@@ -199,7 +199,8 @@ def longest_word(d):
     """
     start = tuple(_primes(d.rank))
     rec = play(d, start)
-    assert not rec.diverged
+    if rec.diverged:        # finite type: the game ends after |Phi+| firings
+        raise ExactnessError("the longest-word game diverged on %s" % (d.cartan,))
     sigma = {}
     for j in range(1, d.rank + 1):
         val = -rec.terminal[j - 1]
@@ -234,7 +235,8 @@ def enumerate_positive_roots(d):
         cls = "short" if d.root_lengths[i - 1] == 2 else "long"
         roots.append(PositiveRoot(omega, k, cls))
         pos = fire(dT, pos, i, check=False)
-    assert len({r.alpha_coords for r in roots}) == len(roots)
+    if len({r.alpha_coords for r in roots}) != len(roots):
+        raise ExactnessError("the longest word gave a repeated root")
     return roots
 
 

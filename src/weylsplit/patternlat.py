@@ -26,7 +26,7 @@ from dataclasses import dataclass
 
 from . import ecposet, numbersgame, qpoly
 from .cartan import build_diagram
-from .errors import InvalidFamilyParams
+from .errors import ExactnessError, InvalidFamilyParams
 
 
 @dataclass
@@ -217,7 +217,8 @@ class PatternLattice:
         self.patterns = tuple(patterns)
         self.index = index
         self.max_pattern = _max_pattern(shape)
-        assert self.max_pattern in index
+        if self.max_pattern not in index:
+            raise ExactnessError("max pattern %s not enumerated" % (self.max_pattern,))
 
     # -- closed m-values ---------------------------------------------------
 
@@ -255,7 +256,7 @@ class PatternLattice:
                     out[vid] = _cell_color(self.shape, r, k)
                     break
             else:
-                raise AssertionError("non-maximal pattern with nothing to maximize")
+                raise ExactnessError("pattern %s has nothing to maximize" % (t,))
         return out
 
     def rgf(self):

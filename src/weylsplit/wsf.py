@@ -283,7 +283,8 @@ def dominant_multiplicities(d, lam):
                 if rep not in members:
                     break
                 m_rep = mult.get(rep)
-                assert m_rep is not None    # shallower depth, already done
+                if m_rep is None:       # shallower depth, so already done
+                    raise ExactnessError("no multiplicity yet at %s" % (rep,))
                 total += a_nu * m_rep
         shifted = wadd(mu, rho)
         denom = top_norm - d.inner_product_scaled(shifted, shifted)

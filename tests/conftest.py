@@ -4,6 +4,7 @@ The oracles here deliberately avoid the library's own derivations: the
 Weyl group is closed as a set of exact matrices, partition counts come
 from bounded enumeration, positive roots from reflection closure, Weyl
 orbits from a search that tries every simple reflection on every element,
+crystal signatures from separate forward and suffix scans,
 and colored posets are checked against their full transitive closure.
 """
 
@@ -300,3 +301,26 @@ def brute_color_tables(n, edges, n_colors):
                 rho[c][x] = rank[x] - lo
                 lng[c][x] = hi - lo
     return rank, comp_id, rho, lng
+
+
+def brute_signature(factors, i, x):
+    """(delta_i, first argmax, rho_i, last argmax) of a factor tuple, in two scans.
+
+    delta_i scans prefix sums of m_i forward; rho_i adds each factor's rho_i
+    to a suffix sum of m_i, read from its own array.
+    """
+    best, first, pref = None, None, 0
+    for q, (f, v) in enumerate(zip(factors, x)):
+        val = -pref + f.delta(i, v)
+        if best is None or val > best:
+            best, first = val, q
+        pref += f.m(i, v)
+    suffixes = [0] * (len(x) + 1)
+    for r in range(len(x) - 1, -1, -1):
+        suffixes[r] = suffixes[r + 1] + factors[r].m(i, x[r])
+    top, last = None, None
+    for r, (f, v) in enumerate(zip(factors, x)):
+        val = f.rho[i][v] + suffixes[r + 1]
+        if top is None or val >= top:
+            top, last = val, r
+    return best, first, top, last

@@ -1,11 +1,12 @@
 import pytest
+from hypothesis import given, settings, strategies as st
 
 from weylsplit import build_diagram, crystal as cr, ecposet as ec, wsf
-from weylsplit.errors import (NoExpression, NotDominant, NotFibrous,
-                              NotIrreducible, NotMinuscule, NotMStructured,
-                              NotPrimaryFactor)
+from weylsplit.errors import (ExactnessError, NoExpression, NotDominant,
+                              NotFibrous, NotIrreducible, NotMinuscule,
+                              NotMStructured, NotPrimaryFactor)
 
-from conftest import load_fixture
+from conftest import brute_signature, load_fixture
 
 A1 = build_diagram("A1")
 A2 = build_diagram("A2")
@@ -13,6 +14,25 @@ A3 = build_diagram("A3")
 C2 = build_diagram("C2")
 G2 = build_diagram("G2")
 UFIX = load_fixture("u_tables.json")
+
+
+def _letter_posets(d):
+    """The minuscule and quasi-minuscule posets of an irreducible diagram."""
+    return ([cr.minuscule_poset(d, w) for w in cr.minuscule_dominant_weights(d)]
+            + [cr.quasi_minuscule_poset(d)])
+
+
+LETTER_POSETS = [_letter_posets(d) for d in (A2, build_diagram("B3"),
+                                             build_diagram("C3"), G2)]
+
+
+@st.composite
+def factor_tuples(draw):
+    """(factors, x) with 1-4 letter posets of one diagram and a vertex of each."""
+    pool = draw(st.sampled_from(LETTER_POSETS))
+    factors = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=4))
+    x = tuple(draw(st.integers(0, f.n - 1)) for f in factors)
+    return factors, x
 
 
 def test_minuscule_poset_a2():
@@ -83,10 +103,42 @@ def test_raising_lowering_inverse():
                 assert cr.raising(p, y, i) == x
             z = cr.raising(p, x, i)
             if z is None:
-                assert p.tensor_ops.delta_data(i, x)[0] == 0
+                assert p.tensor_ops.signature(i, x)[0] == 0
     # maximal vertices raise to nothing in every color
     top = max(range(p.n), key=lambda v: p.global_rank(v))
     assert all(cr.raising(p, p.labels[top], i) is None for i in (1, 2))
+
+
+@settings(max_examples=300, deadline=None)
+@given(factor_tuples())
+def test_signature_matches_two_scans(case):
+    factors, x = case
+    ops = cr.TensorOps(factors)
+    for i in range(1, ops.d.rank + 1):
+        for k in range(1, len(x) + 1):
+            assert ops.signature(i, x[:k]) == brute_signature(factors, i, x[:k])
+        y = ops.lowering(i, x)
+        if y is not None:
+            assert ops.raising(i, y) == x
+        z = ops.raising(i, x)
+        if z is not None:
+            assert ops.lowering(i, z) == x
+
+
+@pytest.mark.parametrize("spec, lam", [
+    ("A2", (1, 1)), ("A2", (2, 1)), ("A2", (0, 3)), ("B3", (0, 0, 1)),
+    ("B3", (1, 0, 0)), ("B3", (0, 1, 0)), ("C3", (1, 0, 0)), ("C3", (1, 1, 0)),
+    ("G2", (1, 0)), ("G2", (0, 1)), ("G2", (2, 0)), ("A2+G2", (1, 0, 1, 0)),
+    ("A2+G2", (1, 1, 0, 1))])
+def test_closure_is_component_of_full_product(spec, lam):
+    d = build_diagram(spec)
+    r = cr.build_crystal(d, lam)
+    full = cr.crystal_product(*r.tensor_ops.factors)
+    seed = next(r.labels[v] for v in range(r.n) if r.wt[v] == lam)
+    comp = next(c for c, verts in ec.components(full)
+                if seed in (full.labels[v] for v in verts))
+    assert comp.labels == r.labels
+    assert comp.edges == r.edges
 
 
 def test_raising_matches_edge_set():
@@ -424,3 +476,26 @@ def test_non_dominant_input_raises():
             call()
     with pytest.raises(NoExpression):
         cr.omega_expression(G2, (0, 0))
+
+
+def test_jnu_coloring_checks(monkeypatch):
+    qg = cr.quasi_minuscule_poset(G2)
+    prod = cr.crystal_product(qg, qg)
+    with pytest.raises(NotDominant):
+        cr.jnu_coloring([qg, qg], prod, (1, 2), (0, -1))
+    # a signature that makes every color special at once is a library bug
+    monkeypatch.setattr(cr.TensorOps, "signature", lambda self, i, x: (5, 0, -5, 0))
+    with pytest.raises(ExactnessError, match="special"):
+        cr.jnu_coloring([qg, qg], prod, (1, 2), (0, 0))
+
+
+def test_build_crystal_checks_seed_weight(monkeypatch):
+    real = cr._component_factors
+
+    def wrong_seed(d, lam):
+        factors, seeds = real(d, lam)
+        return factors, [(s + 1) % f.n for f, s in zip(factors, seeds)]
+
+    monkeypatch.setattr(cr, "_component_factors", wrong_seed)
+    with pytest.raises(ExactnessError, match="seed weight"):
+        cr.build_crystal(build_diagram("G2"), (1, 0))

@@ -6,9 +6,9 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weylsplit import build_diagram, crystal, ecposet as ec, wsf
-from weylsplit.errors import (DiagramMismatch, DomainError, MalformedPoset,
-                              NotAcyclic, NotChainProduct, NotCovering,
-                              NotMStructured, NotRanked)
+from weylsplit.errors import (DiagramMismatch, DomainError, ExactnessError,
+                              MalformedPoset, NotAcyclic, NotChainProduct,
+                              NotCovering, NotMStructured, NotRanked)
 
 from conftest import brute_color_tables, brute_poset_error, load_fixture
 
@@ -232,6 +232,52 @@ def test_rank_function():
     assert max(ranks.values()) == 10
     with pytest.raises(Exception):
         ec.rank_function(ec.disjoint_sum(single, single))
+
+
+def test_rank_function_checks_the_bfs_ranks(monkeypatch):
+    d = build_diagram("G2")
+    r = crystal.build_crystal(d, (1, 0))
+    # a wrong w0(lambda) shifts every weight rank off the BFS rank
+    monkeypatch.setattr(d, "w0_weight", lambda lam: (-2, 1))
+    with pytest.raises(ExactnessError, match="disagrees with BFS rank"):
+        ec.rank_function(r)
+
+
+def _nx_isomorphic(p, q):
+    """Colored digraph isomorphism by networkx's VF2 matcher."""
+    def graph(r):
+        g = nx.DiGraph()
+        g.add_nodes_from(range(r.n))
+        g.add_edges_from((u, v, {"color": c}) for u, v, c in r.edges)
+        return g
+
+    return nx.algorithms.isomorphism.DiGraphMatcher(
+        graph(p), graph(q),
+        edge_match=lambda a, b: a["color"] == b["color"]).is_isomorphic()
+
+
+def _flip_one_color(p, k):
+    """p with the color of its k-th edge moved to the next color."""
+    edges = list(p.edges)
+    u, v, c = edges[k]
+    edges[k] = (u, v, c % p.n_colors + 1)
+    return ec.ColoredPoset(p.n, edges, diagram=p.d)
+
+
+def test_colored_isomorphic_matches_networkx():
+    pairs = []
+    for spec, lam in [("A2", (1, 0)), ("A2", (1, 1)), ("A2", (2, 1)),
+                      ("B3", (0, 0, 1)), ("C3", (1, 0, 0)), ("G2", (1, 0)),
+                      ("G2", (0, 1)), ("A2+G2", (1, 0, 1, 0))]:
+        d = build_diagram(spec)
+        r = crystal.build_crystal(d, lam)
+        shift = {c: c % d.rank + 1 for c in range(1, d.rank + 1)}
+        pairs += [(r, ec.dual(r)), (r, ec.recolor(r, shift)),
+                  (ec.bowtie(r), r)]
+        pairs += [(r, _flip_one_color(r, k)) for k in (0, len(r.edges) // 2)]
+    got = [ec.colored_isomorphic(p, q) for p, q in pairs]
+    assert got == [_nx_isomorphic(p, q) for p, q in pairs]
+    assert True in got and False in got
 
 
 def test_maximal_splitting_poset():

@@ -5,7 +5,7 @@ import pytest
 
 from weylsplit import DynkinDiagram, build_diagram
 from weylsplit import numbersgame as ng
-from weylsplit.errors import IllegalFire, NotDominant
+from weylsplit.errors import ExactnessError, IllegalFire, NotDominant
 
 from conftest import brute_positive_roots, brute_weyl_group
 
@@ -223,3 +223,18 @@ def test_play_all_lists_reduced_words_in_order():
 def test_rgf_exponents_rejects_non_dominant():
     with pytest.raises(NotDominant):
         ng.rgf_exponents(build_diagram("G2"), (-1, 0))
+
+
+def test_longest_word_checks_the_game(monkeypatch):
+    real = ng.play
+    monkeypatch.setattr(ng, "play", lambda d, start: real(d, start, cap=2))
+    with pytest.raises(ExactnessError, match="diverged"):
+        ng.longest_word(build_diagram("G2"))
+
+
+def test_positive_roots_reject_a_repeated_root(monkeypatch):
+    # seven alternating letters on A2 go once around its six roots
+    monkeypatch.setattr(ng, "longest_word",
+                        lambda d: ng.LongestWord((1, 2) * 3 + (1,), {}, 7))
+    with pytest.raises(ExactnessError, match="repeated root"):
+        ng.enumerate_positive_roots(build_diagram("A2"))

@@ -5,7 +5,7 @@ import sympy
 from hypothesis import given, settings, strategies as st
 
 from weylsplit import build_diagram, ecposet as ec, patternlat as pl, qpoly, wsf
-from weylsplit.errors import InvalidFamilyParams
+from weylsplit.errors import ExactnessError, InvalidFamilyParams
 
 from test_acceptance import _lattices
 
@@ -245,3 +245,14 @@ def test_min_max_closure():
         if p.n <= ec.LATTICE_CHECK_LIMIT:
             plain = ec.ColoredPoset(p.n, p.edges, diagram=p.d, labels=p.labels)
             assert plain.is_lattice() is True
+
+
+def test_max_pattern_checks(monkeypatch):
+    lat = pl.gt_lattice(3, (1, 1))
+    # with the least pattern as the target, no other pattern can move toward it
+    lat.max_pattern = lat.patterns[0]
+    with pytest.raises(ExactnessError, match="nothing to maximize"):
+        lat.slantwise_coloring()
+    monkeypatch.setattr(pl, "_max_pattern", lambda shape: ((9, 9), (9,)))
+    with pytest.raises(ExactnessError, match="not enumerated"):
+        pl.gt_lattice(3, (1, 1))

@@ -334,3 +334,11 @@ def test_as_int_is_exact():
     assert wsf._as_int(-6, 3) == -2
     with pytest.raises(ExactnessError):
         wsf._as_int(7, 2)
+
+
+def test_freudenthal_needs_shallower_multiplicities(monkeypatch):
+    d = build_diagram("A2")
+    # every weight above mu looks like the lowest dominant weight, not yet done
+    monkeypatch.setattr(d, "dominant_rep", lambda nu: (0, 0))
+    with pytest.raises(ExactnessError, match="no multiplicity"):
+        wsf.dominant_multiplicities(d, (1, 1))
