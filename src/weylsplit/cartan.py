@@ -204,10 +204,12 @@ class DynkinDiagram:
     constants (positive roots, longest word, sigma_0, Weyl order) are
     computed lazily through the numbers-game engine and cached.  Every other
     derived result lives in ``memo``, a dict from kind to that kind's
-    results: "kostant" and "freudenthal" (wsf), "crystal" (the R(lambda)
-    posets) and "sub" (the diagrams sub_diagram built on proper node
-    subsets, by node tuple).  The results are freed with the diagram; an
-    equal diagram built afresh starts with an empty memo.
+    results: "kostant" (wsf, partition counts), "freudenthal" (wsf, the
+    dominant multiplicities of each lambda, shared by freudenthal and
+    dominant_multiplicities), "crystal" (the R(lambda) posets) and "sub"
+    (the diagrams sub_diagram built on proper node subsets, by node tuple).
+    The results are freed with the diagram; an equal diagram built afresh
+    starts with an empty memo.
     """
 
     def __init__(self, cartan):

@@ -245,18 +245,25 @@ def kostant_partition(d, mu):
 # ---------------------------------------------------------------------------
 # Weyl bialternants
 
-def dominant_multiplicities(d, lam):
-    """Freudenthal's recurrence: d_{lam,mu} for dominant mu in Pi(lambda).
+def _freudenthal_walk(d, lam):
+    """Freudenthal's recurrence fused with its own orbit expansion.
 
-    Multiplicities are computed by induction on depth(mu) = ht(lam) - ht(mu),
-    with the inner sum over mu + k*alpha truncated at the first weight
-    outside Pi(lambda).
+    The dominant weights mu of Pi(lambda) are taken by depth(mu) =
+    ht(lam) - ht(mu), ties lexicographic.  As soon as d_{lam,mu} is known,
+    the whole orbit of mu is written into the character dict ``out``, so
+    ``out`` holds exactly the orbits of the dominant weights already done.
+
+    The inner sum runs over nu = mu + k*alpha for k >= 1 and positive
+    alpha.  nu lies in Pi(lambda) exactly when its dominant representative
+    nu+ is one of the dominant weights walked.  nu+ is at least nu, which
+    is strictly above mu, so nu+ has smaller depth than mu and, if walked,
+    was done before mu.  Hence nu lies in Pi(lambda) exactly when it is
+    already in ``out``, and ``out[nu]`` is its multiplicity.  Pi(lambda) is
+    saturated, so the alpha-string stops at the first nu outside it.
+
+    Stores the dominant multiplicities in d.memo["freudenthal"][lam] and
+    returns them together with the character dict.
     """
-    lam = tuple(lam)
-    memo = d.memo.setdefault("freudenthal", {})
-    got = memo.get(lam)
-    if got is not None:
-        return got
     d.check_dominant(lam)
     doms = dominant_weights_below(d, lam)
     doms.sort(key=lambda m: (-d.height_scaled(m), m))   # by depth, ties lexicographic
@@ -269,23 +276,17 @@ def dominant_multiplicities(d, lam):
     for r in d.positive_roots():
         g_alpha = tuple(_dot(row, r.root) for row in d.gram_scaled)   # G symmetric
         pos_roots.append((r.root, g_alpha, _dot(r.root, g_alpha)))
-    mult = {lam: 1}
-    members = set(doms)
-    for mu in doms:
-        if mu == lam:
-            continue
+    mult, out = {lam: 1}, dict.fromkeys(d.weyl_orbit(lam), 1)
+    for mu in doms[1:]:         # doms[0] is lam, the one dominant weight of depth 0
         total = 0
         for alpha, g_alpha, aa in pos_roots:
             nu, a_nu = mu, _dot(mu, g_alpha)
             while True:
                 nu, a_nu = wadd(nu, alpha), a_nu + aa    # nu = mu + k alpha
-                rep = d.dominant_rep(nu)
-                if rep not in members:
+                m_nu = out.get(nu)
+                if m_nu is None:
                     break
-                m_rep = mult.get(rep)
-                if m_rep is None:       # shallower depth, so already done
-                    raise ExactnessError("no multiplicity yet at %s" % (rep,))
-                total += a_nu * m_rep
+                total += a_nu * m_nu
         shifted = wadd(mu, rho)
         denom = top_norm - d.inner_product_scaled(shifted, shifted)
         val = _as_int(2 * total, denom)
@@ -293,17 +294,36 @@ def dominant_multiplicities(d, lam):
             raise ExactnessError("Freudenthal multiplicity %d at %s is not positive"
                                  % (val, mu))
         mult[mu] = val
-    memo[lam] = mult
-    return mult
+        out.update(dict.fromkeys(d.weyl_orbit(mu), val))
+    d.memo.setdefault("freudenthal", {})[lam] = mult
+    return mult, out
+
+
+def dominant_multiplicities(d, lam):
+    """Freudenthal's recurrence: d_{lam,mu} for dominant mu in Pi(lambda).
+
+    Reads d.memo["freudenthal"], which freudenthal shares.  A miss runs
+    the one walk, _freudenthal_walk, which also writes every orbit (and so
+    raises OrbitTooLarge where freudenthal would).
+    """
+    lam = tuple(lam)
+    got = d.memo.get("freudenthal", {}).get(lam)
+    return got if got is not None else _freudenthal_walk(d, lam)[0]
 
 
 def freudenthal(d, lam):
-    """chi_lambda via the Freudenthal recurrence, expanded W-invariantly."""
-    mult = dominant_multiplicities(d, lam)
+    """chi_lambda via the Freudenthal recurrence, expanded W-invariantly.
+
+    A cold call returns the character the fused walk builds; a memo hit
+    expands the stored dominant multiplicities over their orbits.
+    """
+    lam = tuple(lam)
+    mult = d.memo.get("freudenthal", {}).get(lam)
+    if mult is None:
+        return WeylSymFn(d, _freudenthal_walk(d, lam)[1])
     out = {}
     for rep, c in mult.items():
-        for w in d.weyl_orbit(rep):
-            out[w] = c
+        out.update(dict.fromkeys(d.weyl_orbit(rep), c))
     return WeylSymFn(d, out)
 
 

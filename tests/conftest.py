@@ -8,6 +8,7 @@ crystal signatures from separate forward and suffix scans,
 and colored posets are checked against their full transitive closure.
 """
 
+import functools
 import json
 from fractions import Fraction
 from importlib import resources
@@ -95,8 +96,12 @@ def apply_mat(m, v):
     return tuple(sum(m[r][c] * v[c] for c in range(len(v))) for r in range(len(v)))
 
 
+@functools.cache
 def brute_positive_roots(d):
-    """Reflection closure of the simple roots, intersected with the cone."""
+    """Reflection closure of the simple roots, intersected with the cone.
+
+    Kept per diagram (equal diagrams share one entry), as a tuple.
+    """
     group = brute_weyl_group(d)
     roots = set()
     for i in range(1, d.rank + 1):
@@ -108,7 +113,22 @@ def brute_positive_roots(d):
         coords = d.to_root_coords(r)
         if all(c >= 0 for c in coords):
             pos.append(r)
-    return pos
+    return tuple(pos)
+
+
+def brute_weyl_dimension(d, lam):
+    """Weyl's dimension formula over the reflection-closure positive roots.
+
+    For alpha = sum c_i alpha_i, <mu, alpha_vee> is proportional to
+    sum c_i mu_i |alpha_i|^2, so each factor <lam + rho, alpha_vee> /
+    <rho, alpha_vee> is a ratio of two such sums.
+    """
+    out = Fraction(1)
+    for alpha in brute_positive_roots(d):
+        coords = d.to_root_coords(alpha)
+        num = sum(c * (a + 1) * ln for c, a, ln in zip(coords, lam, d.root_lengths))
+        out *= num / sum(c * ln for c, ln in zip(coords, d.root_lengths))
+    return out
 
 
 def brute_partition_count(d, mu, roots):

@@ -3,13 +3,14 @@ import random
 from fractions import Fraction
 
 import pytest
+from hypothesis import assume, given, settings, strategies as st
 
 from weylsplit import build_diagram, wsf
-from weylsplit.cartan import wadd, wneg
+from weylsplit.cartan import DynkinDiagram, wadd, wneg
 from weylsplit.errors import ExactnessError, NotDominant, NotInvariant
 
 from conftest import (brute_dominant_weights_below, brute_partition_count,
-                      load_fixture)
+                      brute_weyl_dimension, load_fixture)
 
 G2FIX = load_fixture("g2_reference.json")
 
@@ -336,9 +337,71 @@ def test_as_int_is_exact():
         wsf._as_int(7, 2)
 
 
-def test_freudenthal_needs_shallower_multiplicities(monkeypatch):
-    d = build_diagram("A2")
-    # every weight above mu looks like the lowest dominant weight, not yet done
-    monkeypatch.setattr(d, "dominant_rep", lambda nu: (0, 0))
-    with pytest.raises(ExactnessError, match="no multiplicity"):
-        wsf.dominant_multiplicities(d, (1, 1))
+@pytest.mark.parametrize("spec, lam", [
+    ("G2", (2, 1)), ("B4", (1, 0, 0, 1)), ("A2+G2", (1, 1, 1, 1))])
+def test_cold_freudenthal_takes_one_dominant_rep_per_orbit(monkeypatch, spec, lam):
+    # the inner sum reads membership off the orbits already written, so the
+    # only dominant_rep calls left are the one per orbit inside weyl_orbit
+    d = build_diagram(spec)
+    doms = wsf.dominant_weights_below(d, lam)
+    calls = []
+    real = DynkinDiagram.dominant_rep
+
+    def counted(self, mu):
+        calls.append(tuple(mu))
+        return real(self, mu)
+
+    monkeypatch.setattr(DynkinDiagram, "dominant_rep", counted)
+    wsf.dominant_multiplicities(d, lam)
+    assert sorted(calls) == sorted(doms)
+
+
+@pytest.mark.parametrize("spec, lam", [
+    ("G2", (2, 1)), ("B3", (1, 0, 1)), ("A2+G2", (1, 0, 0, 1))])
+def test_freudenthal_and_dominant_multiplicities_share_one_memo(spec, lam):
+    d1, d2 = build_diagram(spec), build_diagram(spec)
+    chi1 = wsf.freudenthal(d1, lam)
+    mult1 = wsf.dominant_multiplicities(d1, lam)
+    mult2 = wsf.dominant_multiplicities(d2, lam)
+    chi2 = wsf.freudenthal(d2, lam)
+    assert chi1 == chi2 and mult1 == mult2
+    assert mult1 == {mu: c for mu, c in chi1.terms.items() if d1.is_dominant(mu)}
+    assert d1.memo["freudenthal"] == {lam: mult1}
+    assert d2.memo["freudenthal"] == {lam: mult2}
+    # the returned terms are the caller's own, from a cold call or a memo hit
+    want = dict(chi1.terms)
+    for d, got in ((d1, chi1), (d2, chi2)):
+        got.terms[lam] = 99
+        again = wsf.freudenthal(d, lam)
+        assert again.terms == want
+        again.terms.clear()
+        assert wsf.freudenthal(d, lam).terms == want
+
+
+CHAR_SPECS = ["A1", "A2", "A3", "A4", "B3", "B4", "C2", "C3", "C4", "D4", "G2",
+              "F4", "A1+A1", "A2+G2", "A1+B3"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_character_properties_random(data):
+    base = build_diagram(data.draw(st.sampled_from(CHAR_SPECS)))
+    base_lam = data.draw(st.tuples(*[st.integers(0, 2)] * base.rank))
+    dim = brute_weyl_dimension(base, base_lam)
+    assume(dim <= 1200)         # keeps the Kostant route quick on F4 and B4
+    # the same diagram as a cartan: matrix, node i being node perm[i] of base
+    perm = data.draw(st.permutations(range(base.rank)))
+    matrix = [[base.cartan[i][j] for j in perm] for i in perm]
+    d = build_diagram("cartan:" + str(matrix).replace(" ", ""))
+    lam = tuple(base_lam[i] for i in perm)
+    f = chi(d, lam)
+    assert sum(f.terms.values()) == dim
+    assert set(f.terms) == wsf.weight_diagram(d, lam).weights
+    assert f.is_invariant()
+    if d.weyl_order() <= wsf.WEYL_GROUP_CAP:
+        for mu, c in f.terms.items():
+            if d.is_dominant(mu):
+                assert wsf.kostant_multiplicity(d, lam, mu) == c, mu
+        assert wsf.kostant_multiplicity(d, lam, wadd(lam, d.alpha(1))) == 0
+    want = {tuple(mu[i] for i in perm): c for mu, c in chi(base, base_lam).terms.items()}
+    assert f.terms == want
