@@ -15,12 +15,17 @@ repeats its rows, as `_blow_up` proves sound.
 
 Edges are triples (u, v, c) of plain ints, kept sorted in `edges`.  The
 adjacency lists `out[u]` and `inc[v]` hold those same triple objects, in
-sorted-edge order, so nothing else is allocated per edge.
+sorted-edge order, so nothing else is allocated per edge.  A blow-up fills
+its per-vertex tables at once but builds its triples, `out` and `inc` only
+when one of them is first read: its `edges` is a read-only sequence whose
+length is the sum of the block sizes, so `len(u.edges)` costs no edge.
 
 Posets are immutable after construction; every cache is computed once.
 """
 
+from collections.abc import Sequence
 from dataclasses import dataclass, field
+from functools import cached_property
 from itertools import chain, permutations, repeat
 
 from . import wsf
@@ -542,6 +547,77 @@ def maximal_splitting_poset(d, lam):
     return _blow_up(q, sizes, labels)
 
 
+class _BlockEdges(Sequence):
+    """The sorted edges of a blow-up of q, built with out and inc on first use.
+
+    Each edge x -c-> y of q lifts to one complete bipartite block of
+    len(fibre[x]) * len(fibre[y]) edges, and no pair lies in two blocks, so
+    the length is known before any triple exists.  Iterating, indexing,
+    hashing or comparing builds the triples; == compares as the tuple that
+    ColoredPoset would hold.
+    """
+
+    def __init__(self, q, fibre):
+        self._q, self._fibre = q, fibre
+        self._len = sum(len(fibre[x]) * len(fibre[y]) for x, y, _ in q.edges)
+        self._built = None
+
+    def adjacency(self):
+        """(edges, out, inc), built once; out and inc share the edge triples.
+
+        out[a] is built per copy a from q.out as tuples of zip blocks,
+        already sorted, and edges is their concatenation.
+        """
+        if self._built is None:
+            q, fibre = self._q, self._fibre
+            out = []
+            blocks_into = [[] for _ in range(q.n)]
+            for x in range(q.n):
+                for a in fibre[x]:
+                    row = []
+                    for _, y, c in q.out[x]:
+                        block = tuple(zip(repeat(a), fibre[y], repeat(c)))
+                        row += block
+                        blocks_into[y].append(block)
+                    out.append(row)
+            inc = []
+            for y, blocks in enumerate(blocks_into):
+                # column j of the blocks into y holds the edges into copy j of y
+                inc.extend(map(list, zip(*blocks)) if blocks else ([] for _ in fibre[y]))
+            self._built = tuple(chain.from_iterable(out)), out, inc
+        return self._built
+
+    def __len__(self):
+        return self._len
+
+    def __getitem__(self, i):
+        return self.adjacency()[0][i]
+
+    def __iter__(self):
+        return iter(self.adjacency()[0])
+
+    def __eq__(self, other):
+        return self.adjacency()[0] == other
+
+    def __hash__(self):
+        return hash(self.adjacency()[0])
+
+    def __repr__(self):
+        return repr(self.adjacency()[0])
+
+
+class _BlowUp(ColoredPoset):
+    """A blow-up, whose out and inc are built with its edges on first use."""
+
+    @cached_property
+    def out(self):
+        return self.edges.adjacency()[1]
+
+    @cached_property
+    def inc(self):
+        return self.edges.adjacency()[2]
+
+
 def _blow_up(q, sizes, labels=None):
     """q with sizes[x] >= 1 interchangeable copies of each vertex x.
 
@@ -566,6 +642,13 @@ def _blow_up(q, sizes, labels=None):
 
     Components are numbered by their smallest member, as the constructor
     numbers them; f keeps that order.
+
+    Only the per-vertex tables are filled here: rank, components, rho, lng,
+    wt and members.  The edges are a _BlockEdges that keeps q and the
+    fibres; its length is the sum of sizes[x] * sizes[y] over q's edges,
+    one block per edge with no pair repeated, and the triples, out and inc
+    are built together the first time any of them is read.  A caller that
+    needs only n, labels, wgf() or len(edges) allocates no edge.
     """
     n = sum(sizes)
     ids = list(range(n))            # each id is one int object, shared by its edges
@@ -573,20 +656,6 @@ def _blow_up(q, sizes, labels=None):
     for x, k in enumerate(sizes):
         fibre.append(ids[len(of):len(of) + k])
         of += [x] * k
-    out = []
-    blocks_into = [[] for _ in range(q.n)]
-    for x in range(q.n):
-        for a in fibre[x]:
-            row = []
-            for _, y, c in q.out[x]:
-                block = tuple(zip(repeat(a), fibre[y], repeat(c)))
-                row += block
-                blocks_into[y].append(block)
-            out.append(row)
-    inc = []
-    for y, blocks in enumerate(blocks_into):
-        # column j of the blocks into y holds the edges into copy j of y
-        inc.extend(map(list, zip(*blocks)) if blocks else ([] for _ in fibre[y]))
 
     def rows(table):
         return list(map(table.__getitem__, of))
@@ -605,10 +674,9 @@ def _blow_up(q, sizes, labels=None):
                 row += [first[k]] * size
         return row, count
 
-    u = ColoredPoset.__new__(ColoredPoset)
+    u = _BlowUp.__new__(_BlowUp)
     u.d, u.n_colors, u.n = q.d, q.n_colors, n
-    u.out, u.inc = out, inc
-    u.edges = tuple(chain.from_iterable(out))
+    u.edges = _BlockEdges(q, fibre)
     u.labels = tuple(labels) if labels is not None else None
     u._reach = None
     u._global_rank = tuple(rows(q._global_rank))

@@ -304,11 +304,12 @@ def dominant_multiplicities(d, lam):
 
     Reads d.memo["freudenthal"], which freudenthal shares.  A miss runs
     the one walk, _freudenthal_walk, which also writes every orbit (and so
-    raises OrbitTooLarge where freudenthal would).
+    raises OrbitTooLarge where freudenthal would).  The caller gets a fresh
+    dict, so mutating it cannot change a later answer.
     """
     lam = tuple(lam)
     got = d.memo.get("freudenthal", {}).get(lam)
-    return got if got is not None else _freudenthal_walk(d, lam)[0]
+    return dict(got if got is not None else _freudenthal_walk(d, lam)[0])
 
 
 def freudenthal(d, lam):

@@ -1,3 +1,5 @@
+import contextlib
+import io
 import json
 import os
 import subprocess
@@ -5,6 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
+from hypothesis import given, settings, strategies as st
 
 import weylsplit
 from weylsplit.cli import main
@@ -300,3 +303,52 @@ def test_bad_input_exit_1_under_optimize(argv, error, tmp_path, capsys):
     optimized = _cli(*argv, optimize=True)
     assert (optimized.returncode, optimized.stdout, optimized.stderr) == (rc, out, err)
     assert "Traceback" not in optimized.stderr
+
+
+# rank <= 3 and entries <= 2 keep every valid call small
+FUZZ_SPECS = {"A1": 1, "A2": 2, "B2": 2, "G2": 2, "A1+A1": 2, "A3": 3, "A1+A2": 3}
+FUZZ_BAD_SPECS = ["", "Q2", "A0", "E9", "G3", "A2+", "A-1", "cartan:[[2]]",
+                  "cartan:[[2,-2],[-2,2]]", "cartan:[[2,-1]]", "-A2"]
+
+
+@st.composite
+def _fuzz_argv(draw):
+    cmd = draw(st.sampled_from(["umax", "experiment", "char"]))
+    spec = draw(st.sampled_from(sorted(FUZZ_SPECS)) | st.sampled_from(FUZZ_BAD_SPECS))
+    rank = FUZZ_SPECS.get(spec, 2)
+    small = st.integers(0, 2)
+    entries = draw(st.one_of(
+        st.lists(small, min_size=rank, max_size=rank).map(lambda w: list(map(str, w))),
+        st.lists(small, max_size=rank - 1).map(lambda w: list(map(str, w))),   # short
+        st.lists(small, min_size=rank + 1, max_size=rank + 2).map(
+            lambda w: list(map(str, w))),                                      # long
+        st.lists(st.integers(-2, 2), min_size=rank, max_size=rank).filter(
+            lambda w: min(w) < 0).map(lambda w: list(map(str, w))),           # negative
+        st.lists(st.sampled_from(["1.5", "x", "", " 1", "1e0", "½"]),
+                 min_size=1, max_size=rank),                                  # non-integer
+    ))
+    weight = ",".join(entries)
+    # "--weight=-1,0" reaches the weight parser; "--weight -1,0" is an argparse error
+    argv = [cmd, "--diagram", spec] + draw(st.sampled_from(
+        [["--weight=" + weight], ["--weight", weight]]))
+    if cmd == "umax":
+        argv += draw(st.sampled_from([[], ["--export", "dot"]]))
+    if cmd == "char":
+        argv += draw(st.sampled_from([[], ["--json"], ["--method", "kostant"]]))
+    return argv
+
+
+@settings(max_examples=60, deadline=None)
+@given(_fuzz_argv())
+def test_cli_fuzz_exit_codes(argv):
+    out, err = io.StringIO(), io.StringIO()
+    with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):
+        try:
+            rc = main(argv)
+        except SystemExit as e:      # argparse rejects the command line
+            assert e.code == 2
+            return
+    # 0 success, 1 a domain error, 2 a usage error caught by main
+    assert rc in (0, 1, 2)
+    assert (err.getvalue() == "") == (rc == 0)
+    assert "Traceback" not in err.getvalue()

@@ -298,10 +298,22 @@ def test_maximal_splitting_poset():
 
 
 def _same_as_generic(p, diagram=None):
-    """p equals the generic constructor on its edges, and shares their triples."""
+    """p equals the generic constructor on its edges, and shares their triples.
+
+    A blow-up builds its edges, out and inc only when they are read, so
+    every other table (n, n_colors, d, labels, rank, components, comp_id,
+    rho, lng, wt, members and the unset caches) is compared field by field,
+    and the adjacency as materialized views.
+    """
     generic = ec.ColoredPoset(p.n, list(p.edges), diagram=diagram,
                               n_colors=p.n_colors, labels=p.labels)
-    assert vars(p) == vars(generic)
+
+    def tables(poset):
+        return {k: v for k, v in vars(poset).items() if k not in ("edges", "out", "inc")}
+
+    assert tables(p) == tables(generic)
+    assert tuple(p.edges) == generic.edges and p.edges == generic.edges
+    assert p.out == generic.out and p.inc == generic.inc
     kept = {id(e) for e in p.edges}
     assert all(id(e) in kept for adj in (p.out, p.inc) for es in adj for e in es)
 
@@ -320,6 +332,25 @@ def test_maximal_splitting_poset_is_the_generic_poset(spec, lam):
     assert u.wgf() == wsf.freudenthal(d, lam)
 
 
+@pytest.mark.parametrize("spec, lam", [
+    ("A2", (0, 0)), ("A2", (1, 1)), ("G2", (2, 1)), ("F4", (0, 0, 0, 1)),
+    ("A2+G2", (1, 1, 1, 0))])
+def test_maximal_splitting_poset_answers_before_its_edges_exist(spec, lam):
+    d = build_diagram(spec)
+    u = ec.maximal_splitting_poset(d, lam)
+    chi = wsf.freudenthal(d, lam)
+    pi = wsf.weight_diagram(d, lam)
+    assert len(u.edges) == sum(chi.coeff(mu) * chi.coeff(nu) for mu, _, nu in pi.edges)
+    assert bool(u.edges) == bool(pi.edges)
+    assert u.n == sum(chi.terms.values())
+    assert u.labels == tuple(sorted((mu, j) for mu, k in chi.terms.items()
+                                    for j in range(1, k + 1)))
+    assert u.wgf() == chi
+    # none of those answers built an edge triple or an adjacency list
+    assert u.edges._built is None and "out" not in vars(u) and "inc" not in vars(u)
+    assert len(tuple(u.edges)) == len(u.edges)
+
+
 @settings(max_examples=200, deadline=None)
 @given(st.data())
 def test_blow_up_matches_constructor(data):
@@ -334,6 +365,8 @@ def test_blow_up_matches_constructor(data):
     sizes = data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n), label="sizes")
     start = list(itertools.accumulate([0] + sizes))
     p = ec._blow_up(q, sizes)
+    assert len(p.edges) == sum(sizes[x] * sizes[y] for x, y, _ in q.edges)
+    assert bool(p.edges) == bool(q.edges)
     assert p.edges == tuple(sorted(
         (a, b, c) for x, y, c in q.edges
         for a in range(start[x], start[x + 1]) for b in range(start[y], start[y + 1])))
@@ -485,6 +518,23 @@ def test_json_round_trip_and_dot():
     blob1 = json.loads(ec.export_poset(single))
     assert blob1 == {"rank_n": 3,
                      "vertices": [{"id": 0, "wt": [0, 0, 0]}], "edges": []}
+
+
+@pytest.mark.parametrize("spec, lam", [
+    ("A2", (1, 1)), ("G2", (2, 1)), ("B3", (1, 0, 1)),
+    # weights of multiplicity 2 with no edge of some color
+    ("F4", (0, 0, 0, 1)), ("A2+G2", (1, 1, 1, 0))])
+def test_maximal_splitting_poset_export_import_round_trip(spec, lam):
+    d = build_diagram(spec)
+    # each export walks the edges of a fresh U(lambda)
+    exports = {fmt: ec.export_poset(ec.maximal_splitting_poset(d, lam), fmt)
+               for fmt in ("json", "dot")}
+    u = ec.maximal_splitting_poset(d, lam)
+    generic = ec.ColoredPoset(u.n, list(u.edges), diagram=d, n_colors=u.n_colors,
+                              labels=u.labels)
+    assert exports == {fmt: ec.export_poset(generic, fmt) for fmt in exports}
+    again = ec.import_poset(exports["json"], diagram=d)
+    assert again.edges == u.edges and u.edges == again.edges and again.wt == u.wt
 
 
 def test_import_rejects_bad_weights():

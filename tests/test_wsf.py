@@ -376,6 +376,12 @@ def test_freudenthal_and_dominant_multiplicities_share_one_memo(spec, lam):
         assert again.terms == want
         again.terms.clear()
         assert wsf.freudenthal(d, lam).terms == want
+    # and so are the dominant multiplicities (mult1 a memo hit, mult2 cold)
+    want_mult = dict(mult1)
+    for d, got in ((d1, mult1), (d2, mult2)):
+        got[lam] = 99
+        assert wsf.dominant_multiplicities(d, lam) == want_mult
+        assert wsf.freudenthal(d, lam).terms == want
 
 
 CHAR_SPECS = ["A1", "A2", "A3", "A4", "B3", "B4", "C2", "C3", "C4", "D4", "G2",
