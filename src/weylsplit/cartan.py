@@ -29,6 +29,9 @@ from operator import mul
 from .errors import ExactnessError, NotDominant, NotFiniteType, NotGCM, OrbitTooLarge
 
 DEFAULT_ORBIT_CAP = 10 ** 6
+# numbers-game firings before a play is reported as diverged; defined here so
+# the CLI can show it without loading numbersgame
+DEFAULT_FIRING_CAP = 10_000
 
 
 def orbit_cap():

@@ -4,15 +4,19 @@ Subcommands: info, numbers-game, roots, char, expand, alternant, crystal,
 decompose, branch, umax, lattice, rgf, verify, experiment.  Output is
 deterministic for fixed flags; exit status 0 on success, 1 on a domain
 error (printed with its error name), 2 on usage errors.
+
+Each run is one fresh process, so start-up is paid per answer.  Only cartan
+and errors load with this module; each subcommand imports the layers it
+uses (numbersgame, wsf, ecposet, crystal, patternlat) in its own body, so
+info or roots never compiles the poset code.
 """
 
 import argparse
 import json
 import sys
 
-from . import crystal, ecposet, numbersgame, patternlat, wsf
-from .cartan import build_diagram, parse_weight
-from .errors import DomainError, MalformedPoset
+from .cartan import DEFAULT_FIRING_CAP, build_diagram, parse_weight
+from .errors import DomainError, InvalidFamilyParams, MalformedPoset
 
 
 def _diagram(args):
@@ -49,6 +53,7 @@ def cmd_info(args):
 
 
 def cmd_numbers_game(args):
+    from . import numbersgame
     d = _diagram(args)
     pos = _weight(d, args.position)
     if args.strategy == "all":
@@ -82,6 +87,7 @@ def cmd_roots(args):
 
 
 def cmd_char(args):
+    from . import wsf
     d = _diagram(args)
     lam = _weight(d, args.weight)
     if args.method == "kostant":
@@ -94,6 +100,7 @@ def cmd_char(args):
 
 
 def cmd_expand(args):
+    from . import wsf
     d = _diagram(args)
     fn = wsf.WeylSymFn.unit(d)
     for w in args.weights:
@@ -103,24 +110,28 @@ def cmd_expand(args):
 
 
 def cmd_alternant(args):
+    from . import wsf
     d = _diagram(args)
     fn = wsf.alternant(d, _weight(d, args.weight))
     _emit_terms(fn.sorted_terms(), args.json)
 
 
 def cmd_crystal(args):
+    from . import crystal, ecposet
     d = _diagram(args)
     r = crystal.build_crystal(d, _weight(d, args.weight))
     print(ecposet.export_poset(r, args.export))
 
 
 def cmd_decompose(args):
+    from . import crystal
     d = _diagram(args)
     out = crystal.decompose(d, _weight(d, args.lhs), _weight(d, args.rhs))
     _emit_terms(sorted(out.items()), args.json)
 
 
 def cmd_branch(args):
+    from . import crystal
     d = _diagram(args)
     nodes = tuple(int(x) for x in args.subset.split(","))
     out = crystal.branch(d, _weight(d, args.weight), nodes)
@@ -128,13 +139,17 @@ def cmd_branch(args):
 
 
 def cmd_umax(args):
+    from . import ecposet
     d = _diagram(args)
     u = ecposet.maximal_splitting_poset(d, _weight(d, args.weight))
     print(ecposet.export_poset(u, args.export))
 
 
 def _lattice_of(args):
+    from . import patternlat
     if args.family == "gt":
+        if args.weight is None:
+            raise InvalidFamilyParams("gt needs --weight")
         lam = tuple(int(x) for x in args.weight.split(","))
         return patternlat.gt_lattice(args.n, lam)
     if args.family == "sp":
@@ -148,6 +163,7 @@ def _lattice_of(args):
 
 
 def cmd_lattice(args):
+    from . import ecposet
     lat = _lattice_of(args)
     if args.verify:
         ok, cert = ecposet.verify_splitting(lat.poset, [lat.lam])
@@ -167,6 +183,7 @@ def cmd_lattice(args):
 
 
 def cmd_rgf(args):
+    from . import patternlat
     d = _diagram(args)
     lam = _weight(d, args.weight)
     coeffs = patternlat.rgf_quotient(d, lam)
@@ -175,6 +192,7 @@ def cmd_rgf(args):
 
 
 def cmd_verify(args):
+    from . import ecposet
     d = _diagram(args)
     with open(args.poset) as fh:
         p = ecposet.import_poset(fh.read(), diagram=d)
@@ -213,6 +231,7 @@ def cmd_verify(args):
 
 def cmd_experiment(args):
     """Edge counts per color of edge-minimal splitting posets (Questions 4.11)."""
+    from . import crystal, ecposet
     d = _diagram(args)
     lam = _weight(d, args.weight)
     r = crystal.build_crystal(d, lam)
@@ -241,7 +260,7 @@ def make_parser():
     p.add_argument("--diagram", required=True)
     p.add_argument("--position", required=True)
     p.add_argument("--strategy", default="first")
-    p.add_argument("--cap", type=int, default=numbersgame.DEFAULT_FIRING_CAP)
+    p.add_argument("--cap", type=int, default=DEFAULT_FIRING_CAP)
     p.add_argument("--json", action="store_true")
 
     p = add("roots", cmd_roots)
@@ -328,7 +347,7 @@ def main(argv=None):
     except DomainError as e:
         print("%s: %s" % (type(e).__name__, e), file=sys.stderr)
         return 1
-    except ValueError as e:
+    except (OSError, ValueError) as e:
         print("usage error: %s" % e, file=sys.stderr)
         return 2
     return rc or 0

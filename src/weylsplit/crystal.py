@@ -13,7 +13,7 @@ lowering acts.  The two operators are mutually inverse, so a closure walks
 down from its seeds by lowering alone and records every edge once.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import ecposet, wsf
 from .cartan import wadd, wsub, zero_weight
@@ -226,11 +226,11 @@ def lowering(product, x, i):
 # ---------------------------------------------------------------------------
 # the Omega alphabet and product expressions
 
-@dataclass
-class OmegaExpr:
-    terms: tuple            # mu_1, ..., mu_p (full-rank weights)
-    dominant_reps: tuple    # \hat{mu}_q
-    flavor: str             # "minuscule" | "quasi-minuscule"
+OmegaExpr = namedtuple("OmegaExpr", [
+    "terms",            # mu_1, ..., mu_p (full-rank weights)
+    "dominant_reps",    # \hat{mu}_q
+    "flavor",           # "minuscule" | "quasi-minuscule"
+])
 
 
 def minuscule_dominant_weights(d):
@@ -400,8 +400,12 @@ def decompose(d, nu, lam):
 
 
 def branch(d, lam, nodes):
-    """Branching of chi_lambda to the subdiagram on the given nodes."""
-    nodes = tuple(sorted(nodes))
+    """Branching of chi_lambda to the subdiagram on the given nodes.
+
+    Nodes are 1-based; sub_diagram sorts them and raises NotGCM for one
+    outside 1..rank (row 0 would otherwise read as the last node).
+    """
+    _, nodes = d.sub_diagram(nodes)
     r = build_crystal(d, lam)
     out = {}
     for x in m_set(r, nodes, (0,) * len(nodes)):

@@ -23,8 +23,8 @@ length is the sum of the block sizes, so `len(u.edges)` costs no edge.
 Posets are immutable after construction; every cache is computed once.
 """
 
+from collections import namedtuple
 from collections.abc import Sequence
-from dataclasses import dataclass, field
 from functools import cached_property
 from itertools import chain, permutations, repeat
 
@@ -364,13 +364,10 @@ class ColoredPoset:
         return wsf.WeylSymFn(sub, out)
 
 
-@dataclass
-class StructureChecks:
-    m_structured: bool
-    fibrous: bool
-    primary: bool
-    connected: bool
-    diamond_colored: object    # True / False / None (not a lattice or unknown)
+StructureChecks = namedtuple("StructureChecks", [
+    "m_structured", "fibrous", "primary", "connected",
+    "diamond_colored",      # True / False / None (not a lattice or unknown)
+])
 
 
 def structure_checks(p):
@@ -722,11 +719,13 @@ def verify_splitting(p, targets):
     return False, cert
 
 
-@dataclass
-class ColoringWitness:
-    S: frozenset
-    kappa: dict = field(default_factory=dict)
-    tau: dict = field(default_factory=dict)
+class ColoringWitness(namedtuple("ColoringWitness", "S kappa tau")):
+    __slots__ = ()
+
+    def __new__(cls, S, kappa=None, tau=None):
+        # an omitted kappa or tau is a fresh {} per witness, never a shared one
+        return super().__new__(cls, S, {} if kappa is None else kappa,
+                               {} if tau is None else tau)
 
 
 def verify_tau_kappa(p, nodes, nu, witness):

@@ -12,12 +12,10 @@ the alpha-coordinates of a positive root from the fired-node expression
 needs n independent symbols once the rank exceeds two.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
-from .cartan import DynkinDiagram, gcm_matrix
+from .cartan import DEFAULT_FIRING_CAP, DynkinDiagram, gcm_matrix
 from .errors import ExactnessError, IllegalFire
-
-DEFAULT_FIRING_CAP = 10_000
 
 
 class RawGCMGraph:
@@ -75,14 +73,12 @@ def generic_position(d):
     return tuple(LinForm.symbol(n, i) for i in range(n))
 
 
-@dataclass
-class GameRecord:
-    initial: tuple
-    fired: tuple
-    trace: tuple           # positions, length == len(fired) + 1
-    terminal: tuple        # final position (last trace entry)
-    diverged: bool = False
-    cap: int = 0
+class GameRecord(namedtuple("GameRecord", [
+        "initial", "fired",
+        "trace",               # positions, length == len(fired) + 1
+        "terminal",            # final position (last trace entry)
+        "diverged", "cap"], defaults=(False, 0))):
+    __slots__ = ()
 
     def fired_numbers(self):
         """Number at each fired node at the moment it was fired."""
@@ -125,7 +121,9 @@ def play(d, position, strategy="first", cap=DEFAULT_FIRING_CAP):
     strategy: "first" (lowest positive node), a sequence of nodes, or "all"
     (exhaustive enumeration of every maximal legal play; returns a list of
     GameRecords in deterministic order).  Divergence is reported via the
-    record's diverged flag, never as an error.
+    record's diverged flag, never as an error.  An explicit sequence raises
+    IllegalFire for a node outside 1..rank before anything is fired, and for
+    a node whose number is nonpositive when its turn comes.
     """
     position = tuple(position)
     if strategy == "all":
@@ -166,7 +164,12 @@ def play(d, position, strategy="first", cap=DEFAULT_FIRING_CAP):
             pos = fire(d, pos, i)
             fired.append(i)
             trace.append(pos)
-    # explicit firing sequence; generic entries are assumed positive
+    # explicit firing sequence; generic entries are assumed positive.  The
+    # range check stays here: fire() is the hot path of constants() and
+    # rgf_exponents, and its row lookup would wrap a node 0 to the last row.
+    for i in strategy:
+        if not 1 <= i <= d.rank:
+            raise IllegalFire("node %s is not in 1..%d" % (i, d.rank))
     for i in strategy:
         pos = fire(d, pos, i)
         fired.append(i)
@@ -183,11 +186,11 @@ def _primes(n):
     return out
 
 
-@dataclass
-class LongestWord:
-    word: tuple
-    sigma0: dict           # 1-based node permutation
-    length: int
+LongestWord = namedtuple("LongestWord", [
+    "word",
+    "sigma0",              # 1-based node permutation
+    "length",
+])
 
 
 def longest_word(d):
@@ -209,11 +212,11 @@ def longest_word(d):
     return LongestWord(rec.fired, sigma, len(rec.fired))
 
 
-@dataclass(frozen=True)
-class PositiveRoot:
-    root: tuple            # omega coordinates
-    alpha_coords: tuple    # integer coefficients on the simple roots
-    length_class: str      # "short" or "long"
+PositiveRoot = namedtuple("PositiveRoot", [
+    "root",                # omega coordinates
+    "alpha_coords",        # integer coefficients on the simple roots
+    "length_class",        # "short" or "long"
+])
 
 
 def enumerate_positive_roots(d):

@@ -22,26 +22,26 @@ slantwise-least-maximizable vertex coloring live here too, along with the
 explicit rank generating function products for the A/B/C families.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 
 from . import ecposet, numbersgame, qpoly
 from .cartan import build_diagram
 from .errors import ExactnessError, InvalidFamilyParams
 
 
-@dataclass
-class FamilyShape:
+class FamilyShape(namedtuple("FamilyShape", [
+        "family",            # "gt" | "oo" | "sp" | "eo"
+        "n",                 # diagram rank (gt: rank n-1 on size-n patterns)
+        "bound",             # m, or the largest fixed boundary entry for gt
+        "outer_fixed",       # fixed outer row for gt, else None
+        "outer_len", "n_drawn_rows",
+        "double_outer",      # symplectic comparison scale
+        "lam",               # the split dominant weight
+        "diagram",
+        "spin_node"],        # eo: the color owning the odd outer slots
+        defaults=(0,))):
     """Static description of one lattice family instance."""
-    family: str              # "gt" | "oo" | "sp" | "eo"
-    n: int                   # diagram rank (gt: rank n-1 on size-n patterns)
-    bound: int               # m, or the largest fixed boundary entry for gt
-    outer_fixed: tuple       # fixed outer row for gt, else None
-    outer_len: int
-    n_drawn_rows: int
-    double_outer: bool       # symplectic comparison scale
-    lam: tuple               # the split dominant weight
-    diagram: object
-    spin_node: int = 0       # eo: the color owning the odd outer slots
+    __slots__ = ()
 
 
 def _shape(family, n, m=None, lam=None, node=None):

@@ -9,7 +9,7 @@ Everything is exact; characters are finite dicts from weight tuples to
 nonzero ints.
 """
 
-from dataclasses import dataclass
+from collections import namedtuple
 from fractions import Fraction
 from operator import mul
 
@@ -141,16 +141,14 @@ class WeylSymFn:
 # ---------------------------------------------------------------------------
 # weight diagrams Pi(lambda)
 
-@dataclass(frozen=True)
-class WeightDiagram:
-    """A weight diagram: its weights and its colored edges.
+class WeightDiagram(namedtuple("WeightDiagram", "weights edges")):
+    """A weight diagram: its weights and its colored edges (two frozensets).
 
     Each edge is a triple (mu, i, nu) with nu = mu + alpha_i.  The type holds
     Pi(lambda) (weight_diagram) and the generalized weight diagram Pi(P) of an
     M-structured poset (ecposet.generalized_weight_diagram) alike.
     """
-    weights: frozenset
-    edges: frozenset
+    __slots__ = ()
 
 
 def dominant_weights_below(d, lam):
@@ -411,10 +409,10 @@ def reconstruct(d, expansion):
     return out
 
 
-@dataclass
-class Specialization:
-    dynkin_polynomial: tuple     # coefficient list, index = exponent
-    dimension: int
+Specialization = namedtuple("Specialization", [
+    "dynkin_polynomial",         # coefficient list, index = exponent
+    "dimension",
+])
 
 
 def specialize(d, lam):

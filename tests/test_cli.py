@@ -7,7 +7,7 @@ import sys
 from pathlib import Path
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import example, given, settings, strategies as st
 
 import weylsplit
 from weylsplit.cli import main
@@ -276,6 +276,14 @@ def test_optimized_run_rejects_non_dominant():
      "DiagramMismatch"),
     (("verify", "--diagram", "A2", "--poset", "{truncated}", "--targets", "1,0"),
      "MalformedPoset"),
+    # node 0 would read the last Cartan row, node 5 past the end
+    (("numbers-game", "--diagram", "A2", "--position", "1,1", "--strategy", "0"),
+     "IllegalFire"),
+    (("numbers-game", "--diagram", "A2", "--position", "1,1", "--strategy", "5"),
+     "IllegalFire"),
+    (("branch", "--diagram", "A2", "--weight", "1,1", "--subset", "0"), "NotGCM"),
+    (("branch", "--diagram", "A2", "--weight", "1,1", "--subset", "5"), "NotGCM"),
+    (("lattice", "--family", "gt", "--n", "3"), "InvalidFamilyParams"),
 ])
 def test_bad_input_exit_1_under_optimize(argv, error, tmp_path, capsys):
     from weylsplit import crystal as cr, ecposet as ec, build_diagram
@@ -305,6 +313,39 @@ def test_bad_input_exit_1_under_optimize(argv, error, tmp_path, capsys):
     assert "Traceback" not in optimized.stderr
 
 
+@pytest.mark.parametrize("argv", [
+    ("verify", "--diagram", "A2", "--poset", "{missing}", "--targets", "1,0"),
+    ("verify", "--diagram", "A2", "--poset", "{good}", "--coloring", "{missing}"),
+])
+def test_missing_file_exit_2_under_optimize(argv, tmp_path, capsys):
+    from weylsplit import crystal as cr, ecposet as ec, build_diagram
+    good = tmp_path / "good.json"
+    good.write_text(ec.export_poset(cr.minuscule_poset(build_diagram("A2"), (1, 0))))
+    missing = tmp_path / "missing.json"
+    argv = [a.format(good=good, missing=missing) for a in argv]
+    rc, out, err = run(capsys, *argv)
+    assert rc == 2 and out == ""
+    assert err.startswith("usage error:") and str(missing) in err
+    assert err.count("\n") == 1
+    optimized = _cli(*argv, optimize=True)
+    assert (optimized.returncode, optimized.stdout, optimized.stderr) == (rc, out, err)
+
+
+def test_cli_import_loads_only_cartan_and_errors():
+    """Each subcommand imports its own layers; the module itself loads two."""
+    code = ("import json, sys; before = set(sys.modules); import weylsplit.cli; "
+            "print(json.dumps(sorted(set(sys.modules) - before)))")
+    src = str(Path(weylsplit.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    res = subprocess.run([sys.executable, "-c", code], capture_output=True,
+                         text=True, env=env, timeout=120)
+    added = set(json.loads(res.stdout))
+    ours = {m for m in added if m.split(".")[0] == "weylsplit"}
+    assert ours == {"weylsplit", "weylsplit.cartan", "weylsplit.errors", "weylsplit.cli"}
+    assert not added & {"dataclasses", "inspect"}
+
+
 # rank <= 3 and entries <= 2 keep every valid call small
 FUZZ_SPECS = {"A1": 1, "A2": 2, "B2": 2, "G2": 2, "A1+A1": 2, "A3": 3, "A1+A2": 3}
 FUZZ_BAD_SPECS = ["", "Q2", "A0", "E9", "G3", "A2+", "A-1", "cartan:[[2]]",
@@ -313,7 +354,19 @@ FUZZ_BAD_SPECS = ["", "Q2", "A0", "E9", "G3", "A2+", "A-1", "cartan:[[2]]",
 
 @st.composite
 def _fuzz_argv(draw):
-    cmd = draw(st.sampled_from(["umax", "experiment", "char"]))
+    cmd = draw(st.sampled_from(["umax", "experiment", "char", "numbers-game",
+                                "branch", "lattice"]))
+    if cmd == "lattice":
+        # n <= 4 keeps every family at rank <= 3, except eo at D4
+        argv = ["lattice", "--family", draw(st.sampled_from(["gt", "sp", "oo", "eo"])),
+                "--n", str(draw(st.integers(-1, 4)))]
+        if draw(st.booleans()):
+            lam = draw(st.lists(st.integers(-1, 2), max_size=4))
+            argv.append("--weight=" + ",".join(map(str, lam)))
+        if draw(st.booleans()):
+            argv.append("--m=%d" % draw(st.integers(-1, 2)))
+        return argv + draw(st.sampled_from([[], ["--node", "n"], ["--rgf"],
+                                            ["--verify"]]))
     spec = draw(st.sampled_from(sorted(FUZZ_SPECS)) | st.sampled_from(FUZZ_BAD_SPECS))
     rank = FUZZ_SPECS.get(spec, 2)
     small = st.integers(0, 2)
@@ -329,8 +382,16 @@ def _fuzz_argv(draw):
     ))
     weight = ",".join(entries)
     # "--weight=-1,0" reaches the weight parser; "--weight -1,0" is an argparse error
+    flag = "--position" if cmd == "numbers-game" else "--weight"
     argv = [cmd, "--diagram", spec] + draw(st.sampled_from(
-        [["--weight=" + weight], ["--weight", weight]]))
+        [[flag + "=" + weight], [flag, weight]]))
+    # node lists reach past both ends of 1..rank
+    nodes = ",".join(map(str, draw(st.lists(st.integers(-1, rank + 2),
+                                            min_size=1, max_size=3))))
+    if cmd == "numbers-game":
+        argv += ["--strategy=" + draw(st.sampled_from(["first", "all", nodes]))]
+    if cmd == "branch":
+        argv += ["--subset=" + nodes]
     if cmd == "umax":
         argv += draw(st.sampled_from([[], ["--export", "dot"]]))
     if cmd == "char":
@@ -340,6 +401,11 @@ def _fuzz_argv(draw):
 
 @settings(max_examples=60, deadline=None)
 @given(_fuzz_argv())
+@example(["numbers-game", "--diagram", "A2", "--position", "1,1", "--strategy=0"])
+@example(["numbers-game", "--diagram", "A2", "--position", "1,1", "--strategy=1,5"])
+@example(["branch", "--diagram", "A2", "--weight", "1,1", "--subset=-1"])
+@example(["branch", "--diagram", "A2", "--weight", "1,1", "--subset=5"])
+@example(["lattice", "--family", "gt", "--n", "3"])
 def test_cli_fuzz_exit_codes(argv):
     out, err = io.StringIO(), io.StringIO()
     with contextlib.redirect_stdout(out), contextlib.redirect_stderr(err):

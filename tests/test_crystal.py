@@ -3,7 +3,7 @@ from hypothesis import given, settings, strategies as st
 
 from weylsplit import build_diagram, crystal as cr, ecposet as ec, wsf
 from weylsplit.errors import (ExactnessError, NoExpression, NotDominant,
-                              NotFibrous, NotIrreducible, NotMinuscule,
+                              NotFibrous, NotGCM, NotIrreducible, NotMinuscule,
                               NotMStructured, NotPrimaryFactor)
 
 from conftest import brute_signature, load_fixture
@@ -286,6 +286,33 @@ def test_decompose_matches_oracle(diagrams):
                 got = cr.decompose(d, nu, lam)
                 assert got == want
                 assert all(c >= 0 for c in got.values())
+
+
+# types A-G of rank <= 3, and a reducible one; entries <= 1 at rank 3
+PROPERTY_DIAGRAMS = [build_diagram(spec) for spec in
+                     ["A1", "A2", "A3", "B3", "C2", "C3", "G2", "A1+A1"]]
+
+
+@st.composite
+def _two_dominant_weights(draw):
+    d = draw(st.sampled_from(PROPERTY_DIAGRAMS))
+    weight = st.tuples(*[st.integers(0, 1 if d.rank == 3 else 2)] * d.rank)
+    return d, draw(weight), draw(weight)
+
+
+@settings(max_examples=40, deadline=None)
+@given(_two_dominant_weights())
+def test_decompose_is_the_bialternant_expansion(case):
+    """The crystal's M-set count against Freudenthal and the bialternant expansion."""
+    d, lam, mu = case
+    want = wsf.expand_in_bialternants(wsf.freudenthal(d, lam) * wsf.freudenthal(d, mu))
+    assert cr.decompose(d, lam, mu) == want
+
+
+def test_branch_rejects_nodes_out_of_range():
+    for nodes in [(0,), (3,), (1, 5)]:
+        with pytest.raises(NotGCM, match="node subset out of range"):
+            cr.branch(A2, (1, 1), nodes)
 
 
 def test_branch_matches_oracle():

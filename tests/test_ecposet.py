@@ -391,6 +391,15 @@ def test_verify_tau_kappa_s_everything():
     assert not ok2 and "dominant" in why
 
 
+def test_coloring_witness_defaults_are_fresh():
+    w1, w2 = ec.ColoringWitness(S=frozenset()), ec.ColoringWitness(frozenset({0}))
+    assert w1.kappa == w1.tau == w2.kappa == {}
+    w1.kappa[0] = 1
+    w1.tau[0] = 0
+    assert w2.kappa == w2.tau == {} and w1.kappa is not w1.tau
+    assert repr(w2) == "ColoringWitness(S=frozenset({0}), kappa={}, tau={})"
+
+
 def test_verify_tau_kappa_rejects_non_invariant_wgf():
     # weights (-1, 0) and (1, 0): e^(-omega_1) + e^(omega_1) is not W-invariant
     p = ec.build_poset([(0, 1, 1)], 2, diagram=A2)

@@ -41,6 +41,24 @@ def test_play_g2_given_sequence():
     assert rec.terminal == (-1, -1)
 
 
+def test_play_rejects_nodes_out_of_range():
+    a2 = build_diagram("A2")
+    for seq in [(0,), (3,), (1, 5), (-1,)]:
+        with pytest.raises(IllegalFire, match="not in 1..2"):
+            ng.play(a2, (1, 1), seq)
+
+
+def test_records_are_plain_namedtuples():
+    a2 = build_diagram("A2")
+    rec = ng.play(a2, (1, 1))
+    assert (rec.diverged, rec.cap) == (False, 0)
+    assert repr(rec).startswith("GameRecord(initial=(1, 1), fired=(1, 2, 1),")
+    assert not hasattr(rec, "__dict__")
+    root = a2.positive_roots()[0]
+    assert root == ng.PositiveRoot(root.root, root.alpha_coords, root.length_class)
+    assert hash(root) == hash((root.root, root.alpha_coords, root.length_class))
+
+
 def test_play_from_zero():
     for spec in ["A1", "G2"]:
         d = build_diagram(spec)
