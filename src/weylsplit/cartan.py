@@ -23,6 +23,7 @@ import json
 import os
 import re
 from fractions import Fraction
+from itertools import chain
 from math import lcm
 from operator import mul
 
@@ -61,14 +62,22 @@ def zero_weight(n):
 # ---------------------------------------------------------------------------
 # seed Cartan matrices with classical node numbering
 
+# least and greatest rank of each finite type (None: unbounded), in the
+# order components are matched against them
+_FINITE_RANKS = {"A": (1, None), "B": (3, None), "C": (2, None), "D": (4, None),
+                 "E": (6, 8), "F": (4, 4), "G": (2, 2)}
+
+
+def _finite_types(rank):
+    """The letters of the finite types of this rank, in matching order."""
+    return [letter for letter, (lo, hi) in _FINITE_RANKS.items()
+            if lo <= rank <= (rank if hi is None else hi)]
+
+
 def seed_cartan(letter, rank):
     """Cartan matrix for one irreducible type, nodes numbered classically."""
     n = rank
-    ok = {
-        "A": n >= 1, "B": n >= 3, "C": n >= 2, "D": n >= 4,
-        "E": n in (6, 7, 8), "F": n == 4, "G": n == 2,
-    }.get(letter, False)
-    if not ok:
+    if letter not in _finite_types(n):
         raise NotFiniteType("no finite type %s%d" % (letter, rank))
     m = [[2 if i == j else 0 for j in range(n)] for i in range(n)]
 
@@ -102,23 +111,6 @@ def seed_cartan(letter, rank):
     return tuple(tuple(row) for row in m)
 
 
-def _candidate_types(size):
-    cands = [("A", size)]
-    if size >= 3:
-        cands.append(("B", size))
-    if size >= 2:
-        cands.append(("C", size))
-    if size >= 4:
-        cands.append(("D", size))
-    if size in (6, 7, 8):
-        cands.append(("E", size))
-    if size == 4:
-        cands.append(("F", size))
-    if size == 2:
-        cands.append(("G", size))
-    return cands
-
-
 def _match_component(cartan, nodes):
     """Classify one connected component against the finite-type seeds.
 
@@ -128,8 +120,8 @@ def _match_component(cartan, nodes):
     """
     k = len(nodes)
     sub = [[cartan[a][b] for b in nodes] for a in nodes]
-    for letter, rank in _candidate_types(k):
-        tmpl = seed_cartan(letter, rank)
+    for letter in _finite_types(k):
+        tmpl = seed_cartan(letter, k)
         assign = [None] * k        # template slot -> component-local index
         used = [False] * k
 
@@ -156,7 +148,7 @@ def _match_component(cartan, nodes):
             return False
 
         if backtrack(0):
-            return letter, rank, tuple(nodes[c] for c in assign)
+            return letter, k, tuple(nodes[c] for c in assign)
     return None
 
 
@@ -180,8 +172,16 @@ def _invert_exact(m):
 
 
 def gcm_matrix(cartan):
-    """The matrix as int tuples; NotGCM unless it is a generalized Cartan matrix."""
-    cartan = tuple(tuple(int(x) for x in row) for row in cartan)
+    """The matrix as int tuples; NotGCM unless it is a generalized Cartan matrix.
+
+    Only a list or tuple of lists or tuples of ints is read: bool, float,
+    str and None entries are rejected, not converted.
+    """
+    seq = (list, tuple)
+    if not isinstance(cartan, seq) or not all(isinstance(r, seq) for r in cartan) \
+            or not set(map(type, chain.from_iterable(cartan))) <= {int}:
+        raise NotGCM("Cartan matrix must be a list of lists of ints")
+    cartan = tuple(map(tuple, cartan))
     n = len(cartan)
     if n == 0 or any(len(row) != n for row in cartan):
         raise NotGCM("Cartan matrix must be square and nonempty")
@@ -224,21 +224,29 @@ class DynkinDiagram:
         self._sparse_rows = tuple(tuple((j, a) for j, a in enumerate(row) if a)
                                   for row in cartan)
 
-        # connected components of the underlying graph
-        seen, comps = [False] * n, []
+        # connected components of the underlying graph, and squared root
+        # lengths along the same walk, normalized so short = 2 in each
+        seen, comps, lengths = [False] * n, [], [None] * n
         for s in range(n):
             if seen[s]:
                 continue
             stack, comp = [s], []
             seen[s] = True
+            lengths[s] = Fraction(1)
             while stack:
                 v = stack.pop()
                 comp.append(v)
-                for w in range(n):
-                    if w != v and cartan[v][w] != 0 and not seen[w]:
+                for w, a in self._sparse_rows[v]:
+                    if not seen[w]:
                         seen[w] = True
+                        # M_wv * <a_v,a_v> = M_vw * <a_w,a_w>
+                        lengths[w] = lengths[v] * Fraction(cartan[w][v], a)
                         stack.append(w)
             comps.append(sorted(comp))
+            shortest = min(lengths[v] for v in comp)
+            for v in comp:
+                lengths[v] = 2 * lengths[v] / shortest
+        self.root_lengths = tuple(lengths)
 
         self.components = []      # (letter, rank, nodes 1-based in classical order)
         comp_of = [None] * n
@@ -254,23 +262,6 @@ class DynkinDiagram:
         self.component_of = tuple(comp_of)
 
         self.inverse_cartan = _invert_exact(cartan)
-
-        # squared root lengths, normalized so short = 2 in each component
-        lengths = [None] * n
-        for comp in comps:
-            lengths[comp[0]] = Fraction(1)
-            stack = [comp[0]]
-            while stack:
-                v = stack.pop()
-                for w in range(n):
-                    if w != v and cartan[v][w] != 0 and lengths[w] is None:
-                        # M_wv * <a_v,a_v> = M_vw * <a_w,a_w>
-                        lengths[w] = lengths[v] * Fraction(cartan[w][v], cartan[v][w])
-                        stack.append(w)
-            shortest = min(lengths[v] for v in comp)
-            for v in comp:
-                lengths[v] = 2 * lengths[v] / shortest
-        self.root_lengths = tuple(lengths)
 
         self.coxeter_exponents = tuple(
             tuple(1 if i == j else _MIJ_FROM_PRODUCT[cartan[i][j] * cartan[j][i]]

@@ -27,6 +27,13 @@ def _weight(d, text):
     return parse_weight(text, d.rank)
 
 
+def _positive_int(text):
+    n = int(text)
+    if n < 1:
+        raise argparse.ArgumentTypeError("%s is below 1" % text)
+    return n
+
+
 def _emit_terms(items, as_json):
     if as_json:
         print(json.dumps(
@@ -260,7 +267,7 @@ def make_parser():
     p.add_argument("--diagram", required=True)
     p.add_argument("--position", required=True)
     p.add_argument("--strategy", default="first")
-    p.add_argument("--cap", type=int, default=DEFAULT_FIRING_CAP)
+    p.add_argument("--cap", type=_positive_int, default=DEFAULT_FIRING_CAP)
     p.add_argument("--json", action="store_true")
 
     p = add("roots", cmd_roots)

@@ -1,20 +1,14 @@
 """The numbers game on Dynkin diagrams.
 
-Firing, game sequences, convergence, reduced words for the longest Weyl
-group element, positive-root enumeration on the transpose diagram, rank
-generating function exponents, and the Weyl group order.
-
-Positions come in two modes: numeric (ints or Fractions) and generic-linear
-(LinForm values, exact linear forms in formal symbols).  Generic play only
-ever replays a word already known to be legal, so no positivity tests are
-needed in that mode.  Linear forms carry one symbol per node: reading off
-the alpha-coordinates of a positive root from the fired-node expression
-needs n independent symbols once the rank exceeds two.
+Firing, game sequences, convergence, the one reduced word for the longest
+Weyl group element and the positive roots read off it, rank generating
+function exponents, and the Weyl group order.  Positions are ints or
+Fractions, and a node fires only while its number is positive.
 """
 
 from collections import namedtuple
 
-from .cartan import DEFAULT_FIRING_CAP, DynkinDiagram, gcm_matrix
+from .cartan import DEFAULT_FIRING_CAP, gcm_matrix
 from .errors import ExactnessError, IllegalFire
 
 
@@ -29,48 +23,6 @@ class RawGCMGraph:
     def __init__(self, cartan):
         self.cartan = gcm_matrix(cartan)
         self.rank = len(self.cartan)
-
-
-class LinForm:
-    """Exact linear form c_1*x_1 + ... + c_k*x_k with integer coefficients."""
-
-    __slots__ = ("coeffs",)
-
-    def __init__(self, coeffs):
-        self.coeffs = tuple(coeffs)
-
-    @classmethod
-    def symbol(cls, k, index):
-        return cls(int(i == index) for i in range(k))
-
-    def __add__(self, other):
-        return LinForm(a + b for a, b in zip(self.coeffs, other.coeffs))
-
-    def __sub__(self, other):
-        return LinForm(a - b for a, b in zip(self.coeffs, other.coeffs))
-
-    def __neg__(self):
-        return LinForm(-a for a in self.coeffs)
-
-    def scaled(self, f):
-        return LinForm(f * a for a in self.coeffs)
-
-    def __eq__(self, other):
-        return isinstance(other, LinForm) and self.coeffs == other.coeffs
-
-    def __repr__(self):
-        names = "abcdefgh"
-        bits = []
-        for c, nm in zip(self.coeffs, names):
-            if c:
-                bits.append("%s%s" % ("" if c == 1 else str(c), nm))
-        return "+".join(bits).replace("+-", "-") or "0"
-
-
-def generic_position(d):
-    """One independent symbol per node."""
-    n = d.rank
-    return tuple(LinForm.symbol(n, i) for i in range(n))
 
 
 class GameRecord(namedtuple("GameRecord", [
@@ -98,21 +50,17 @@ class GameRecord(namedtuple("GameRecord", [
         return out
 
 
-def fire(d, position, i, check=True):
+def fire(d, position, i):
     """Fire node i: lambda_j -> lambda_j - M_ij * lambda_i."""
     row = d.cartan[i - 1]
     v = position[i - 1]
-    if isinstance(v, LinForm):
-        return tuple(p - v.scaled(row[j]) if row[j] else p
-                     for j, p in enumerate(position))
-    if check and v <= 0:
+    if v <= 0:
         raise IllegalFire("node %d has nonpositive number %s" % (i, v))
     return tuple(p - row[j] * v for j, p in enumerate(position))
 
 
 def _positive_nodes(d, position):
-    return [i for i in range(1, d.rank + 1)
-            if not isinstance(position[i - 1], LinForm) and position[i - 1] > 0]
+    return [i for i in range(1, d.rank + 1) if position[i - 1] > 0]
 
 
 def play(d, position, strategy="first", cap=DEFAULT_FIRING_CAP):
@@ -123,8 +71,11 @@ def play(d, position, strategy="first", cap=DEFAULT_FIRING_CAP):
     GameRecords in deterministic order).  Divergence is reported via the
     record's diverged flag, never as an error.  An explicit sequence raises
     IllegalFire for a node outside 1..rank before anything is fired, and for
-    a node whose number is nonpositive when its turn comes.
+    a node whose number is nonpositive when its turn comes.  A cap below 1
+    raises ValueError.
     """
+    if cap < 1:
+        raise ValueError("firing cap %s is below 1" % (cap,))
     position = tuple(position)
     if strategy == "all":
         # depth-first over shared fired/trace lists; todo[k] holds the nodes
@@ -164,9 +115,9 @@ def play(d, position, strategy="first", cap=DEFAULT_FIRING_CAP):
             pos = fire(d, pos, i)
             fired.append(i)
             trace.append(pos)
-    # explicit firing sequence; generic entries are assumed positive.  The
-    # range check stays here: fire() is the hot path of constants() and
-    # rgf_exponents, and its row lookup would wrap a node 0 to the last row.
+    # explicit firing sequence.  The range check stays here: fire() is the
+    # hot path of constants() and rgf_exponents, and its row lookup would
+    # wrap a node 0 to the last row.
     for i in strategy:
         if not 1 <= i <= d.rank:
             raise IllegalFire("node %s is not in 1..%d" % (i, d.rank))
@@ -219,25 +170,34 @@ PositiveRoot = namedtuple("PositiveRoot", [
 ])
 
 
-def enumerate_positive_roots(d):
-    """Positive roots via the generic game on the transpose diagram.
+def enumerate_positive_roots(d, word):
+    """The positive roots in the order of word, longest_word(d).word.
 
-    Playing a w_0 word on M^T from a generic position, the fired-node form
-    sum(k_i mu_i) at step j exposes beta_j = sum(k_i alpha_i); beta_j is
-    short exactly when the fired node is long in M^T, i.e. short in the
-    original diagram.  In a simply-laced component every root is "short".
+    The j-th letter i_j gives beta_j = s_{i_1} ... s_{i_(j-1)}(alpha_{i_j}),
+    which has the length class of alpha_{i_j}.  rows[a] holds w(alpha_a) in
+    root coordinates for the prefix w read so far; w <- w s_i takes it to
+    rows[a] - M_ai * rows[i], since s_i(alpha_a) = alpha_a - M_ai alpha_i.
+
+    Proof that these are the roots: firing i is s_i, so after u = s_{i_k}
+    ... s_{i_1} node i holds <lambda, u^-1(alpha_i)^vee>, positive from a
+    strongly dominant lambda exactly when l(s_i u) > l(u) (Bjorner-Brenti,
+    Combinatorics of Coxeter Groups, GTM 231).  So each firing lengthens u,
+    the game stops at w_0 with a reduced word, and its inversion sequence
+    lists each positive root once.  The positive nodes depend only on the
+    Coxeter matrix, so M and M^T fire the same word.
     """
-    dT = DynkinDiagram(tuple(zip(*d.cartan)))
-    word = longest_word(dT).word
-    pos = generic_position(dT)
+    n = d.rank
+    cols = tuple(zip(*d.cartan))
+    rows = [tuple(int(a == b) for b in range(n)) for a in range(n)]
     roots = []
     for i in word:
-        k = pos[i - 1].coeffs
-        omega = tuple(sum(k[a] * d.cartan[a][j] for a in range(d.rank) if k[a])
-                      for j in range(d.rank))
+        k = rows[i - 1]
+        omega = tuple(sum(x * m for x, m in zip(k, col)) for col in cols)
         cls = "short" if d.root_lengths[i - 1] == 2 else "long"
         roots.append(PositiveRoot(omega, k, cls))
-        pos = fire(dT, pos, i, check=False)
+        for a, m in enumerate(cols[i - 1]):
+            if m:
+                rows[a] = tuple(x - m * y for x, y in zip(rows[a], k))
     if len({r.alpha_coords for r in roots}) != len(roots):
         raise ExactnessError("the longest word gave a repeated root")
     return roots
@@ -266,8 +226,8 @@ class DiagramConstants:
     """
 
     def __init__(self, d):
-        self.positive_roots = tuple(enumerate_positive_roots(d))
         lw = longest_word(d)
+        self.positive_roots = tuple(enumerate_positive_roots(d, lw.word))
         self.longest_word = lw.word
         self.sigma0 = lw.sigma0
 

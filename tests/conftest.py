@@ -2,10 +2,11 @@
 
 The oracles here deliberately avoid the library's own derivations: the
 Weyl group is closed as a set of exact matrices, partition counts come
-from bounded enumeration, positive roots from reflection closure, Weyl
-orbits from a search that tries every simple reflection on every element,
-crystal signatures from separate forward and suffix scans,
-and colored posets are checked against their full transitive closure.
+from bounded enumeration, positive roots from reflection closure or by
+reflecting each simple root along a word, Weyl orbits from a search that
+tries every simple reflection on every element, crystal signatures from
+separate forward and suffix scans, and colored posets are checked against
+their full transitive closure.
 """
 
 import functools
@@ -114,6 +115,15 @@ def brute_positive_roots(d):
         if all(c >= 0 for c in coords):
             pos.append(r)
     return tuple(pos)
+
+
+def inversion_roots(d, word):
+    """beta_j = s_{i_1} ... s_{i_(j-1)}(alpha_{i_j}) in omega coordinates.
+
+    Each root is reflected afresh from its simple root with d.act, which
+    applies the letters of its argument from the first to the last.
+    """
+    return [d.act(word[:j][::-1], d.alpha(i)) for j, i in enumerate(word)]
 
 
 def brute_weyl_dimension(d, lam):

@@ -1,4 +1,5 @@
 import itertools
+import json
 import random
 from fractions import Fraction
 
@@ -44,6 +45,15 @@ def test_not_gcm():
         build_diagram("cartan:[[2,-1],[0,2]]")
     with pytest.raises(NotGCM):
         build_diagram("cartan:[[1,0],[0,2]]")
+
+
+@pytest.mark.parametrize("text", ["[[2,-1.5],[-1,2]]", "[[2.9]]",
+                                  '[["2","-1"],["-1","2"]]', "[2,2]",
+                                  "[[2,null],[0,2]]", "[[true,0],[0,2]]"])
+def test_gcm_matrix_takes_only_int_rows(text):
+    # neither truncated to an int matrix nor left to fail with a TypeError
+    with pytest.raises(NotGCM, match="list of lists of ints"):
+        cartan.gcm_matrix(json.loads(text))
 
 
 def test_disjoint_sum_spec():
@@ -236,9 +246,10 @@ def test_full_sub_diagram_is_the_diagram():
 
 def test_positive_root_count_vs_brute():
     for spec in ["A1", "A2", "A3", "A4", "B3", "B4", "C2", "C3", "C4",
-                 "D4", "F4", "G2", "A2+A1"]:
+                 "D4", "F4", "G2", "A2+A1", "C2+G2"]:
         d = build_diagram(spec)
         assert len(d.positive_roots()) == len(brute_positive_roots(d))
+        assert {r.root for r in d.positive_roots()} == set(brute_positive_roots(d))
 
 
 @pytest.mark.parametrize("spec", ["A3", "B4", "C3", "D5", "E6", "E7", "E8", "F4", "G2"])

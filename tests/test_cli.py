@@ -79,6 +79,23 @@ def test_domain_error_exit_1(capsys):
     assert rc == 1 and out == "" and err.startswith("NotDominant:")
 
 
+@pytest.mark.parametrize("text", ["[[2,-1.5],[-1,2]]", "[[2.9]]",
+                                  '[["2","-1"],["-1","2"]]', "[2,2]",
+                                  "[[2,null],[0,2]]"])
+def test_cartan_entries_must_be_ints(capsys, text):
+    rc, out, err = run(capsys, "info", "--diagram", "cartan:" + text)
+    assert rc == 1 and out == "" and err.startswith("NotGCM:")
+
+
+@pytest.mark.parametrize("cap", ["0", "-3"])
+def test_numbers_game_cap_below_one_is_a_usage_error(capsys, cap):
+    with pytest.raises(SystemExit) as exc:
+        main(["numbers-game", "--diagram", "G2", "--position", "1,1", "--cap", cap])
+    assert exc.value.code == 2
+    out = capsys.readouterr()
+    assert out.out == "" and "below 1" in out.err
+
+
 def test_decompose_and_branch(capsys):
     rc, out, _ = run(capsys, "decompose", "--diagram", "G2",
                      "--lhs", "1,0", "--rhs", "1,0")

@@ -7,7 +7,32 @@ from weylsplit import DynkinDiagram, build_diagram
 from weylsplit import numbersgame as ng
 from weylsplit.errors import ExactnessError, IllegalFire, NotDominant
 
-from conftest import brute_positive_roots, brute_weyl_group
+from conftest import brute_positive_roots, brute_weyl_group, inversion_roots
+
+FINITE_TYPES = (["A%d" % n for n in range(1, 9)] + ["B%d" % n for n in range(3, 9)]
+                + ["C%d" % n for n in range(2, 9)] + ["D%d" % n for n in range(4, 9)]
+                + ["E6", "E7", "E8", "F4", "G2"])
+SUMS = ["A2+A1", "C2+G2", "B3+A2+G2", "A1+A1+A1", "D4+F4"]
+
+
+def _roots(d):
+    return ng.enumerate_positive_roots(d, ng.longest_word(d).word)
+
+
+def _permuted(d, rng):
+    """d with its nodes relabelled at random, as a cartan: spec."""
+    p = list(range(d.rank))
+    rng.shuffle(p)
+    m = [[d.cartan[p[a]][p[b]] for b in range(d.rank)] for a in range(d.rank)]
+    return build_diagram("cartan:" + str(m).replace(" ", ""))
+
+
+@pytest.fixture(scope="module")
+def many_diagrams():
+    """Every finite type of rank up to 8, the sums and three relabellings of each."""
+    rng = random.Random(17)
+    base = [build_diagram(spec) for spec in FINITE_TYPES + SUMS]
+    return base + [_permuted(d, rng) for d in base for _ in range(3)]
 
 
 def test_fire_c2_examples():
@@ -92,7 +117,7 @@ def test_longest_word_examples():
 
 def test_positive_roots_g2():
     g2 = build_diagram("G2")
-    roots = ng.enumerate_positive_roots(g2)
+    roots = _roots(g2)
     assert [r.alpha_coords for r in roots] == \
         [(1, 0), (3, 1), (2, 1), (3, 2), (1, 1), (0, 1)]
     shorts = {r.alpha_coords for r in roots if r.length_class == "short"}
@@ -101,9 +126,9 @@ def test_positive_roots_g2():
 
 def test_positive_roots_small():
     a1 = build_diagram("A1")
-    assert [r.alpha_coords for r in ng.enumerate_positive_roots(a1)] == [(1,)]
+    assert [r.alpha_coords for r in _roots(a1)] == [(1,)]
     c2 = build_diagram("C2")
-    got = {r.alpha_coords for r in ng.enumerate_positive_roots(c2)}
+    got = {r.alpha_coords for r in _roots(c2)}
     assert got == {(1, 0), (0, 1), (1, 1), (2, 1)}
     # derived oracle: reflection closure
     want = {tuple(int(c) for c in c2.to_root_coords(r))
@@ -113,7 +138,7 @@ def test_positive_roots_small():
 
 def test_root_closure_property(diagrams):
     for d in diagrams.values():
-        roots = ng.enumerate_positive_roots(d)
+        roots = _roots(d)
         have = {r.alpha_coords for r in roots}
         for r in roots:
             if sum(r.alpha_coords) == 1:
@@ -148,14 +173,15 @@ def test_weyl_order(diagrams):
         assert build_diagram(spec).weyl_order() == order
 
 
-def test_e8_constants_build_only_the_transpose(monkeypatch):
+def test_e8_constants_build_no_diagram_and_play_once(monkeypatch):
     d = build_diagram("E8")
-    built = []
-    init = DynkinDiagram.__init__
+    built, played = [], []
+    init, play = DynkinDiagram.__init__, ng.play
     monkeypatch.setattr(DynkinDiagram, "__init__",
                         lambda self, cartan: built.append(cartan) or init(self, cartan))
+    monkeypatch.setattr(ng, "play", lambda *a, **k: played.append(a) or play(*a, **k))
     d.constants()
-    assert built == [tuple(zip(*d.cartan))]
+    assert built == [] and len(played) == 1
 
 
 def test_strong_convergence_rank2_exhaustive():
@@ -173,7 +199,7 @@ def test_longest_word_length_is_root_count():
     for spec in ["A1", "A2", "A3", "A4", "B3", "B4", "C2", "C3", "C4",
                  "D4", "F4", "G2", "A2+A1", "C2+G2"]:
         d = build_diagram(spec)
-        assert ng.longest_word(d).length == len(ng.enumerate_positive_roots(d))
+        assert ng.longest_word(d).length == len(_roots(d))
 
 
 def test_terminal_is_w0_of_dominant(diagrams):
@@ -192,15 +218,6 @@ def test_game_record_shape():
     assert len(rec.trace) == len(rec.fired) + 1
     j = rec.to_json_dict()
     assert set(j) == {"initial", "fired", "trace", "terminal"}
-
-
-def test_generic_linear_forms():
-    g2 = build_diagram("G2")
-    pos = ng.generic_position(g2)
-    rec = ng.play(g2, pos, (1, 2, 1, 2, 1, 2))
-    # fired forms at (a,b): a, 3a+b ... on G2 itself the b-coefficients differ
-    # from the transpose game; just check exact linearity and terminal -a,-b
-    assert rec.terminal == tuple(-f for f in pos)
 
 
 def test_raw_gcm_diagnostics_mode():
@@ -250,9 +267,35 @@ def test_longest_word_checks_the_game(monkeypatch):
         ng.longest_word(build_diagram("G2"))
 
 
-def test_positive_roots_reject_a_repeated_root(monkeypatch):
+def test_positive_roots_reject_a_repeated_root():
     # seven alternating letters on A2 go once around its six roots
-    monkeypatch.setattr(ng, "longest_word",
-                        lambda d: ng.LongestWord((1, 2) * 3 + (1,), {}, 7))
     with pytest.raises(ExactnessError, match="repeated root"):
-        ng.enumerate_positive_roots(build_diagram("A2"))
+        ng.enumerate_positive_roots(build_diagram("A2"), (1, 2) * 3 + (1,))
+
+
+def test_transpose_fires_the_same_word(many_diagrams):
+    # M and M^T share their Coxeter matrix, so the first-positive-node game
+    # makes the same choices on both
+    for d in many_diagrams:
+        dT = ng.RawGCMGraph(tuple(zip(*d.cartan)))
+        assert ng.longest_word(dT).word == ng.longest_word(d).word, d
+
+
+def test_positive_roots_are_the_inversion_sequence(many_diagrams):
+    for d in many_diagrams:
+        word = ng.longest_word(d).word
+        roots = d.positive_roots()
+        assert [r.root for r in roots] == inversion_roots(d, word), d
+        assert [r.alpha_coords for r in roots] == \
+            [d.root_lattice_coords(r.root) for r in roots]
+        # short roots have squared length 2 in every component
+        assert [r.length_class for r in roots] == \
+            ["short" if d.norm2(r.root) == 2 else "long" for r in roots]
+
+
+def test_play_rejects_a_cap_below_one():
+    g2 = build_diagram("G2")
+    for cap in [0, -3]:
+        for strategy in ["first", "all", (1, 2)]:
+            with pytest.raises(ValueError, match="below 1"):
+                ng.play(g2, (1, 1), strategy, cap=cap)
