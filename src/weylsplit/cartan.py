@@ -8,7 +8,13 @@ Conventions used throughout the package:
   at rank 3 and the C series at rank 2, so the two-node double-bond diagram
   classifies as C2.
 * The i-th simple root, in omega coordinates, is row i of the Cartan matrix.
-* All arithmetic is exact: ints and fractions.Fraction, never floats.
+* All arithmetic is exact: ints and fractions.Fraction, never floats.  A
+  diagram is set up in ints (the inverse Cartan matrix as det and adjugate,
+  root lengths from an integer symmetrizer); its public inverse_cartan,
+  root_lengths and mesh_size are Fractions built once from those ints.
+* A diagram has total rank at most MAX_RANK.  A larger type string or sum
+  raises DiagramTooLarge before any matrix is built, and a larger matrix
+  before its set-up.
 * Short simple roots are normalized to squared length 2 in each connected
   component.
 * Heights, the Gram matrix of the fundamental weights and root coordinates
@@ -24,15 +30,23 @@ import os
 import re
 from fractions import Fraction
 from itertools import chain
-from math import lcm
+from math import gcd, lcm
 from operator import mul
 
-from .errors import ExactnessError, NotDominant, NotFiniteType, NotGCM, OrbitTooLarge
+from .errors import (DiagramTooLarge, ExactnessError, NotDominant, NotFiniteType, NotGCM,
+                     OrbitTooLarge)
 
 DEFAULT_ORBIT_CAP = 10 ** 6
+# greatest total rank of a diagram
+MAX_RANK = 64
 # numbers-game firings before a play is reported as diverged; defined here so
 # the CLI can show it without loading numbersgame
 DEFAULT_FIRING_CAP = 10_000
+
+
+def _check_rank(rank):
+    if rank > MAX_RANK:
+        raise DiagramTooLarge("diagram rank %d exceeds %d" % (rank, MAX_RANK))
 
 
 def orbit_cap():
@@ -115,60 +129,92 @@ def _match_component(cartan, nodes):
     """Classify one connected component against the finite-type seeds.
 
     Returns (letter, rank, numbering) where numbering[t] is the 0-based node
-    of the component playing the role of classical node t+1.  Matching is a
-    small backtracking search on matrix equality.
+    of the component playing the role of classical node t+1.  Template slots
+    are placed in breadth-first order from slot 0: slot 0 tries the nodes of
+    its degree, every later slot the unused neighbours of its parent's image,
+    so every isomorphism onto the template is reached.  Of these (at most
+    six, the automorphisms of D4) the least numbering, compared slot by
+    slot, is kept, so relabelled matrices keep one numbering.  The recursion
+    is as deep as the component's rank, which MAX_RANK bounds.
     """
     k = len(nodes)
     sub = [[cartan[a][b] for b in nodes] for a in nodes]
+    nbrs = [[c2 for c2 in range(k) if c2 != c and sub[c][c2]] for c in range(k)]
     for letter in _finite_types(k):
         tmpl = seed_cartan(letter, k)
-        assign = [None] * k        # template slot -> component-local index
+        tnbrs = [[t2 for t2 in range(k) if t2 != t and tmpl[t][t2]] for t in range(k)]
+        order, parent = [0], [None] * k
+        for t in order:          # seeds are connected, so this reaches all k
+            for t2 in tnbrs[t]:
+                if t2 and parent[t2] is None:
+                    parent[t2] = t
+                    order.append(t2)
+        assign = [None] * k      # template slot -> component-local index
         used = [False] * k
+        found = []
 
-        def rows_consistent(t, c):
-            for t2 in range(t + 1):
-                c2 = assign[t2] if t2 < t else c
-                if tmpl[t][t2] != sub[c][c2] or tmpl[t2][t] != sub[c2][c]:
-                    return False
-            return True
-
-        def backtrack(t):
-            if t == k:
-                return True
-            for c in range(k):
-                if used[c]:
+        def place(pos):
+            if pos == k:
+                found.append(tuple(assign))
+                return
+            t = order[pos]
+            for c in nbrs[assign[parent[t]]] if pos else range(k):
+                if used[c] or len(nbrs[c]) != len(tnbrs[t]):
                     continue
-                assign[t] = c
-                if rows_consistent(t, c):
-                    used[c] = True
-                    if backtrack(t + 1):
-                        return True
+                if all(tmpl[t][t2] == sub[c][assign[t2]] and tmpl[t2][t] == sub[assign[t2]][c]
+                       for t2 in order[:pos]):
+                    assign[t], used[c] = c, True
+                    place(pos + 1)
                     used[c] = False
             assign[t] = None
-            return False
 
-        if backtrack(0):
-            return letter, k, tuple(nodes[c] for c in assign)
+        place(0)
+        if found:
+            return letter, k, tuple(nodes[c] for c in min(found))
     return None
 
 
 def _invert_exact(m):
-    """Exact inverse of an integer matrix via Fraction Gauss-Jordan."""
+    """(det, adj) of an integer matrix m, in ints, with m * adj = det * I.
+
+    Fraction-free Gauss-Jordan on [m | I] (Bareiss, Math. Comp. 22, 1968).
+    Let P be the row order the pivot search leaves, A = [Pm | P], A_k the
+    leading k x k block of Pm and d_k = det A_k (d_0 = 1).  Claim: after k
+    steps the working matrix W_k is d_k R_k, where R_k is A with columns
+    0..k-1 reduced to unit vectors by row operations.  Every entry of d_k R_k
+    is a minor of A: in a row i < k it is det A_k with column i replaced by
+    column j of A (Cramer's rule), in a row i >= k it is the determinant of
+    A_k bordered by row i and column j (the Schur complement, that is
+    Sylvester's identity).  Step k divides the pivot row by R_k[k][k] =
+    d_(k+1) / d_k and clears column k elsewhere, so
+    d_(k+1) R_(k+1)[i][j] = (p W_k[i][j] - W_k[i][k] W_k[k][j]) / d_k with
+    the pivot p = W_k[k][k] = d_(k+1), and the pivot row stays W_k[k].  Both
+    sides are minors, hence integers, and the division is exact.  A zero
+    column below the pivots makes m singular.  At the end W_n = [d_n I |
+    d_n m^-1], and d_n = det(Pm) is det m up to the sign of the row swaps.
+    """
     n = len(m)
-    a = [[Fraction(m[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
-         for i in range(n)]
+    a = [list(row) + [int(i == j) for j in range(n)] for i, row in enumerate(m)]
+    prev, sign = 1, 1
     for col in range(n):
-        piv = next((r for r in range(col, n) if a[r][col] != 0), None)
+        piv = next((r for r in range(col, n) if a[r][col]), None)
         if piv is None:
             raise NotFiniteType("Cartan matrix is singular")
-        a[col], a[piv] = a[piv], a[col]
-        inv = 1 / a[col][col]
-        a[col] = [x * inv for x in a[col]]
+        if piv != col:
+            a[col], a[piv] = a[piv], a[col]
+            sign = -sign
+        top = a[col]
+        p = top[col]
         for r in range(n):
-            if r != col and a[r][col] != 0:
-                f = a[r][col]
-                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
-    return tuple(tuple(a[i][n + j] for j in range(n)) for i in range(n))
+            if r != col:
+                row = a[r]
+                f = row[col]
+                if f:
+                    a[r] = [(p * x - f * y) // prev for x, y in zip(row, top)]
+                elif p != prev:
+                    a[r] = [p * x // prev for x in row]
+        prev = p
+    return sign * prev, tuple(tuple(sign * x for x in row[n:]) for row in a)
 
 
 def gcm_matrix(cartan):
@@ -218,38 +264,35 @@ class DynkinDiagram:
     def __init__(self, cartan):
         cartan = gcm_matrix(cartan)
         n = len(cartan)
+        _check_rank(n)
         self.cartan = cartan
         self.rank = n
         # the nonzero (j, M_ij) of each row: s_i moves only node i and its neighbours
         self._sparse_rows = tuple(tuple((j, a) for j, a in enumerate(row) if a)
                                   for row in cartan)
 
-        # connected components of the underlying graph, and squared root
-        # lengths along the same walk, normalized so short = 2 in each
-        seen, comps, lengths = [False] * n, [], [None] * n
+        # connected components of the underlying graph, and along the same
+        # walk <a_w,a_w> / <a_s,a_s> as num[w] / den[w], since
+        # M_wv * <a_v,a_v> = M_vw * <a_w,a_w>
+        seen, comps, num, den = [False] * n, [], [1] * n, [1] * n
         for s in range(n):
             if seen[s]:
                 continue
             stack, comp = [s], []
             seen[s] = True
-            lengths[s] = Fraction(1)
             while stack:
                 v = stack.pop()
                 comp.append(v)
                 for w, a in self._sparse_rows[v]:
                     if not seen[w]:
                         seen[w] = True
-                        # M_wv * <a_v,a_v> = M_vw * <a_w,a_w>
-                        lengths[w] = lengths[v] * Fraction(cartan[w][v], a)
+                        num[w], den[w] = num[v] * cartan[w][v], den[v] * a
                         stack.append(w)
             comps.append(sorted(comp))
-            shortest = min(lengths[v] for v in comp)
-            for v in comp:
-                lengths[v] = 2 * lengths[v] / shortest
-        self.root_lengths = tuple(lengths)
 
         self.components = []      # (letter, rank, nodes 1-based in classical order)
         comp_of = [None] * n
+        lengths = [None] * n
         for ci, comp in enumerate(comps):
             match = _match_component(cartan, comp)
             if match is None:
@@ -257,45 +300,55 @@ class DynkinDiagram:
                                     % [v + 1 for v in comp])
             letter, rk, numbering = match
             self.components.append((letter, rk, tuple(v + 1 for v in numbering)))
+            # squared lengths normalized so short = 2: the component is of
+            # finite type, so each is 1, 2 or 3 times the shortest and the
+            # division is exact
+            common = lcm(*(den[v] for v in comp))
+            scaled = {v: num[v] * (common // den[v]) for v in comp}
+            shortest = min(scaled.values())
             for v in comp:
                 comp_of[v] = ci
+                lengths[v] = 2 * scaled[v] // shortest
+
         self.component_of = tuple(comp_of)
-
-        self.inverse_cartan = _invert_exact(cartan)
-
         self.coxeter_exponents = tuple(
             tuple(1 if i == j else _MIJ_FROM_PRODUCT[cartan[i][j] * cartan[j][i]]
                   for j in range(n))
             for i in range(n))
 
-        # integer numerators over one denominator: Q = q_num / denom
-        q = self.inverse_cartan
-        self.denom = lcm(*(x.denominator for row in q for x in row))
-        q_num = [[int(x * self.denom) for x in row] for row in q]
+        # integer numerators over one denominator: Q = M^-1 = q_num / denom.
+        # The least common denominator of adj / det is det / g with g the gcd
+        # of det and every entry of adj; det > 0 for finite type.
+        det, adj = _invert_exact(cartan)
+        g = gcd(det, *chain.from_iterable(adj))
+        self.denom = det // g
+        q_num = [[x // g for x in row] for row in adj]
         # root coordinates of mu are Q^T mu, so keep the columns of Q
-        self._q_cols = tuple(tuple(q_num[j][k] for j in range(n)) for k in range(n))
+        self._q_cols = tuple(zip(*q_num))
         # <omega_i, rho_vee> = sum_k Q_ik
         self._heights_scaled = tuple(sum(row) for row in q_num)
         # <omega_i, omega_j> = Q_ji * <a_i,a_i> / 2, and <a_i,a_i> / 2 is 1, 2 or 3
-        half = [int(x / 2) for x in self.root_lengths]
-        self.gram_scaled = tuple(tuple(q_num[j][i] * half[i] for j in range(n))
+        self.gram_scaled = tuple(tuple(q_num[j][i] * (lengths[i] // 2) for j in range(n))
                                  for i in range(n))
 
+        # sanity: M * Q = denom * I exactly
+        for i, row in enumerate(self._sparse_rows):
+            for j, col in enumerate(self._q_cols):
+                if sum(a * col[k] for k, a in row) != (self.denom if i == j else 0):
+                    raise ExactnessError("M * Q differs from %d * I at (%d, %d)"
+                                         % (self.denom, i + 1, j + 1))
+
+        # the public exact values, built once from the integers
+        self.inverse_cartan = tuple(tuple(Fraction(x, self.denom) for x in row)
+                                    for row in q_num)
+        self.root_lengths = tuple(map(Fraction, lengths))
         prod = 1
         for h in self._heights_scaled:
-            prod *= Fraction(h, self.denom).denominator
+            prod *= self.denom // gcd(h, self.denom)
         self.mesh_size = Fraction(1, prod)
 
         self._constants = None
         self.memo = {}
-
-        # sanity: M * Q = identity exactly
-        for i in range(n):
-            for j in range(n):
-                s = sum(cartan[i][k] * q_num[k][j] for k in range(n))
-                if s != (self.denom if i == j else 0):
-                    raise ExactnessError("M * Q differs from %d * I at (%d, %d)"
-                                         % (self.denom, i + 1, j + 1))
 
     # -- basic data -------------------------------------------------------
 
@@ -387,7 +440,8 @@ class DynkinDiagram:
 
     def coroot_pairing(self, mu, alpha):
         """<mu, alpha_vee> = 2<mu,alpha>/<alpha,alpha> for a root alpha (as weight)."""
-        return 2 * self.inner_product(mu, alpha) / self.norm2(alpha)
+        return Fraction(2 * self.inner_product_scaled(mu, alpha),
+                        self.inner_product_scaled(alpha, alpha))
 
     def dominant_rep(self, mu):
         """The unique dominant weight in the W-orbit of mu."""
@@ -513,6 +567,7 @@ def build_diagram(spec):
         spec = parts
     if spec and isinstance(spec[0], (tuple, list)) and spec and \
             all(len(p) == 2 and isinstance(p[0], str) for p in spec):
+        _check_rank(sum(int(rk) for _, rk in spec))
         blocks = [seed_cartan(letter, int(rk)) for letter, rk in spec]
         n = sum(len(b) for b in blocks)
         m = [[0] * n for _ in range(n)]

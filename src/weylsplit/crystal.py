@@ -28,11 +28,17 @@ EXHAUSTIVE_UNTANGLED_LIMIT = 4
 # building blocks
 
 def is_minuscule_weight(d, lam):
-    """Dominant, nonzero, and all coroot pairings lie in {0, +-1}."""
+    """Dominant, nonzero, and all coroot pairings lie in {0, +-1}.
+
+    <lam, beta_vee> = 2<lam,beta>/<beta,beta> <= 1 is tested as
+    2<lam,beta> <= <beta,beta>, in the integers scaled by denom: both
+    <beta,beta> and denom are positive.
+    """
     lam = tuple(lam)
     if not d.is_dominant(lam) or not any(lam):
         return False
-    return all(d.coroot_pairing(lam, r.root) <= 1 for r in d.positive_roots())
+    ip = d.inner_product_scaled
+    return all(2 * ip(lam, r.root) <= ip(r.root, r.root) for r in d.positive_roots())
 
 
 def minuscule_poset(d, lam):

@@ -26,7 +26,7 @@ Posets are immutable after construction; every cache is computed once.
 from collections import namedtuple
 from collections.abc import Sequence
 from functools import cached_property
-from itertools import chain, permutations, repeat
+from itertools import chain, repeat
 
 from . import wsf
 from .cartan import wadd, wsub
@@ -840,38 +840,25 @@ def chain_product_factorization(p, color, x):
     return members, tuple(chains), coords
 
 
-def sub_block_members(lengths, b):
-    """Predicate factory for the b-sub-block of a chain product.
-
-    lengths are the factor lengths in the chosen order; returns a function
-    of a coordinate vector, or None when the sub-block is empty.
-    """
-    total = sum(lengths)
-    if b > total:
-        return None
-    suffix = 0
-    q = len(lengths) - 1
-    while q >= 0:
-        if suffix < b <= suffix + lengths[q]:
-            break
-        suffix += lengths[q]
-        q -= 1
-    need = b - suffix
-
-    def member(vec):
-        if any(vec[r] != 0 for r in range(q + 1, len(lengths))):
-            return False
-        return lengths[q] - vec[q] >= need
-
-    return member
-
-
 def verify_subblock_coloring(p, nodes, nu, s_set, kappa):
     """Sub-block coloring criterion: K(x) is a (nu_k+1)-sub-block of comp_k(x).
 
     nodes is the subset J, nu is indexed like the subdiagram weight, s_set
-    the vertex set S, kappa the coloring on the complement.  Factor order
-    inside a chain product is not canonical, so every ordering is tried.
+    the vertex set S, kappa the coloring on the complement.
+
+    Factor order inside a chain product is not canonical, so the shape is
+    read off the maxima of K(x)'s coordinates instead of tried per order.
+    For factor lengths l_1, ..., l_m in some order, the b-sub-block fixes
+    the factors after some q at 0, caps factor q at l_q - (b - s) with s
+    their total length and s < b <= s + l_q, and leaves the factors before
+    q free.  So its coordinate maxima are 0 on Z (the factors after q, and q
+    itself when its cap is 0), strictly between 0 and the length on at most
+    one factor q (the set P), and the full length on the rest, since every
+    chain has length >= 1; and b is sum_Z l + (l_q - max_q), or sum_Z l when
+    P is empty.  Conversely, when K(x) has such maxima and as many members
+    as the box below them, K(x) is that box (distinct members have distinct
+    coordinates), which is the b-sub-block for the order free factors, q,
+    then Z.  K(x) holds x, so it is never the empty sub-block of b > sum l.
     """
     nodes = tuple(sorted(nodes))
     nu_of = {j: nu[t] for t, j in enumerate(nodes)}
@@ -887,22 +874,16 @@ def verify_subblock_coloring(p, nodes, nu, s_set, kappa):
         if ckey in passed:
             continue
         members, chains, coords = chain_product_factorization(p, k, x)
-        kx = frozenset(y for y in members
-                       if y not in s_set and kappa.get(y) == k)
+        kx = [coords[y] for y in members if y not in s_set and kappa.get(y) == k]
         b = nu_of[k] + 1
         lengths = [len(c) for c in chains]
-        ok = False
-        for perm in set(permutations(range(len(chains)))):
-            member = sub_block_members([lengths[i] for i in perm], b)
-            if member is None:
-                got = frozenset()
-            else:
-                got = frozenset(v for v in members
-                                if member([coords[v][i] for i in perm]))
-            if got == kx:
-                ok = True
-                break
-        if not ok:
+        tops = [max(col) for col in zip(*kx)]       # kx holds x, so it is not empty
+        fixed = sum(ln for ln, t in zip(lengths, tops) if t == 0)
+        capped = [ln - t for ln, t in zip(lengths, tops) if 0 < t < ln]
+        box = 1
+        for t in tops:
+            box *= t + 1
+        if len(capped) > 1 or fixed + sum(capped) != b or len(kx) != box:
             return False, "K(%d) is not a %d-sub-block of its %d-component" % (x, b, k)
         passed.add(ckey)
     return True, None

@@ -28,6 +28,10 @@ class NotFiniteType(DomainError):
     """Valid GCM, but some connected component is not of finite type."""
 
 
+class DiagramTooLarge(DomainError):
+    """The total rank of a diagram exceeds cartan.MAX_RANK."""
+
+
 class OrbitTooLarge(DomainError):
     """A Weyl orbit exceeded the configured cap."""
 

@@ -174,9 +174,10 @@ def enumerate_positive_roots(d, word):
     """The positive roots in the order of word, longest_word(d).word.
 
     The j-th letter i_j gives beta_j = s_{i_1} ... s_{i_(j-1)}(alpha_{i_j}),
-    which has the length class of alpha_{i_j}.  rows[a] holds w(alpha_a) in
-    root coordinates for the prefix w read so far; w <- w s_i takes it to
-    rows[a] - M_ai * rows[i], since s_i(alpha_a) = alpha_a - M_ai alpha_i.
+    which has the length class of alpha_{i_j}.  vecs[a] holds w(alpha_a) in
+    root coordinates followed by omega coordinates, for the prefix w read
+    so far; w <- w s_i takes it to vecs[a] - M_ai * vecs[i], since
+    s_i(alpha_a) = alpha_a - M_ai alpha_i.
 
     Proof that these are the roots: firing i is s_i, so after u = s_{i_k}
     ... s_{i_1} node i holds <lambda, u^-1(alpha_i)^vee>, positive from a
@@ -187,17 +188,16 @@ def enumerate_positive_roots(d, word):
     Coxeter matrix, so M and M^T fire the same word.
     """
     n = d.rank
-    cols = tuple(zip(*d.cartan))
-    rows = [tuple(int(a == b) for b in range(n)) for a in range(n)]
+    # the nonzero (a, M_ai) of each column i
+    cols = tuple(tuple((a, m) for a, m in enumerate(col) if m) for col in zip(*d.cartan))
+    vecs = [[int(a == b) for b in range(n)] + list(row) for a, row in enumerate(d.cartan)]
+    classes = ["short" if x == 2 else "long" for x in d.root_lengths]
     roots = []
     for i in word:
-        k = rows[i - 1]
-        omega = tuple(sum(x * m for x, m in zip(k, col)) for col in cols)
-        cls = "short" if d.root_lengths[i - 1] == 2 else "long"
-        roots.append(PositiveRoot(omega, k, cls))
-        for a, m in enumerate(cols[i - 1]):
-            if m:
-                rows[a] = tuple(x - m * y for x, y in zip(rows[a], k))
+        v = vecs[i - 1]
+        roots.append(PositiveRoot(tuple(v[n:]), tuple(v[:n]), classes[i - 1]))
+        for a, m in cols[i - 1]:
+            vecs[a] = [x - m * y for x, y in zip(vecs[a], v)]
     if len({r.alpha_coords for r in roots}) != len(roots):
         raise ExactnessError("the longest word gave a repeated root")
     return roots

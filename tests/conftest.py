@@ -6,18 +6,21 @@ from bounded enumeration, positive roots from reflection closure or by
 reflecting each simple root along a word, Weyl orbits from a search that
 tries every simple reflection on every element, crystal signatures from
 separate forward and suffix scans, and colored posets are checked against
-their full transitive closure.
+their full transitive closure.  The inverse Cartan matrix comes from
+Fraction Gauss-Jordan, component numberings from a slot-by-slot
+backtracking search, and sub-block colorings from trying every factor order.
 """
 
 import functools
 import json
 from fractions import Fraction
+from itertools import permutations
 from importlib import resources
 
 import pytest
 
-from weylsplit import build_diagram
-from weylsplit.cartan import orbit_cap
+from weylsplit import build_diagram, ecposet
+from weylsplit.cartan import _finite_types, orbit_cap, seed_cartan
 from weylsplit.errors import NotAcyclic, NotCovering, NotRanked, OrbitTooLarge
 
 
@@ -354,3 +357,92 @@ def brute_signature(factors, i, x):
         if top is None or val >= top:
             top, last = val, r
     return best, first, top, last
+
+
+# ---------------------------------------------------------------------------
+# diagram set-up by the direct routes
+
+def fraction_inverse(m):
+    """Exact inverse of an integer matrix by Fraction Gauss-Jordan."""
+    n = len(m)
+    a = [[Fraction(m[i][j]) for j in range(n)] + [Fraction(int(i == j)) for j in range(n)]
+         for i in range(n)]
+    for col in range(n):
+        piv = next(r for r in range(col, n) if a[r][col] != 0)
+        a[col], a[piv] = a[piv], a[col]
+        inv = 1 / a[col][col]
+        a[col] = [x * inv for x in a[col]]
+        for r in range(n):
+            if r != col and a[r][col] != 0:
+                f = a[r][col]
+                a[r] = [x - f * y for x, y in zip(a[r], a[col])]
+    return tuple(tuple(a[i][n + j] for j in range(n)) for i in range(n))
+
+
+def brute_numbering(cartan, nodes):
+    """(letter, rank, numbering) of one component: template slots are filled
+    in order 0, 1, ..., each by the least unused node that keeps every entry
+    among the filled slots equal, so the first full fill is the least."""
+    k = len(nodes)
+    sub = [[cartan[a][b] for b in nodes] for a in nodes]
+    for letter in _finite_types(k):
+        tmpl = seed_cartan(letter, k)
+        assign = []
+
+        def fill(t):
+            if t == k:
+                return True
+            for c in range(k):
+                if c not in assign and all(
+                        tmpl[t][t2] == sub[c][c2] and tmpl[t2][t] == sub[c2][c]
+                        for t2, c2 in enumerate(assign + [c])):
+                    assign.append(c)
+                    if fill(t + 1):
+                        return True
+                    assign.pop()
+            return False
+
+        if fill(0):
+            return letter, k, tuple(nodes[c] for c in assign)
+    return None
+
+
+# ---------------------------------------------------------------------------
+# sub-block colorings by trying every factor order
+
+def sub_block_members(lengths, b):
+    """Membership test of the b-sub-block of a chain product whose factors
+    have these lengths in this order; None when the sub-block is empty."""
+    if b > sum(lengths):
+        return None
+    suffix, q = 0, len(lengths) - 1
+    while not suffix < b <= suffix + lengths[q]:
+        suffix += lengths[q]
+        q -= 1
+    need = b - suffix
+    return lambda vec: not any(vec[q + 1:]) and lengths[q] - vec[q] >= need
+
+
+def brute_subblock_coloring(p, nodes, nu, s_set, kappa):
+    """verify_subblock_coloring by trying every order of each component's factors."""
+    nu_of = dict(zip(sorted(nodes), nu))
+    s_set = frozenset(s_set)
+    for x in range(p.n):
+        if x in s_set:
+            continue
+        k = kappa.get(x)
+        if k not in nu_of:
+            return False, "kappa(%d) missing or outside J" % x
+        members, chains, coords = ecposet.chain_product_factorization(p, k, x)
+        kx = frozenset(y for y in members if y not in s_set and kappa.get(y) == k)
+        lengths = [len(c) for c in chains]
+        for perm in permutations(range(len(chains))):
+            member = sub_block_members([lengths[i] for i in perm], nu_of[k] + 1)
+            got = frozenset(v for v in members
+                            if member and member([coords[v][i] for i in perm]))
+            if got == kx:
+                break
+        else:
+            return False, "K(%d) is not a %d-sub-block of its %d-component" \
+                % (x, nu_of[k] + 1, k)
+    return True, None

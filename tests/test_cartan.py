@@ -6,11 +6,14 @@ from fractions import Fraction
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weylsplit import build_diagram, cartan, crystal
-from weylsplit.errors import ExactnessError, NotFiniteType, NotGCM, OrbitTooLarge
+from math import lcm
 
-from conftest import (apply_mat, brute_positive_roots, brute_weyl_group,
-                      brute_weyl_orbit, mat_det)
+from weylsplit import DynkinDiagram, build_diagram, cartan, crystal
+from weylsplit.errors import (DiagramTooLarge, ExactnessError, NotFiniteType, NotGCM,
+                              OrbitTooLarge)
+
+from conftest import (apply_mat, brute_numbering, brute_positive_roots, brute_weyl_group,
+                      brute_weyl_orbit, fraction_inverse, mat_det)
 
 
 def rand_weight(rng, n, lo=-6, hi=6):
@@ -31,10 +34,14 @@ def test_affine_a1_rejected():
 
 def test_wrong_inverse_raises_exactness_error(monkeypatch):
     # the M * Q = denom * I check is a raise, so python -O keeps it
-    monkeypatch.setattr(cartan, "_invert_exact",
-                        lambda m: tuple(tuple(Fraction(int(i == j)) for j in range(len(m)))
-                                        for i in range(len(m))))
-    with pytest.raises(ExactnessError):
+    right = cartan._invert_exact
+
+    def wrong(m):
+        det, adj = right(m)
+        return det, ((adj[0][0] + det,) + adj[0][1:],) + adj[1:]
+
+    monkeypatch.setattr(cartan, "_invert_exact", wrong)
+    with pytest.raises(ExactnessError, match="M \\* Q differs"):
         build_diagram("A2")
 
 
@@ -344,3 +351,96 @@ def test_scaled_forms_match_direct_fractions(data):
              for i in range(n) for j in range(n))
     assert d.inner_product(u, v) == ip
     assert type(d.height(u)) is Fraction and type(d.inner_product(u, v)) is Fraction
+
+
+SETUP_TYPES = (["A%d" % n for n in range(1, 9)] + ["B%d" % n for n in range(3, 9)]
+               + ["C%d" % n for n in range(2, 9)] + ["D%d" % n for n in range(4, 9)]
+               + ["E6", "E7", "E8", "F4", "G2", "A2+A1", "C2+G2", "B3+A2+G2", "D4+F4"])
+
+
+def _relabelled(d, rng):
+    p = list(range(d.rank))
+    rng.shuffle(p)
+    return build_diagram("cartan:" + json.dumps([[d.cartan[a][b] for b in p] for a in p]))
+
+
+@pytest.fixture(scope="module")
+def setup_diagrams():
+    """Every finite type of rank up to 8, four sums, three relabellings of each."""
+    rng = random.Random(18)
+    base = [build_diagram(spec) for spec in SETUP_TYPES]
+    return base + [_relabelled(d, rng) for d in base for _ in range(3)]
+
+
+def test_setup_matches_the_direct_routes(setup_diagrams):
+    for d in setup_diagrams:
+        n = d.rank
+        # components: each numbered as the slot-by-slot search numbers it
+        for ci, (letter, rk, nums) in enumerate(d.components):
+            nodes = sorted(v - 1 for v in nums)
+            assert brute_numbering(d.cartan, nodes) == (letter, rk, tuple(v - 1 for v in nums))
+            assert all(d.component_of[v] == ci for v in nodes)
+        assert all(d.component_of[i] == d.component_of[j] for i in range(n)
+                   for j in range(n) if d.cartan[i][j])
+        # inverse and the integer tables over denom
+        q = fraction_inverse(d.cartan)
+        assert d.inverse_cartan == q
+        assert all(type(x) is Fraction for row in d.inverse_cartan for x in row)
+        assert d.denom == lcm(*(x.denominator for row in q for x in row))
+        assert d._q_cols == tuple(tuple(q[j][k] * d.denom for j in range(n))
+                                  for k in range(n))
+        assert d._heights_scaled == tuple(sum(row) * d.denom for row in q)
+        assert d.gram_scaled == tuple(tuple(q[j][i] * d.root_lengths[i] / 2 * d.denom
+                                            for j in range(n)) for i in range(n))
+        prod = 1
+        for row in q:
+            prod *= sum(row).denominator
+        assert d.mesh_size == Fraction(1, prod) and type(d.mesh_size) is Fraction
+        # root lengths: M_ji <a_i,a_i> = M_ij <a_j,a_j>, short = 2 per component
+        lengths = d.root_lengths
+        assert all(type(x) is Fraction for x in lengths)
+        assert all(d.cartan[j][i] * lengths[i] == d.cartan[i][j] * lengths[j]
+                   for i in range(n) for j in range(n))
+        for _, _, nums in d.components:
+            assert min(lengths[v - 1] for v in nums) == 2
+
+
+def test_invert_exact_matches_sympy():
+    from sympy import Matrix
+    for spec in SETUP_TYPES:
+        m = build_diagram(spec).cartan
+        n = len(m)
+        det, adj = cartan._invert_exact(m)
+        assert all(type(x) is int for row in adj for x in row) and type(det) is int
+        assert det == Matrix(m).det()
+        assert all(sum(m[i][k] * adj[k][j] for k in range(n)) == det * (i == j)
+                   for i in range(n) for j in range(n))
+        inv = Matrix(m).inv()
+        assert build_diagram(spec).inverse_cartan == tuple(
+            tuple(Fraction(int(inv[i, j].p), int(inv[i, j].q)) for j in range(n))
+            for i in range(n))
+    # det is det(m) whatever the sign of the row swaps
+    assert cartan._invert_exact(((0, 1), (1, 0))) == (-1, ((0, -1), (-1, 0)))
+    with pytest.raises(NotFiniteType, match="singular"):
+        cartan._invert_exact(((2, -2), (-2, 2)))
+
+
+@pytest.mark.parametrize("spec", ["A40", "B40", "C40", "D40"])
+def test_rank_40_classical_types_build(spec):
+    d = build_diagram(spec)
+    assert d.type_string() == spec
+    assert d.components == [(spec[0], 40, tuple(range(1, 41)))]
+    e = _relabelled(d, random.Random(40))
+    assert e.type_string() == spec
+    (letter, rk, nums), = e.components
+    assert brute_numbering(e.cartan, list(range(40))) == (letter, rk,
+                                                          tuple(v - 1 for v in nums))
+
+
+def test_rank_bound():
+    assert build_diagram("A64").rank == cartan.MAX_RANK == 64
+    for spec in ["A65", "A99999999999999", "E8+A57", [("A", 10 ** 12)]]:
+        with pytest.raises(DiagramTooLarge):
+            build_diagram(spec)
+    with pytest.raises(DiagramTooLarge, match="rank 65 exceeds 64"):
+        DynkinDiagram([[2 * (i == j) for j in range(65)] for i in range(65)])

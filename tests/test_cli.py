@@ -301,6 +301,13 @@ def test_optimized_run_rejects_non_dominant():
     (("branch", "--diagram", "A2", "--weight", "1,1", "--subset", "0"), "NotGCM"),
     (("branch", "--diagram", "A2", "--weight", "1,1", "--subset", "5"), "NotGCM"),
     (("lattice", "--family", "gt", "--n", "3"), "InvalidFamilyParams"),
+    # rank above cartan.MAX_RANK: no n x n matrix, no recursion past the bound
+    (("info", "--diagram", "A99999999999999"), "DiagramTooLarge"),
+    (("info", "--diagram", "A1200"), "DiagramTooLarge"),
+    (("info", "--diagram", "A40+D25"), "DiagramTooLarge"),
+    (("info", "--diagram", "cartan:" + json.dumps([[2 * (i == j) for j in range(65)]
+                                                   for i in range(65)])),
+     "DiagramTooLarge"),
 ])
 def test_bad_input_exit_1_under_optimize(argv, error, tmp_path, capsys):
     from weylsplit import crystal as cr, ecposet as ec, build_diagram

@@ -1,5 +1,6 @@
 import itertools
 import json
+import time
 
 import networkx as nx
 import pytest
@@ -10,7 +11,8 @@ from weylsplit.errors import (DiagramMismatch, DomainError, ExactnessError,
                               MalformedPoset, NotAcyclic, NotChainProduct,
                               NotCovering, NotMStructured, NotRanked)
 
-from conftest import brute_color_tables, brute_poset_error, load_fixture
+from conftest import (brute_color_tables, brute_poset_error, brute_subblock_coloring,
+                      load_fixture, sub_block_members)
 
 A2 = build_diagram("A2")
 G2 = build_diagram("G2")
@@ -485,6 +487,63 @@ def test_subblock_failure_names_first_vertex_of_its_component():
                 and p.comp_id[bad[x]][y] == p.comp_id[bad[x]][x]]
         assert x == min(same), (v, k, why)
     assert failures
+
+
+def chain_product(lengths, colors):
+    """The product of chains of these lengths, factor f's steps colored colors[f]."""
+    box = list(itertools.product(*(range(ln + 1) for ln in lengths)))
+    index = {v: i for i, v in enumerate(box)}
+    edges = [(index[v], index[v[:f] + (v[f] + 1,) + v[f + 1:]], colors[f])
+             for v in box for f in range(len(lengths)) if v[f] < lengths[f]]
+    return ec.build_poset(edges, 2, n_vertices=len(box)), box
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_subblock_verifier_matches_every_order(data):
+    lengths = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=4))
+    m = len(lengths)
+    colors = data.draw(st.lists(st.sampled_from((1, 1, 2)), min_size=m, max_size=m))
+    p, box = chain_product(lengths, colors)
+    # K(x) is a sub-block of the whole box for some order, or a box below
+    # random caps; then a few vertices are moved into or out of S
+    order = data.draw(st.permutations(range(m)))
+    if data.draw(st.booleans()):
+        b = data.draw(st.integers(1, sum(lengths) + 1))
+        member = sub_block_members([lengths[f] for f in order], b)
+    else:
+        # b is what the lengths would need if this box were a sub-block
+        caps = [data.draw(st.integers(0, ln)) for ln in lengths]
+        b = max(1, sum(ln - c for ln, c in zip(lengths, caps)))
+
+        def member(vec):
+            return all(x <= caps[f] for x, f in zip(vec, order))
+    keep = {v for v, vec in enumerate(box) if member and member([vec[f] for f in order])}
+    for v in data.draw(st.lists(st.integers(0, len(box) - 1), max_size=2)):
+        keep ^= {v}
+    mixed = data.draw(st.sampled_from((False, False, True)))
+    kappa = {v: data.draw(st.sampled_from((1, 1, 1, 2))) if mixed else 1 for v in keep}
+    nu = (data.draw(st.sampled_from((b - 1, data.draw(st.integers(0, 5))))),
+          data.draw(st.integers(0, 3)))
+    s_set = set(range(len(box))) - keep
+    args = (p, (1, 2), nu, s_set, kappa)
+    assert ec.verify_subblock_coloring(*args) == brute_subblock_coloring(*args)
+
+
+def test_subblock_verifier_boolean_lattice_k10():
+    # trying every factor order would take 10! tries per verdict
+    p, box = chain_product([1] * 10, [1] * 10)
+    start = time.perf_counter()
+    # the 1-sub-block is a facet: the last factor of some order held at 0
+    facet = {v for v, vec in enumerate(box) if vec[3] == 0}
+    assert ec.verify_subblock_coloring(p, (1,), (0,), set(range(p.n)) - facet,
+                                       dict.fromkeys(facet, 1)) == (True, None)
+    # everything but the top is no sub-block
+    top = box.index((1,) * 10)
+    kappa = {v: 1 for v in range(p.n) if v != top}
+    assert ec.verify_subblock_coloring(p, (1,), (0,), {top}, kappa) == \
+        (False, "K(0) is not a 1-sub-block of its 1-component")
+    assert time.perf_counter() - start < 10
 
 
 def test_lemma_3_4_invariants():
