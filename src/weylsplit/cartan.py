@@ -29,6 +29,7 @@ import json
 import os
 import re
 from fractions import Fraction
+from functools import lru_cache
 from itertools import chain
 from math import gcd, lcm
 from operator import mul
@@ -125,6 +126,25 @@ def seed_cartan(letter, rank):
     return tuple(tuple(row) for row in m)
 
 
+@lru_cache(maxsize=None)     # one key per finite type of rank <= MAX_RANK
+def _template(letter, rank):
+    """(matrix, neighbour lists, breadth-first slot order, parent slots) of a seed.
+
+    Built once per finite type; every part is a tuple, so the cached value
+    cannot be changed by a caller.
+    """
+    tmpl = seed_cartan(letter, rank)
+    tnbrs = tuple(tuple(t2 for t2 in range(rank) if t2 != t and tmpl[t][t2])
+                  for t in range(rank))
+    order, parent = [0], [None] * rank
+    for t in order:          # seeds are connected, so this reaches all slots
+        for t2 in tnbrs[t]:
+            if t2 and parent[t2] is None:
+                parent[t2] = t
+                order.append(t2)
+    return tmpl, tnbrs, tuple(order), tuple(parent)
+
+
 def _match_component(cartan, nodes):
     """Classify one connected component against the finite-type seeds.
 
@@ -141,14 +161,7 @@ def _match_component(cartan, nodes):
     sub = [[cartan[a][b] for b in nodes] for a in nodes]
     nbrs = [[c2 for c2 in range(k) if c2 != c and sub[c][c2]] for c in range(k)]
     for letter in _finite_types(k):
-        tmpl = seed_cartan(letter, k)
-        tnbrs = [[t2 for t2 in range(k) if t2 != t and tmpl[t][t2]] for t in range(k)]
-        order, parent = [0], [None] * k
-        for t in order:          # seeds are connected, so this reaches all k
-            for t2 in tnbrs[t]:
-                if t2 and parent[t2] is None:
-                    parent[t2] = t
-                    order.append(t2)
+        tmpl, tnbrs, order, parent = _template(letter, k)
         assign = [None] * k      # template slot -> component-local index
         used = [False] * k
         found = []

@@ -16,7 +16,7 @@ import json
 import sys
 
 from .cartan import DEFAULT_FIRING_CAP, build_diagram, parse_weight
-from .errors import DomainError, InvalidFamilyParams, MalformedPoset
+from .errors import DomainError, InvalidFamilyParams, MalformedPoset, NotDominant
 
 
 def _diagram(args):
@@ -218,13 +218,23 @@ def cmd_verify(args):
             w = json.load(fh)
         try:
             nodes = tuple(w.get("J", range(1, d.rank + 1)))
-            nu = tuple(w.get("nu", [0] * len(nodes)))
+            nu = tuple(w.get("nu", [0] * len(set(nodes))))   # repeats in J count once
             s_set = set(w["S"])
             kappa = {int(k): v for k, v in w["kappa"].items()}
             tau = {int(k): v for k, v in w["tau"].items()} if w.get("tau") else None
         except (AttributeError, KeyError, TypeError, ValueError) as e:
             raise MalformedPoset("bad witness JSON (%s: %s)"
                                  % (type(e).__name__, e)) from None
+        values = (nodes + nu + tuple(s_set) + tuple(kappa.values())
+                  + tuple((tau or {}).values()))
+        if not all(type(x) is int for x in values):
+            raise MalformedPoset("witness J, nu, S, kappa and tau must hold plain ints")
+        nodes = d.sub_diagram(nodes)[1]     # NotGCM for a node outside the diagram
+        if len(nu) != len(nodes):
+            raise MalformedPoset("witness nu has %d entries for %d nodes in J"
+                                 % (len(nu), len(nodes)))
+        if min(nu, default=0) < 0:
+            raise NotDominant("witness nu %s is not dominant" % (nu,))
         if tau:
             wit = ecposet.ColoringWitness(S=frozenset(s_set), kappa=kappa, tau=tau)
             ok, why = ecposet.verify_tau_kappa(p, nodes, nu, wit)

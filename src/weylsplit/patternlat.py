@@ -2,24 +2,39 @@
 
 Four families: special linear (Gelfand--Tsetlin), odd orthogonal,
 symplectic, and even orthogonal.  A pattern is a triangular integer array
-read here in "drawn rows", longest row first:
+of "drawn rows", longest row first, drawn[r] of length L - r:
 
-* drawn[0] is the outer row (fixed boundary sums for the special linear
-  family; a weakly increasing row bounded by m otherwise);
-* drawn[r+1][k] always sits between drawn[r][k] and drawn[r][k+1], with
-  the outer-row values doubled in the symplectic comparison;
-* for the even orthogonal family the outer row interleaves the two spin
-  rows: odd slots belong to one color, even slots to the other.
+* the outer row drawn[0] holds the fixed boundary sums for the special
+  linear family, and 0 <= drawn[0][0] <= ... <= drawn[0][L-1] <= m otherwise;
+* s_r * drawn[r][k] <= drawn[r+1][k] <= s_r * drawn[r][k+1], with s_0 = 2
+  for the symplectic family (its outer row is doubled) and s_r = 1 otherwise;
+* the even orthogonal outer row interleaves the two spin rows: odd slots
+  belong to one color, even slots to the other.
 
-Edges increment a single entry, colored by the row of that entry; the
-componentwise order makes each family a diamond-colored distributive
-lattice.  Distributivity holds by construction: every bound is a monotone
-function of neighbouring entries, so the patterns are closed under
-componentwise min and max (checked pair by pair on the acceptance and
-pattern-lattice test lattices by tests/test_patternlat.py::
-test_min_max_closure).  The closed m-value formulas and the
-slantwise-least-maximizable vertex coloring live here too, along with the
-explicit rank generating function products for the A/B/C families.
+`_cell_bounds` is the one statement of these inequalities: all the bounds
+on one cell given the others.  Edges raise a single entry by one, colored
+by its row (`_cell_color`).  Every bound is a monotone function of
+neighbouring entries, so the patterns are closed under componentwise min
+and max and form a diamond-colored distributive lattice
+(tests/test_patternlat.py::test_min_max_closure checks this pair by pair).
+
+The lattice is the closure of the least pattern P under covers.  A raised
+entry meets only inequalities that its own bounds hold, so t -> t + e_(r,k)
+is a cover exactly when t[r][k] is below its upper bound.  Every pattern t
+is reached.  Down the rows t[r+1][k] >= s_r t[r][k] >= s_r P[r][k] =
+P[r+1][k], so t >= P; if t != P, take a cell where t > P.  If it cannot be
+lowered, a lower bound is tight there.  The constant 0 is not, as t exceeds
+P >= 0 there, so it is a neighbour, and that neighbour exceeds P too:
+* above: s_(r-1) t[r-1][k] > t[r][k] - 1 >= P[r][k] = s_(r-1) P[r-1][k];
+* below: t[r+1][k-1] > s_r (t[r][k] - 1) >= s_r P[r][k] >= P[r+1][k-1]
+  (the halved outer bounds of the symplectic family say the same).
+So the neighbour is not a fixed entry, and r + 2k falls by one; following
+tight lower bounds ends at a cell of t that can be lowered.  The lowered
+pattern has a smaller entry sum, so the walk reaches it by induction, and t
+is one of its covers.
+
+The closed m-values, the slantwise-least-maximizable vertex coloring and
+the A/B/C rank generating function products live here too.
 """
 
 from collections import namedtuple
@@ -48,7 +63,7 @@ def _shape(family, n, m=None, lam=None, node=None):
     if family == "gt":
         if n < 2 or len(lam) != n - 1 or any(a < 0 for a in lam):
             raise InvalidFamilyParams("gt needs size n >= 2 and a dominant weight")
-        d = build_diagram([("A", n - 1)]) if n >= 2 else None
+        d = build_diagram([("A", n - 1)])
         fixed = tuple(sum(lam[k - 1] for k in range(n + 1 - j, n)) for j in range(1, n + 1))
         return FamilyShape("gt", n - 1, fixed[-1], fixed, n, n, False,
                            tuple(lam), d)
@@ -90,28 +105,35 @@ def _cell_color(shape, r, k):
     return shape.n_drawn_rows - r
 
 
+def _cells(shape):
+    """The variable drawn cells (r, k, color), row by row."""
+    return [(r, k, c) for r in range(shape.n_drawn_rows)
+            for k in range(shape.outer_len - r)
+            for c in (_cell_color(shape, r, k),) if c is not None]
+
+
 def _cell_bounds(shape, drawn, r, k):
     """Integer bounds of drawn cell (r, k) given the rest of the pattern.
 
+    Every inequality of the module docstring that names the cell is here.
     Boundary positions absent from the array impose the constants 0 below
     and the bound m above; the symplectic outer row stores raw entries with
     the doubling applied only inside comparisons, so its own bounds use
     exact halves.
     """
-    rows = drawn
     if r == 0:
-        below = rows[1] if shape.n_drawn_rows > 1 else ()
+        below = drawn[1] if shape.n_drawn_rows > 1 else ()
         lo = below[k - 1] if k >= 1 else 0
         hi = below[k] if k < len(below) else (
             2 * shape.bound if shape.double_outer else shape.bound)
         if shape.double_outer:
             return -(-lo // 2), hi // 2
         return lo, hi
-    above = rows[r - 1]
+    above = drawn[r - 1]
     s = 2 if (shape.double_outer and r == 1) else 1
     lo, hi = s * above[k], s * above[k + 1]
     if r + 1 < shape.n_drawn_rows:
-        below = rows[r + 1]
+        below = drawn[r + 1]
         if k >= 1:
             lo = max(lo, below[k - 1])
         if k < len(below):
@@ -119,75 +141,25 @@ def _cell_bounds(shape, drawn, r, k):
     return lo, hi
 
 
-def _enumerate(shape):
-    """All patterns, by row-wise backtracking with already-placed bounds."""
-    out = []
+def _extreme_pattern(shape, top):
+    """The least (top = 0) or greatest (top = 1) pattern.
 
-    def place_outer():
-        if shape.outer_fixed is not None:
-            yield shape.outer_fixed
-            return
-        row = [0] * shape.outer_len
-
-        def grow(k, low):
-            if k == shape.outer_len:
-                yield tuple(row)
-                return
-            for v in range(low, shape.bound + 1):
-                row[k] = v
-                yield from grow(k + 1, v)
-
-        yield from grow(0, 0)
-
-    def fill(rows, r):
-        if r == shape.n_drawn_rows:
-            out.append(tuple(rows))
-            return
-        length = shape.outer_len - r
-        row = [0] * length
-        s = 2 if (shape.double_outer and r == 1) else 1
-        above = rows[-1]
-
-        def cell(k):
-            if k == length:
-                fill(rows + [tuple(row)], r + 1)
-                return
-            for v in range(s * above[k], s * above[k + 1] + 1):
-                row[k] = v
-                cell(k + 1)
-
-        cell(0)
-
-    for outer in place_outer():
-        fill([outer], 1)
-    return out
-
-
-def _max_pattern(shape):
-    """The componentwise maximum: fill each drawn row maximally, downward."""
-    if shape.outer_fixed is not None:
-        rows = [shape.outer_fixed]
-    else:
-        rows = [(shape.bound,) * shape.outer_len]
+    The outer row is fixed, all 0 or all m; below it each entry takes the
+    bound set by the entry above at k + top.  The rows stay weakly
+    increasing, so this is a pattern, and it bounds every pattern.
+    """
+    rows = [shape.outer_fixed or (top * shape.bound,) * shape.outer_len]
     for r in range(1, shape.n_drawn_rows):
         s = 2 if (shape.double_outer and r == 1) else 1
         above = rows[-1]
-        rows.append(tuple(s * above[k + 1] for k in range(len(above) - 1)))
+        rows.append(tuple(s * above[k + top] for k in range(len(above) - 1)))
     return tuple(rows)
 
 
 def _slantwise_positions(shape):
     """Variable drawn cells, SE to NW along diagonals, bottom of the array first."""
-    cells = []
-    top = shape.n_drawn_rows
-    for r in range(shape.n_drawn_rows):
-        if shape.family == "gt" and r == 0:
-            continue
-        for k in range(shape.outer_len - r):
-            i, j = top - r, k + 1
-            cells.append((i - j, -j, r, k))
-    cells.sort()
-    return [(r, k) for _, _, r, k in cells]
+    return sorted(((r, k) for r, k, _ in _cells(shape)),
+                  key=lambda rk: (-rk[0] - rk[1], -rk[1]))
 
 
 class PatternLattice:
@@ -197,26 +169,29 @@ class PatternLattice:
         self.shape = shape
         self.diagram = shape.diagram
         self.lam = shape.lam
-        patterns = sorted(_enumerate(shape))
+        cells = _cells(shape)
+        found = [_extreme_pattern(shape, 0)]
+        ids = {found[0]: 0}
+        covers = []
+        for i, t in enumerate(found):       # found grows as the walk reaches more
+            for r, k, c in cells:
+                if t[r][k] < _cell_bounds(shape, t, r, k)[1]:
+                    u = _bump(t, r, k)
+                    j = ids.get(u)
+                    if j is None:
+                        j = ids[u] = len(found)
+                        found.append(u)
+                    covers.append((i, j, c))
+        self.patterns = patterns = tuple(sorted(found))
         index = {t: i for i, t in enumerate(patterns)}
-        edges = []
-        for t in patterns:
-            for r in range(shape.n_drawn_rows):
-                for k in range(shape.outer_len - r):
-                    color = _cell_color(shape, r, k)
-                    if color is None:
-                        continue
-                    bumped = _bump(t, r, k)
-                    j = index.get(bumped)
-                    if j is not None:
-                        edges.append((index[t], j, color))
+        where = [index[t] for t in found]
+        edges = [(where[i], where[j], c) for i, j, c in covers]
         # monotone interlacing bounds: closed under componentwise min and max
         self.poset = ecposet.ColoredPoset(
             len(patterns), edges, diagram=shape.diagram, labels=patterns,
             is_lattice_hint=True)
-        self.patterns = tuple(patterns)
         self.index = index
-        self.max_pattern = _max_pattern(shape)
+        self.max_pattern = _extreme_pattern(shape, 1)
         if self.max_pattern not in index:
             raise ExactnessError("max pattern %s not enumerated" % (self.max_pattern,))
 
@@ -226,15 +201,10 @@ class PatternLattice:
         """m_i(t) from the per-cell bound formulas; equals the poset caches."""
         if isinstance(t, int):
             t = self.patterns[t]
-        n = self.diagram.rank
-        out = [0] * n
-        for r in range(self.shape.n_drawn_rows):
-            for k in range(self.shape.outer_len - r):
-                color = _cell_color(self.shape, r, k)
-                if color is None:
-                    continue
-                lo, hi = _cell_bounds(self.shape, t, r, k)
-                out[color - 1] += 2 * t[r][k] - lo - hi
+        out = [0] * self.diagram.rank
+        for r, k, color in _cells(self.shape):
+            lo, hi = _cell_bounds(self.shape, t, r, k)
+            out[color - 1] += 2 * t[r][k] - lo - hi
         return tuple(out)
 
     # -- slantwise coloring ---------------------------------------------------

@@ -8,13 +8,15 @@ tries every simple reflection on every element, crystal signatures from
 separate forward and suffix scans, and colored posets are checked against
 their full transitive closure.  The inverse Cartan matrix comes from
 Fraction Gauss-Jordan, component numberings from a slot-by-slot
-backtracking search, and sub-block colorings from trying every factor order.
+backtracking search, sub-block colorings from trying every factor order,
+and pattern lattices from filtering every array in a box by the interlacing
+inequalities.
 """
 
 import functools
 import json
 from fractions import Fraction
-from itertools import permutations
+from itertools import permutations, product
 from importlib import resources
 
 import pytest
@@ -446,3 +448,56 @@ def brute_subblock_coloring(p, nodes, nu, s_set, kappa):
             return False, "K(%d) is not a %d-sub-block of its %d-component" \
                 % (x, nu_of[k] + 1, k)
     return True, None
+
+
+# ---------------------------------------------------------------------------
+# pattern lattices by filtering every array in a box
+
+def brute_patterns(shape):
+    """(patterns, covers) of a pattern lattice from its defining inequalities.
+
+    Every array whose outer row is the fixed special linear row, or has
+    entries in 0..m, and whose inner entries lie in 0..s_0 * m is tried,
+    and kept when it meets the inequalities as the patternlat module
+    docstring writes them.  Covers are the pairs of kept arrays that differ
+    by +1 in a single variable entry, colored by that entry's row (the even
+    orthogonal outer row by its spin slot).
+    """
+    rows, m = shape.n_drawn_rows, shape.bound
+    s0 = 2 if shape.double_outer else 1
+    lengths = [shape.outer_len - r for r in range(rows)]
+    fixed = shape.outer_fixed is not None
+    outer = [shape.outer_fixed] if fixed else product(range(m + 1), repeat=lengths[0])
+
+    def split(outer_row, flat):
+        t, at = [outer_row], 0
+        for n in lengths[1:]:
+            t.append(tuple(flat[at:at + n]))
+            at += n
+        return tuple(t)
+
+    def is_pattern(t):
+        if not fixed and not (0 <= t[0][0] and t[0][-1] <= m and
+                              all(a <= b for a, b in zip(t[0], t[0][1:]))):
+            return False
+        return all((s0 if r == 0 else 1) * t[r][k] <= t[r + 1][k]
+                   <= (s0 if r == 0 else 1) * t[r][k + 1]
+                   for r in range(rows - 1) for k in range(lengths[r + 1]))
+
+    def color(r, k):
+        if shape.family == "eo" and r == 0:
+            return shape.spin_node if k % 2 == 0 else 2 * shape.n - 1 - shape.spin_node
+        return rows - r
+
+    patterns = sorted(t for o, flat in product(outer, product(range(s0 * m + 1),
+                                                                repeat=sum(lengths[1:])))
+                      for t in (split(o, flat),) if is_pattern(t))
+    members = set(patterns)
+    covers = set()
+    for t in patterns:
+        for r in range(1 if fixed else 0, rows):
+            for k in range(lengths[r]):
+                u = t[:r] + (t[r][:k] + (t[r][k] + 1,) + t[r][k + 1:],) + t[r + 1:]
+                if u in members:
+                    covers.add((t, u, color(r, k)))
+    return patterns, covers

@@ -372,6 +372,26 @@ def setup_diagrams():
     return base + [_relabelled(d, rng) for d in base for _ in range(3)]
 
 
+def test_each_template_is_built_once(monkeypatch):
+    # with the matrices given, seed_cartan runs only to build a template
+    matrices = [build_diagram(spec).cartan for spec in ("D5", "A3+A3", "B4+C4", "E6+A1")]
+    calls = []
+    seed = cartan.seed_cartan
+    monkeypatch.setattr(cartan, "seed_cartan",
+                        lambda letter, rank: calls.append((letter, rank)) or seed(letter, rank))
+    cartan._template.cache_clear()
+    rng = random.Random(19)
+    for m in matrices * 2:
+        types = sorted(c[:2] for c in DynkinDiagram(m).components)
+        for _ in range(3):
+            d = _relabelled(DynkinDiagram(m), rng)
+            assert sorted(c[:2] for c in d.components) == types
+    assert len(calls) == len(set(calls)) and {("D", 5), ("A", 3)} <= set(calls)
+    tmpl, tnbrs, order, parent = cartan._template("D", 5)
+    assert tmpl == seed("D", 5) and sorted(order) == list(range(5))
+    assert all(type(part) is tuple for part in (tmpl, tnbrs, order, parent, *tmpl, *tnbrs))
+
+
 def test_setup_matches_the_direct_routes(setup_diagrams):
     for d in setup_diagrams:
         n = d.rank

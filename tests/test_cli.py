@@ -308,6 +308,30 @@ def test_optimized_run_rejects_non_dominant():
     (("info", "--diagram", "cartan:" + json.dumps([[2 * (i == j) for j in range(65)]
                                                    for i in range(65)])),
      "DiagramTooLarge"),
+    # J and nu are checked once, before either coloring verifier reads them
+    (("verify", "--diagram", "A2", "--poset", "{good}", "--coloring", "{short_nu}"),
+     "MalformedPoset"),
+    (("verify", "--diagram", "A2", "--poset", "{good}", "--coloring", "{empty_nu}"),
+     "MalformedPoset"),
+    (("verify", "--diagram", "A2", "--poset", "{good}", "--coloring", "{empty_nu_tau}"),
+     "MalformedPoset"),
+    (("verify", "--diagram", "A2", "--poset", "{good}", "--coloring", "{long_nu}"),
+     "MalformedPoset"),
+    (("verify", "--diagram", "A2", "--poset", "{good}", "--coloring", "{bool_j}"),
+     "MalformedPoset"),
+    (("verify", "--diagram", "A2", "--poset", "{good}", "--coloring", "{float_nu}"),
+     "MalformedPoset"),
+    (("verify", "--diagram", "A2", "--poset", "{good}", "--coloring", "{j5}"), "NotGCM"),
+    (("verify", "--diagram", "A2", "--poset", "{good}", "--coloring", "{j5_tau}"), "NotGCM"),
+    (("verify", "--diagram", "A2", "--poset", "{good}", "--coloring", "{neg_nu}"),
+     "NotDominant"),
+    # a float kappa used to index a list; a bool read as node or vertex 1
+    (("verify", "--diagram", "A2", "--poset", "{good}", "--coloring", "{float_kappa}"),
+     "MalformedPoset"),
+    (("verify", "--diagram", "A2", "--poset", "{good}", "--coloring", "{bool_kappa}"),
+     "MalformedPoset"),
+    (("verify", "--diagram", "A2", "--poset", "{good}", "--coloring", "{bool_tau}"),
+     "MalformedPoset"),
 ])
 def test_bad_input_exit_1_under_optimize(argv, error, tmp_path, capsys):
     from weylsplit import crystal as cr, ecposet as ec, build_diagram
@@ -324,6 +348,18 @@ def test_bad_input_exit_1_under_optimize(argv, error, tmp_path, capsys):
              "short_wt": '{"rank_n":2,"vertices":[{"id":0,"wt":[0]}],"edges":[]}',
              "rank_3": '{"rank_n":3,"vertices":[{"id":0,"wt":[0,0,0]}],"edges":[]}',
              "truncated": '{"rank_n":2,'}
+    witnesses = {"short_nu": {"J": [1, 2], "nu": [0]}, "empty_nu": {"J": [1], "nu": []},
+                 "empty_nu_tau": {"J": [1], "nu": [], "tau": {"0": 1, "1": 0}},
+                 "long_nu": {"J": [1, 2], "nu": [0, 0, 5]}, "bool_j": {"J": [True]},
+                 "float_nu": {"J": [1, 2], "nu": [0, 1.0]}, "j5": {"J": [5]},
+                 "j5_tau": {"J": [5], "tau": {"0": 1, "1": 0}},
+                 "neg_nu": {"J": [1], "nu": [-1]},
+                 "float_kappa": {"kappa": {"0": 1.0, "1": 2}},
+                 "bool_kappa": {"kappa": {"0": True, "1": 2}},
+                 "bool_tau": {"J": [1, 2], "kappa": {"0": 1, "1": 2},
+                              "tau": {"0": True, "1": 0}}}
+    for name, fields in witnesses.items():
+        files[name] = json.dumps(dict({"S": [2], "kappa": {"0": 1, "1": 1}}, **fields))
     del data["edges"]
     files["keyless"] = json.dumps(data)
     for name, text in files.items():

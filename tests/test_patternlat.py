@@ -7,6 +7,7 @@ from hypothesis import given, settings, strategies as st
 from weylsplit import build_diagram, ecposet as ec, patternlat as pl, qpoly, wsf
 from weylsplit.errors import ExactnessError, InvalidFamilyParams
 
+from conftest import brute_patterns
 from test_acceptance import _lattices
 
 
@@ -253,6 +254,47 @@ def test_max_pattern_checks(monkeypatch):
     lat.max_pattern = lat.patterns[0]
     with pytest.raises(ExactnessError, match="nothing to maximize"):
         lat.slantwise_coloring()
-    monkeypatch.setattr(pl, "_max_pattern", lambda shape: ((9, 9), (9,)))
+    # the walk still starts from the real least pattern
+    extreme = pl._extreme_pattern
+    monkeypatch.setattr(pl, "_extreme_pattern", lambda shape, top:
+                        ((9, 9), (9,)) if top else extreme(shape, top))
     with pytest.raises(ExactnessError, match="not enumerated"):
         pl.gt_lattice(3, (1, 1))
+
+
+# (family, n, lam or m, node): every family at small sizes, with the
+# degenerate shapes m = 0, a zero weight, gt n = 2, sp 4, oo 4, eo 5 and eo 6
+ORACLE_SHAPES = [
+    ("gt", 2, (0,), None), ("gt", 2, (3,), None), ("gt", 3, (0, 0), None),
+    ("gt", 3, (2, 0), None), ("gt", 3, (1, 2), None), ("gt", 4, (1, 0, 1), None),
+    ("gt", 4, (0, 2, 0), None), ("sp", 2, 0, None), ("sp", 2, 3, None),
+    ("sp", 3, 1, None), ("sp", 4, 1, None), ("oo", 3, 0, None), ("oo", 3, 2, None),
+    ("oo", 4, 1, None), ("eo", 4, 0, 3), ("eo", 4, 2, 4), ("eo", 5, 1, 4),
+    ("eo", 5, 1, 5), ("eo", 6, 1, 5), ("eo", 6, 1, 6)]
+
+
+def family_lattice(family, n, a, node):
+    if family == "gt":
+        return pl.gt_lattice(n, a)
+    if family == "eo":
+        return pl.even_orth_lattice(n, a, node)
+    return {"sp": pl.symplectic_lattice, "oo": pl.odd_orth_lattice}[family](n, a)
+
+
+@pytest.mark.parametrize("case", ORACLE_SHAPES, ids=str)
+def test_patterns_and_covers_match_brute(case):
+    lat = family_lattice(*case)
+    patterns, covers = brute_patterns(lat.shape)
+    assert lat.patterns == tuple(patterns)
+    got = {(lat.patterns[u], lat.patterns[v], c) for u, v, c in lat.poset.edges}
+    assert len(got) == len(lat.poset.edges) and got == covers
+
+
+def test_first_and_last_patterns_are_the_extremes():
+    lattices = [lat for _, lat in _lattices()]
+    lattices += [family_lattice(*case) for case in ORACLE_SHAPES]
+    for lat in lattices:
+        flat = [sum(t, ()) for t in lat.patterns]
+        assert flat[0] == tuple(map(min, zip(*flat)))
+        assert flat[-1] == tuple(map(max, zip(*flat)))
+        assert lat.patterns[-1] == lat.max_pattern
