@@ -229,6 +229,10 @@ def cmd_verify(args):
                   + tuple((tau or {}).values()))
         if not all(type(x) is int for x in values):
             raise MalformedPoset("witness J, nu, S, kappa and tau must hold plain ints")
+        for x in (*s_set, *kappa, *(tau or {}), *(tau or {}).values()):
+            if not 0 <= x < p.n:
+                raise MalformedPoset("witness vertex %d is not an id in 0..%d"
+                                     % (x, p.n - 1))
         nodes = d.sub_diagram(nodes)[1]     # NotGCM for a node outside the diagram
         if len(nu) != len(nodes):
             raise MalformedPoset("witness nu has %d entries for %d nodes in J"

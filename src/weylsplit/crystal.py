@@ -539,15 +539,13 @@ def strongly_untangled(p):
 
 def _unique_max_components(p, js):
     jset = set(js)
-    parent = list(range(p.n))
-    for u, v, c in p.edges:
-        if c in jset:
-            parent[ecposet._find(parent, u)] = ecposet._find(parent, v)
+    # the J-edges as one color: its components are the J-components
+    root, = ecposet.component_roots(
+        p.n, [(u, v, 1) for u, v, c in p.edges if c in jset], 1)
     maxes = {}
     for x in range(p.n):
         if not any(c in jset for _, _, c in p.out[x]):
-            r = ecposet._find(parent, x)
-            maxes[r] = maxes.get(r, 0) + 1
+            maxes[root[x]] = maxes.get(root[x], 0) + 1
     return all(v == 1 for v in maxes.values())
 
 

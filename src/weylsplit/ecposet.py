@@ -3,22 +3,27 @@
 A ColoredPoset stores a Hasse diagram with edges colored by node indices
 and caches, per vertex and color, the component rank rho_i, component
 length l_i, depth delta_i = l_i - rho_i, m_i = 2 rho_i - l_i, and the
-weight wt(x) = sum m_i(x) omega_i.  On top of that live the structure
-predicates (M-structured, fibrous, primary, diamond-colored), weight
-generating functions, poset transforms, generalized weight diagrams,
-the unique maximal splitting poset, and the splitting verifiers.
+weight wt(x) = sum m_i(x) omega_i.  All of these follow from the rank of
+each vertex and from which vertices share a component of each color, and
+one method, `ColoredPoset._fill`, writes them from those.  On top of that
+live the structure predicates (M-structured, fibrous, primary,
+diamond-colored), weight generating functions, poset transforms,
+generalized weight diagrams, the unique maximal splitting poset, and the
+splitting verifiers.
 
 The unique maximal splitting poset U(lambda) is the blow-up of Pi(lambda):
 d_{lambda,mu} copies of each weight mu, and a complete bipartite block for
 each edge.  Only Pi(lambda) goes through the constructor's checks; U(lambda)
-repeats its rows, as `_blow_up` proves sound.
+reads its ranks and components off Pi(lambda)'s, as `_blow_up` proves
+sound, and passes them to the same fill.
 
 Edges are triples (u, v, c) of plain ints, kept sorted in `edges`.  The
 adjacency lists `out[u]` and `inc[v]` hold those same triple objects, in
-sorted-edge order, so nothing else is allocated per edge.  A blow-up fills
-its per-vertex tables at once but builds its triples, `out` and `inc` only
-when one of them is first read: its `edges` is a read-only sequence whose
-length is the sum of the block sizes, so `len(u.edges)` costs no edge.
+sorted-edge order, so nothing else is allocated per edge.  They are built
+from `edges` when first read: by the constructor's own ranking pass, or,
+on a blow-up, by whoever first asks.  A blow-up's `edges` is a read-only
+sequence whose length is the sum of the block sizes, so `len(u.edges)`
+costs no edge; its triples too are built on first read.
 
 Posets are immutable after construction; every cache is computed once.
 """
@@ -62,6 +67,27 @@ def _find(parent, x):
     return x
 
 
+def _adjacency(n, edges, end):
+    """Per vertex, the edges whose end-th entry it is: the triples themselves."""
+    rows = [[] for _ in range(n)]
+    for e in edges:
+        rows[e[end]].append(e)
+    return rows
+
+
+def component_roots(n, edges, n_colors):
+    """Per color c = 1..n_colors, the union-find root of each vertex under the c-edges.
+
+    Row c - 1 is equal on two vertices exactly when they lie in one color-c
+    component.  All colors are filled in one pass over the edges.
+    """
+    parents = [list(range(n)) for _ in range(n_colors)]
+    for u, v, c in edges:
+        parent = parents[c - 1]
+        parent[_find(parent, u)] = _find(parent, v)
+    return [[_find(parent, x) for x in range(n)] for parent in parents]
+
+
 class ColoredPoset:
     """Finite ranked poset with covering edges colored by 1..n_colors."""
 
@@ -73,19 +99,24 @@ class ColoredPoset:
                 n_colors = diagram.rank
             else:
                 n_colors = max((c for _, _, c in edges), default=0)
+        if diagram is not None and n_colors != diagram.rank:
+            raise DiagramMismatch("%d colors on a diagram of rank %d"
+                                  % (n_colors, diagram.rank))
+        if type(n_vertices) is not int or n_vertices < 0:
+            raise MalformedPoset("vertex count %r is not an int >= 0" % (n_vertices,))
         self.n_colors = n_colors
         self.n = n = n_vertices
+        self.labels = tuple(labels) if labels is not None else None
+        if labels is not None and len(self.labels) != n:
+            raise MalformedPoset("%d labels for %d vertices" % (len(self.labels), n))
         edges = list(map(tuple, edges))
         if not set(map(type, chain.from_iterable(edges))) <= {int}:
             raise MalformedPoset("edge entries must be ints (bool, float and "
                                  "str are rejected)")
         edges.sort()
-        self.out = out = [[] for _ in range(n)]
-        self.inc = inc = [[] for _ in range(n)]
         repeated = False
         pu = pv = None
-        for e in edges:
-            u, v, c = e
+        for u, v, c in edges:
             if not (0 <= u < n and 0 <= v < n):
                 raise NotAcyclic("edge endpoint out of range")
             if not 1 <= c <= n_colors:
@@ -94,57 +125,65 @@ class ColoredPoset:
                 raise NotAcyclic("loop edge at vertex %d" % u)
             repeated = repeated or (u == pu and v == pv)
             pu, pv = u, v
-            out[u].append(e)
-            inc[v].append(e)
         if repeated:
             raise NotCovering("multiple edges between a vertex pair")
         self.edges = tuple(edges)
-        self.labels = tuple(labels) if labels is not None else None
 
         self._reach = None
-        # Ranking raises each edge by one rank and each longer path by at least
-        # two, so a ranked poset is acyclic and no path implies an edge: the
-        # cycle and closure checks are needed only if ranking fails.
+        # Ranking is the first to read out and inc, so it builds them.  It
+        # raises each edge by one rank and each longer path by at least two,
+        # so a ranked poset is acyclic and no path implies an edge: the cycle
+        # and closure checks are needed only if ranking fails.
         try:
             self._global_rank, self._poset_comp = self._rank_and_components()
         except NotRanked:
             self._check_covering(self._toposort())
             raise
-
-        # per-color components: one union-find per color, all filled in one pass
-        parents = [None] + [list(range(n)) for _ in range(n_colors)]
-        for u, v, c in self.edges:
-            parent = parents[c]
-            parent[_find(parent, u)] = _find(parent, v)
-        rank = self._global_rank
-        self.comp_id = [[0] * n for _ in range(n_colors + 1)]   # 1-based color
-        self.rho = [[0] * n for _ in range(n_colors + 1)]
-        self.lng = [[0] * n for _ in range(n_colors + 1)]
-        self._members = [()] * (n_colors + 1)
-        for c in range(1, n_colors + 1):
-            parent = parents[c]
-            parents[c] = None
-            groups = {}         # by root, in order of each group's smallest member
-            for x in range(n):
-                groups.setdefault(_find(parent, x), []).append(x)
-            comp_id, rho, lng = self.comp_id[c], self.rho[c], self.lng[c]
-            members_c = []
-            for gid, members in enumerate(groups.values()):
-                lo = min(rank[x] for x in members)
-                hi = max(rank[x] for x in members)
-                for x in members:
-                    comp_id[x] = gid
-                    rho[x] = rank[x] - lo
-                    lng[x] = hi - lo
-                members_c.append(tuple(members))
-            self._members[c] = members_c
-        self.wt = tuple(
-            tuple(2 * self.rho[c][x] - self.lng[c][x]
-                  for c in range(1, n_colors + 1))
-            for x in range(n))
+        self._fill(self._global_rank, component_roots(n, self.edges, n_colors))
         self._is_lattice = is_lattice_hint
 
+    def _fill(self, rank, keys):
+        """Write comp_id, _members, rho, lng and wt from ranks and component keys.
+
+        keys holds one row per color c = 1..n_colors, and row c - 1 is equal
+        on x and y exactly when they lie in one color-c component K.  The
+        components are numbered by their smallest member; for x in K,
+        rho_c(x) = rank(x) - min rank(K), l_c(x) = max rank(K) - min rank(K)
+        and wt(x)_c = m_c(x) = 2 rho_c(x) - l_c(x).
+        """
+        n = self.n
+        self.comp_id, self.rho, self.lng = [[0] * n], [[0] * n], [[0] * n]  # 1-based color
+        self._members = [()]
+        m_rows = []
+        for key in keys:
+            groups = {}         # by key, in order of each group's smallest member
+            for x, k in enumerate(key):
+                groups.setdefault(k, []).append(x)
+            gid = {k: g for g, k in enumerate(groups)}
+            comp_id = list(map(gid.__getitem__, key))
+            members = list(map(tuple, groups.values()))
+            lo = [min(map(rank.__getitem__, m)) for m in members]
+            hi = [max(map(rank.__getitem__, m)) for m in members]
+            span = [h - l for h, l in zip(hi, lo)]
+            rho = [r - lo[g] for r, g in zip(rank, comp_id)]
+            self.comp_id.append(comp_id)
+            self.rho.append(rho)
+            self.lng.append(list(map(span.__getitem__, comp_id)))
+            self._members.append(members)
+            m_rows.append([2 * r - span[g] for r, g in zip(rho, comp_id)])
+        self.wt = tuple(zip(*m_rows)) or ((),) * n   # zip(*[]) is empty
+
     # -- construction helpers ------------------------------------------------
+
+    @cached_property
+    def out(self):
+        """out[u]: the edges from u, in sorted-edge order."""
+        return _adjacency(self.n, self.edges, 0)
+
+    @cached_property
+    def inc(self):
+        """inc[v]: the edges into v, in sorted-edge order."""
+        return _adjacency(self.n, self.edges, 1)
 
     def _toposort(self):
         indeg = [len(self.inc[v]) for v in range(self.n)]
@@ -545,7 +584,7 @@ def maximal_splitting_poset(d, lam):
 
 
 class _BlockEdges(Sequence):
-    """The sorted edges of a blow-up of q, built with out and inc on first use.
+    """The sorted edges of a blow-up of q, built on first use.
 
     Each edge x -c-> y of q lifts to one complete bipartite block of
     len(fibre[x]) * len(fibre[y]) edges, and no pair lies in two blocks, so
@@ -559,60 +598,37 @@ class _BlockEdges(Sequence):
         self._len = sum(len(fibre[x]) * len(fibre[y]) for x, y, _ in q.edges)
         self._built = None
 
-    def adjacency(self):
-        """(edges, out, inc), built once; out and inc share the edge triples.
+    def triples(self):
+        """The edge triples, built once.
 
-        out[a] is built per copy a from q.out as tuples of zip blocks,
-        already sorted, and edges is their concatenation.
+        The copies are numbered x by x, so walking each copy a of x through
+        the blocks of q.out[x], which is sorted by (y, c), yields the
+        triples (a, b, c) already sorted.
         """
         if self._built is None:
             q, fibre = self._q, self._fibre
-            out = []
-            blocks_into = [[] for _ in range(q.n)]
-            for x in range(q.n):
-                for a in fibre[x]:
-                    row = []
-                    for _, y, c in q.out[x]:
-                        block = tuple(zip(repeat(a), fibre[y], repeat(c)))
-                        row += block
-                        blocks_into[y].append(block)
-                    out.append(row)
-            inc = []
-            for y, blocks in enumerate(blocks_into):
-                # column j of the blocks into y holds the edges into copy j of y
-                inc.extend(map(list, zip(*blocks)) if blocks else ([] for _ in fibre[y]))
-            self._built = tuple(chain.from_iterable(out)), out, inc
+            self._built = tuple(chain.from_iterable(
+                zip(repeat(a), fibre[y], repeat(c))
+                for x in range(q.n) for a in fibre[x] for _, y, c in q.out[x]))
         return self._built
 
     def __len__(self):
         return self._len
 
     def __getitem__(self, i):
-        return self.adjacency()[0][i]
+        return self.triples()[i]
 
     def __iter__(self):
-        return iter(self.adjacency()[0])
+        return iter(self.triples())
 
     def __eq__(self, other):
-        return self.adjacency()[0] == other
+        return self.triples() == other
 
     def __hash__(self):
-        return hash(self.adjacency()[0])
+        return hash(self.triples())
 
     def __repr__(self):
-        return repr(self.adjacency()[0])
-
-
-class _BlowUp(ColoredPoset):
-    """A blow-up, whose out and inc are built with its edges on first use."""
-
-    @cached_property
-    def out(self):
-        return self.edges.adjacency()[1]
-
-    @cached_property
-    def inc(self):
-        return self.edges.adjacency()[2]
+        return repr(self.triples())
 
 
 def _blow_up(q, sizes, labels=None):
@@ -621,9 +637,9 @@ def _blow_up(q, sizes, labels=None):
     The copies of x are numbered consecutively, x by x, and each edge
     x -c-> y of q becomes the complete bipartite block of c-edges from the
     copies of x to the copies of y.  The result equals ColoredPoset on the
-    blown-up edges, but its tables are read off q's instead of computed
-    from the edges, because q already passed every check.  Let f send a
-    copy to its vertex of q; f is onto and nondecreasing.
+    blown-up edges, but its ranks and components are read off q's instead
+    of computed from the edges, because q already passed every check.  Let
+    f send a copy to its vertex of q; f is onto and nondecreasing.
 
     - Each edge (a, b, c) comes from the edge (f(a), f(b), c) of q, so its
       endpoints and color are in range and a != b; and each pair (a, b)
@@ -634,18 +650,21 @@ def _blow_up(q, sizes, labels=None):
     - A path of q lifts to one between any copies of its ends, and two
       copies of a vertex with an edge meet through a copy of a neighbour.
       So a component of q (of the poset, or of one color) with an edge
-      lifts to one component on all the copies of its vertices, with the
-      same rank span, and a lone vertex to one singleton per copy.
+      lifts to one component on all the copies of its vertices, and a lone
+      vertex to one singleton per copy.  So a copy a may take as its key
+      q's component of f(a) when f(a) has an edge there (for color c, when
+      l_c(f(a)) > 0), and ~a, which no component id equals, when it has
+      none.
 
-    Components are numbered by their smallest member, as the constructor
-    numbers them; f keeps that order.
+    Given those ranks and keys, `ColoredPoset._fill` writes rho, lng, wt,
+    comp_id and members exactly as the constructor does; poset components
+    are numbered by their first copy, as the constructor numbers them.
 
-    Only the per-vertex tables are filled here: rank, components, rho, lng,
-    wt and members.  The edges are a _BlockEdges that keeps q and the
-    fibres; its length is the sum of sizes[x] * sizes[y] over q's edges,
-    one block per edge with no pair repeated, and the triples, out and inc
-    are built together the first time any of them is read.  A caller that
-    needs only n, labels, wgf() or len(edges) allocates no edge.
+    The edges are a _BlockEdges that keeps q and the fibres; its length is
+    the sum of sizes[x] * sizes[y] over q's edges, one block per edge with
+    no pair repeated, and the triples are built the first time any of them
+    is read, out and inc the first time those are.  A caller that needs
+    only n, labels, wgf() or len(edges) allocates no edge.
     """
     n = sum(sizes)
     ids = list(range(n))            # each id is one int object, shared by its edges
@@ -654,44 +673,22 @@ def _blow_up(q, sizes, labels=None):
         fibre.append(ids[len(of):len(of) + k])
         of += [x] * k
 
-    def rows(table):
-        return list(map(table.__getitem__, of))
+    def keys(comp, has_edge):
+        return [comp[x] if has_edge[x] else ~a for a, x in zip(ids, of)]
 
-    def renumber(comp, alone):
-        """Component ids of q on the copies, numbered by smallest member."""
-        row, first, count = [], {}, 0
-        for k, lone, size in zip(comp, alone, sizes):
-            if lone:
-                row += range(count, count + size)
-                count += size
-            else:
-                if k not in first:
-                    first[k] = count
-                    count += 1
-                row += [first[k]] * size
-        return row, count
-
-    u = _BlowUp.__new__(_BlowUp)
+    u = ColoredPoset.__new__(ColoredPoset)
     u.d, u.n_colors, u.n = q.d, q.n_colors, n
     u.edges = _BlockEdges(q, fibre)
     u.labels = tuple(labels) if labels is not None else None
     u._reach = None
-    u._global_rank = tuple(rows(q._global_rank))
-    poset_comp, u.n_poset_components = renumber(
-        q._poset_comp, [not (o or i) for o, i in zip(q.out, q.inc)])
-    u._poset_comp = tuple(poset_comp)
-    u.comp_id = [[0] * n]
-    u.rho = [[0] * n] + [rows(r) for r in q.rho[1:]]
-    u.lng = [[0] * n] + [rows(r) for r in q.lng[1:]]
-    u._members = [()]
-    for c in range(1, q.n_colors + 1):
-        comp_id, count = renumber(q.comp_id[c], [not span for span in q.lng[c]])
-        members = [[] for _ in range(count)]
-        for a, k in zip(ids, comp_id):
-            members[k].append(a)
-        u.comp_id.append(comp_id)
-        u._members.append(list(map(tuple, members)))
-    u.wt = tuple(rows(q.wt))
+    u._global_rank = tuple(map(q._global_rank.__getitem__, of))
+    first = {}
+    u._poset_comp = tuple(
+        first.setdefault(k, len(first))
+        for k in keys(q._poset_comp, [o or i for o, i in zip(q.out, q.inc)]))
+    u.n_poset_components = len(first)
+    u._fill(u._global_rank, [keys(q.comp_id[c], q.lng[c])
+                             for c in range(1, q.n_colors + 1)])
     u._is_lattice = None
     return u
 

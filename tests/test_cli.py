@@ -332,6 +332,13 @@ def test_optimized_run_rejects_non_dominant():
      "MalformedPoset"),
     (("verify", "--diagram", "A2", "--poset", "{good}", "--coloring", "{bool_tau}"),
      "MalformedPoset"),
+    # S, kappa keys and tau hold vertex ids of the 3-vertex poset
+    (("verify", "--diagram", "A2", "--poset", "{good}", "--coloring", "{s99_tau}"),
+     "MalformedPoset"),
+    (("verify", "--diagram", "A2", "--poset", "{good}", "--coloring", "{s_negative}"),
+     "MalformedPoset"),
+    (("verify", "--diagram", "A2", "--poset", "{good}", "--coloring", "{kappa_7}"),
+     "MalformedPoset"),
 ])
 def test_bad_input_exit_1_under_optimize(argv, error, tmp_path, capsys):
     from weylsplit import crystal as cr, ecposet as ec, build_diagram
@@ -357,7 +364,11 @@ def test_bad_input_exit_1_under_optimize(argv, error, tmp_path, capsys):
                  "float_kappa": {"kappa": {"0": 1.0, "1": 2}},
                  "bool_kappa": {"kappa": {"0": True, "1": 2}},
                  "bool_tau": {"J": [1, 2], "kappa": {"0": 1, "1": 2},
-                              "tau": {"0": True, "1": 0}}}
+                              "tau": {"0": True, "1": 0}},
+                 "s99_tau": {"S": [99], "kappa": {"0": 1, "1": 1, "2": 1},
+                             "tau": {"0": 0, "1": 1, "2": 2}},
+                 "s_negative": {"S": [0, 1, 2, -1], "kappa": {}},
+                 "kappa_7": {"S": [0, 1, 2], "kappa": {"7": 1}}}
     for name, fields in witnesses.items():
         files[name] = json.dumps(dict({"S": [2], "kappa": {"0": 1, "1": 1}}, **fields))
     del data["edges"]

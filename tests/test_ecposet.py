@@ -26,6 +26,23 @@ def test_build_single_vertex():
     p = ec.build_poset([], 2, n_vertices=1, diagram=A2)
     assert p.wt == ((0, 0),)
     assert ec.structure_checks(p).m_structured
+    # with no colors there are no component tables past the unused row 0
+    empty = ec.ColoredPoset(3, [], n_colors=0)
+    assert empty.wt == ((),) * 3
+    assert (empty.comp_id, empty.rho, empty.lng) == ([[0] * 3],) * 3
+
+
+@pytest.mark.parametrize("make, error", [
+    # wadd would zip the 1-tuple weights against A2's 2-tuple roots
+    (lambda: ec.build_poset([(0, 1, 1)], 1, diagram=A2), DiagramMismatch),
+    (lambda: ec.ColoredPoset(-2, []), MalformedPoset),
+    (lambda: ec.ColoredPoset(2.5, []), MalformedPoset),
+    (lambda: ec.ColoredPoset(True, []), MalformedPoset),
+    (lambda: ec.ColoredPoset(3, [], labels=["a"]), MalformedPoset),
+], ids=["colors_vs_rank", "negative_n", "float_n", "bool_n", "short_labels"])
+def test_constructor_rejects_inconsistent_sizes(make, error):
+    with pytest.raises(error):
+        make()
 
 
 def test_build_two_chain():
@@ -326,7 +343,9 @@ def _same_as_generic(p, diagram=None):
     # F4 (0,0,0,1) and A2+G2 have weights of multiplicity 2 with no edge of
     # some color: each copy is a singleton component of that color
     ("F4", (0, 0, 0, 1)), ("G2", (1, 1)), ("G2", (3, 3)),
-    ("E6", (1, 0, 0, 0, 0, 1)), ("A2+G2", (1, 1, 1, 0)), ("A1+A1", (2, 1))])
+    ("E6", (1, 0, 0, 0, 0, 1)), ("A2+G2", (1, 1, 1, 0)), ("A1+A1", (2, 1)),
+    # one vertex and no edge; every vertex alone in color 2
+    ("A2", (0, 0)), ("A1+A1", (2, 0))])
 def test_maximal_splitting_poset_is_the_generic_poset(spec, lam):
     d = build_diagram(spec)
     u = ec.maximal_splitting_poset(d, lam)

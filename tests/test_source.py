@@ -37,3 +37,24 @@ def test_no_dataclasses_in_src():
             if any(n.split(".")[0] == "dataclasses" for n in names):
                 bad.append("%s:%d" % (path.name, node.lineno))
     assert not bad, "dataclasses imported in src: %s" % bad
+
+
+def test_no_private_reads_across_modules():
+    """A module reads only the public names of the package's other modules."""
+    modules = {path.stem for path in SRC.glob("*.py")}
+    bad = []
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        aliases = set()
+        for node in ast.walk(tree):
+            if isinstance(node, ast.ImportFrom) and node.level:
+                for a in node.names:
+                    if node.module is None and a.name in modules:
+                        aliases.add(a.asname or a.name)
+                    elif node.module is not None and a.name.startswith("_"):
+                        bad.append("%s:%d %s" % (path.name, node.lineno, a.name))
+        bad += ["%s:%d %s.%s" % (path.name, node.lineno, node.value.id, node.attr)
+                for node in ast.walk(tree)
+                if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
+                and node.value.id in aliases and node.attr.startswith("_")]
+    assert not bad, "private names of other modules read in src: %s" % bad
