@@ -34,8 +34,8 @@ from itertools import chain
 from math import gcd, lcm
 from operator import mul
 
-from .errors import (DiagramTooLarge, ExactnessError, NotDominant, NotFiniteType, NotGCM,
-                     OrbitTooLarge)
+from .errors import (DiagramMismatch, DiagramTooLarge, ExactnessError, NotDominant,
+                     NotFiniteType, NotGCM, OrbitTooLarge)
 
 DEFAULT_ORBIT_CAP = 10 ** 6
 # greatest total rank of a diagram
@@ -72,6 +72,24 @@ def wneg(u):
 
 def zero_weight(n):
     return (0,) * n
+
+
+def sub_weight(rank, nodes, nu):
+    """Check a node subset J of 1..rank and a dominant weight nu over it.
+
+    Returns J sorted, with a repeated node counted once, and the map
+    j -> nu_j, nu read in that order.  Raises NotGCM for a node outside
+    1..rank, DiagramMismatch unless nu has one entry per node of J, and
+    NotDominant for a negative entry.
+    """
+    nodes, nu = tuple(sorted(set(nodes))), tuple(nu)
+    if any(not 1 <= j <= rank for j in nodes):
+        raise NotGCM("node subset out of range")
+    if len(nu) != len(nodes):
+        raise DiagramMismatch("nu has %d entries for %d nodes in J" % (len(nu), len(nodes)))
+    if any(c < 0 for c in nu):
+        raise NotDominant("nu %s has a negative entry" % (nu,))
+    return nodes, dict(zip(nodes, nu))
 
 
 # ---------------------------------------------------------------------------

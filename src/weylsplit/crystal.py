@@ -16,10 +16,9 @@ down from its seeds by lowering alone and records every edge once.
 from collections import namedtuple
 
 from . import ecposet, wsf
-from .cartan import wadd, wsub, zero_weight
-from .errors import (DiagramMismatch, ExactnessError, NoExpression, NotDominant,
-                     NotFibrous, NotIrreducible, NotMinuscule, NotMStructured,
-                     NotPrimaryFactor)
+from .cartan import sub_weight, wadd, wsub, zero_weight
+from .errors import (DiagramMismatch, ExactnessError, NoExpression, NotFibrous,
+                     NotIrreducible, NotMinuscule, NotMStructured, NotPrimaryFactor)
 
 EXHAUSTIVE_UNTANGLED_LIMIT = 4
 
@@ -259,12 +258,15 @@ def _alphabet(d, flavor):
     return letters
 
 
-def omega_expression(d, lam, max_len=None):
+def omega_expression(d, lam):
     """Shortest, then letter-order-least, expression of lambda.
 
     The word (mu_1, ..., mu_p) has every partial sum dominant and all terms
     minuscule or all quasi-minuscule.  The flavor is minuscule exactly when
     the coset of lambda modulo the root lattice contains a minuscule class.
+    The search deepens one letter at a time under one memo of dead
+    (partial sum, letters left) pairs: whether such a pair reaches lambda
+    does not depend on the length of the word it started from.
     """
     lam = tuple(lam)
     d.check_dominant(lam)
@@ -277,11 +279,9 @@ def omega_expression(d, lam, max_len=None):
     if any(d.root_lattice_coords(wsub(lam, m)) is not None for m in minus):
         flavor = "minuscule"
     letters = _alphabet(d, flavor)
-    if max_len is None:
-        ht2 = d.height(wadd(lam, lam))
-        max_len = max(4, 2 * int(ht2) + 2)
+    max_len = max(4, 2 * int(d.height(wadd(lam, lam))) + 2)
+    dead = set()
     for depth in range(1, max_len + 1):
-        dead = set()
         word = _dfs_expression(d, lam, letters, zero_weight(d.rank), depth, dead)
         if word is not None:
             return OmegaExpr(tuple(w for w, _ in word),
@@ -387,7 +387,7 @@ def build_crystal(d, lam):
 
 def m_set(p, nodes, nu):
     """M_{J,nu}(p) = vertices with delta_j <= nu_j for all j in J."""
-    nu_of = dict(zip(sorted(nodes), nu))
+    _, nu_of = sub_weight(p.n_colors, nodes, nu)
     return [x for x in range(p.n)
             if all(p.delta(j, x) <= nu_of[j] for j in nu_of)]
 
@@ -441,10 +441,7 @@ def jnu_coloring(factors, poset, nodes, nu):
     build_crystal over the given factors).  Free choices are resolved as the
     smallest color.
     """
-    nodes = tuple(sorted(nodes))
-    nu_of = dict(zip(nodes, nu))
-    if any(c < 0 for c in nu):
-        raise NotDominant("nu %s has a negative entry" % (tuple(nu),))
+    nodes, nu_of = sub_weight(poset.n_colors, nodes, nu)
     for f in factors:
         if not f.is_primary():
             raise NotPrimaryFactor("all factors must be primary")
@@ -484,7 +481,7 @@ def tau_from_jnu_coloring(p, nodes, nu, kappa):
     l_j - 1 - nu_j - rho_j(x); together with kappa it satisfies the
     tau/kappa splitting hypotheses, with S = M_{J,nu}(p).
     """
-    nu_of = dict(zip(sorted(nodes), nu))
+    _, nu_of = sub_weight(p.n_colors, nodes, nu)
     tau = {}
     for x, j in kappa.items():
         want = p.lng[j][x] - 1 - nu_of[j] - p.rho[j][x]
@@ -495,8 +492,7 @@ def tau_from_jnu_coloring(p, nodes, nu, kappa):
 
 def verify_jnu_coloring(p, nodes, nu, kappa):
     """Defining condition of a (J,nu)-coloring, checked literally."""
-    nodes = tuple(sorted(nodes))
-    nu_of = dict(zip(nodes, nu))
+    nodes, nu_of = sub_weight(p.n_colors, nodes, nu)
     mem = set(m_set(p, nodes, nu))
     if set(kappa) != set(range(p.n)) - mem:
         return False, "kappa domain is not the complement of M_{J,nu}"
@@ -624,8 +620,7 @@ def u_table(d):
 def saturation_predicate(d, lam, nu, nodes=None):
     """M_{J,nu}(R(lambda)) fills R(lambda) iff sum a_k u_j^(k) <= nu_j on J."""
     table = u_table(d)
-    nodes = tuple(sorted(nodes)) if nodes else tuple(range(1, d.rank + 1))
-    nu_of = dict(zip(nodes, nu))
+    nodes, nu_of = sub_weight(d.rank, nodes or range(1, d.rank + 1), nu)
     for j in nodes:
         total = sum(a * table[k][j - 1] for k, a in enumerate(lam, start=1) if a)
         if total > nu_of[j]:

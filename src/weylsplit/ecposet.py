@@ -34,7 +34,7 @@ from functools import cached_property
 from itertools import chain, repeat
 
 from . import wsf
-from .cartan import wadd, wsub
+from .cartan import sub_weight, wadd, wsub
 from .errors import (DiagramMismatch, ExactnessError, MalformedPoset,
                      NotAcyclic, NotChainProduct, NotConnected, NotCovering,
                      NotMStructured, NotRanked)
@@ -729,18 +729,18 @@ def verify_tau_kappa(p, nodes, nu, witness):
     """Check the tau/kappa splitting hypotheses, then the conclusion identity.
 
     nodes is the subset J (1-based), nu a dominant weight of the subdiagram
-    (tuple over J in increasing order).  Returns (ok, report).
+    (tuple over J in increasing order), both checked by `sub_weight`.
+    Returns (ok, report).
     """
-    nodes = tuple(sorted(nodes))
-    sub, sel = p.d.sub_diagram(nodes)
-    nu = tuple(nu)
-    nu_of = {j: nu[t] for t, j in enumerate(sel)}
+    sel, nu_of = sub_weight(p.n_colors, nodes, nu)
+    sub = p.d.sub_diagram(sel)[0]
+    nu = tuple(nu_of.values())
     rest = [x for x in range(p.n) if x not in witness.S]
     if sorted(witness.tau) != sorted(rest) or sorted(witness.tau.values()) != sorted(rest):
         return False, "tau is not a bijection of R minus S"
     for x in rest:
         k = witness.kappa.get(x)
-        if k not in nodes:
+        if k not in nu_of:
             return False, "kappa(%d) missing or outside J" % x
     for s in witness.S:
         if not sub.is_dominant(wadd(nu, p.wt_restricted(s, sel))):
@@ -754,7 +754,7 @@ def verify_tau_kappa(p, nodes, nu, witness):
         got = wadd(nu, p.wt_restricted(witness.tau[x], sel))
         if got != want:
             return False, "tau/kappa identity fails at vertex %d" % x
-    wgf_j = p.wgf_restricted(nodes)
+    wgf_j = p.wgf_restricted(sel)
     if not wgf_j.is_invariant():
         return False, "WGF restricted to J is not W_J-invariant"
     # hypotheses hold; verify the conclusion by direct expansion
@@ -774,74 +774,71 @@ def chain_product_factorization(p, color, x):
     """Factor comp_color(x) as a product of chains, or raise NotChainProduct.
 
     Returns (members, chains, coords) where chains is a tuple of chains of
-    join irreducibles (each a tuple of vertices, bottom to top) and coords
-    maps each member to its coordinate vector.  The check is direct: the
-    coordinate map must be a bijection onto the full box and covers must be
-    unit steps.
+    join irreducibles (each a tuple of vertices, bottom to top, ordered by
+    their bottoms in rho order) and coords maps each member to its
+    coordinate vector: coordinate k counts the members of chain k below or
+    at it.  The join irreducibles are the members with exactly one lower
+    cover; by Birkhoff's theorem a finite distributive lattice is the
+    lattice of down-sets of its irreducibles, so it is a product of chains
+    exactly when they form pairwise incomparable chains.  The rest of the
+    check is direct: the coordinate map must be a bijection onto the full
+    box and covers must be unit steps.
+
+    One pass in rho order sets down[v] to v's bit and the down-sets of its
+    lower covers, all of which come earlier since a cover raises rho by 1.
+    An irreducible v is tested against the irreducibles seen so far: those
+    below it must be none (v starts a chain) or exactly the members of one
+    chain so far (v tops it).  This holds for every v exactly when the
+    irreducibles form pairwise incomparable chains.  If they do, everything
+    below v on its own chain has lower rho and was seen, and nothing on
+    another chain is below v.  Conversely, every member of v's chain seen so
+    far is below v, so each chain is a chain.  If an irreducible u were
+    below an irreducible v of another chain, u has lower rho and was seen,
+    so v would see u's bit outside its own chain's mask.  And two
+    irreducibles cannot top one chain: once the first joins the chain's
+    mask, the second matches it only if it lies above the first.
+
+    Every cover u -> v has down[u] inside down[v], so coords[v] - coords[u]
+    has no negative entry, and it is a unit step exactly when the
+    coordinate sums differ by 1.
     """
     members = p.comp_members(color, x)
-    index = {v: i for i, v in enumerate(members)}
-    loc_out = {v: [w for _, w, c in p.out[v] if c == color and w in index]
-               for v in members}
-    loc_in = {v: [w for w, _, c in p.inc[v] if c == color and w in index]
-              for v in members}
-    order = sorted(members, key=lambda v: p.rho[color][v])
-    reach = {v: 1 << index[v] for v in members}
-    for v in reversed(order):
-        for w in loc_out[v]:
-            reach[v] |= reach[w]
-    irr = sorted((v for v in members if len(loc_in[v]) == 1),
-                 key=lambda v: p.rho[color][v])
-    used = set()
-    chains = []
-    for v in irr:
-        if v in used:
-            continue
-        chain = [v]
-        used.add(v)
-        grew = True
-        while grew:
-            grew = False
-            for w in irr:     # rho order, so the immediate successor is hit first
-                if w not in used and reach[chain[-1]] >> index[w] & 1:
-                    chain.append(w)
-                    used.add(w)
-                    grew = True
-                    break
-        chains.append(tuple(chain))
-    for a in range(len(chains)):
-        for b in range(len(chains)):
-            if a != b:
-                for u in chains[a]:
-                    for w in chains[b]:
-                        if reach[u] >> index[w] & 1 or reach[w] >> index[u] & 1:
-                            raise NotChainProduct(
-                                "join irreducibles are not a union of chains")
-    coords = {}
-    seen = set()
-    for v in members:
-        vec = tuple(sum(1 for u in chain if reach[u] >> index[v] & 1)
-                    for chain in chains)
-        coords[v] = vec
-        seen.add(vec)
+    below = {v: [u for u, _, c in p.inc[v] if c == color] for v in members}
+    down, masks, chains, irr = {}, [], [], 0
+    for i, v in enumerate(sorted(members, key=p.rho[color].__getitem__)):
+        down[v] = 1 << i
+        for u in below[v]:
+            down[v] |= down[u]
+        if len(below[v]) == 1:
+            seen = down[v] & irr
+            if not seen:
+                masks.append(0)
+                chains.append([])
+            elif seen not in masks:
+                raise NotChainProduct("join irreducibles are not a union of chains")
+            k = masks.index(seen)
+            masks[k] |= 1 << i
+            chains[k].append(v)
+            irr |= 1 << i
+    coords = {v: tuple((down[v] & m).bit_count() for m in masks) for v in members}
     box = 1
     for chain in chains:
         box *= len(chain) + 1
-    if len(seen) != len(members) or box != len(members):
+    if len(set(coords.values())) != len(members) or box != len(members):
         raise NotChainProduct("component is not a chain product")
     for v in members:
-        for w in loc_out[v]:
-            dv = [b - a for a, b in zip(coords[v], coords[w])]
-            if sorted(dv) != sorted([0] * (len(chains) - 1) + [1]):
+        for u in below[v]:
+            if sum(coords[v]) != sum(coords[u]) + 1:
                 raise NotChainProduct("covers are not unit coordinate steps")
-    return members, tuple(chains), coords
+    return members, tuple(map(tuple, chains)), coords
 
 
 def verify_subblock_coloring(p, nodes, nu, s_set, kappa):
     """Sub-block coloring criterion: K(x) is a (nu_k+1)-sub-block of comp_k(x).
 
-    nodes is the subset J, nu is indexed like the subdiagram weight, s_set
-    the vertex set S, kappa the coloring on the complement.
+    nodes is the subset J, nu is indexed like the subdiagram weight (both
+    checked by `sub_weight`), s_set the vertex set S, kappa the coloring on
+    the complement.
 
     Factor order inside a chain product is not canonical, so the shape is
     read off the maxima of K(x)'s coordinates instead of tried per order.
@@ -857,15 +854,14 @@ def verify_subblock_coloring(p, nodes, nu, s_set, kappa):
     coordinates), which is the b-sub-block for the order free factors, q,
     then Z.  K(x) holds x, so it is never the empty sub-block of b > sum l.
     """
-    nodes = tuple(sorted(nodes))
-    nu_of = {j: nu[t] for t, j in enumerate(nodes)}
+    _, nu_of = sub_weight(p.n_colors, nodes, nu)
     s_set = frozenset(s_set)
     passed = set()      # (k, component): the verdict depends on nothing else
     for x in range(p.n):
         if x in s_set:
             continue
         k = kappa.get(x)
-        if k not in nodes:
+        if k not in nu_of:
             return False, "kappa(%d) missing or outside J" % x
         ckey = (k, p.comp_id[k][x])
         if ckey in passed:

@@ -8,8 +8,9 @@ tries every simple reflection on every element, crystal signatures from
 separate forward and suffix scans, and colored posets are checked against
 their full transitive closure.  The inverse Cartan matrix comes from
 Fraction Gauss-Jordan, component numberings from a slot-by-slot
-backtracking search, sub-block colorings from trying every factor order,
-and pattern lattices from filtering every array in a box by the interlacing
+backtracking search, chain-product factorizations from growing chains and
+scanning every chain pair, sub-block colorings from trying every factor
+order, and pattern lattices from filtering every array in a box by the interlacing
 inequalities.
 """
 
@@ -23,7 +24,8 @@ import pytest
 
 from weylsplit import build_diagram, ecposet
 from weylsplit.cartan import _finite_types, orbit_cap, seed_cartan
-from weylsplit.errors import NotAcyclic, NotCovering, NotRanked, OrbitTooLarge
+from weylsplit.errors import (NotAcyclic, NotChainProduct, NotCovering, NotRanked,
+                             OrbitTooLarge)
 
 
 @pytest.fixture(scope="session")
@@ -410,6 +412,76 @@ def brute_numbering(cartan, nodes):
 
 
 # ---------------------------------------------------------------------------
+# chain products by growing chains and scanning every pair
+
+def brute_chain_product_factorization(p, color, x):
+    """chain_product_factorization by growing each chain and scanning chain pairs.
+
+    The join irreducibles (one lower cover) are grown into chains greedily in
+    rho order, every pair of chains is tested element by element against the
+    up-set bitmasks, and each coordinate counts the chain members below a
+    vertex.  Same results and the same NotChainProduct messages as the
+    library's one down-set pass.
+    """
+    members = p.comp_members(color, x)
+    index = {v: i for i, v in enumerate(members)}
+    loc_out = {v: [w for _, w, c in p.out[v] if c == color and w in index]
+               for v in members}
+    loc_in = {v: [w for w, _, c in p.inc[v] if c == color and w in index]
+              for v in members}
+    order = sorted(members, key=lambda v: p.rho[color][v])
+    reach = {v: 1 << index[v] for v in members}
+    for v in reversed(order):
+        for w in loc_out[v]:
+            reach[v] |= reach[w]
+    irr = sorted((v for v in members if len(loc_in[v]) == 1),
+                 key=lambda v: p.rho[color][v])
+    used = set()
+    chains = []
+    for v in irr:
+        if v in used:
+            continue
+        chain = [v]
+        used.add(v)
+        grew = True
+        while grew:
+            grew = False
+            for w in irr:     # rho order, so the immediate successor is hit first
+                if w not in used and reach[chain[-1]] >> index[w] & 1:
+                    chain.append(w)
+                    used.add(w)
+                    grew = True
+                    break
+        chains.append(tuple(chain))
+    for a in range(len(chains)):
+        for b in range(len(chains)):
+            if a != b:
+                for u in chains[a]:
+                    for w in chains[b]:
+                        if reach[u] >> index[w] & 1 or reach[w] >> index[u] & 1:
+                            raise NotChainProduct(
+                                "join irreducibles are not a union of chains")
+    coords = {}
+    seen = set()
+    for v in members:
+        vec = tuple(sum(1 for u in chain if reach[u] >> index[v] & 1)
+                    for chain in chains)
+        coords[v] = vec
+        seen.add(vec)
+    box = 1
+    for chain in chains:
+        box *= len(chain) + 1
+    if len(seen) != len(members) or box != len(members):
+        raise NotChainProduct("component is not a chain product")
+    for v in members:
+        for w in loc_out[v]:
+            dv = [b - a for a, b in zip(coords[v], coords[w])]
+            if sorted(dv) != sorted([0] * (len(chains) - 1) + [1]):
+                raise NotChainProduct("covers are not unit coordinate steps")
+    return members, tuple(chains), coords
+
+
+# ---------------------------------------------------------------------------
 # sub-block colorings by trying every factor order
 
 def sub_block_members(lengths, b):
@@ -435,7 +507,7 @@ def brute_subblock_coloring(p, nodes, nu, s_set, kappa):
         k = kappa.get(x)
         if k not in nu_of:
             return False, "kappa(%d) missing or outside J" % x
-        members, chains, coords = ecposet.chain_product_factorization(p, k, x)
+        members, chains, coords = brute_chain_product_factorization(p, k, x)
         kx = frozenset(y for y in members if y not in s_set and kappa.get(y) == k)
         lengths = [len(c) for c in chains]
         for perm in permutations(range(len(chains))):

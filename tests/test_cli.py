@@ -236,6 +236,22 @@ def test_verify_subblock_witness_cli(capsys, tmp_path):
     assert rc == 0 and "subblock coloring: ok" in out
 
 
+def test_verify_subblock_rejects_non_chain_product(capsys, tmp_path):
+    """M3, three atoms under one top: three 1-chains, but 5 vertices, not 8."""
+    import weylsplit.ecposet as ec
+    from weylsplit import build_diagram
+    m3 = ec.build_poset([(0, a, 1) for a in (1, 2, 3)] + [(a, 4, 1) for a in (1, 2, 3)],
+                        1, diagram=build_diagram("A1"))
+    pj = tmp_path / "m3.json"
+    pj.write_text(ec.export_poset(m3))
+    wj = tmp_path / "wit.json"
+    wj.write_text(json.dumps({"J": [1], "nu": [0], "S": [4],
+                              "kappa": {"0": 1, "1": 1, "2": 1, "3": 1}}))
+    rc, out, err = run(capsys, "verify", "--diagram", "A1", "--poset", str(pj),
+                       "--coloring", str(wj))
+    assert (rc, out, err) == (1, "", "NotChainProduct: component is not a chain product\n")
+
+
 def _cli(*argv, optimize=False):
     src = str(Path(weylsplit.__file__).resolve().parent.parent)
     env = dict(os.environ)

@@ -2,9 +2,10 @@ import pytest
 from hypothesis import given, settings, strategies as st
 
 from weylsplit import build_diagram, crystal as cr, ecposet as ec, wsf
-from weylsplit.errors import (ExactnessError, NoExpression, NotDominant,
-                              NotFibrous, NotGCM, NotIrreducible, NotMinuscule,
-                              NotMStructured, NotPrimaryFactor)
+from weylsplit.cartan import sub_weight
+from weylsplit.errors import (DiagramMismatch, ExactnessError, NoExpression,
+                              NotDominant, NotFibrous, NotGCM, NotIrreducible,
+                              NotMinuscule, NotMStructured, NotPrimaryFactor)
 
 from conftest import brute_signature, load_fixture
 
@@ -514,6 +515,49 @@ def test_jnu_coloring_checks(monkeypatch):
     monkeypatch.setattr(cr.TensorOps, "signature", lambda self, i, x: (5, 0, -5, 0))
     with pytest.raises(ExactnessError, match="special"):
         cr.jnu_coloring([qg, qg], prod, (1, 2), (0, 0))
+
+
+def _jnu_readers():
+    """The seven functions that take a node subset J and a weight nu over it."""
+    r = cr.build_crystal(A2, (1, 1))
+    f = cr.minuscule_poset(A2, (1, 0))
+    prod = cr.crystal_product(f)
+    everything = ec.ColoringWitness(S=frozenset(range(r.n)))
+    return {
+        "verify_tau_kappa": lambda j, nu: ec.verify_tau_kappa(r, j, nu, everything),
+        "verify_subblock_coloring":
+            lambda j, nu: ec.verify_subblock_coloring(r, j, nu, set(range(r.n)), {}),
+        "m_set": lambda j, nu: cr.m_set(r, j, nu),
+        "jnu_coloring": lambda j, nu: cr.jnu_coloring([f], prod, j, nu),
+        "tau_from_jnu_coloring": lambda j, nu: cr.tau_from_jnu_coloring(r, j, nu, {}),
+        "verify_jnu_coloring": lambda j, nu: cr.verify_jnu_coloring(r, j, nu, {}),
+        "saturation_predicate": lambda j, nu: cr.saturation_predicate(A2, (1, 1), nu, j),
+    }
+
+
+JNU_READERS = _jnu_readers()
+
+
+@pytest.mark.parametrize("name", sorted(JNU_READERS))
+@pytest.mark.parametrize("nodes, nu, error", [
+    ((1, 3), (0, 0), NotGCM),
+    ((0,), (0,), NotGCM),
+    # node 2 used to be dropped in silence, and the extra entry ignored
+    ((1, 2), (0,), DiagramMismatch),
+    ((1, 1), (0, 5), DiagramMismatch),
+    ((1,), (-1,), NotDominant),
+], ids=["node_3", "node_0", "short_nu", "repeated_node_long_nu", "negative_nu"])
+def test_jnu_readers_reject_bad_subweights(name, nodes, nu, error):
+    with pytest.raises(error):
+        JNU_READERS[name](nodes, nu)
+
+
+def test_sub_weight_counts_a_repeated_node_once():
+    assert sub_weight(3, (3, 1, 3), (4, 5)) == ((1, 3), {1: 4, 3: 5})
+    assert sub_weight(2, (), ()) == ((), {})
+    # every reader accepts J in any order, with repeats
+    for name, read in JNU_READERS.items():
+        read((2, 1, 2), (0, 0))
 
 
 def test_build_crystal_checks_seed_weight(monkeypatch):

@@ -11,8 +11,9 @@ from weylsplit.errors import (DiagramMismatch, DomainError, ExactnessError,
                               MalformedPoset, NotAcyclic, NotChainProduct,
                               NotCovering, NotMStructured, NotRanked)
 
-from conftest import (brute_color_tables, brute_poset_error, brute_subblock_coloring,
-                      load_fixture, sub_block_members)
+from conftest import (brute_chain_product_factorization, brute_color_tables,
+                      brute_poset_error, brute_subblock_coloring, load_fixture,
+                      sub_block_members)
 
 A2 = build_diagram("A2")
 G2 = build_diagram("G2")
@@ -468,6 +469,53 @@ def test_chain_product_factorization():
     v = ec.build_poset([(0, 1, 1), (0, 2, 1)], 1)
     with pytest.raises(NotChainProduct):
         ec.chain_product_factorization(v, 1, 0)
+
+
+def _factor_or_message(factor, p, color, x):
+    try:
+        return factor(p, color, x)
+    except NotChainProduct as e:
+        return str(e)
+
+
+def _same_factorizations(p):
+    """Every color component of p factors, or fails, as the chain-pair scan does."""
+    for c in range(1, p.n_colors + 1):
+        for x in dict(zip(p.comp_id[c], range(p.n))).values():
+            got = _factor_or_message(ec.chain_product_factorization, p, c, x)
+            assert got == _factor_or_message(brute_chain_product_factorization, p, c, x)
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_chain_product_factorization_matches_chain_scan(data):
+    if data.draw(st.booleans(), label="product"):
+        # a chain product, perhaps with covers removed: still ranked and covering
+        lengths = data.draw(st.lists(st.integers(1, 3), min_size=1, max_size=3))
+        p, _ = chain_product(lengths, [1] * len(lengths))
+        drop = data.draw(st.sets(st.integers(0, len(p.edges) - 1), max_size=2))
+        n, edges = p.n, [e for i, e in enumerate(p.edges) if i not in drop]
+    else:
+        # random covers up one level, all of color 1
+        n = data.draw(st.integers(1, 9), label="n")
+        level = data.draw(st.lists(st.integers(0, 3), min_size=n, max_size=n))
+        pairs = [(u, v) for u in range(n) for v in range(n) if level[v] == level[u] + 1]
+        chosen = data.draw(st.lists(st.sampled_from(pairs), max_size=14, unique=True)) \
+            if pairs else []
+        edges = [(u, v, 1) for u, v in chosen]
+    _same_factorizations(ec.ColoredPoset(n, edges, n_colors=1))
+
+
+def test_chain_product_factorization_sweep():
+    from test_acceptance import _lattices
+    for _, lat in _lattices():
+        _same_factorizations(lat.poset)
+    for spec, lam in [("G2", (1, 1)), ("B3", (1, 0, 1)), ("C3", (0, 1, 1)),
+                      ("A2+G2", (1, 1, 1, 0))]:
+        _same_factorizations(crystal.build_crystal(build_diagram(spec), lam))
+    # colors 1 and 2 of this box are products of 2 and of 3 chains
+    p, _ = chain_product([2, 1, 3, 1, 2], [1, 2, 1, 2, 2])
+    _same_factorizations(p)
 
 
 def test_subblock_vacuous_and_fibrous():
