@@ -264,9 +264,22 @@ def omega_expression(d, lam):
     The word (mu_1, ..., mu_p) has every partial sum dominant and all terms
     minuscule or all quasi-minuscule.  The flavor is minuscule exactly when
     the coset of lambda modulo the root lattice contains a minuscule class.
-    The search deepens one letter at a time under one memo of dead
-    (partial sum, letters left) pairs: whether such a pair reaches lambda
-    does not depend on the length of the word it started from.
+
+    Three passes over level sets, with no search.  Forward, L_0 = {0} and
+    L_k holds the dominant t + w for t in L_{k-1} and each letter w: the
+    dominant partial sums of the words of k letters.  p is the least k with
+    lambda in L_k, so p is the shortest length.  Backward, A_p = {lambda}
+    and A_k keeps the s in L_k with s + w in A_{k+1} for some letter w: the
+    partial sums of the words of length p that end at lambda.  Then the walk
+    from s_0 = 0 takes, at each step, the least letter w with s_k + w in
+    A_{k+1}; one exists because s_k is in A_k.
+
+    This is the letter-order-least word of length p, letter by letter:
+    words of length p that share the prefix mu_1 ... mu_k and can be
+    completed are exactly those whose next partial sum s_k + w lies in
+    A_{k+1}, since every member of A_{k+1} reaches lambda in the letters
+    left, through dominant sums.  So the least completable next letter is
+    the one the walk takes, and induction on k gives the whole word.
     """
     lam = tuple(lam)
     d.check_dominant(lam)
@@ -280,38 +293,35 @@ def omega_expression(d, lam):
         flavor = "minuscule"
     letters = _alphabet(d, flavor)
     max_len = max(4, 2 * int(d.height(wadd(lam, lam))) + 2)
-    dead = set()
-    for depth in range(1, max_len + 1):
-        word = _dfs_expression(d, lam, letters, zero_weight(d.rank), depth, dead)
-        if word is not None:
-            return OmegaExpr(tuple(w for w, _ in word),
-                             tuple(rep for _, rep in word), flavor)
-    raise NoExpression("no %s expression for %s within %d letters"
-                       % (flavor, lam, max_len))
-
-
-def _dfs_expression(d, target, letters, acc, depth, dead):
-    if depth == 0:
-        return [] if acc == target else None
-    key = (acc, depth)
-    if key in dead:
-        return None
-    for w, rep in letters:
-        nxt = wadd(acc, w)
-        if not d.is_dominant(nxt):
-            continue
-        tail = _dfs_expression(d, target, letters, nxt, depth - 1, dead)
-        if tail is not None:
-            return [(w, rep)] + tail
-    dead.add(key)
-    return None
+    acc = zero_weight(d.rank)
+    levels = [{acc}]
+    while lam not in levels[-1]:
+        if len(levels) > max_len:
+            raise NoExpression("no %s expression for %s within %d letters"
+                               % (flavor, lam, max_len))
+        levels.append({s for s in (wadd(t, w) for t in levels[-1] for w, _ in letters)
+                       if d.is_dominant(s)})
+    levels[-1] = {lam}
+    for k in range(len(levels) - 2, 0, -1):
+        levels[k] &= {wsub(t, w) for t in levels[k + 1] for w, _ in letters}
+    word = []
+    for alive in levels[1:]:
+        w, rep = next((w, rep) for w, rep in letters if wadd(acc, w) in alive)
+        word.append((w, rep))
+        acc = wadd(acc, w)
+    return OmegaExpr(tuple(w for w, _ in word), tuple(rep for _, rep in word), flavor)
 
 
 # ---------------------------------------------------------------------------
 # R(lambda)
 
 def _component_factors(d, lam):
-    """Per component, primary-plus factor posets and the seed element ids."""
+    """Per component, primary-plus factor posets and the seed element ids.
+
+    Equal dominant representatives share one factor poset, built once per
+    call.  A factor's labels are the weights of the subdiagram, so the seed
+    of the letter mu is the vertex labelled mu.
+    """
     factors, seeds = [], []
     for letter, rk, nodes in d.components:
         sub, sel = d.sub_diagram(nodes)
@@ -319,24 +329,18 @@ def _component_factors(d, lam):
         if not any(lam_sub):
             continue
         expr = omega_expression(sub, lam_sub)
+        built = {}
         for mu, rep in zip(expr.terms, expr.dominant_reps):
-            if expr.flavor == "minuscule":
-                fsub = minuscule_poset(sub, rep)
-            else:
-                fsub = quasi_minuscule_poset(sub)
-            f = _inflate(fsub, d, sel)
-            mu_full = _lift(mu, d.rank, sel)
-            seed = next(v for v in range(f.n) if f.wt[v] == mu_full)
+            f = built.get(rep)
+            if f is None:
+                if expr.flavor == "minuscule":
+                    fsub = minuscule_poset(sub, rep)
+                else:
+                    fsub = quasi_minuscule_poset(sub)
+                f = built[rep] = _inflate(fsub, d, sel)
             factors.append(f)
-            seeds.append(seed)
+            seeds.append(f.labels.index(mu))
     return factors, seeds
-
-
-def _lift(mu, rank, sel):
-    out = [0] * rank
-    for t, node in enumerate(sel):
-        out[node - 1] = mu[t]
-    return tuple(out)
 
 
 def _inflate(p, d, sel):
@@ -423,54 +427,48 @@ def branch(d, lam, nodes):
 # ---------------------------------------------------------------------------
 # (J,nu)-colorings of crystal products of primary posets
 
-def _primary_kappa(f, nodes, nu_of, v):
-    """Coloring rule on a single primary factor; smallest color breaks ties."""
-    k_set = [j for j in nodes if f.delta(j, v) > nu_of[j]]
-    if not k_set:
-        return None
-    # v is below the top of every chain in k_set (delta_j > nu_j >= 0); on a
-    # primary factor at most one of those chains is long
-    long_ones = [j for j in k_set if f.lng[j][v] >= 2]
-    return long_ones[0] if long_ones else min(k_set)
-
-
 def jnu_coloring(factors, poset, nodes, nu):
     """kappa on poset minus M_{J,nu}, by the single-factor and product rules.
 
     poset must carry factor-tuple labels (as produced by crystal_product or
     build_crystal over the given factors).  Free choices are resolved as the
     smallest color.
+
+    One forward pass over the prefixes of each tuple carries, per color j,
+    the running delta_j and m_j sum of TensorOps.signature.  delta_j of a
+    prefix is the running maximum of val_q, so the K-set {j in J : delta_j >
+    nu_j} only grows with the prefix: kappa(x) is decided at the first
+    prefix with a nonempty K-set and kept by every longer one, and a tuple
+    whose whole K-set is empty lies in M_{J,nu}.  There the new factor v
+    gives the special colors j of the K-set, those with rho_j(v) >= 2 or
+    l_j(v) - rho_j(prefix before v) >= 2; kappa is the one special color,
+    else the least of the K-set.  On the first factor the prefix before it
+    is empty with rho_j = 0, so the special colors are its long chains
+    through v, and a primary factor has at most one long chain on which v
+    is not the top.
     """
     nodes, nu_of = sub_weight(poset.n_colors, nodes, nu)
     for f in factors:
         if not f.is_primary():
             raise NotPrimaryFactor("all factors must be primary")
-    ops = TensorOps(factors)
-
-    def kappa_prefix(x, upto):
-        """kappa of the length-upto prefix, or None when it is in M_{J,nu}."""
-        if upto == 1:
-            return _primary_kappa(factors[0], nodes, nu_of, x[0])
-        k_set = [j for j in nodes if ops.signature(j, x[:upto])[0] > nu_of[j]]
-        if not k_set:
-            return None
-        prev = kappa_prefix(x, upto - 1)
-        if prev is not None:
-            return prev
-        f, v = factors[upto - 1], x[upto - 1]
-        special = [j for j in k_set
-                   if max(f.rho[j][v],
-                          f.lng[j][v] - ops.signature(j, x[:upto - 1])[2]) >= 2]
-        if len(special) > 1:
-            raise ExactnessError("colors %s are all special at %s" % (special, x))
-        return special[0] if special else min(k_set)
-
+    TensorOps(factors)                  # the factor checks of a crystal product
     out = {}
-    for vid in range(poset.n):
-        x = poset.labels[vid]
-        k = kappa_prefix(x, len(factors))
-        if k is not None:
-            out[vid] = k
+    for vid, x in enumerate(poset.labels):
+        delta, pref = dict.fromkeys(nodes, 0), dict.fromkeys(nodes, 0)
+        for f, v in zip(factors, x):
+            rho_before = {j: delta[j] + pref[j] for j in nodes}
+            for j in nodes:
+                rho, lng = f.rho[j][v], f.lng[j][v]
+                delta[j] = max(delta[j], lng - rho - pref[j])
+                pref[j] += 2 * rho - lng
+            k_set = [j for j in nodes if delta[j] > nu_of[j]]
+            if k_set:
+                special = [j for j in k_set
+                           if max(f.rho[j][v], f.lng[j][v] - rho_before[j]) >= 2]
+                if len(special) > 1:
+                    raise ExactnessError("colors %s are all special at %s" % (special, x))
+                out[vid] = special[0] if special else min(k_set)
+                break
     return out
 
 

@@ -926,21 +926,23 @@ def colored_isomorphic(p, q):
                 return False
         return True
 
-    def backtrack(idx):
-        if idx == p.n:
+    # stack[k] iterates the candidates of order[k] not yet tried; match holds
+    # the choices of the levels below the top one
+    stack = [iter(cand[order[0]])] if order else []
+    while stack:
+        v = order[len(stack) - 1]
+        if v in match:                  # back at this level: undo its choice
+            used.discard(match.pop(v))
+        w = next((w for w in stack[-1] if w not in used and compatible(v, w)), None)
+        if w is None:
+            stack.pop()
+            continue
+        match[v] = w
+        used.add(w)
+        if len(stack) == p.n:
             return True
-        v = order[idx]
-        for w in cand[v]:
-            if w not in used and compatible(v, w):
-                match[v] = w
-                used.add(w)
-                if backtrack(idx + 1):
-                    return True
-                del match[v]
-                used.discard(w)
-        return False
-
-    return backtrack(0)
+        stack.append(iter(cand[order[len(stack)]]))
+    return not order
 
 
 # ---------------------------------------------------------------------------

@@ -5,8 +5,10 @@ Weyl group is closed as a set of exact matrices, partition counts come
 from bounded enumeration, positive roots from reflection closure or by
 reflecting each simple root along a word, Weyl orbits from a search that
 tries every simple reflection on every element, crystal signatures from
-separate forward and suffix scans, and colored posets are checked against
-their full transitive closure.  The inverse Cartan matrix comes from
+separate forward and suffix scans, omega expressions from a deepening
+depth-first search, (J,nu)-colorings from a recursion on the prefix length
+that rescans each prefix's signature, and colored posets are checked
+against their full transitive closure.  The inverse Cartan matrix comes from
 Fraction Gauss-Jordan, component numberings from a slot-by-slot
 backtracking search, chain-product factorizations from growing chains and
 scanning every chain pair, sub-block colorings from trying every factor
@@ -22,10 +24,10 @@ from importlib import resources
 
 import pytest
 
-from weylsplit import build_diagram, ecposet
-from weylsplit.cartan import _finite_types, orbit_cap, seed_cartan
-from weylsplit.errors import (NotAcyclic, NotChainProduct, NotCovering, NotRanked,
-                             OrbitTooLarge)
+from weylsplit import build_diagram, crystal as cr, ecposet
+from weylsplit.cartan import _finite_types, orbit_cap, seed_cartan, wadd, wsub
+from weylsplit.errors import (ExactnessError, NotAcyclic, NotChainProduct, NotCovering,
+                             NotRanked, OrbitTooLarge)
 
 
 @pytest.fixture(scope="session")
@@ -361,6 +363,79 @@ def brute_signature(factors, i, x):
         if top is None or val >= top:
             top, last = val, r
     return best, first, top, last
+
+
+# ---------------------------------------------------------------------------
+# omega expressions by deepening search, (J,nu)-colorings by recursion
+
+def brute_omega_expression(d, lam):
+    """omega_expression by a depth-first search deepened one letter at a time.
+
+    At each depth the letters are tried in order, so the first word found is
+    the shortest, then letter-order-least; one memo of dead (partial sum,
+    letters left) pairs is shared across depths.  Recursion depth is the word
+    length, so keep lam small.
+    """
+    lam = tuple(lam)
+    minus = cr.minuscule_dominant_weights(d)
+    flavor = "quasi-minuscule"
+    if any(d.root_lattice_coords(wsub(lam, m)) is not None for m in minus):
+        flavor = "minuscule"
+    letters = cr._alphabet(d, flavor)
+    dead = set()
+
+    def dfs(acc, depth):
+        if depth == 0:
+            return [] if acc == lam else None
+        if (acc, depth) in dead:
+            return None
+        for w, rep in letters:
+            nxt = wadd(acc, w)
+            if d.is_dominant(nxt):
+                tail = dfs(nxt, depth - 1)
+                if tail is not None:
+                    return [(w, rep)] + tail
+        dead.add((acc, depth))
+        return None
+
+    max_len = max(4, 2 * int(d.height(wadd(lam, lam))) + 2)
+    for depth in range(1, max_len + 1):
+        word = dfs((0,) * d.rank, depth)
+        if word is not None:
+            return cr.OmegaExpr(tuple(w for w, _ in word),
+                                tuple(rep for _, rep in word), flavor)
+    return None
+
+
+def brute_jnu_coloring(factors, poset, nodes, nu):
+    """jnu_coloring by recursion on the prefix length, each prefix's
+    signature rescanned by brute_signature."""
+    nu_of = dict(zip(sorted(set(nodes)), nu))
+
+    def kappa_prefix(x, upto):
+        k_set = [j for j in nu_of if brute_signature(factors, j, x[:upto])[0] > nu_of[j]]
+        if not k_set:
+            return None
+        f, v = factors[upto - 1], x[upto - 1]
+        if upto == 1:
+            long_ones = [j for j in k_set if f.lng[j][v] >= 2]
+            return long_ones[0] if long_ones else min(k_set)
+        prev = kappa_prefix(x, upto - 1)
+        if prev is not None:
+            return prev
+        special = [j for j in k_set
+                   if max(f.rho[j][v],
+                          f.lng[j][v] - brute_signature(factors, j, x[:upto - 1])[2]) >= 2]
+        if len(special) > 1:
+            raise ExactnessError("colors %s are all special at %s" % (special, x))
+        return special[0] if special else min(k_set)
+
+    out = {}
+    for vid, x in enumerate(poset.labels):
+        k = kappa_prefix(x, len(factors))
+        if k is not None:
+            out[vid] = k
+    return out
 
 
 # ---------------------------------------------------------------------------

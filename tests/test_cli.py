@@ -261,6 +261,15 @@ def _cli(*argv, optimize=False):
                           capture_output=True, text=True, env=env, timeout=120)
 
 
+def test_crystal_of_a_long_expression():
+    """A 1 999-letter expression: no search or walk recurses once per letter."""
+    from weylsplit import crystal, ecposet
+    res = _cli("crystal", "--diagram", "A1", "--weight", "1999")
+    assert (res.returncode, res.stderr) == (0, "")
+    want = ecposet.export_poset(crystal.build_crystal(weylsplit.build_diagram("A1"), (1999,)))
+    assert res.stdout == want + "\n"
+
+
 @pytest.mark.parametrize("argv", [
     ("char", "--diagram", "G2", "--weight", "1,1"),
     ("char", "--diagram", "B3", "--weight", "0,1,0", "--method", "kostant"),

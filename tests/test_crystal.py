@@ -7,7 +7,8 @@ from weylsplit.errors import (DiagramMismatch, ExactnessError, NoExpression,
                               NotDominant, NotFibrous, NotGCM, NotIrreducible,
                               NotMinuscule, NotMStructured, NotPrimaryFactor)
 
-from conftest import brute_signature, load_fixture
+from conftest import (brute_jnu_coloring, brute_omega_expression, brute_signature,
+                      load_fixture)
 
 A1 = build_diagram("A1")
 A2 = build_diagram("A2")
@@ -189,6 +190,48 @@ def test_omega_expressions():
                 acc = tuple(a + b for a, b in zip(acc, t))
                 assert d.is_dominant(acc)
             assert acc == lam
+
+
+OMEGA_DIAGRAMS = [build_diagram(spec) for spec in
+                  ["A1", "A2", "A3", "A4", "B3", "C3", "D4", "G2", "F4"]]
+
+
+@st.composite
+def _small_dominant_weights(draw):
+    d = draw(st.sampled_from(OMEGA_DIAGRAMS))
+    lam = draw(st.tuples(*[st.integers(0, 4 if d.rank <= 2 else 2)] * d.rank))
+    return d, lam
+
+
+@settings(max_examples=80, deadline=None)
+@given(_small_dominant_weights())
+def test_omega_expression_matches_deepening_search(case):
+    d, lam = case
+    if not any(lam):
+        with pytest.raises(NoExpression):
+            cr.omega_expression(d, lam)
+        return
+    assert cr.omega_expression(d, lam) == brute_omega_expression(d, lam)
+
+
+def test_omega_expression_sweep():
+    for d in OMEGA_DIAGRAMS:
+        for lam in ([d.omega(k) for k in range(1, d.rank + 1)]
+                    + [(2,) * d.rank, tuple(range(d.rank))]):
+            if any(lam):
+                assert cr.omega_expression(d, lam) == brute_omega_expression(d, lam)
+
+
+def test_omega_expression_longer_than_the_recursion_limit():
+    expr = cr.omega_expression(A1, (1201,))
+    assert expr == cr.OmegaExpr(((1,),) * 1201, ((1,),) * 1201, "minuscule")
+
+
+def test_equal_letters_share_one_factor():
+    r = cr.build_crystal(A2, (3, 1))
+    factors = r.tensor_ops.factors
+    assert len(factors) == 4
+    assert factors[1] is factors[2] is factors[3] is not factors[0]
 
 
 def test_build_crystal_examples():
@@ -511,10 +554,46 @@ def test_jnu_coloring_checks(monkeypatch):
     prod = cr.crystal_product(qg, qg)
     with pytest.raises(NotDominant):
         cr.jnu_coloring([qg, qg], prod, (1, 2), (0, -1))
-    # a signature that makes every color special at once is a library bug
-    monkeypatch.setattr(cr.TensorOps, "signature", lambda self, i, x: (5, 0, -5, 0))
-    with pytest.raises(ExactnessError, match="special"):
-        cr.jnu_coloring([qg, qg], prod, (1, 2), (0, 0))
+    # tables that make every color special at once are a library bug: every
+    # vertex of `liar` claims the bottom of a length-3 chain in both colors,
+    # and after the top of qg both become special
+    liar = cr.quasi_minuscule_poset(G2)
+    monkeypatch.setattr(liar, "rho", [[0] * liar.n] * 3)
+    monkeypatch.setattr(liar, "lng", [[0] * liar.n] + [[3] * liar.n] * 2)
+    monkeypatch.setattr(ec.ColoredPoset, "is_primary", lambda self: True)
+    for coloring in (cr.jnu_coloring, brute_jnu_coloring):
+        with pytest.raises(ExactnessError, match="special"):
+            coloring([qg, liar], prod, (1, 2), (0, 0))
+
+
+PRIMARY_POSETS = [[f for f in pool if f.is_primary()] for pool in LETTER_POSETS]
+
+
+@st.composite
+def _colored_products(draw):
+    """(factors, product, J, nu): 1-3 primary letter posets of one diagram."""
+    pool = draw(st.sampled_from(PRIMARY_POSETS))
+    factors = draw(st.lists(st.sampled_from(pool), min_size=1, max_size=3))
+    rank = factors[0].n_colors
+    nodes = draw(st.lists(st.integers(1, rank), min_size=1, max_size=rank, unique=True))
+    nu = draw(st.tuples(*[st.integers(0, 2)] * len(nodes)))
+    return factors, cr.crystal_product(*factors), sorted(nodes), nu
+
+
+@settings(max_examples=60, deadline=None)
+@given(_colored_products())
+def test_jnu_coloring_matches_recursion(case):
+    factors, prod, nodes, nu = case
+    kap = cr.jnu_coloring(factors, prod, nodes, nu)
+    assert kap == brute_jnu_coloring(factors, prod, nodes, nu)
+    assert cr.verify_jnu_coloring(prod, nodes, nu, kap)[0]
+
+
+def test_jnu_coloring_on_a_thousand_factors():
+    r = cr.build_crystal(A1, (1101,))
+    kap = cr.jnu_coloring(r.tensor_ops.factors, r, (1,), (0,))
+    assert len(kap) == r.n - 1
+    assert cr.verify_jnu_coloring(r, (1,), (0,), kap) == (True, None)
 
 
 def _jnu_readers():

@@ -300,6 +300,37 @@ def test_colored_isomorphic_matches_networkx():
     assert True in got and False in got
 
 
+def _crowns(lengths, perm):
+    """Disjoint crowns, one per length k >= 2: k bottoms, k tops, bottom i
+    below tops i and i + 1 mod k, all one color; vertex v is renamed perm[v].
+    Every bottom and every top looks alike to the refinement, so a matcher
+    has to back out of wrong choices."""
+    edges, base = [], 0
+    for k in lengths:
+        for i in range(k):
+            edges += [(base + i, base + k + i, 1), (base + i, base + k + (i + 1) % k, 1)]
+        base += 2 * k
+    return ec.build_poset([(perm[u], perm[v], c) for u, v, c in edges], 1,
+                          n_vertices=base)
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.sampled_from([(6,), (3, 3), (2, 4), (2, 2, 2)]),
+       st.sampled_from([(6,), (3, 3), (2, 4), (2, 2, 2)]),
+       st.permutations(range(12)))
+def test_colored_isomorphic_backtracks(p_lengths, q_lengths, perm):
+    p = _crowns(p_lengths, list(range(12)))
+    q = _crowns(q_lengths, perm)
+    assert ec.colored_isomorphic(p, q) == _nx_isomorphic(p, q)
+
+
+def test_colored_isomorphic_past_the_recursion_limit():
+    r = crystal.build_crystal(A2, (10, 10))
+    assert r.n == 1331
+    assert ec.colored_isomorphic(r, r)
+    assert ec.colored_isomorphic(ec.bowtie(r), r)
+
+
 def test_maximal_splitting_poset():
     # minuscule: U(lambda) is Pi(lambda) itself
     u = ec.maximal_splitting_poset(A2, (1, 0))

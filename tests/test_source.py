@@ -58,3 +58,18 @@ def test_no_private_reads_across_modules():
                 if isinstance(node, ast.Attribute) and isinstance(node.value, ast.Name)
                 and node.value.id in aliases and node.attr.startswith("_")]
     assert not bad, "private names of other modules read in src: %s" % bad
+
+
+def test_no_self_calls_in_the_crystal_layer():
+    """No function of crystal.py or ecposet.py calls itself by name, so no
+    walk there is bounded by the interpreter's recursion limit."""
+    bad = []
+    for name in ("crystal.py", "ecposet.py"):
+        path = SRC / name
+        for fn in ast.walk(ast.parse(path.read_text(), str(path))):
+            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                continue
+            bad += ["%s:%d %s" % (name, node.lineno, fn.name) for node in ast.walk(fn)
+                    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                    and node.func.id == fn.name]
+    assert not bad, "self-calls in the crystal layer: %s" % bad
