@@ -34,8 +34,8 @@ from itertools import chain
 from math import gcd, lcm
 from operator import mul
 
-from .errors import (DiagramMismatch, DiagramTooLarge, ExactnessError, NotDominant,
-                     NotFiniteType, NotGCM, OrbitTooLarge)
+from .errors import (DiagramMismatch, DiagramTooLarge, ExactnessError, NotAWeight,
+                     NotDominant, NotFiniteType, NotGCM, OrbitTooLarge)
 
 DEFAULT_ORBIT_CAP = 10 ** 6
 # greatest total rank of a diagram
@@ -397,9 +397,10 @@ class DynkinDiagram:
 
     def alpha(self, i):
         """Simple root alpha_i in omega coordinates (row i of M)."""
-        return self.cartan[i - 1]
+        return self.cartan[self.check_node(i) - 1]
 
     def omega(self, i):
+        i = self.check_node(i)
         return tuple(int(i == j + 1) for j in range(self.rank))
 
     def rho(self):
@@ -408,10 +409,38 @@ class DynkinDiagram:
     def is_dominant(self, mu):
         return all(c >= 0 for c in mu)
 
+    def check_weight(self, mu):
+        """mu as a tuple of rank plain ints: the one gate for weights.
+
+        Raises NotAWeight unless mu is a sequence of plain ints, and
+        DiagramMismatch unless it has rank entries.  Every public entry point
+        that takes a weight reads it through here (or check_dominant) before
+        any memo read, so no memo key is a float, a bool or a short tuple,
+        and no zip truncates a short weight.  The hot inner calls
+        (simple_reflection, act, wadd, wsub) take checked weights unchecked.
+        """
+        try:
+            mu = tuple(mu)
+        except TypeError:
+            raise NotAWeight("weight %r is not a sequence of ints" % (mu,)) from None
+        if not set(map(type, mu)) <= {int}:
+            raise NotAWeight("weight %s must hold plain ints" % (mu,))
+        if len(mu) != self.rank:
+            raise DiagramMismatch("weight %s does not have %d entries" % (mu, self.rank))
+        return mu
+
     def check_dominant(self, mu):
-        """Raise NotDominant unless mu is dominant."""
+        """The checked weight mu (check_weight); NotDominant unless dominant."""
+        mu = self.check_weight(mu)
         if not self.is_dominant(mu):
-            raise NotDominant("weight %s is not dominant" % (tuple(mu),))
+            raise NotDominant("weight %s is not dominant" % (mu,))
+        return mu
+
+    def check_node(self, i):
+        """i when it is a plain int in 1..rank; NotGCM otherwise."""
+        if type(i) is not int or not 1 <= i <= self.rank:
+            raise NotGCM("node subset out of range: %r not in 1..%d" % (i, self.rank))
+        return i
 
     def is_strongly_dominant(self, mu):
         return all(c > 0 for c in mu)
@@ -476,12 +505,10 @@ class DynkinDiagram:
 
     def dominant_rep(self, mu):
         """The unique dominant weight in the W-orbit of mu."""
-        mu = tuple(mu)
-        while True:
-            i = next((i for i, c in enumerate(mu) if c < 0), None)
-            if i is None:
-                return mu
-            mu = self.simple_reflection(i + 1, mu)
+        mu = self.check_weight(mu)
+        while not self.is_dominant(mu):
+            mu = self.simple_reflection(next(i for i, c in enumerate(mu, 1) if c < 0), mu)
+        return mu
 
     # -- orbits -------------------------------------------------------------
 
@@ -501,7 +528,7 @@ class DynkinDiagram:
         found.
         """
         cap = cap or orbit_cap()
-        mu = tuple(mu)
+        mu = self.check_weight(mu)
         top = self.dominant_rep(mu)
         parities = {top: 1}
         frontier, p = [top], 1
@@ -557,11 +584,10 @@ class DynkinDiagram:
 
         The full node set gives this diagram itself, so it shares this memo.
         Any other diagram is built once per node set and kept in memo["sub"],
-        so a restriction keeps its own memo hits.
+        so a restriction keeps its own memo hits.  Each node goes through
+        check_node.
         """
-        nodes = tuple(sorted(set(nodes)))
-        if any(not 1 <= j <= self.rank for j in nodes):
-            raise NotGCM("node subset out of range")
+        nodes = tuple(sorted(set(map(self.check_node, nodes))))
         if len(nodes) == self.rank:
             return self, nodes
         subs = self.memo.setdefault("sub", {})

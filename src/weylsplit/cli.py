@@ -16,7 +16,7 @@ import json
 import sys
 
 from .cartan import DEFAULT_FIRING_CAP, build_diagram, parse_weight
-from .errors import DomainError, InvalidFamilyParams, MalformedPoset, NotDominant
+from .errors import DomainError, InvalidFamilyParams, MalformedPoset
 
 
 def _diagram(args):
@@ -233,12 +233,6 @@ def cmd_verify(args):
             if not 0 <= x < p.n:
                 raise MalformedPoset("witness vertex %d is not an id in 0..%d"
                                      % (x, p.n - 1))
-        nodes = d.sub_diagram(nodes)[1]     # NotGCM for a node outside the diagram
-        if len(nu) != len(nodes):
-            raise MalformedPoset("witness nu has %d entries for %d nodes in J"
-                                 % (len(nu), len(nodes)))
-        if min(nu, default=0) < 0:
-            raise NotDominant("witness nu %s is not dominant" % (nu,))
         if tau:
             wit = ecposet.ColoringWitness(S=frozenset(s_set), kappa=kappa, tau=tau)
             ok, why = ecposet.verify_tau_kappa(p, nodes, nu, wit)

@@ -31,9 +31,10 @@ def is_minuscule_weight(d, lam):
 
     <lam, beta_vee> = 2<lam,beta>/<beta,beta> <= 1 is tested as
     2<lam,beta> <= <beta,beta>, in the integers scaled by denom: both
-    <beta,beta> and denom are positive.
+    <beta,beta> and denom are positive.  A weight that fails check_weight
+    raises; a non-dominant one gives False.
     """
-    lam = tuple(lam)
+    lam = d.check_weight(lam)
     if not d.is_dominant(lam) or not any(lam):
         return False
     ip = d.inner_product_scaled
@@ -42,7 +43,6 @@ def is_minuscule_weight(d, lam):
 
 def minuscule_poset(d, lam):
     """R(lambda) = Pi(lambda) for dominant minuscule lambda."""
-    lam = tuple(lam)
     if not is_minuscule_weight(d, lam):
         raise NotMinuscule("%s is not dominant minuscule" % (lam,))
     return ecposet.weight_poset(d, lam)
@@ -281,8 +281,7 @@ def omega_expression(d, lam):
     left, through dominant sums.  So the least completable next letter is
     the one the walk takes, and induction on k gives the whole word.
     """
-    lam = tuple(lam)
-    d.check_dominant(lam)
+    lam = d.check_dominant(lam)
     if not any(lam):
         raise NoExpression("the zero weight has no nonempty expression")
     if len(d.components) != 1:
@@ -366,12 +365,11 @@ def build_crystal(d, lam):
     lowering (Kashiwara).  Results are cached in d.memo (posets are
     immutable).
     """
-    lam = tuple(lam)
+    lam = d.check_dominant(lam)
     memo = d.memo.setdefault("crystal", {})
     got = memo.get(lam)
     if got is not None:
         return got
-    d.check_dominant(lam)
     if not any(lam):
         poset = ecposet.ColoredPoset(1, [], diagram=d, labels=[()])
     else:
@@ -398,8 +396,7 @@ def m_set(p, nodes, nu):
 
 def decompose(d, nu, lam):
     """Expansion of chi_nu * chi_lambda from M_{I,nu}(R(lambda))."""
-    nu = tuple(nu)
-    d.check_dominant(nu)
+    nu = d.check_dominant(nu)
     r = build_crystal(d, lam)
     nodes = tuple(range(1, d.rank + 1))
     out = {}
@@ -617,6 +614,7 @@ def u_table(d):
 
 def saturation_predicate(d, lam, nu, nodes=None):
     """M_{J,nu}(R(lambda)) fills R(lambda) iff sum a_k u_j^(k) <= nu_j on J."""
+    lam = d.check_dominant(lam)
     table = u_table(d)
     nodes, nu_of = sub_weight(d.rank, nodes or range(1, d.rank + 1), nu)
     for j in nodes:

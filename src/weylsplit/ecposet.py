@@ -321,7 +321,7 @@ class ColoredPoset:
         if self.d is None:
             raise NotMStructured("no diagram attached")
         for u, v, c in self.edges:
-            if wadd(self.wt[u], self.d.alpha(c)) != self.wt[v]:
+            if wadd(self.wt[u], self.d.cartan[c - 1]) != self.wt[v]:
                 return False
         return True
 
@@ -705,7 +705,7 @@ def verify_splitting(p, targets):
         return False, {"reason": "no diagram"}
     want = wsf.WeylSymFn(p.d)
     for lam in targets:
-        want = want + wsf.freudenthal(p.d, tuple(lam))
+        want = want + wsf.freudenthal(p.d, lam)
     got = p.wgf()
     if got == want:
         return True, None

@@ -36,6 +36,10 @@ class OrbitTooLarge(DomainError):
     """A Weyl orbit exceeded the configured cap."""
 
 
+class NotAWeight(DomainError):
+    """A weight that is not a sequence of plain ints (bool, float, Fraction, str)."""
+
+
 # --- numbersgame ---
 
 class IllegalFire(DomainError):

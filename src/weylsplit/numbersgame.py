@@ -209,7 +209,7 @@ def rgf_exponents(d, lam):
     These are the exponents <lambda + rho, beta_j_vee> appearing in rank
     generating function and dimension formulas.
     """
-    d.check_dominant(lam)
+    lam = d.check_dominant(lam)
     word = d.constants().longest_word
     pos = tuple(c + 1 for c in lam)
     out = []

@@ -160,8 +160,7 @@ def dominant_weights_below(d, lam):
     lexicographically by the root coordinates of lam - nu, so lam comes
     first.
     """
-    lam = tuple(lam)
-    d.check_dominant(lam)
+    lam = d.check_dominant(lam)
     steps = [(r.root, r.alpha_coords) for r in d.positive_roots()]
     depth = {lam: (0,) * d.rank}     # nu -> root coordinates of lam - nu
     frontier = [lam]
@@ -180,14 +179,12 @@ def dominant_weights_below(d, lam):
 
 def weight_diagram(d, lam):
     """Pi(lambda): union of the orbits of the dominant weights below lambda."""
-    lam = tuple(lam)
     weights = set()
     for nu in dominant_weights_below(d, lam):
         weights.update(d.weyl_orbit(nu))
-    alphas = [d.alpha(i) for i in range(1, d.rank + 1)]
     edges = set()
     for mu in weights:
-        for i, a in enumerate(alphas, start=1):
+        for i, a in enumerate(d.cartan, start=1):       # alpha_i is row i
             nu = wadd(mu, a)
             if nu in weights:
                 edges.add((mu, i, nu))
@@ -211,7 +208,7 @@ def _as_int(num, den):
 
 def kostant_partition(d, mu):
     """Number of ways mu = sum k_alpha * alpha over positive roots, k >= 0."""
-    vec = d.root_lattice_coords(mu)
+    vec = d.root_lattice_coords(d.check_weight(mu))
     if vec is None or any(c < 0 for c in vec):
         return 0
     roots = tuple(r.alpha_coords for r in d.positive_roots())
@@ -260,9 +257,9 @@ def _freudenthal_walk(d, lam):
     saturated, so the alpha-string stops at the first nu outside it.
 
     Stores the dominant multiplicities in d.memo["freudenthal"][lam] and
-    returns them together with the character dict.
+    returns them together with the character dict.  Its callers pass a
+    checked lambda.
     """
-    d.check_dominant(lam)
     doms = dominant_weights_below(d, lam)
     doms.sort(key=lambda m: (-d.height_scaled(m), m))   # by depth, ties lexicographic
     # every inner product below is scaled by d.denom; the scale cancels in val
@@ -305,7 +302,7 @@ def dominant_multiplicities(d, lam):
     raises OrbitTooLarge where freudenthal would).  The caller gets a fresh
     dict, so mutating it cannot change a later answer.
     """
-    lam = tuple(lam)
+    lam = d.check_dominant(lam)
     got = d.memo.get("freudenthal", {}).get(lam)
     return dict(got if got is not None else _freudenthal_walk(d, lam)[0])
 
@@ -316,7 +313,7 @@ def freudenthal(d, lam):
     A cold call returns the character the fused walk builds; a memo hit
     expands the stored dominant multiplicities over their orbits.
     """
-    lam = tuple(lam)
+    lam = d.check_dominant(lam)
     mult = d.memo.get("freudenthal", {}).get(lam)
     if mult is None:
         return WeylSymFn(d, _freudenthal_walk(d, lam)[1])
@@ -332,7 +329,7 @@ def kostant_multiplicity(d, lam, mu):
     Sums det(w) * P(w(lam + rho) - (mu + rho)) over the parity-tagged orbit
     of the regular weight lam + rho.
     """
-    d.check_dominant(lam)
+    lam, mu = d.check_dominant(lam), d.check_weight(mu)
     _check_group_cap(d)
     rho = d.rho()
     shifted = wadd(lam, rho)
@@ -351,7 +348,7 @@ def _check_group_cap(d):
 
 def alternant(d, lam):
     """A(e^lambda) = sum det(w) e^{w(lambda)}; zero unless strongly dominant."""
-    d.check_dominant(lam)
+    lam = d.check_dominant(lam)
     _check_group_cap(d)
     if not d.is_strongly_dominant(lam):
         return WeylSymFn(d)
@@ -360,13 +357,13 @@ def alternant(d, lam):
 
 def monomial_wsf(d, lam):
     """zeta_lambda: the orbit indicator function."""
-    d.check_dominant(lam)
+    lam = d.check_dominant(lam)
     return WeylSymFn(d, {w: 1 for w in d.weyl_orbit(lam)})
 
 
 def elementary_wsf(d, lam):
     """psi_lambda: product of fundamental bialternant powers."""
-    d.check_dominant(lam)
+    lam = d.check_dominant(lam)
     out = WeylSymFn.unit(d)
     for i, a in enumerate(lam, start=1):
         if a:
@@ -422,8 +419,7 @@ def specialize(d, lam):
     of products with exponents read off the numbers game.  The two must
     agree exactly.
     """
-    lam = tuple(lam)
-    d.check_dominant(lam)
+    lam = d.check_dominant(lam)
     den = d.denom
     ht_lam = d.height_scaled(lam)
     deg = _as_int(2 * ht_lam, den)

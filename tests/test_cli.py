@@ -333,15 +333,15 @@ def test_optimized_run_rejects_non_dominant():
     (("info", "--diagram", "cartan:" + json.dumps([[2 * (i == j) for j in range(65)]
                                                    for i in range(65)])),
      "DiagramTooLarge"),
-    # J and nu are checked once, before either coloring verifier reads them
+    # J and nu are read once, by cartan.sub_weight inside either coloring verifier
     (("verify", "--diagram", "A2", "--poset", "{good}", "--coloring", "{short_nu}"),
-     "MalformedPoset"),
+     "DiagramMismatch"),
     (("verify", "--diagram", "A2", "--poset", "{good}", "--coloring", "{empty_nu}"),
-     "MalformedPoset"),
+     "DiagramMismatch"),
     (("verify", "--diagram", "A2", "--poset", "{good}", "--coloring", "{empty_nu_tau}"),
-     "MalformedPoset"),
+     "DiagramMismatch"),
     (("verify", "--diagram", "A2", "--poset", "{good}", "--coloring", "{long_nu}"),
-     "MalformedPoset"),
+     "DiagramMismatch"),
     (("verify", "--diagram", "A2", "--poset", "{good}", "--coloring", "{bool_j}"),
      "MalformedPoset"),
     (("verify", "--diagram", "A2", "--poset", "{good}", "--coloring", "{float_nu}"),
