@@ -7,6 +7,10 @@ Conventions used throughout the package:
   numbering of Dynkin diagram nodes; the B series starts
   at rank 3 and the C series at rank 2, so the two-node double-bond diagram
   classifies as C2.
+* Every public entry point reads a weight from its caller once, through
+  DynkinDiagram.check_weight or check_dominant, and goes on with the tuple
+  they return.  A node goes through check_node, and a node subset J with
+  its weight nu through sub_weight.
 * The i-th simple root, in omega coordinates, is row i of the Cartan matrix.
 * All arithmetic is exact: ints and fractions.Fraction, never floats.  A
   diagram is set up in ints (the inverse Cartan matrix as det and adjugate,
@@ -74,15 +78,32 @@ def zero_weight(n):
     return (0,) * n
 
 
+def int_tuple(seq, error, what):
+    """seq as a tuple of plain ints; error(...) for anything else.
+
+    bool, float, Fraction and str entries are rejected, not converted, and
+    so is a seq that is not iterable.  what names seq in the message.
+    """
+    try:
+        out = tuple(seq)
+    except TypeError:
+        out = None
+    if out is None or not set(map(type, out)) <= {int}:
+        raise error("%s must be a sequence of plain ints, not %r" % (what, seq))
+    return out
+
+
 def sub_weight(rank, nodes, nu):
     """Check a node subset J of 1..rank and a dominant weight nu over it.
 
     Returns J sorted, with a repeated node counted once, and the map
-    j -> nu_j, nu read in that order.  Raises NotGCM for a node outside
-    1..rank, DiagramMismatch unless nu has one entry per node of J, and
+    j -> nu_j, nu read in that order.  Raises NotGCM for a node that is not
+    a plain int in 1..rank, NotAWeight for a nu entry that is not a plain
+    int, DiagramMismatch unless nu has one entry per node of J, and
     NotDominant for a negative entry.
     """
-    nodes, nu = tuple(sorted(set(nodes))), tuple(nu)
+    nodes = tuple(sorted(set(int_tuple(nodes, NotGCM, "node subset J"))))
+    nu = int_tuple(nu, NotAWeight, "nu")
     if any(not 1 <= j <= rank for j in nodes):
         raise NotGCM("node subset out of range")
     if len(nu) != len(nodes):
@@ -419,12 +440,7 @@ class DynkinDiagram:
         and no zip truncates a short weight.  The hot inner calls
         (simple_reflection, act, wadd, wsub) take checked weights unchecked.
         """
-        try:
-            mu = tuple(mu)
-        except TypeError:
-            raise NotAWeight("weight %r is not a sequence of ints" % (mu,)) from None
-        if not set(map(type, mu)) <= {int}:
-            raise NotAWeight("weight %s must hold plain ints" % (mu,))
+        mu = int_tuple(mu, NotAWeight, "a weight")
         if len(mu) != self.rank:
             raise DiagramMismatch("weight %s does not have %d entries" % (mu, self.rank))
         return mu

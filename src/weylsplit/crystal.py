@@ -410,7 +410,8 @@ def branch(d, lam, nodes):
     """Branching of chi_lambda to the subdiagram on the given nodes.
 
     Nodes are 1-based; sub_diagram sorts them and raises NotGCM for one
-    outside 1..rank (row 0 would otherwise read as the last node).
+    that is not a plain int in 1..rank (row 0 would otherwise read as the
+    last node, and True as node 1).
     """
     _, nodes = d.sub_diagram(nodes)
     r = build_crystal(d, lam)

@@ -8,8 +8,8 @@ Fractions, and a node fires only while its number is positive.
 
 from collections import namedtuple
 
-from .cartan import DEFAULT_FIRING_CAP, gcm_matrix
-from .errors import ExactnessError, IllegalFire
+from .cartan import DEFAULT_FIRING_CAP, gcm_matrix, int_tuple
+from .errors import DiagramMismatch, ExactnessError, IllegalFire
 
 
 class RawGCMGraph:
@@ -69,14 +69,17 @@ def play(d, position, strategy="first", cap=DEFAULT_FIRING_CAP):
     strategy: "first" (lowest positive node), a sequence of nodes, or "all"
     (exhaustive enumeration of every maximal legal play; returns a list of
     GameRecords in deterministic order).  Divergence is reported via the
-    record's diverged flag, never as an error.  An explicit sequence raises
-    IllegalFire for a node outside 1..rank before anything is fired, and for
-    a node whose number is nonpositive when its turn comes.  A cap below 1
-    raises ValueError.
+    record's diverged flag, never as an error.  Any other strategy is an
+    explicit sequence, which raises IllegalFire before anything is fired
+    unless it holds plain ints in 1..rank, and for a node whose number is
+    nonpositive when its turn comes.  A cap below 1 raises ValueError, and
+    a position without rank entries DiagramMismatch.
     """
     if cap < 1:
         raise ValueError("firing cap %s is below 1" % (cap,))
     position = tuple(position)
+    if len(position) != d.rank:
+        raise DiagramMismatch("position %s does not have %d entries" % (position, d.rank))
     if strategy == "all":
         # depth-first over shared fired/trace lists; todo[k] holds the nodes
         # still to fire from trace[k], lowest last so pop() takes it first
@@ -118,6 +121,7 @@ def play(d, position, strategy="first", cap=DEFAULT_FIRING_CAP):
     # explicit firing sequence.  The range check stays here: fire() is the
     # hot path of constants() and rgf_exponents, and its row lookup would
     # wrap a node 0 to the last row.
+    strategy = int_tuple(strategy, IllegalFire, 'a strategy other than "first" or "all"')
     for i in strategy:
         if not 1 <= i <= d.rank:
             raise IllegalFire("node %s is not in 1..%d" % (i, d.rank))

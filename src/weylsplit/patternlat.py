@@ -40,7 +40,7 @@ the A/B/C rank generating function products live here too.
 from collections import namedtuple
 
 from . import ecposet, numbersgame, qpoly
-from .cartan import build_diagram
+from .cartan import build_diagram, int_tuple, zero_weight
 from .errors import ExactnessError, InvalidFamilyParams
 
 
@@ -60,13 +60,15 @@ class FamilyShape(namedtuple("FamilyShape", [
 
 
 def _shape(family, n, m=None, lam=None, node=None):
+    if not {type(x) for x in (n, m, node) if x is not None} <= {int}:
+        raise InvalidFamilyParams("n, m and node must be plain ints")
     if family == "gt":
+        lam = int_tuple(lam, InvalidFamilyParams, "the gt weight")
         if n < 2 or len(lam) != n - 1 or any(a < 0 for a in lam):
             raise InvalidFamilyParams("gt needs size n >= 2 and a dominant weight")
         d = build_diagram([("A", n - 1)])
         fixed = tuple(sum(lam[k - 1] for k in range(n + 1 - j, n)) for j in range(1, n + 1))
-        return FamilyShape("gt", n - 1, fixed[-1], fixed, n, n, False,
-                           tuple(lam), d)
+        return FamilyShape("gt", n - 1, fixed[-1], fixed, n, n, False, lam, d)
     if m is None or m < 0:
         raise InvalidFamilyParams("bound m must be a nonnegative integer")
     if family == "oo":
@@ -248,7 +250,7 @@ def _bump(t, r, k):
 
 def gt_lattice(n, lam):
     """Special linear ideal patterns of size n-1 bounded by lam."""
-    return PatternLattice(_shape("gt", n, lam=tuple(lam)))
+    return PatternLattice(_shape("gt", n, lam=lam))
 
 
 def odd_orth_lattice(n, m):
@@ -313,5 +315,5 @@ def rgf_closed_form(family, n, lam=None, m=None):
 def rgf_quotient(d, lam):
     """The general quotient-of-products form with numbers-game exponents."""
     nums = numbersgame.rgf_exponents(d, lam)
-    dens = numbersgame.rgf_exponents(d, tuple(0 for _ in lam))
+    dens = numbersgame.rgf_exponents(d, zero_weight(d.rank))
     return tuple(qpoly.quotient_rgf(nums, dens))

@@ -206,35 +206,51 @@ def _as_int(num, den):
 # ---------------------------------------------------------------------------
 # Kostant partition function
 
+def _root_string(v, root):
+    """v, v - root, v - 2 root, ... while every coordinate stays >= 0."""
+    while True:
+        yield v
+        v = tuple(x - y for x, y in zip(v, root))
+        if any(x < 0 for x in v):
+            return
+
+
 def kostant_partition(d, mu):
-    """Number of ways mu = sum k_alpha * alpha over positive roots, k >= 0."""
+    """Number of ways mu = sum k_alpha * alpha over positive roots, k >= 0.
+
+    With the positive roots beta_0, ..., beta_top in a fixed order, P_j(v)
+    counts the ways using beta_0 .. beta_j only: P_j(v) = sum over the root
+    string v - k beta_j (k >= 0, coordinates >= 0) of P_(j-1), where
+    P_(j-1)(0) = 1 and P_(-1)(v) = 0 for v != 0.  d.memo["kostant"] holds
+    P_j(v) under (j, v) for nonzero v.  A forward pass collects, level by
+    level from j = top down, the nonzero (j, v) this call needs and the
+    memo lacks; the values are then filled bottom-up from j = 0, so each
+    level reads only the level below it.  No recursion: the walk is as
+    long as the number of positive roots, with no bound from the
+    interpreter's stack.
+    """
     vec = d.root_lattice_coords(d.check_weight(mu))
     if vec is None or any(c < 0 for c in vec):
         return 0
+    if not any(vec):
+        return 1
     roots = tuple(r.alpha_coords for r in d.positive_roots())
     memo = d.memo.setdefault("kostant", {})
-
-    def f(j, v):
-        if not any(v):
-            return 1
-        if j < 0:
-            return 0
-        key = (j, v)
-        got = memo.get(key)
-        if got is not None:
-            return got
-        total = 0
-        cur = v
-        while True:
-            total += f(j - 1, cur)
-            nxt = tuple(x - y for x, y in zip(cur, roots[j]))
-            if any(x < 0 for x in nxt):
-                break
-            cur = nxt
-        memo[key] = total
-        return total
-
-    return f(len(roots) - 1, vec)
+    top = len(roots) - 1
+    if (top, vec) in memo:
+        return memo[(top, vec)]
+    need = [set() for _ in roots]
+    need[top].add(vec)
+    for j in range(top, 0, -1):
+        below = need[j - 1]
+        for v in need[j]:
+            below.update(cur for cur in _root_string(v, roots[j])
+                         if any(cur) and (j - 1, cur) not in memo)
+    for j, level in enumerate(need):
+        for v in level:
+            memo[(j, v)] = sum(memo.get((j - 1, cur), 0) if any(cur) else 1
+                               for cur in _root_string(v, roots[j]))
+    return memo[(top, vec)]
 
 
 # ---------------------------------------------------------------------------

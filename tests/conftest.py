@@ -2,7 +2,8 @@
 
 The oracles here deliberately avoid the library's own derivations: the
 Weyl group is closed as a set of exact matrices, partition counts come
-from bounded enumeration, positive roots from reflection closure or by
+from bounded enumeration (and, with their memo keys, from a recursion per
+positive root), positive roots from reflection closure or by
 reflecting each simple root along a word, Weyl orbits from a search that
 tries every simple reflection on every element, crystal signatures from
 separate forward and suffix scans, omega expressions from a deepening
@@ -172,6 +173,32 @@ def brute_partition_count(d, mu, roots):
         return total
 
     return count(0, target)
+
+
+def recursive_kostant_partition(d, mu, memo):
+    """wsf.kostant_partition as one recursion per positive root, the last
+    root first, filling memo with the same (j, v) keys."""
+    vec = d.root_lattice_coords(mu)
+    if vec is None or any(c < 0 for c in vec):
+        return 0
+    roots = tuple(r.alpha_coords for r in d.positive_roots())
+
+    def f(j, v):
+        if not any(v):
+            return 1
+        if j < 0:
+            return 0
+        if (j, v) not in memo:
+            total, cur = 0, v
+            while True:
+                total += f(j - 1, cur)
+                cur = tuple(x - y for x, y in zip(cur, roots[j]))
+                if any(x < 0 for x in cur):
+                    break
+            memo[(j, v)] = total
+        return memo[(j, v)]
+
+    return f(len(roots) - 1, vec)
 
 
 def brute_dominant_weights_below(d, lam):

@@ -1,0 +1,103 @@
+"""Bad library input ends in a DomainError subclass, also under python -O.
+
+Weights, nodes, witness J and nu, numbers-game strategies and lattice
+family parameters are read through DynkinDiagram.check_weight,
+check_dominant, check_node, cartan.sub_weight and cartan.int_tuple.
+"""
+
+import json
+import os
+import subprocess
+import sys
+from pathlib import Path
+
+import pytest
+
+import weylsplit
+from weylsplit import build_diagram, crystal, wsf
+from weylsplit.errors import NotAWeight
+
+# (call, the DomainError subclass it ends in), on d = A2 and p = Pi(omega_1)
+PROBES = [
+    # a 1-entry weight: zip truncated it, and these walks never ended
+    ("wsf.freudenthal(d, (1,))", "DiagramMismatch"),
+    ("wsf.dominant_weights_below(d, (1,))", "DiagramMismatch"),
+    ("ecposet.maximal_splitting_poset(d, (1,))", "DiagramMismatch"),
+    ("wsf.specialize(d, (1,))", "DiagramMismatch"),
+    ("ecposet.verify_splitting(p, [(1,)])", "DiagramMismatch"),
+    # silently wrong answers
+    ("wsf.kostant_multiplicity(d, (1, 1), (0,))", "DiagramMismatch"),
+    ("crystal.is_minuscule_weight(d, (1,))", "DiagramMismatch"),
+    ("crystal.saturation_predicate(d, (-1, 0), (0, 0))", "NotDominant"),
+    ("d.alpha(0)", "NotGCM"),
+    ("d.omega(9)", "NotGCM"),
+    ("d.dominant_rep((1, 0, 5))", "DiagramMismatch"),
+    ("crystal.branch(d, (1, 1), (True,))", "NotGCM"),
+    # bare IndexError, TypeError or ExactnessError
+    ("wsf.weight_diagram(d, (1, 1, 1))", "DiagramMismatch"),
+    ("crystal.build_crystal(d, (1,))", "DiagramMismatch"),
+    ("d.weyl_orbit((1,))", "DiagramMismatch"),
+    ("numbersgame.rgf_exponents(d, (1,))", "DiagramMismatch"),
+    ("patternlat.symplectic_lattice(2, 1.5)", "InvalidFamilyParams"),
+    ("patternlat.gt_lattice(3, (1, 0.5))", "InvalidFamilyParams"),
+    ("numbersgame.play(d, (1, 1), 'bogus')", "IllegalFire"),
+    ("numbersgame.play(d, (1,), 'first')", "DiagramMismatch"),
+    # entries that are not plain ints, and a weight that is not a sequence
+    ("wsf.freudenthal(d, (1.0, 0))", "NotAWeight"),
+    ("wsf.freudenthal(d, 5)", "NotAWeight"),
+    ("cartan.sub_weight(2, (1, 2.0), (0, 0))", "NotGCM"),
+    ("cartan.sub_weight(2, (1, 2), (0, 0.0))", "NotAWeight"),
+]
+
+# One interpreter for the whole table; each call gets a 1 s alarm, so a walk
+# that never ends shows as "bare TimeoutError" instead of hanging the test.
+RUNNER = """
+import json, signal, sys
+from weylsplit import build_diagram, cartan, crystal, ecposet, numbersgame, patternlat, wsf
+from weylsplit.errors import DomainError
+
+
+def timeout(*_):
+    raise TimeoutError
+
+
+signal.signal(signal.SIGALRM, timeout)
+d = build_diagram("A2")
+p = crystal.minuscule_poset(d, (1, 0))
+for call in json.loads(sys.argv[1]):
+    signal.alarm(1)
+    try:
+        got = "returned %r" % (eval(call),)
+    except DomainError as e:
+        got = type(e).__name__
+    except Exception as e:
+        got = "bare %s" % type(e).__name__
+    finally:
+        signal.alarm(0)
+    print(json.dumps([call, got]))
+"""
+
+
+def test_bad_library_input_under_optimize():
+    src = str(Path(weylsplit.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    res = subprocess.run([sys.executable, "-O", "-c", RUNNER,
+                          json.dumps([call for call, _ in PROBES])],
+                         capture_output=True, text=True, env=env, timeout=120)
+    assert res.returncode == 0, res.stderr
+    got = [tuple(json.loads(line)) for line in res.stdout.splitlines()]
+    assert got == PROBES
+
+
+def test_memo_keys_come_only_from_the_gate():
+    """(1.0, 0) and (True, 0) equal (1, 0) as dict keys; neither reaches a memo."""
+    d = build_diagram("A2")
+    for call in (lambda: wsf.freudenthal(d, (1.0, 0)), lambda: wsf.freudenthal(d, (True, 0)),
+                 lambda: crystal.build_crystal(d, (1.0, 0))):
+        with pytest.raises(NotAWeight):
+            call()
+    assert not d.memo.get("freudenthal") and not d.memo.get("crystal")
+    chi = wsf.freudenthal(d, (1, 0))
+    assert {type(c) for w in chi.terms for c in w} == {int}
+    assert wsf.specialize(d, (1, 0)) == ((1, 1, 1), 3)

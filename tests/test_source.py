@@ -1,7 +1,13 @@
 """Source-level checks on the package itself."""
 
 import ast
+import inspect
 from pathlib import Path
+
+import pytest
+
+from weylsplit import build_diagram, crystal, ecposet, numbersgame, patternlat, wsf
+from weylsplit.errors import DiagramMismatch, NotAWeight
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "weylsplit"
 
@@ -61,10 +67,10 @@ def test_no_private_reads_across_modules():
 
 
 def test_no_self_calls_in_the_crystal_layer():
-    """No function of crystal.py or ecposet.py calls itself by name, so no
-    walk there is bounded by the interpreter's recursion limit."""
+    """No function of crystal.py, ecposet.py or wsf.py calls itself by name,
+    so no walk there is bounded by the interpreter's recursion limit."""
     bad = []
-    for name in ("crystal.py", "ecposet.py"):
+    for name in ("crystal.py", "ecposet.py", "wsf.py"):
         path = SRC / name
         for fn in ast.walk(ast.parse(path.read_text(), str(path))):
             if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
@@ -73,3 +79,37 @@ def test_no_self_calls_in_the_crystal_layer():
                     if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
                     and node.func.id == fn.name]
     assert not bad, "self-calls in the crystal layer: %s" % bad
+
+
+def _weight_entry_points():
+    """(function, its weight parameters): every public function of the
+    weight layers whose parameters start with d and name lam, mu or nu."""
+    out = []
+    for mod in (wsf, crystal, numbersgame, ecposet, patternlat):
+        for name, fn in inspect.getmembers(mod, inspect.isfunction):
+            params = list(inspect.signature(fn).parameters)
+            weights = [p for p in params if p in ("lam", "mu", "nu")]
+            if fn.__module__ == mod.__name__ and not name.startswith("_") \
+                    and params[:1] == ["d"] and weights:
+                out.append((fn, weights))
+    return out
+
+
+def test_every_weight_entry_point_reads_the_gate():
+    """A new entry point that takes (d, weight) must read the weight through
+    check_weight/check_dominant: a short weight or a float entry raises on
+    A2, with every other argument valid."""
+    d = build_diagram("A2")
+    valid = {"lam": (1, 0), "mu": (1, 0), "nu": (1, 0), "nodes": (1,)}
+    found = _weight_entry_points()
+    assert {fn.__name__ for fn, _ in found} >= {
+        "freudenthal", "kostant_multiplicity", "decompose", "rgf_exponents",
+        "maximal_splitting_poset", "rgf_quotient"}
+    for fn, weights in found:
+        params = inspect.signature(fn).parameters.values()
+        args = {p.name: valid[p.name] for p in params
+                if p.name != "d" and p.default is inspect.Parameter.empty}
+        for w in weights:
+            for bad, error in (((1,), DiagramMismatch), ((1.0, 0), NotAWeight)):
+                with pytest.raises(error):
+                    fn(d, **dict(args, **{w: bad}))

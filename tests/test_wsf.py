@@ -6,11 +6,11 @@ import pytest
 from hypothesis import assume, given, settings, strategies as st
 
 from weylsplit import build_diagram, wsf
-from weylsplit.cartan import DynkinDiagram, wadd, wneg
+from weylsplit.cartan import DynkinDiagram, wadd, wneg, wsub
 from weylsplit.errors import ExactnessError, NotDominant, NotInvariant
 
 from conftest import (brute_dominant_weights_below, brute_partition_count,
-                      brute_weyl_dimension, load_fixture)
+                      brute_weyl_dimension, load_fixture, recursive_kostant_partition)
 
 G2FIX = load_fixture("g2_reference.json")
 
@@ -113,6 +113,30 @@ def test_kostant_partition():
             mu = tuple(rng.randint(-2, 4) for _ in range(d.rank))
             assert wsf.kostant_partition(d, mu) == \
                 brute_partition_count(d, mu, roots)
+
+
+@pytest.mark.parametrize("spec, lam", [("A3", (1, 1, 1)), ("B3", (1, 0, 1)), ("C3", (0, 1, 1)),
+                                       ("G2", (2, 1)), ("A2+C2", (1, 1, 1, 1))])
+def test_kostant_partition_matches_recursion(spec, lam):
+    """Every target of the Kostant multiplicity formula below lam: the same
+    counts, and the same (j, v) keys in d.memo["kostant"], as the recursion."""
+    d = build_diagram(spec)
+    rho = d.rho()
+    targets = [wsub(w, wadd(mu, rho))
+               for mu in wsf.dominant_weights_below(d, lam)
+               for w in d.weyl_orbit(wadd(lam, rho))]
+    memo = {}
+    assert [wsf.kostant_partition(d, t) for t in targets] == \
+        [recursive_kostant_partition(d, t, memo) for t in targets]
+    assert d.memo["kostant"].keys() == memo.keys()
+
+
+def test_kostant_partition_past_the_recursion_limit():
+    """A50 has 1 275 positive roots, one level each: more than a recursion
+    per root could descend."""
+    d = build_diagram("A50")
+    assert wsf.kostant_partition(d, d.alpha(1)) == 1
+    assert wsf.kostant_partition(d, wadd(d.alpha(1), d.alpha(2))) == 2
 
 
 def test_freudenthal_g2_reference_values():
