@@ -19,11 +19,13 @@ sound, and passes them to the same fill.
 
 Edges are triples (u, v, c) of plain ints, kept sorted in `edges`.  The
 adjacency lists `out[u]` and `inc[v]` hold those same triple objects, in
-sorted-edge order, so nothing else is allocated per edge.  They are built
-from `edges` when first read: by the constructor's own ranking pass, or,
-on a blow-up, by whoever first asks.  A blow-up's `edges` is a read-only
-sequence whose length is the sum of the block sizes, so `len(u.edges)`
-costs no edge; its triples too are built on first read.
+sorted-edge order, so nothing else is allocated per edge.  They, and the
+member lists of the components, are built only when first read: the
+constructor ranks over adjacency rows of its own and keeps none, so a
+poset that is only asked for ranks, weights and edges never holds them.
+A blow-up's `edges` is a read-only sequence whose length is the sum of
+the block sizes, so `len(u.edges)` costs no edge; its triples too are
+built on first read.
 
 Posets are immutable after construction; every cache is computed once.
 """
@@ -130,10 +132,9 @@ class ColoredPoset:
         self.edges = tuple(edges)
 
         self._reach = None
-        # Ranking is the first to read out and inc, so it builds them.  It
-        # raises each edge by one rank and each longer path by at least two,
-        # so a ranked poset is acyclic and no path implies an edge: the cycle
-        # and closure checks are needed only if ranking fails.
+        # Ranking raises each edge by one rank and each longer path by at
+        # least two, so a ranked poset is acyclic and no path implies an edge:
+        # the cycle and closure checks are needed only if ranking fails.
         try:
             self._global_rank, self._poset_comp = self._rank_and_components()
         except NotRanked:
@@ -143,17 +144,17 @@ class ColoredPoset:
         self._is_lattice = is_lattice_hint
 
     def _fill(self, rank, keys):
-        """Write comp_id, _members, rho, lng and wt from ranks and component keys.
+        """Write comp_id, rho, lng and wt from ranks and component keys.
 
         keys holds one row per color c = 1..n_colors, and row c - 1 is equal
         on x and y exactly when they lie in one color-c component K.  The
         components are numbered by their smallest member; for x in K,
         rho_c(x) = rank(x) - min rank(K), l_c(x) = max rank(K) - min rank(K)
-        and wt(x)_c = m_c(x) = 2 rho_c(x) - l_c(x).
+        and wt(x)_c = m_c(x) = 2 rho_c(x) - l_c(x).  The member lists are
+        grouped here but not kept; `_members` regroups them from comp_id.
         """
         n = self.n
         self.comp_id, self.rho, self.lng = [[0] * n], [[0] * n], [[0] * n]  # 1-based color
-        self._members = [()]
         m_rows = []
         for key in keys:
             groups = {}         # by key, in order of each group's smallest member
@@ -161,15 +162,13 @@ class ColoredPoset:
                 groups.setdefault(k, []).append(x)
             gid = {k: g for g, k in enumerate(groups)}
             comp_id = list(map(gid.__getitem__, key))
-            members = list(map(tuple, groups.values()))
-            lo = [min(map(rank.__getitem__, m)) for m in members]
-            hi = [max(map(rank.__getitem__, m)) for m in members]
+            lo = [min(map(rank.__getitem__, m)) for m in groups.values()]
+            hi = [max(map(rank.__getitem__, m)) for m in groups.values()]
             span = [h - l for h, l in zip(hi, lo)]
             rho = [r - lo[g] for r, g in zip(rank, comp_id)]
             self.comp_id.append(comp_id)
             self.rho.append(rho)
             self.lng.append(list(map(span.__getitem__, comp_id)))
-            self._members.append(members)
             m_rows.append([2 * r - span[g] for r, g in zip(rho, comp_id)])
         self.wt = tuple(zip(*m_rows)) or ((),) * n   # zip(*[]) is empty
 
@@ -184,6 +183,17 @@ class ColoredPoset:
     def inc(self):
         """inc[v]: the edges into v, in sorted-edge order."""
         return _adjacency(self.n, self.edges, 1)
+
+    @cached_property
+    def _members(self):
+        """_members[c][g]: the color-c component numbered g, in ascending id order."""
+        members = [()]
+        for comp_id in self.comp_id[1:]:
+            groups = [[] for _ in range(max(comp_id, default=-1) + 1)]
+            for x, g in enumerate(comp_id):
+                groups[g].append(x)
+            members.append(list(map(tuple, groups)))
+        return members
 
     def _toposort(self):
         indeg = [len(self.inc[v]) for v in range(self.n)]
@@ -229,6 +239,7 @@ class ColoredPoset:
                                       % (u, v))
 
     def _rank_and_components(self):
+        out, inc = _adjacency(self.n, self.edges, 0), _adjacency(self.n, self.edges, 1)
         rank = [None] * self.n
         comp = [None] * self.n
         nc = 0
@@ -241,7 +252,7 @@ class ColoredPoset:
             members = [s]
             while frontier:
                 v = frontier.pop()
-                for _, w, _ in self.out[v]:
+                for _, w, _ in out[v]:
                     if rank[w] is None:
                         rank[w] = rank[v] + 1
                         comp[w] = nc
@@ -249,7 +260,7 @@ class ColoredPoset:
                         members.append(w)
                     elif rank[w] != rank[v] + 1:
                         raise NotRanked("rank conflict on edge %d->%d" % (v, w))
-                for w, _, _ in self.inc[v]:
+                for w, _, _ in inc[v]:
                     if rank[w] is None:
                         rank[w] = rank[v] - 1
                         comp[w] = nc
@@ -277,7 +288,10 @@ class ColoredPoset:
         return self._global_rank[x]
 
     def comp_members(self, c, x):
-        """The color-c component of x, in ascending id order."""
+        """The color-c component of x, in ascending id order.
+
+        The first call groups every component of every color from comp_id.
+        """
         return self._members[c][self.comp_id[c][x]]
 
     def up(self, c, x):
@@ -656,8 +670,8 @@ def _blow_up(q, sizes, labels=None):
       l_c(f(a)) > 0), and ~a, which no component id equals, when it has
       none.
 
-    Given those ranks and keys, `ColoredPoset._fill` writes rho, lng, wt,
-    comp_id and members exactly as the constructor does; poset components
+    Given those ranks and keys, `ColoredPoset._fill` writes rho, lng, wt
+    and comp_id exactly as the constructor does; poset components
     are numbered by their first copy, as the constructor numbers them.
 
     The edges are a _BlockEdges that keeps q and the fibres; its length is

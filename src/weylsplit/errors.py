@@ -60,6 +60,10 @@ class NotInvariant(DomainError):
     """Group-ring element failed a Weyl-invariance check."""
 
 
+class BadExponent(DomainError):
+    """A power of a Weyl symmetric function whose exponent is not a plain int >= 0."""
+
+
 # --- ecposet ---
 
 class NotAcyclic(DomainError):

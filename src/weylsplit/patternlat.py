@@ -277,19 +277,28 @@ def rgf_closed_form(family, n, lam=None, m=None):
 
     Returns the coefficient tuple of the polynomial.  The A form takes the
     diagram rank n and any dominant lam; B and C take the pattern size n
-    and the multiple m of the end-node weight.
+    and the multiple m of the end-node weight.  n, m and lam are read
+    through `int_tuple`; n must be at least 1 and no entry negative.
     """
-    nums, dens = [], []
+    if family not in ("A", "B", "C"):
+        raise InvalidFamilyParams("closed product only for families A, B, C")
     if family == "A":
-        lam = tuple(lam)
+        n = int_tuple((n,), InvalidFamilyParams, "n")[0]
+        lam = int_tuple(lam, InvalidFamilyParams, "the A weight")
         if len(lam) != n:
             raise InvalidFamilyParams("A form needs a weight of length n = %d" % n)
+    else:
+        n, m = int_tuple((n, m), InvalidFamilyParams, "(n, m)")
+        lam = tuple(m if k == n else 0 for k in range(1, n + 1))
+    if n < 1 or any(a < 0 for a in lam):
+        raise InvalidFamilyParams("closed product needs n >= 1 and a dominant weight")
+    nums, dens = [], []
+    if family == "A":
         for i in range(1, n + 1):
             for j in range(i, n + 1):
                 nums.append(_lam_sum(lam, i, j) + j + 1 - i)
                 dens.append(j + 1 - i)
-    elif family in ("B", "C"):
-        lam = tuple(m if k == n else 0 for k in range(1, n + 1))
+    else:
         for i in range(1, n):
             for j in range(i, n):
                 nums.append(_lam_sum(lam, i, j) + j + 1 - i)
@@ -306,8 +315,6 @@ def rgf_closed_form(family, n, lam=None, m=None):
                     nums.append(_lam_sum(lam, i, n) + _lam_sum(lam, j, n)
                                 + 2 * n + 2 - i - j)
                     dens.append(2 * n + 2 - i - j)
-    else:
-        raise InvalidFamilyParams("closed product only for families A, B, C")
     # equal lengths, so prod [a]_q / prod [b]_q = prod(1-q^a) / prod(1-q^b)
     return tuple(qpoly.quotient_rgf(nums, dens))
 

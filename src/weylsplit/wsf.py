@@ -15,7 +15,8 @@ from operator import mul
 
 from . import numbersgame, qpoly
 from .cartan import wadd, wneg, wsub, zero_weight
-from .errors import DiagramMismatch, ExactnessError, NotInvariant, OrbitTooLarge
+from .errors import (BadExponent, DiagramMismatch, ExactnessError, NotInvariant,
+                     OrbitTooLarge)
 
 # Orbit-sum routes (alternant, Kostant multiplicity) stay desk scale; F4's
 # group is the largest allowed.  Freudenthal has no such cap.
@@ -36,7 +37,7 @@ class WeylSymFn:
 
     @classmethod
     def monomial(cls, d, mu, coeff=1):
-        return cls(d, {tuple(mu): coeff})
+        return cls(d, {d.check_weight(mu): coeff})
 
     @classmethod
     def unit(cls, d):
@@ -97,6 +98,9 @@ class WeylSymFn:
         return self.terms.get(tuple(mu), 0)
 
     def power(self, k):
+        """self ** k for a plain int k >= 0; BadExponent otherwise."""
+        if type(k) is not int or k < 0:
+            raise BadExponent("exponent must be a plain int >= 0, not %r" % (k,))
         out = WeylSymFn.unit(self.d)
         for _ in range(k):
             out = out * self
@@ -218,18 +222,26 @@ def _root_string(v, root):
 def kostant_partition(d, mu):
     """Number of ways mu = sum k_alpha * alpha over positive roots, k >= 0.
 
+    mu is read through the gate; the count is `_kostant_partition`'s.
+    """
+    return _kostant_partition(d, d.check_weight(mu))
+
+
+def _kostant_partition(d, mu):
+    """kostant_partition of a checked weight mu.
+
     With the positive roots beta_0, ..., beta_top in a fixed order, P_j(v)
     counts the ways using beta_0 .. beta_j only: P_j(v) = sum over the root
     string v - k beta_j (k >= 0, coordinates >= 0) of P_(j-1), where
     P_(j-1)(0) = 1 and P_(-1)(v) = 0 for v != 0.  d.memo["kostant"] holds
     P_j(v) under (j, v) for nonzero v.  A forward pass collects, level by
     level from j = top down, the nonzero (j, v) this call needs and the
-    memo lacks; the values are then filled bottom-up from j = 0, so each
-    level reads only the level below it.  No recursion: the walk is as
-    long as the number of positive roots, with no bound from the
-    interpreter's stack.
+    memo lacks, keeping the root string of each; the values are then
+    summed over those strings bottom-up from j = 0, so each level reads
+    only the level below it.  No recursion: the walk is as long as the
+    number of positive roots, with no bound from the interpreter's stack.
     """
-    vec = d.root_lattice_coords(d.check_weight(mu))
+    vec = d.root_lattice_coords(mu)
     if vec is None or any(c < 0 for c in vec):
         return 0
     if not any(vec):
@@ -239,17 +251,19 @@ def kostant_partition(d, mu):
     top = len(roots) - 1
     if (top, vec) in memo:
         return memo[(top, vec)]
-    need = [set() for _ in roots]
-    need[top].add(vec)
-    for j in range(top, 0, -1):
-        below = need[j - 1]
-        for v in need[j]:
-            below.update(cur for cur in _root_string(v, roots[j])
-                         if any(cur) and (j - 1, cur) not in memo)
-    for j, level in enumerate(need):
+    need = [{} for _ in roots]      # per level j: v -> its beta_j root string
+    need[top][vec] = None
+    for j in range(top, -1, -1):
+        level = need[j]
         for v in level:
+            level[v] = string = tuple(_root_string(v, roots[j]))
+            if j:
+                need[j - 1].update(dict.fromkeys(
+                    cur for cur in string if any(cur) and (j - 1, cur) not in memo))
+    for j, level in enumerate(need):
+        for v, string in level.items():
             memo[(j, v)] = sum(memo.get((j - 1, cur), 0) if any(cur) else 1
-                               for cur in _root_string(v, roots[j]))
+                               for cur in string)
     return memo[(top, vec)]
 
 
@@ -352,7 +366,7 @@ def kostant_multiplicity(d, lam, mu):
     target = wadd(mu, rho)
     total = 0
     for w, parity in d.weyl_orbit(shifted).items():
-        total += parity * kostant_partition(d, wsub(w, target))
+        total += parity * _kostant_partition(d, wsub(w, target))
     return total
 
 

@@ -9,7 +9,8 @@ tries every simple reflection on every element, crystal signatures from
 separate forward and suffix scans, omega expressions from a deepening
 depth-first search, (J,nu)-colorings from a recursion on the prefix length
 that rescans each prefix's signature, and colored posets are checked
-against their full transitive closure.  The inverse Cartan matrix comes from
+against their full transitive closure and their component member lists
+against an eager grouping by union-find root.  The inverse Cartan matrix comes from
 Fraction Gauss-Jordan, component numberings from a slot-by-slot
 backtracking search, chain-product factorizations from growing chains and
 scanning every chain pair, sub-block colorings from trying every factor
@@ -367,6 +368,19 @@ def brute_color_tables(n, edges, n_colors):
                 rho[c][x] = rank[x] - lo
                 lng[c][x] = hi - lo
     return rank, comp_id, rho, lng
+
+
+def brute_members(n, edges, n_colors):
+    """Per color 1..n_colors, the member tuples of each component, grouped
+    eagerly by union-find root in the order of their smallest members (the
+    unused row 0 is ()); `ColoredPoset._members` indexed as comp_id numbers."""
+    members = [()]
+    for key in ecposet.component_roots(n, sorted(edges), n_colors):
+        groups = {}
+        for x, k in enumerate(key):
+            groups.setdefault(k, []).append(x)
+        members.append(list(map(tuple, groups.values())))
+    return members
 
 
 def brute_signature(factors, i, x):

@@ -12,8 +12,8 @@ from weylsplit.errors import (DiagramMismatch, DomainError, ExactnessError,
                               NotCovering, NotMStructured, NotRanked)
 
 from conftest import (brute_chain_product_factorization, brute_color_tables,
-                      brute_poset_error, brute_subblock_coloring, load_fixture,
-                      sub_block_members)
+                      brute_members, brute_poset_error, brute_subblock_coloring,
+                      load_fixture, sub_block_members)
 
 A2 = build_diagram("A2")
 G2 = build_diagram("G2")
@@ -117,6 +117,24 @@ def test_constructor_matches_brute_checks(data):
     # reach() walks the vertices in rank order: it must still be the closure
     assert p.reach() == [sum(1 << w for w in nx.descendants(g, v) | {v})
                          for v in range(n)]
+
+
+@settings(max_examples=200, deadline=None)
+@given(st.data())
+def test_lazy_tables_match_eager_ones(data):
+    """out, inc and the member lists are built on first read, and then equal
+    _adjacency on the sorted edges and the eager grouping by union-find root."""
+    n = data.draw(st.integers(1, 8), label="n")
+    n_colors = data.draw(st.integers(1, 4), label="n_colors")
+    # edges up one level, no pair twice: ranked and covering
+    level = data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    pairs = [(u, v) for u in range(n) for v in range(n) if level[v] == level[u] + 1]
+    chosen = data.draw(st.lists(st.sampled_from(pairs), max_size=14, unique=True)) if pairs else []
+    edges = [(u, v, data.draw(st.integers(1, n_colors))) for u, v in chosen]
+    p = ec.ColoredPoset(n, edges, n_colors=n_colors)
+    assert not {"out", "inc", "_members"} & set(vars(p))
+    assert p._members == brute_members(n, edges, n_colors)
+    assert p.out == ec._adjacency(n, p.edges, 0) and p.inc == ec._adjacency(n, p.edges, 1)
 
 
 @pytest.mark.parametrize("edges", [
@@ -353,8 +371,9 @@ def _same_as_generic(p, diagram=None):
 
     A blow-up builds its edges, out and inc only when they are read, so
     every other table (n, n_colors, d, labels, rank, components, comp_id,
-    rho, lng, wt, members and the unset caches) is compared field by field,
-    and the adjacency as materialized views.
+    rho, lng, wt and the unset caches) is compared field by field, and the
+    adjacency as materialized views.  The member lists are read on both
+    sides first, since vars() holds a cache only once it is built.
     """
     generic = ec.ColoredPoset(p.n, list(p.edges), diagram=diagram,
                               n_colors=p.n_colors, labels=p.labels)
@@ -362,6 +381,7 @@ def _same_as_generic(p, diagram=None):
     def tables(poset):
         return {k: v for k, v in vars(poset).items() if k not in ("edges", "out", "inc")}
 
+    assert p._members == generic._members
     assert tables(p) == tables(generic)
     assert tuple(p.edges) == generic.edges and p.edges == generic.edges
     assert p.out == generic.out and p.inc == generic.inc

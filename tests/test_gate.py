@@ -2,7 +2,8 @@
 
 Weights, nodes, witness J and nu, numbers-game strategies and lattice
 family parameters are read through DynkinDiagram.check_weight,
-check_dominant, check_node, cartan.sub_weight and cartan.int_tuple.
+check_dominant, check_node, cartan.sub_weight and cartan.int_tuple;
+WeylSymFn.power takes only a plain int exponent >= 0.
 """
 
 import json
@@ -47,6 +48,17 @@ PROBES = [
     ("wsf.freudenthal(d, 5)", "NotAWeight"),
     ("cartan.sub_weight(2, (1, 2.0), (0, 0))", "NotGCM"),
     ("cartan.sub_weight(2, (1, 2), (0, 0.0))", "NotAWeight"),
+    # WeylSymFn.power(-1) returned 1; monomial kept any tuple as a weight key
+    ("wsf.WeylSymFn.monomial(d, (1, 0)).power(-1)", "BadExponent"),
+    ("wsf.WeylSymFn.monomial(d, (1, 0)).power(2.0)", "BadExponent"),
+    ("wsf.WeylSymFn.monomial(d, (1,))", "DiagramMismatch"),
+    ("wsf.WeylSymFn.monomial(d, (1.0, 0))", "NotAWeight"),
+    # rgf_closed_form ended in a bare TypeError or ValueError
+    ("patternlat.rgf_closed_form('C', 2, m=1.5)", "InvalidFamilyParams"),
+    ("patternlat.rgf_closed_form('A', 2, lam=(1, 0.5))", "InvalidFamilyParams"),
+    ("patternlat.rgf_closed_form('B', 2.0, m=1)", "InvalidFamilyParams"),
+    ("patternlat.rgf_closed_form('C', 2)", "InvalidFamilyParams"),
+    ("patternlat.rgf_closed_form('A', 2, lam=(-1, 0))", "InvalidFamilyParams"),
 ]
 
 # One interpreter for the whole table; each call gets a 1 s alarm, so a walk
