@@ -10,8 +10,8 @@ separate forward and suffix scans, omega expressions from a deepening
 depth-first search, (J,nu)-colorings from a recursion on the prefix length
 that rescans each prefix's signature, and colored posets are checked
 against their full transitive closure and their component member lists
-against an eager grouping by union-find root.  The inverse Cartan matrix comes from
-Fraction Gauss-Jordan, component numberings from a slot-by-slot
+against an eager grouping by union-find root.  The inverse Cartan matrix
+comes from Fraction Gauss-Jordan, component numberings from a slot-by-slot
 backtracking search, chain-product factorizations from growing chains and
 scanning every chain pair, sub-block colorings from trying every factor
 order, and pattern lattices from filtering every array in a box by the interlacing
