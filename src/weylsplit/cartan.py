@@ -189,40 +189,29 @@ def _match_component(cartan, nodes):
 
     Returns (letter, rank, numbering) where numbering[t] is the 0-based node
     of the component playing the role of classical node t+1.  Template slots
-    are placed in breadth-first order from slot 0: slot 0 tries the nodes of
-    its degree, every later slot the unused neighbours of its parent's image,
-    so every isomorphism onto the template is reached.  Of these (at most
-    six, the automorphisms of D4) the least numbering, compared slot by
-    slot, is kept, so relabelled matrices keep one numbering.  The recursion
-    is as deep as the component's rank, which MAX_RANK bounds.
+    are placed in breadth-first order from slot 0: slot 0 takes the nodes of
+    its degree, every later slot the unused neighbours of its parent's image
+    that agree with the matrix on every slot placed so far.  Extending every
+    partial numbering this way, slot by slot, reaches every isomorphism onto
+    the template.  Of these (at most six, the automorphisms of D4) the least
+    numbering, compared slot by slot, is kept, so relabelled matrices keep
+    one numbering.
     """
     k = len(nodes)
     sub = [[cartan[a][b] for b in nodes] for a in nodes]
     nbrs = [[c2 for c2 in range(k) if c2 != c and sub[c][c2]] for c in range(k)]
     for letter in _finite_types(k):
         tmpl, tnbrs, order, parent = _template(letter, k)
-        assign = [None] * k      # template slot -> component-local index
-        used = [False] * k
-        found = []
-
-        def place(pos):
-            if pos == k:
-                found.append(tuple(assign))
-                return
-            t = order[pos]
-            for c in nbrs[assign[parent[t]]] if pos else range(k):
-                if used[c] or len(nbrs[c]) != len(tnbrs[t]):
-                    continue
-                if all(tmpl[t][t2] == sub[c][assign[t2]] and tmpl[t2][t] == sub[assign[t2]][c]
-                       for t2 in order[:pos]):
-                    assign[t], used[c] = c, True
-                    place(pos + 1)
-                    used[c] = False
-            assign[t] = None
-
-        place(0)
-        if found:
-            return letter, k, tuple(nodes[c] for c in min(found))
+        partial = [[None] * k]      # each: template slot -> component-local index
+        for pos, t in enumerate(order):
+            placed = order[:pos]
+            partial = [assign[:t] + [c] + assign[t + 1:] for assign in partial
+                       for c in (nbrs[assign[parent[t]]] if pos else range(k))
+                       if c not in assign and len(nbrs[c]) == len(tnbrs[t])
+                       and all(tmpl[t][t2] == sub[c][assign[t2]]
+                               and tmpl[t2][t] == sub[assign[t2]][c] for t2 in placed)]
+        if partial:
+            return letter, k, tuple(nodes[c] for c in min(partial))
     return None
 
 
@@ -528,7 +517,7 @@ class DynkinDiagram:
 
     # -- orbits -------------------------------------------------------------
 
-    def weyl_orbit(self, mu, cap=None):
+    def weyl_orbit(self, mu):
         """Orbit of mu with det(w) parities, relative to mu.
 
         Returns dict weight -> parity in {1, -1, None}.  The orbit is walked
@@ -540,10 +529,11 @@ class DynkinDiagram:
         the parity of a weight is (-1)^(depth(weight) - depth(mu)), so mu
         itself gets 1.  The parity is None (Indeterminate) for every element
         exactly when lam has a zero coordinate, that is when mu is
-        non-regular.  Raises OrbitTooLarge when more than cap weights are
-        found.
+        non-regular.  Raises OrbitTooLarge when more weights are found than
+        the cap, which `orbit_cap` reads from the WEYL_ORBIT_CAP environment
+        variable (default DEFAULT_ORBIT_CAP) at each call.
         """
-        cap = cap or orbit_cap()
+        cap = orbit_cap()
         mu = self.check_weight(mu)
         top = self.dominant_rep(mu)
         parities = {top: 1}

@@ -225,10 +225,9 @@ def cmd_verify(args):
         except (AttributeError, KeyError, TypeError, ValueError) as e:
             raise MalformedPoset("bad witness JSON (%s: %s)"
                                  % (type(e).__name__, e)) from None
-        values = (nodes + nu + tuple(s_set) + tuple(kappa.values())
-                  + tuple((tau or {}).values()))
+        values = tuple(s_set) + tuple(kappa.values()) + tuple((tau or {}).values())
         if not all(type(x) is int for x in values):
-            raise MalformedPoset("witness J, nu, S, kappa and tau must hold plain ints")
+            raise MalformedPoset("witness S, kappa and tau must hold plain ints")
         for x in (*s_set, *kappa, *(tau or {}), *(tau or {}).values()):
             if not 0 <= x < p.n:
                 raise MalformedPoset("witness vertex %d is not an id in 0..%d"

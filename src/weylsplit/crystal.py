@@ -186,7 +186,8 @@ class TensorOps:
         edges of the vertices reached.  When every tuple is a seed
         (crystal_product) this is the whole product; a seed of R(lambda) is
         the highest-weight vertex of its component (see build_crystal), and
-        the whole component lies below it.
+        the whole component lies below it.  The poset's vertices are the
+        tuples reached, as labels, and its `tensor_ops` is this object.
         """
         seen = set(seeds)
         frontier = list(seeds)
@@ -202,9 +203,11 @@ class TensorOps:
                         frontier.append(z)
         verts = sorted(seen)
         ids = {v: k for k, v in enumerate(verts)}
-        return ecposet.ColoredPoset(
+        poset = ecposet.ColoredPoset(
             len(verts), [(ids[a], ids[b], i) for a, b, i in edges],
             diagram=self.d, labels=verts)
+        poset.tensor_ops = self
+        return poset
 
 
 def crystal_product(*factors):
@@ -213,9 +216,7 @@ def crystal_product(*factors):
     tuples = [()]
     for f in ops.factors:
         tuples = [t + (v,) for t in tuples for v in range(f.n)]
-    poset = ops.closure(tuples)
-    poset.tensor_ops = ops
-    return poset
+    return ops.closure(tuples)
 
 
 def raising(product, x, i):
@@ -379,7 +380,6 @@ def build_crystal(d, lam):
         if ops.wt(seed) != lam:
             raise ExactnessError("seed weight %s is not %s" % (ops.wt(seed), lam))
         poset = ops.closure([seed])
-        poset.tensor_ops = ops
     memo[lam] = poset
     return poset
 

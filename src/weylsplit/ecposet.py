@@ -4,8 +4,11 @@ A ColoredPoset stores a Hasse diagram with edges colored by node indices
 and caches, per vertex and color, the component rank rho_i, component
 length l_i, depth delta_i = l_i - rho_i, m_i = 2 rho_i - l_i, and the
 weight wt(x) = sum m_i(x) omega_i.  All of these follow from the rank of
-each vertex and from which vertices share a component of each color, and
-one method, `ColoredPoset._fill`, writes them from those.  On top of that
+each vertex and from which vertices share a component (of the poset, and
+of each color), and one method, `ColoredPoset._fill`, writes every one of
+them, the global ranks and poset components included.  A poset is set up
+by assigning its five inputs (d, n_colors, n, edges, labels) and calling
+`_fill`; everything else is a cache built when first read.  On top of that
 live the structure predicates (M-structured, fibrous, primary,
 diamond-colored), weight generating functions, poset transforms,
 generalized weight diagrams, the unique maximal splitting poset, and the
@@ -14,15 +17,15 @@ splitting verifiers.
 The unique maximal splitting poset U(lambda) is the blow-up of Pi(lambda):
 d_{lambda,mu} copies of each weight mu, and a complete bipartite block for
 each edge.  Only Pi(lambda) goes through the constructor's checks; U(lambda)
-reads its ranks and components off Pi(lambda)'s, as `_blow_up` proves
-sound, and passes them to the same fill.
+reads its ranks and components off Pi(lambda)'s ranks, components and
+lng rows, as `_blow_up` proves sound, and passes them to the same fill.
 
 Edges are triples (u, v, c) of plain ints, kept sorted in `edges`.  The
 adjacency lists `out[u]` and `inc[v]` hold those same triple objects, in
-sorted-edge order, so nothing else is allocated per edge.  They, and the
-member lists of the components, are built only when first read: the
-constructor ranks over adjacency rows of its own and keeps none, so a
-poset that is only asked for ranks, weights and edges never holds them.
+sorted-edge order, so nothing else is allocated per edge.  They, the
+member lists of the components and the reachability masks are built only
+when first read: ranking uses adjacency rows of its own and keeps none, so
+a poset that is only asked for ranks, weights and edges never holds them.
 A blow-up's `edges` is a read-only sequence whose length is the sum of
 the block sizes, so `len(u.edges)` costs no edge; its triples too are
 built on first read.
@@ -90,6 +93,48 @@ def component_roots(n, edges, n_colors):
     return [[_find(parent, x) for x in range(n)] for parent in parents]
 
 
+def _rank_and_components(n, edges):
+    """(rank, comp): per vertex, its rank and its poset component's key.
+
+    Each component is walked from its smallest vertex, which is its key, and
+    ranked so that its lowest vertices have rank 0.  Raises NotRanked when
+    an edge does not raise the rank by exactly one.
+    """
+    out, inc = _adjacency(n, edges, 0), _adjacency(n, edges, 1)
+    rank = [None] * n
+    comp = [None] * n
+    for s in range(n):
+        if rank[s] is not None:
+            continue
+        rank[s] = 0
+        comp[s] = s
+        frontier = [s]
+        members = [s]
+        while frontier:
+            v = frontier.pop()
+            for _, w, _ in out[v]:
+                if rank[w] is None:
+                    rank[w] = rank[v] + 1
+                    comp[w] = s
+                    frontier.append(w)
+                    members.append(w)
+                elif rank[w] != rank[v] + 1:
+                    raise NotRanked("rank conflict on edge %d->%d" % (v, w))
+            for w, _, _ in inc[v]:
+                if rank[w] is None:
+                    rank[w] = rank[v] - 1
+                    comp[w] = s
+                    frontier.append(w)
+                    members.append(w)
+                elif rank[w] != rank[v] - 1:
+                    raise NotRanked("rank conflict on edge %d->%d" % (w, v))
+        lo = min(rank[v] for v in members)
+        if lo:
+            for v in members:
+                rank[v] -= lo
+    return rank, comp
+
+
 class ColoredPoset:
     """Finite ranked poset with covering edges colored by 1..n_colors."""
 
@@ -131,29 +176,38 @@ class ColoredPoset:
             raise NotCovering("multiple edges between a vertex pair")
         self.edges = tuple(edges)
 
-        self._reach = None
         # Ranking raises each edge by one rank and each longer path by at
         # least two, so a ranked poset is acyclic and no path implies an edge:
         # the cycle and closure checks are needed only if ranking fails.
         try:
-            self._global_rank, self._poset_comp = self._rank_and_components()
+            rank, comp = _rank_and_components(n, self.edges)
         except NotRanked:
             self._check_covering(self._toposort())
             raise
-        self._fill(self._global_rank, component_roots(n, self.edges, n_colors))
-        self._is_lattice = is_lattice_hint
+        self._fill(rank, comp, component_roots(n, self.edges, n_colors))
+        if is_lattice_hint is not None:
+            self._is_lattice = is_lattice_hint
 
-    def _fill(self, rank, keys):
-        """Write comp_id, rho, lng and wt from ranks and component keys.
+    _is_lattice = None      # unknown until is_lattice() or a hint sets it
 
-        keys holds one row per color c = 1..n_colors, and row c - 1 is equal
-        on x and y exactly when they lie in one color-c component K.  The
-        components are numbered by their smallest member; for x in K,
+    def _fill(self, rank, comp, keys):
+        """Write every derived table from the ranks and the component keys.
+
+        The tables are the global ranks, the poset components and their
+        count, comp_id, rho, lng and wt; no other code assigns them.  comp
+        is equal on x and y exactly when they lie in one component of the
+        poset, and keys holds one row per color c = 1..n_colors, equal on x
+        and y exactly when they lie in one color-c component K.  Every
+        component is numbered by its smallest member; for x in K,
         rho_c(x) = rank(x) - min rank(K), l_c(x) = max rank(K) - min rank(K)
         and wt(x)_c = m_c(x) = 2 rho_c(x) - l_c(x).  The member lists are
         grouped here but not kept; `_members` regroups them from comp_id.
         """
         n = self.n
+        self._global_rank = rank = tuple(rank)
+        first = {}
+        self._poset_comp = tuple(first.setdefault(k, len(first)) for k in comp)
+        self.n_poset_components = len(first)
         self.comp_id, self.rho, self.lng = [[0] * n], [[0] * n], [[0] * n]  # 1-based color
         m_rows = []
         for key in keys:
@@ -220,11 +274,12 @@ class ColoredPoset:
             r[v] = m
         return r
 
+    @cached_property
+    def _reach(self):
+        return self._closure(sorted(range(self.n), key=self._global_rank.__getitem__))
+
     def reach(self):
         """Bitmask closure: reach()[v] has bit w set iff v <= w."""
-        if self._reach is None:
-            self._reach = self._closure(
-                sorted(range(self.n), key=self._global_rank.__getitem__))
         return self._reach
 
     def _check_covering(self, order):
@@ -237,44 +292,6 @@ class ColoredPoset:
                 if acc >> v & 1:
                     raise NotCovering("edge %d->%d is implied by a longer path"
                                       % (u, v))
-
-    def _rank_and_components(self):
-        out, inc = _adjacency(self.n, self.edges, 0), _adjacency(self.n, self.edges, 1)
-        rank = [None] * self.n
-        comp = [None] * self.n
-        nc = 0
-        for s in range(self.n):
-            if rank[s] is not None:
-                continue
-            rank[s] = 0
-            comp[s] = nc
-            frontier = [s]
-            members = [s]
-            while frontier:
-                v = frontier.pop()
-                for _, w, _ in out[v]:
-                    if rank[w] is None:
-                        rank[w] = rank[v] + 1
-                        comp[w] = nc
-                        frontier.append(w)
-                        members.append(w)
-                    elif rank[w] != rank[v] + 1:
-                        raise NotRanked("rank conflict on edge %d->%d" % (v, w))
-                for w, _, _ in inc[v]:
-                    if rank[w] is None:
-                        rank[w] = rank[v] - 1
-                        comp[w] = nc
-                        frontier.append(w)
-                        members.append(w)
-                    elif rank[w] != rank[v] - 1:
-                        raise NotRanked("rank conflict on edge %d->%d" % (w, v))
-            lo = min(rank[v] for v in members)
-            if lo:
-                for v in members:
-                    rank[v] -= lo
-            nc += 1
-        self.n_poset_components = nc
-        return tuple(rank), tuple(comp)
 
     # -- elementary accessors --------------------------------------------------
 
@@ -407,14 +424,6 @@ class ColoredPoset:
             w = self.wt[x]
             out[w] = out.get(w, 0) + 1
         return wsf.WeylSymFn(self.d, out)
-
-    def wgf_restricted(self, nodes):
-        sub, sel = self.d.sub_diagram(nodes)
-        out = {}
-        for x in range(self.n):
-            w = self.wt_restricted(x, sel)
-            out[w] = out.get(w, 0) + 1
-        return wsf.WeylSymFn(sub, out)
 
 
 StructureChecks = namedtuple("StructureChecks", [
@@ -666,13 +675,15 @@ def _blow_up(q, sizes, labels=None):
       So a component of q (of the poset, or of one color) with an edge
       lifts to one component on all the copies of its vertices, and a lone
       vertex to one singleton per copy.  So a copy a may take as its key
-      q's component of f(a) when f(a) has an edge there (for color c, when
-      l_c(f(a)) > 0), and ~a, which no component id equals, when it has
-      none.
+      q's component of f(a) when f(a) has an edge there, and ~a, which no
+      component id equals, when it has none.  A vertex has a c-edge exactly
+      when l_c > 0, since its c-component then has two ranks; so q's lng
+      rows tell which vertices have an edge, and no adjacency of q is built.
 
-    Given those ranks and keys, `ColoredPoset._fill` writes rho, lng, wt
-    and comp_id exactly as the constructor does; poset components
-    are numbered by their first copy, as the constructor numbers them.
+    Given those ranks and keys, `ColoredPoset._fill` writes every table
+    exactly as the constructor does; since the copies are numbered x by x,
+    it numbers each component by its first copy, as the constructor numbers
+    it by its smallest member.
 
     The edges are a _BlockEdges that keeps q and the fibres; its length is
     the sum of sizes[x] * sizes[y] over q's edges, one block per edge with
@@ -694,16 +705,10 @@ def _blow_up(q, sizes, labels=None):
     u.d, u.n_colors, u.n = q.d, q.n_colors, n
     u.edges = _BlockEdges(q, fibre)
     u.labels = tuple(labels) if labels is not None else None
-    u._reach = None
-    u._global_rank = tuple(map(q._global_rank.__getitem__, of))
-    first = {}
-    u._poset_comp = tuple(
-        first.setdefault(k, len(first))
-        for k in keys(q._poset_comp, [o or i for o, i in zip(q.out, q.inc)]))
-    u.n_poset_components = len(first)
-    u._fill(u._global_rank, [keys(q.comp_id[c], q.lng[c])
-                             for c in range(1, q.n_colors + 1)])
-    u._is_lattice = None
+    # lng[0] is the zero row before color 1, so every vertex has a column
+    u._fill(map(q._global_rank.__getitem__, of),
+            keys(q._poset_comp, list(map(any, zip(*q.lng)))),
+            [keys(q.comp_id[c], q.lng[c]) for c in range(1, q.n_colors + 1)])
     return u
 
 
@@ -754,7 +759,7 @@ def verify_tau_kappa(p, nodes, nu, witness):
         return False, "tau is not a bijection of R minus S"
     for x in rest:
         k = witness.kappa.get(x)
-        if k not in nu_of:
+        if type(k) is not int or k not in nu_of:    # 1.0 and True would match 1
             return False, "kappa(%d) missing or outside J" % x
     for s in witness.S:
         if not sub.is_dominant(wadd(nu, p.wt_restricted(s, sel))):
@@ -768,7 +773,7 @@ def verify_tau_kappa(p, nodes, nu, witness):
         got = wadd(nu, p.wt_restricted(witness.tau[x], sel))
         if got != want:
             return False, "tau/kappa identity fails at vertex %d" % x
-    wgf_j = p.wgf_restricted(sel)
+    wgf_j = p.wgf().restrict(sel)
     if not wgf_j.is_invariant():
         return False, "WGF restricted to J is not W_J-invariant"
     # hypotheses hold; verify the conclusion by direct expansion
@@ -875,7 +880,7 @@ def verify_subblock_coloring(p, nodes, nu, s_set, kappa):
         if x in s_set:
             continue
         k = kappa.get(x)
-        if k not in nu_of:
+        if type(k) is not int or k not in nu_of:    # 1.0 and True would match 1
             return False, "kappa(%d) missing or outside J" % x
         ckey = (k, p.comp_id[k][x])
         if ckey in passed:

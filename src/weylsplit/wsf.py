@@ -138,9 +138,6 @@ class WeylSymFn:
             out[key] = out.get(key, 0) + c
         return WeylSymFn(sub, out)
 
-    def height(self):
-        return max(self.d.height(m) for m in self.terms)
-
 
 # ---------------------------------------------------------------------------
 # weight diagrams Pi(lambda)

@@ -179,20 +179,25 @@ def test_orbit_parity_matches_brute(diagrams):
         assert got == want
 
 
-def test_orbit_cap():
+def test_orbit_cap(monkeypatch):
     d = build_diagram("A3")
+    monkeypatch.setenv("WEYL_ORBIT_CAP", "3")
     with pytest.raises(OrbitTooLarge):
-        d.weyl_orbit(d.rho(), cap=3)
+        d.weyl_orbit(d.rho())
     # the cap is exact, the message names the input, and a fixed point never raises
     d = build_diagram("B3")
     mu = (1, -3, 2)
     assert not d.is_dominant(mu)
+    monkeypatch.delenv("WEYL_ORBIT_CAP")
     size = len(d.weyl_orbit(mu))
-    assert len(d.weyl_orbit(mu, cap=size)) == size
+    monkeypatch.setenv("WEYL_ORBIT_CAP", str(size))
+    assert len(d.weyl_orbit(mu)) == size
+    monkeypatch.setenv("WEYL_ORBIT_CAP", str(size - 1))
     with pytest.raises(OrbitTooLarge, match=r"orbit of \(1, -3, 2\) exceeds cap %d"
                        % (size - 1)):
-        d.weyl_orbit(mu, cap=size - 1)
-    assert d.weyl_orbit((0, 0, 0), cap=1) == {(0, 0, 0): None}
+        d.weyl_orbit(mu)
+    monkeypatch.setenv("WEYL_ORBIT_CAP", "1")
+    assert d.weyl_orbit((0, 0, 0)) == {(0, 0, 0): None}
 
 
 ORBIT_SPECS = ["A1", "A2", "A3", "A4", "C2", "C3", "C4", "B3", "D4", "D5", "G2",

@@ -343,9 +343,9 @@ def test_optimized_run_rejects_non_dominant():
     (("verify", "--diagram", "A2", "--poset", "{good}", "--coloring", "{long_nu}"),
      "DiagramMismatch"),
     (("verify", "--diagram", "A2", "--poset", "{good}", "--coloring", "{bool_j}"),
-     "MalformedPoset"),
+     "NotGCM"),
     (("verify", "--diagram", "A2", "--poset", "{good}", "--coloring", "{float_nu}"),
-     "MalformedPoset"),
+     "NotAWeight"),
     (("verify", "--diagram", "A2", "--poset", "{good}", "--coloring", "{j5}"), "NotGCM"),
     (("verify", "--diagram", "A2", "--poset", "{good}", "--coloring", "{j5_tau}"), "NotGCM"),
     (("verify", "--diagram", "A2", "--poset", "{good}", "--coloring", "{neg_nu}"),

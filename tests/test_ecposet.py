@@ -440,9 +440,12 @@ def test_blow_up_matches_constructor(data):
     p = ec._blow_up(q, sizes)
     assert len(p.edges) == sum(sizes[x] * sizes[y] for x, y, _ in q.edges)
     assert bool(p.edges) == bool(q.edges)
-    assert p.edges == tuple(sorted(
+    want = tuple(sorted(
         (a, b, c) for x, y, c in q.edges
         for a in range(start[x], start[x + 1]) for b in range(start[y], start[y + 1])))
+    assert p.edges == want
+    assert all(p.edges[i] == want[i] for i in range(-len(want), len(want)))
+    assert hash(p.edges) == hash(want) and repr(p.edges) == repr(want)
     _same_as_generic(p)
 
 
@@ -496,6 +499,12 @@ def test_verify_tau_kappa_quasi_minuscule():
         wbad = ec.ColoringWitness(S=w.S, kappa=bad, tau=w.tau)
         ok2, why2 = ec.verify_tau_kappa(q, nodes, (0,) * d.rank, wbad)
         assert not ok2 and ("vertex %d" % victim) in why2
+        # a kappa value equal to node 1 that is not a plain int is outside J
+        one = min(x for x, k in w.kappa.items() if k == 1)
+        for k in (1.0, True):
+            wbad = ec.ColoringWitness(S=w.S, kappa={**w.kappa, one: k}, tau=w.tau)
+            assert ec.verify_tau_kappa(q, nodes, (0,) * d.rank, wbad) == \
+                (False, "kappa(%d) missing or outside J" % one)
 
 
 def test_chain_product_factorization():
@@ -584,6 +593,11 @@ def test_subblock_vacuous_and_fibrous():
         kappa[v] = next(c for _, _, c in rq.out[v])
     ok, why = ec.verify_subblock_coloring(rq, (1, 2), (0, 0), {top}, kappa)
     assert ok, why
+    # a kappa value equal to node 1 that is not a plain int is outside J
+    one = min(x for x, k in kappa.items() if k == 1)
+    for k in (1.0, True):
+        assert ec.verify_subblock_coloring(rq, (1, 2), (0, 0), {top}, {**kappa, one: k}) == \
+            (False, "kappa(%d) missing or outside J" % one)
 
 
 def test_subblock_failure_names_first_vertex_of_its_component():

@@ -66,19 +66,67 @@ def test_no_private_reads_across_modules():
     assert not bad, "private names of other modules read in src: %s" % bad
 
 
-def test_no_self_calls_in_the_crystal_layer():
-    """No function of crystal.py, ecposet.py or wsf.py calls itself by name,
-    so no walk there is bounded by the interpreter's recursion limit."""
+def _self_call(fn, node):
+    """Whether node calls fn by name, or as a method through self or cls."""
+    if not isinstance(node, ast.Call):
+        return False
+    f = node.func
+    if isinstance(f, ast.Name):
+        return f.id == fn.name
+    return isinstance(f, ast.Attribute) and f.attr == fn.name \
+        and isinstance(f.value, ast.Name) and f.value.id in ("self", "cls")
+
+
+def test_no_self_calls_in_src():
+    """No function of the package calls itself, so no walk is bounded by the
+    interpreter's recursion limit."""
+    paths = sorted(SRC.glob("*.py"))
+    assert paths
     bad = []
-    for name in ("crystal.py", "ecposet.py", "wsf.py"):
-        path = SRC / name
+    for path in paths:
         for fn in ast.walk(ast.parse(path.read_text(), str(path))):
-            if not isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+            if isinstance(fn, (ast.FunctionDef, ast.AsyncFunctionDef)):
+                bad += ["%s:%d %s" % (path.name, node.lineno, fn.name)
+                        for node in ast.walk(fn) if _self_call(fn, node)]
+    assert not bad, "self-calls in src: %s" % bad
+
+
+# each table a poset derives from its inputs, and the one function that writes it
+TABLE_WRITERS = dict.fromkeys(
+    ("_global_rank", "_poset_comp", "n_poset_components", "comp_id", "rho", "lng", "wt"),
+    "ColoredPoset._fill")
+TABLE_WRITERS["tensor_ops"] = "TensorOps.closure"
+
+
+def _attribute_stores(tree):
+    """(enclosing function or class, attribute, line) of each attribute
+    assignment target, the function named with its classes like Class.method."""
+    stack = [(tree, "")]
+    while stack:
+        node, scope = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+                stack.append((child, scope + "." + child.name if scope else child.name))
                 continue
-            bad += ["%s:%d %s" % (name, node.lineno, fn.name) for node in ast.walk(fn)
-                    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
-                    and node.func.id == fn.name]
-    assert not bad, "self-calls in the crystal layer: %s" % bad
+            if isinstance(child, ast.Attribute) and isinstance(child.ctx, ast.Store):
+                yield scope, child.attr, child.lineno
+            stack.append((child, scope))
+
+
+def test_each_poset_table_has_one_writer():
+    """The derived tables of a ColoredPoset are assigned only in _fill, and
+    a crystal's tensor_ops only where its closure builds it: a poset built
+    another way (a blow-up, a crystal) cannot set up its state differently."""
+    bad, seen = [], set()
+    for path in sorted(SRC.glob("*.py")):
+        for scope, attr, line in _attribute_stores(ast.parse(path.read_text(), str(path))):
+            if attr in TABLE_WRITERS:
+                if scope == TABLE_WRITERS[attr]:
+                    seen.add(attr)
+                else:
+                    bad.append("%s:%d %s.%s" % (path.name, line, scope, attr))
+    assert not bad, "poset tables written outside their writer: %s" % bad
+    assert seen == set(TABLE_WRITERS)
 
 
 def _weight_entry_points():
