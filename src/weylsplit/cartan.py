@@ -610,7 +610,8 @@ class DynkinDiagram:
 # ---------------------------------------------------------------------------
 # diagram spec parsing: "G2", "A3+A1", or "cartan:[[2,-1],[-3,2]]"
 
-_TYPE_RE = re.compile(r"^([A-G])(\d+)$")
+# any capital letter parses: `seed_cartan` alone knows which types are finite
+_TYPE_RE = re.compile(r"^([A-Z])(\d+)$")
 
 
 def build_diagram(spec):

@@ -19,14 +19,6 @@ from .cartan import DEFAULT_FIRING_CAP, build_diagram, parse_weight
 from .errors import DomainError, InvalidFamilyParams, MalformedPoset
 
 
-def _diagram(args):
-    return build_diagram(args.diagram)
-
-
-def _weight(d, text):
-    return parse_weight(text, d.rank)
-
-
 def _positive_int(text):
     n = int(text)
     if n < 1:
@@ -45,7 +37,7 @@ def _emit_terms(items, as_json):
 
 
 def cmd_info(args):
-    d = _diagram(args)
+    d = build_diagram(args.diagram)
     c = d.constants()
     print("type: %s" % d.type_string())
     print("rank: %d" % d.rank)
@@ -61,8 +53,8 @@ def cmd_info(args):
 
 def cmd_numbers_game(args):
     from . import numbersgame
-    d = _diagram(args)
-    pos = _weight(d, args.position)
+    d = build_diagram(args.diagram)
+    pos = parse_weight(args.position, d.rank)
     if args.strategy == "all":
         recs = numbersgame.play(d, pos, "all", cap=args.cap)
     elif args.strategy == "first":
@@ -80,7 +72,7 @@ def cmd_numbers_game(args):
 
 
 def cmd_roots(args):
-    d = _diagram(args)
+    d = build_diagram(args.diagram)
     roots = d.positive_roots()
     if args.json:
         print(json.dumps([{"omega": list(r.root), "alpha": list(r.alpha_coords),
@@ -95,8 +87,8 @@ def cmd_roots(args):
 
 def cmd_char(args):
     from . import wsf
-    d = _diagram(args)
-    lam = _weight(d, args.weight)
+    d = build_diagram(args.diagram)
+    lam = parse_weight(args.weight, d.rank)
     if args.method == "kostant":
         pi = wsf.weight_diagram(d, lam)
         terms = sorted((m, wsf.kostant_multiplicity(d, lam, m)) for m in pi.weights)
@@ -108,47 +100,48 @@ def cmd_char(args):
 
 def cmd_expand(args):
     from . import wsf
-    d = _diagram(args)
+    d = build_diagram(args.diagram)
     fn = wsf.WeylSymFn.unit(d)
     for w in args.weights:
-        fn = fn * wsf.freudenthal(d, _weight(d, w))
+        fn = fn * wsf.freudenthal(d, parse_weight(w, d.rank))
     exp = wsf.expand_in_bialternants(fn)
     _emit_terms(sorted(exp.items()), args.json)
 
 
 def cmd_alternant(args):
     from . import wsf
-    d = _diagram(args)
-    fn = wsf.alternant(d, _weight(d, args.weight))
+    d = build_diagram(args.diagram)
+    fn = wsf.alternant(d, parse_weight(args.weight, d.rank))
     _emit_terms(fn.sorted_terms(), args.json)
 
 
 def cmd_crystal(args):
     from . import crystal, ecposet
-    d = _diagram(args)
-    r = crystal.build_crystal(d, _weight(d, args.weight))
+    d = build_diagram(args.diagram)
+    r = crystal.build_crystal(d, parse_weight(args.weight, d.rank))
     print(ecposet.export_poset(r, args.export))
 
 
 def cmd_decompose(args):
     from . import crystal
-    d = _diagram(args)
-    out = crystal.decompose(d, _weight(d, args.lhs), _weight(d, args.rhs))
+    d = build_diagram(args.diagram)
+    out = crystal.decompose(d, parse_weight(args.lhs, d.rank),
+                            parse_weight(args.rhs, d.rank))
     _emit_terms(sorted(out.items()), args.json)
 
 
 def cmd_branch(args):
     from . import crystal
-    d = _diagram(args)
+    d = build_diagram(args.diagram)
     nodes = tuple(int(x) for x in args.subset.split(","))
-    out = crystal.branch(d, _weight(d, args.weight), nodes)
+    out = crystal.branch(d, parse_weight(args.weight, d.rank), nodes)
     _emit_terms(sorted(out.items()), args.json)
 
 
 def cmd_umax(args):
     from . import ecposet
-    d = _diagram(args)
-    u = ecposet.maximal_splitting_poset(d, _weight(d, args.weight))
+    d = build_diagram(args.diagram)
+    u = ecposet.maximal_splitting_poset(d, parse_weight(args.weight, d.rank))
     print(ecposet.export_poset(u, args.export))
 
 
@@ -191,8 +184,8 @@ def cmd_lattice(args):
 
 def cmd_rgf(args):
     from . import patternlat
-    d = _diagram(args)
-    lam = _weight(d, args.weight)
+    d = build_diagram(args.diagram)
+    lam = parse_weight(args.weight, d.rank)
     coeffs = patternlat.rgf_quotient(d, lam)
     print(json.dumps(list(coeffs)) if args.json else
           " ".join(map(str, coeffs)))
@@ -200,7 +193,7 @@ def cmd_rgf(args):
 
 def cmd_verify(args):
     from . import ecposet
-    d = _diagram(args)
+    d = build_diagram(args.diagram)
     with open(args.poset) as fh:
         p = ecposet.import_poset(fh.read(), diagram=d)
     rc = 0
@@ -225,15 +218,8 @@ def cmd_verify(args):
         except (AttributeError, KeyError, TypeError, ValueError) as e:
             raise MalformedPoset("bad witness JSON (%s: %s)"
                                  % (type(e).__name__, e)) from None
-        values = tuple(s_set) + tuple(kappa.values()) + tuple((tau or {}).values())
-        if not all(type(x) is int for x in values):
-            raise MalformedPoset("witness S, kappa and tau must hold plain ints")
-        for x in (*s_set, *kappa, *(tau or {}), *(tau or {}).values()):
-            if not 0 <= x < p.n:
-                raise MalformedPoset("witness vertex %d is not an id in 0..%d"
-                                     % (x, p.n - 1))
         if tau:
-            wit = ecposet.ColoringWitness(S=frozenset(s_set), kappa=kappa, tau=tau)
+            wit = ecposet.ColoringWitness(S=s_set, kappa=kappa, tau=tau)
             ok, why = ecposet.verify_tau_kappa(p, nodes, nu, wit)
             print("tau-kappa: %s" % ("ok" if ok else "FAIL (%s)" % why))
         else:
@@ -246,8 +232,8 @@ def cmd_verify(args):
 def cmd_experiment(args):
     """Edge counts per color of edge-minimal splitting posets (Questions 4.11)."""
     from . import crystal, ecposet
-    d = _diagram(args)
-    lam = _weight(d, args.weight)
+    d = build_diagram(args.diagram)
+    lam = parse_weight(args.weight, d.rank)
     r = crystal.build_crystal(d, lam)
     counts = {}
     for _, _, c in r.edges:
@@ -286,9 +272,7 @@ def make_parser():
     p.add_argument("--weight", required=True)
     p.add_argument("--method", choices=["freudenthal", "kostant"],
                    default="freudenthal")
-    g = p.add_mutually_exclusive_group()
-    g.add_argument("--json", action="store_true")
-    g.add_argument("--table", action="store_true")
+    p.add_argument("--json", action="store_true")
 
     p = add("expand", cmd_expand)
     p.add_argument("--diagram", required=True)

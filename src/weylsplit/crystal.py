@@ -475,8 +475,11 @@ def tau_from_jnu_coloring(p, nodes, nu, kappa):
 
     tau(x) is the element of the chain comp_j(x), j = kappa(x), at rank
     l_j - 1 - nu_j - rho_j(x); together with kappa it satisfies the
-    tau/kappa splitting hypotheses, with S = M_{J,nu}(p).
+    tau/kappa splitting hypotheses, with S = M_{J,nu}(p).  kappa is read
+    through `ColoringWitness.check`: its keys are vertex ids of p and its
+    values plain ints, or MalformedPoset is raised.
     """
+    kappa = ecposet.ColoringWitness((), kappa).check(p).kappa
     _, nu_of = sub_weight(p.n_colors, nodes, nu)
     tau = {}
     for x, j in kappa.items():
@@ -487,7 +490,13 @@ def tau_from_jnu_coloring(p, nodes, nu, kappa):
 
 
 def verify_jnu_coloring(p, nodes, nu, kappa):
-    """Defining condition of a (J,nu)-coloring, checked literally."""
+    """Defining condition of a (J,nu)-coloring, checked literally.
+
+    kappa is read through `ColoringWitness.check`: a key that is not a
+    vertex id of p, or a key or value that is not a plain int, raises
+    MalformedPoset.
+    """
+    kappa = ecposet.ColoringWitness((), kappa).check(p).kappa
     nodes, nu_of = sub_weight(p.n_colors, nodes, nu)
     mem = set(m_set(p, nodes, nu))
     if set(kappa) != set(range(p.n)) - mem:

@@ -736,6 +736,8 @@ def verify_splitting(p, targets):
 
 
 class ColoringWitness(namedtuple("ColoringWitness", "S kappa tau")):
+    """A splitting witness: the vertex set S, the coloring kappa (vertex to
+    color) on the rest of the poset and the pairing tau (vertex to vertex)."""
     __slots__ = ()
 
     def __new__(cls, S, kappa=None, tau=None):
@@ -743,14 +745,35 @@ class ColoringWitness(namedtuple("ColoringWitness", "S kappa tau")):
         return super().__new__(cls, S, {} if kappa is None else kappa,
                                {} if tau is None else tau)
 
+    def check(self, p):
+        """This witness with S as a frozenset, read for the poset p.
+
+        Raises MalformedPoset unless every member of S, key and value of
+        kappa and key and value of tau is a plain int (1.0 and True would
+        match 1), and every vertex among them (S, kappa's keys, tau's keys
+        and values) is an id of p.  A kappa value is a color: an int color
+        outside J is a verdict of the verifier that reads it, not an error.
+        """
+        S, kappa, tau = self
+        if not all(type(x) is int
+                   for x in (*S, *kappa, *kappa.values(), *tau, *tau.values())):
+            raise MalformedPoset("witness S, kappa and tau must hold plain ints")
+        for x in (*S, *kappa, *tau, *tau.values()):
+            if not 0 <= x < p.n:
+                raise MalformedPoset("witness vertex %d is not an id in 0..%d"
+                                     % (x, p.n - 1))
+        return self._replace(S=frozenset(S))
+
 
 def verify_tau_kappa(p, nodes, nu, witness):
     """Check the tau/kappa splitting hypotheses, then the conclusion identity.
 
     nodes is the subset J (1-based), nu a dominant weight of the subdiagram
-    (tuple over J in increasing order), both checked by `sub_weight`.
+    (tuple over J in increasing order), both checked by `sub_weight`; the
+    witness (S, kappa, tau) is checked first by `ColoringWitness.check`.
     Returns (ok, report).
     """
+    witness = witness.check(p)
     sel, nu_of = sub_weight(p.n_colors, nodes, nu)
     sub = p.d.sub_diagram(sel)[0]
     nu = tuple(nu_of.values())
@@ -758,8 +781,7 @@ def verify_tau_kappa(p, nodes, nu, witness):
     if sorted(witness.tau) != sorted(rest) or sorted(witness.tau.values()) != sorted(rest):
         return False, "tau is not a bijection of R minus S"
     for x in rest:
-        k = witness.kappa.get(x)
-        if type(k) is not int or k not in nu_of:    # 1.0 and True would match 1
+        if witness.kappa.get(x) not in nu_of:
             return False, "kappa(%d) missing or outside J" % x
     for s in witness.S:
         if not sub.is_dominant(wadd(nu, p.wt_restricted(s, sel))):
@@ -857,7 +879,7 @@ def verify_subblock_coloring(p, nodes, nu, s_set, kappa):
 
     nodes is the subset J, nu is indexed like the subdiagram weight (both
     checked by `sub_weight`), s_set the vertex set S, kappa the coloring on
-    the complement.
+    the complement (both checked first by `ColoringWitness.check`).
 
     Factor order inside a chain product is not canonical, so the shape is
     read off the maxima of K(x)'s coordinates instead of tried per order.
@@ -873,14 +895,14 @@ def verify_subblock_coloring(p, nodes, nu, s_set, kappa):
     coordinates), which is the b-sub-block for the order free factors, q,
     then Z.  K(x) holds x, so it is never the empty sub-block of b > sum l.
     """
+    s_set, kappa, _ = ColoringWitness(s_set, kappa).check(p)
     _, nu_of = sub_weight(p.n_colors, nodes, nu)
-    s_set = frozenset(s_set)
     passed = set()      # (k, component): the verdict depends on nothing else
     for x in range(p.n):
         if x in s_set:
             continue
         k = kappa.get(x)
-        if type(k) is not int or k not in nu_of:    # 1.0 and True would match 1
+        if k not in nu_of:
             return False, "kappa(%d) missing or outside J" % x
         ckey = (k, p.comp_id[k][x])
         if ckey in passed:

@@ -91,11 +91,14 @@ class NotChainProduct(DomainError):
 
 
 class MalformedPoset(DomainError):
-    """Poset or witness JSON is malformed.
+    """Poset JSON or a coloring witness is malformed.
 
     Poset JSON lacking a required key, with a number that is not a plain
     int, or with non-dense or duplicate vertex ids; witness JSON that is not
-    an object, lacks S or kappa, or has non-int kappa or tau keys.
+    an object, lacks S or kappa, or has non-int kappa or tau keys; and a
+    witness (S, kappa, tau), from JSON or a library caller, with an entry
+    that is not a plain int or a vertex that is not an id of the poset
+    (`ecposet.ColoringWitness.check`).
     """
 
 

@@ -306,8 +306,10 @@ def test_weight_parsing_errors():
     from weylsplit.cartan import parse_weight
     with pytest.raises(ValueError):
         parse_weight("1,2,3", 2)
-    with pytest.raises(ValueError):
+    with pytest.raises(NotFiniteType):
         build_diagram("X9")
+    with pytest.raises(ValueError):
+        build_diagram("A-3")
 
 
 def test_sigma0_nontrivial_families():

@@ -20,8 +20,7 @@ def run(capsys, *argv):
 
 
 def test_char_table_g2_w1(capsys):
-    rc, out, _ = run(capsys, "char", "--diagram", "G2", "--weight", "1,0",
-                     "--table")
+    rc, out, _ = run(capsys, "char", "--diagram", "G2", "--weight", "1,0")
     assert rc == 0
     lines = [l for l in out.splitlines() if l]
     assert len(lines) == 7
@@ -65,8 +64,11 @@ def test_numbers_game_json_schema(capsys):
 
 
 def test_usage_error_exit_2(capsys):
-    rc, _, err = run(capsys, "char", "--diagram", "X9", "--weight", "1,0")
+    rc, _, err = run(capsys, "char", "--diagram", "A-3", "--weight", "1,0")
     assert rc == 2
+    # a spec that parses but names no finite type is a domain error
+    rc, _, err = run(capsys, "char", "--diagram", "X9", "--weight", "1,0")
+    assert rc == 1 and err.startswith("NotFiniteType:")
     rc, _, err = run(capsys, "char", "--diagram", "G2", "--weight", "1,0,0")
     assert rc == 2
 

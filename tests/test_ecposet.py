@@ -499,12 +499,12 @@ def test_verify_tau_kappa_quasi_minuscule():
         wbad = ec.ColoringWitness(S=w.S, kappa=bad, tau=w.tau)
         ok2, why2 = ec.verify_tau_kappa(q, nodes, (0,) * d.rank, wbad)
         assert not ok2 and ("vertex %d" % victim) in why2
-        # a kappa value equal to node 1 that is not a plain int is outside J
+        # a kappa value equal to node 1 that is not a plain int is malformed
         one = min(x for x, k in w.kappa.items() if k == 1)
         for k in (1.0, True):
             wbad = ec.ColoringWitness(S=w.S, kappa={**w.kappa, one: k}, tau=w.tau)
-            assert ec.verify_tau_kappa(q, nodes, (0,) * d.rank, wbad) == \
-                (False, "kappa(%d) missing or outside J" % one)
+            with pytest.raises(MalformedPoset, match="plain ints"):
+                ec.verify_tau_kappa(q, nodes, (0,) * d.rank, wbad)
 
 
 def test_chain_product_factorization():
@@ -593,11 +593,11 @@ def test_subblock_vacuous_and_fibrous():
         kappa[v] = next(c for _, _, c in rq.out[v])
     ok, why = ec.verify_subblock_coloring(rq, (1, 2), (0, 0), {top}, kappa)
     assert ok, why
-    # a kappa value equal to node 1 that is not a plain int is outside J
+    # a kappa value equal to node 1 that is not a plain int is malformed
     one = min(x for x, k in kappa.items() if k == 1)
     for k in (1.0, True):
-        assert ec.verify_subblock_coloring(rq, (1, 2), (0, 0), {top}, {**kappa, one: k}) == \
-            (False, "kappa(%d) missing or outside J" % one)
+        with pytest.raises(MalformedPoset, match="plain ints"):
+            ec.verify_subblock_coloring(rq, (1, 2), (0, 0), {top}, {**kappa, one: k})
 
 
 def test_subblock_failure_names_first_vertex_of_its_component():

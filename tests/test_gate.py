@@ -2,7 +2,8 @@
 
 Weights, nodes, witness J and nu, numbers-game strategies and lattice
 family parameters are read through DynkinDiagram.check_weight,
-check_dominant, check_node, cartan.sub_weight and cartan.int_tuple;
+check_dominant, check_node, cartan.sub_weight and cartan.int_tuple; a
+coloring witness's S, kappa and tau through ecposet.ColoringWitness.check;
 WeylSymFn.power takes only a plain int exponent >= 0.
 """
 
@@ -59,6 +60,23 @@ PROBES = [
     ("patternlat.rgf_closed_form('B', 2.0, m=1)", "InvalidFamilyParams"),
     ("patternlat.rgf_closed_form('C', 2)", "InvalidFamilyParams"),
     ("patternlat.rgf_closed_form('A', 2, lam=(-1, 0))", "InvalidFamilyParams"),
+    # coloring witnesses: p's valid one is S = {2}, kappa {0: 1, 1: 2}, tau the
+    # identity.  A tau value of 1.0 was a bare TypeError and True read as vertex
+    # 1; 99 in S a bare IndexError (the sub-block verifier passed it) and -1 a
+    # failed conclusion; kappa True read as color 1; a kappa key of -1 a bare
+    # StopIteration
+    ("ecposet.verify_tau_kappa(p, (1, 2), (0, 0), "
+     "ecposet.ColoringWitness({2}, {0: 1, 1: 2}, {0: 0, 1: 1.0}))", "MalformedPoset"),
+    ("ecposet.verify_tau_kappa(p, (1, 2), (0, 0), "
+     "ecposet.ColoringWitness({2}, {0: 1, 1: 2}, {0: 0, 1: True}))", "MalformedPoset"),
+    ("ecposet.verify_tau_kappa(p, (1, 2), (0, 0), "
+     "ecposet.ColoringWitness({2, 99}, {0: 1, 1: 2}, {0: 0, 1: 1}))", "MalformedPoset"),
+    ("ecposet.verify_tau_kappa(p, (1, 2), (0, 0), "
+     "ecposet.ColoringWitness({2, -1}, {0: 1, 1: 2}, {0: 0, 1: 1}))", "MalformedPoset"),
+    ("ecposet.verify_subblock_coloring(p, (1, 2), (0, 0), {2, 99}, {0: 1, 1: 2})",
+     "MalformedPoset"),
+    ("crystal.verify_jnu_coloring(p, (1, 2), (0, 0), {0: True, 1: 2})", "MalformedPoset"),
+    ("crystal.tau_from_jnu_coloring(p, (1, 2), (0, 0), {-1: 2})", "MalformedPoset"),
 ]
 
 # One interpreter for the whole table; each call gets a 1 s alarm, so a walk

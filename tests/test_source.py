@@ -7,7 +7,7 @@ from pathlib import Path
 import pytest
 
 from weylsplit import build_diagram, crystal, ecposet, numbersgame, patternlat, wsf
-from weylsplit.errors import DiagramMismatch, NotAWeight
+from weylsplit.errors import DiagramMismatch, MalformedPoset, NotAWeight
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "weylsplit"
 
@@ -161,3 +161,32 @@ def test_every_weight_entry_point_reads_the_gate():
             for bad, error in (((1,), DiagramMismatch), ((1.0, 0), NotAWeight)):
                 with pytest.raises(error):
                     fn(d, **dict(args, **{w: bad}))
+
+
+def test_every_coloring_reader_reads_the_gate():
+    """A new function that takes a coloring (kappa) or a witness must read it
+    through ColoringWitness.check: on Pi(omega_1) of A2, with every other
+    argument valid, a kappa value of 1.0 and a kappa key that is no vertex id
+    both raise MalformedPoset."""
+    d = build_diagram("A2")
+    p = crystal.minuscule_poset(d, (1, 0))
+    valid = {"p": p, "nodes": (1, 2), "nu": (0, 0), "s_set": {2}}
+    found = {}
+    for mod in (ecposet, crystal):
+        for name, fn in inspect.getmembers(mod, inspect.isfunction):
+            params = inspect.signature(fn).parameters
+            if fn.__module__ == mod.__name__ and not name.startswith("_") \
+                    and ("kappa" in params or "witness" in params):
+                found[name] = fn
+    assert set(found) == {"verify_tau_kappa", "verify_subblock_coloring",
+                          "verify_jnu_coloring", "tau_from_jnu_coloring"}
+    for fn in found.values():
+        params = inspect.signature(fn).parameters
+        for bad in ({0: 1.0, 1: 2}, {0: 1, 1: 2, p.n: 1}):
+            args = {name: valid[name] for name in params if name in valid}
+            if "witness" in params:
+                args["witness"] = ecposet.ColoringWitness({2}, bad, {0: 0, 1: 1})
+            else:
+                args["kappa"] = bad
+            with pytest.raises(MalformedPoset):
+                fn(**args)
