@@ -78,18 +78,21 @@ def zero_weight(n):
     return (0,) * n
 
 
-def int_tuple(seq, error, what):
+def int_tuple(seq, error, what, fractions=False):
     """seq as a tuple of plain ints; error(...) for anything else.
 
     bool, float, Fraction and str entries are rejected, not converted, and
-    so is a seq that is not iterable.  what names seq in the message.
+    so is a seq that is not iterable; with fractions, Fraction entries pass
+    too.  what names seq in the message.
     """
+    kinds = {int, Fraction} if fractions else {int}
     try:
         out = tuple(seq)
     except TypeError:
         out = None
-    if out is None or not set(map(type, out)) <= {int}:
-        raise error("%s must be a sequence of plain ints, not %r" % (what, seq))
+    if out is None or not set(map(type, out)) <= kinds:
+        raise error("%s must be a sequence of plain ints%s, not %r"
+                    % (what, " or Fractions" if fractions else "", seq))
     return out
 
 
@@ -500,14 +503,6 @@ class DynkinDiagram:
     def inner_product(self, u, v):
         return Fraction(self.inner_product_scaled(u, v), self.denom)
 
-    def norm2(self, u):
-        return self.inner_product(u, u)
-
-    def coroot_pairing(self, mu, alpha):
-        """<mu, alpha_vee> = 2<mu,alpha>/<alpha,alpha> for a root alpha (as weight)."""
-        return Fraction(2 * self.inner_product_scaled(mu, alpha),
-                        self.inner_product_scaled(alpha, alpha))
-
     def dominant_rep(self, mu):
         """The unique dominant weight in the W-orbit of mu."""
         mu = self.check_weight(mu)
@@ -590,9 +585,11 @@ class DynkinDiagram:
 
         The full node set gives this diagram itself, so it shares this memo.
         Any other diagram is built once per node set and kept in memo["sub"],
-        so a restriction keeps its own memo hits.  Each node goes through
-        check_node.
+        so a restriction keeps its own memo hits.  nodes is read through
+        int_tuple (NotGCM unless it is a sequence of plain ints), then each
+        node through check_node.
         """
+        nodes = int_tuple(nodes, NotGCM, "a node subset")
         nodes = tuple(sorted(set(map(self.check_node, nodes))))
         if len(nodes) == self.rank:
             return self, nodes

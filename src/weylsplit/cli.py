@@ -5,6 +5,12 @@ decompose, branch, umax, lattice, rgf, verify, experiment.  Output is
 deterministic for fixed flags; exit status 0 on success, 1 on a domain
 error (printed with its error name), 2 on usage errors.
 
+`--diagram` and `--weight` are declared once, on parent parsers.  `main`
+reads them before the subcommand runs: it builds the diagram, parses the
+weight over its rank where the subcommand takes one, and calls the handler
+as fn(args, d, lam) (d and lam are None for lattice, and lam for a
+subcommand without --weight).
+
 Each run is one fresh process, so start-up is paid per answer.  Only cartan
 and errors load with this module; each subcommand imports the layers it
 uses (numbersgame, wsf, ecposet, crystal, patternlat) in its own body, so
@@ -36,8 +42,7 @@ def _emit_terms(items, as_json):
             print("%s  %d" % (",".join(map(str, m)), c))
 
 
-def cmd_info(args):
-    d = build_diagram(args.diagram)
+def cmd_info(args, d, lam):
     c = d.constants()
     print("type: %s" % d.type_string())
     print("rank: %d" % d.rank)
@@ -51,9 +56,8 @@ def cmd_info(args):
         print("highest short root: %s" % ",".join(map(str, c.highest_short_root)))
 
 
-def cmd_numbers_game(args):
+def cmd_numbers_game(args, d, lam):
     from . import numbersgame
-    d = build_diagram(args.diagram)
     pos = parse_weight(args.position, d.rank)
     if args.strategy == "all":
         recs = numbersgame.play(d, pos, "all", cap=args.cap)
@@ -71,8 +75,7 @@ def cmd_numbers_game(args):
                                        state, ",".join(map(str, r.terminal))))
 
 
-def cmd_roots(args):
-    d = build_diagram(args.diagram)
+def cmd_roots(args, d, lam):
     roots = d.positive_roots()
     if args.json:
         print(json.dumps([{"omega": list(r.root), "alpha": list(r.alpha_coords),
@@ -85,10 +88,8 @@ def cmd_roots(args):
                                         r.length_class))
 
 
-def cmd_char(args):
+def cmd_char(args, d, lam):
     from . import wsf
-    d = build_diagram(args.diagram)
-    lam = parse_weight(args.weight, d.rank)
     if args.method == "kostant":
         pi = wsf.weight_diagram(d, lam)
         terms = sorted((m, wsf.kostant_multiplicity(d, lam, m)) for m in pi.weights)
@@ -98,9 +99,8 @@ def cmd_char(args):
     _emit_terms(terms, args.json)
 
 
-def cmd_expand(args):
+def cmd_expand(args, d, lam):
     from . import wsf
-    d = build_diagram(args.diagram)
     fn = wsf.WeylSymFn.unit(d)
     for w in args.weights:
         fn = fn * wsf.freudenthal(d, parse_weight(w, d.rank))
@@ -108,40 +108,35 @@ def cmd_expand(args):
     _emit_terms(sorted(exp.items()), args.json)
 
 
-def cmd_alternant(args):
+def cmd_alternant(args, d, lam):
     from . import wsf
-    d = build_diagram(args.diagram)
-    fn = wsf.alternant(d, parse_weight(args.weight, d.rank))
+    fn = wsf.alternant(d, lam)
     _emit_terms(fn.sorted_terms(), args.json)
 
 
-def cmd_crystal(args):
+def cmd_crystal(args, d, lam):
     from . import crystal, ecposet
-    d = build_diagram(args.diagram)
-    r = crystal.build_crystal(d, parse_weight(args.weight, d.rank))
+    r = crystal.build_crystal(d, lam)
     print(ecposet.export_poset(r, args.export))
 
 
-def cmd_decompose(args):
+def cmd_decompose(args, d, lam):
     from . import crystal
-    d = build_diagram(args.diagram)
     out = crystal.decompose(d, parse_weight(args.lhs, d.rank),
                             parse_weight(args.rhs, d.rank))
     _emit_terms(sorted(out.items()), args.json)
 
 
-def cmd_branch(args):
+def cmd_branch(args, d, lam):
     from . import crystal
-    d = build_diagram(args.diagram)
     nodes = tuple(int(x) for x in args.subset.split(","))
-    out = crystal.branch(d, parse_weight(args.weight, d.rank), nodes)
+    out = crystal.branch(d, lam, nodes)
     _emit_terms(sorted(out.items()), args.json)
 
 
-def cmd_umax(args):
+def cmd_umax(args, d, lam):
     from . import ecposet
-    d = build_diagram(args.diagram)
-    u = ecposet.maximal_splitting_poset(d, parse_weight(args.weight, d.rank))
+    u = ecposet.maximal_splitting_poset(d, lam)
     print(ecposet.export_poset(u, args.export))
 
 
@@ -156,13 +151,11 @@ def _lattice_of(args):
         return patternlat.symplectic_lattice(args.n, args.m)
     if args.family == "oo":
         return patternlat.odd_orth_lattice(args.n, args.m)
-    if args.family == "eo":
-        node = args.n - 1 if args.node == "n-1" else args.n
-        return patternlat.even_orth_lattice(args.n, args.m, node)
-    raise DomainError("unknown family")
+    node = args.n - 1 if args.node == "n-1" else args.n
+    return patternlat.even_orth_lattice(args.n, args.m, node)
 
 
-def cmd_lattice(args):
+def cmd_lattice(args, d, lam):
     from . import ecposet
     lat = _lattice_of(args)
     if args.verify:
@@ -182,18 +175,15 @@ def cmd_lattice(args):
               (lat.poset.n, len(lat.poset.edges), lat.diagram.type_string()))
 
 
-def cmd_rgf(args):
+def cmd_rgf(args, d, lam):
     from . import patternlat
-    d = build_diagram(args.diagram)
-    lam = parse_weight(args.weight, d.rank)
     coeffs = patternlat.rgf_quotient(d, lam)
     print(json.dumps(list(coeffs)) if args.json else
           " ".join(map(str, coeffs)))
 
 
-def cmd_verify(args):
+def cmd_verify(args, d, lam):
     from . import ecposet
-    d = build_diagram(args.diagram)
     with open(args.poset) as fh:
         p = ecposet.import_poset(fh.read(), diagram=d)
     rc = 0
@@ -229,11 +219,9 @@ def cmd_verify(args):
     return rc
 
 
-def cmd_experiment(args):
+def cmd_experiment(args, d, lam):
     """Edge counts per color of edge-minimal splitting posets (Questions 4.11)."""
     from . import crystal, ecposet
-    d = build_diagram(args.diagram)
-    lam = parse_weight(args.weight, d.rank)
     r = crystal.build_crystal(d, lam)
     counts = {}
     for _, _, c in r.edges:
@@ -248,63 +236,54 @@ def make_parser():
     ap = argparse.ArgumentParser(prog="weylsplit")
     sub = ap.add_subparsers(dest="cmd", required=True)
 
-    def add(name, fn, **kw):
-        p = sub.add_parser(name, **kw)
+    # --diagram, and --weight after it, are declared once; main reads both
+    diagram = argparse.ArgumentParser(add_help=False)
+    diagram.add_argument("--diagram", required=True)
+    weight = argparse.ArgumentParser(add_help=False, parents=[diagram])
+    weight.add_argument("--weight", required=True)
+
+    def add(name, fn, *parents):
+        p = sub.add_parser(name, parents=list(parents))
         p.set_defaults(fn=fn)
         return p
 
-    p = add("info", cmd_info)
-    p.add_argument("--diagram", required=True)
+    add("info", cmd_info, diagram)
 
-    p = add("numbers-game", cmd_numbers_game)
-    p.add_argument("--diagram", required=True)
+    p = add("numbers-game", cmd_numbers_game, diagram)
     p.add_argument("--position", required=True)
     p.add_argument("--strategy", default="first")
     p.add_argument("--cap", type=_positive_int, default=DEFAULT_FIRING_CAP)
     p.add_argument("--json", action="store_true")
 
-    p = add("roots", cmd_roots)
-    p.add_argument("--diagram", required=True)
+    p = add("roots", cmd_roots, diagram)
     p.add_argument("--json", action="store_true")
 
-    p = add("char", cmd_char)
-    p.add_argument("--diagram", required=True)
-    p.add_argument("--weight", required=True)
+    p = add("char", cmd_char, weight)
     p.add_argument("--method", choices=["freudenthal", "kostant"],
                    default="freudenthal")
     p.add_argument("--json", action="store_true")
 
-    p = add("expand", cmd_expand)
-    p.add_argument("--diagram", required=True)
+    p = add("expand", cmd_expand, diagram)
     p.add_argument("--weights", nargs="+", required=True,
                    help="expand the product of these bialternants")
     p.add_argument("--json", action="store_true")
 
-    p = add("alternant", cmd_alternant)
-    p.add_argument("--diagram", required=True)
-    p.add_argument("--weight", required=True)
+    p = add("alternant", cmd_alternant, weight)
     p.add_argument("--json", action="store_true")
 
-    p = add("crystal", cmd_crystal)
-    p.add_argument("--diagram", required=True)
-    p.add_argument("--weight", required=True)
+    p = add("crystal", cmd_crystal, weight)
     p.add_argument("--export", choices=["json", "dot"], default="json")
 
-    p = add("decompose", cmd_decompose)
-    p.add_argument("--diagram", required=True)
+    p = add("decompose", cmd_decompose, diagram)
     p.add_argument("--lhs", required=True)
     p.add_argument("--rhs", required=True)
     p.add_argument("--json", action="store_true")
 
-    p = add("branch", cmd_branch)
-    p.add_argument("--diagram", required=True)
-    p.add_argument("--weight", required=True)
+    p = add("branch", cmd_branch, weight)
     p.add_argument("--subset", required=True)
     p.add_argument("--json", action="store_true")
 
-    p = add("umax", cmd_umax)
-    p.add_argument("--diagram", required=True)
-    p.add_argument("--weight", required=True)
+    p = add("umax", cmd_umax, weight)
     p.add_argument("--export", choices=["json", "dot"], default="json")
 
     p = add("lattice", cmd_lattice)
@@ -317,22 +296,17 @@ def make_parser():
     p.add_argument("--rgf", action="store_true")
     p.add_argument("--export", choices=["json", "dot"])
 
-    p = add("rgf", cmd_rgf)
-    p.add_argument("--diagram", required=True)
-    p.add_argument("--weight", required=True)
+    p = add("rgf", cmd_rgf, weight)
     p.add_argument("--json", action="store_true")
 
-    p = add("verify", cmd_verify)
-    p.add_argument("--diagram", required=True)
+    p = add("verify", cmd_verify, diagram)
     p.add_argument("--poset", required=True, help="poset JSON file")
     p.add_argument("--targets",
                    help="splitting check: semicolon separated dominant weights")
     p.add_argument("--coloring",
                    help="witness JSON with S/kappa[/tau/J/nu] to verify")
 
-    p = add("experiment", cmd_experiment)
-    p.add_argument("--diagram", required=True)
-    p.add_argument("--weight", required=True)
+    add("experiment", cmd_experiment, weight)
 
     return ap
 
@@ -341,7 +315,12 @@ def main(argv=None):
     ap = make_parser()
     args = ap.parse_args(argv)
     try:
-        rc = args.fn(args)
+        d = lam = None
+        if "diagram" in args:
+            d = build_diagram(args.diagram)
+            if "weight" in args:
+                lam = parse_weight(args.weight, d.rank)
+        rc = args.fn(args, d, lam)
     except DomainError as e:
         print("%s: %s" % (type(e).__name__, e), file=sys.stderr)
         return 1

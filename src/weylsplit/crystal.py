@@ -17,8 +17,9 @@ from collections import namedtuple
 
 from . import ecposet, wsf
 from .cartan import sub_weight, wadd, wsub, zero_weight
-from .errors import (DiagramMismatch, ExactnessError, NoExpression, NotFibrous,
-                     NotIrreducible, NotMinuscule, NotMStructured, NotPrimaryFactor)
+from .errors import (DiagramMismatch, ExactnessError, MalformedPoset, NoExpression,
+                     NotFibrous, NotIrreducible, NotMinuscule, NotMStructured,
+                     NotPrimaryFactor)
 
 EXHAUSTIVE_UNTANGLED_LIMIT = 4
 
@@ -475,12 +476,15 @@ def tau_from_jnu_coloring(p, nodes, nu, kappa):
 
     tau(x) is the element of the chain comp_j(x), j = kappa(x), at rank
     l_j - 1 - nu_j - rho_j(x); together with kappa it satisfies the
-    tau/kappa splitting hypotheses, with S = M_{J,nu}(p).  kappa is read
-    through `ColoringWitness.check`: its keys are vertex ids of p and its
-    values plain ints, or MalformedPoset is raised.
+    tau/kappa splitting hypotheses, with S = M_{J,nu}(p).  J and nu are
+    read by `sub_weight` first; then kappa must pass `verify_jnu_coloring`
+    (which reads it through `ColoringWitness.check`), or MalformedPoset is
+    raised with the verifier's reason.
     """
-    kappa = ecposet.ColoringWitness((), kappa).check(p).kappa
     _, nu_of = sub_weight(p.n_colors, nodes, nu)
+    ok, why = verify_jnu_coloring(p, nodes, nu, kappa)
+    if not ok:
+        raise MalformedPoset("kappa is not a (J,nu)-coloring: %s" % why)
     tau = {}
     for x, j in kappa.items():
         want = p.lng[j][x] - 1 - nu_of[j] - p.rho[j][x]

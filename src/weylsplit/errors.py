@@ -37,7 +37,11 @@ class OrbitTooLarge(DomainError):
 
 
 class NotAWeight(DomainError):
-    """A weight that is not a sequence of plain ints (bool, float, Fraction, str)."""
+    """A weight that is not a sequence of plain ints (bool, float, Fraction, str).
+
+    Also a numbers-game position that is not a sequence of plain ints and
+    Fractions (`numbersgame.play`).
+    """
 
 
 # --- numbersgame ---
@@ -98,7 +102,9 @@ class MalformedPoset(DomainError):
     an object, lacks S or kappa, or has non-int kappa or tau keys; and a
     witness (S, kappa, tau), from JSON or a library caller, with an entry
     that is not a plain int or a vertex that is not an id of the poset
-    (`ecposet.ColoringWitness.check`).
+    (`ecposet.ColoringWitness.check`); and a kappa given to
+    `crystal.tau_from_jnu_coloring` that is not a (J,nu)-coloring
+    (`crystal.verify_jnu_coloring` answers False).
     """
 
 

@@ -9,7 +9,7 @@ Fractions, and a node fires only while its number is positive.
 from collections import namedtuple
 
 from .cartan import DEFAULT_FIRING_CAP, gcm_matrix, int_tuple
-from .errors import DiagramMismatch, ExactnessError, IllegalFire
+from .errors import DiagramMismatch, ExactnessError, IllegalFire, NotAWeight
 
 
 class RawGCMGraph:
@@ -72,12 +72,15 @@ def play(d, position, strategy="first", cap=DEFAULT_FIRING_CAP):
     record's diverged flag, never as an error.  Any other strategy is an
     explicit sequence, which raises IllegalFire before anything is fired
     unless it holds plain ints in 1..rank, and for a node whose number is
-    nonpositive when its turn comes.  A cap below 1 raises ValueError, and
-    a position without rank entries DiagramMismatch.
+    nonpositive when its turn comes.  A cap below 1 raises ValueError.  The
+    position is read through int_tuple: NotAWeight unless it is a sequence
+    of plain ints and Fractions (1.5 and True are rejected, not played), and
+    DiagramMismatch unless it has rank entries.  fire(), the hot path of
+    constants() and rgf_exponents, reads its position unchecked.
     """
     if cap < 1:
         raise ValueError("firing cap %s is below 1" % (cap,))
-    position = tuple(position)
+    position = int_tuple(position, NotAWeight, "a position", fractions=True)
     if len(position) != d.rank:
         raise DiagramMismatch("position %s does not have %d entries" % (position, d.rank))
     if strategy == "all":

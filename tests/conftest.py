@@ -108,6 +108,16 @@ def apply_mat(m, v):
     return tuple(sum(m[r][c] * v[c] for c in range(len(v))) for r in range(len(v)))
 
 
+def norm2(d, u):
+    """<u, u>, exact."""
+    return d.inner_product(u, u)
+
+
+def coroot_pairing(d, mu, alpha):
+    """<mu, alpha_vee> = 2<mu, alpha>/<alpha, alpha> for a root alpha (as a weight)."""
+    return 2 * d.inner_product(mu, alpha) / d.inner_product(alpha, alpha)
+
+
 @functools.cache
 def brute_positive_roots(d):
     """Reflection closure of the simple roots, intersected with the cone.

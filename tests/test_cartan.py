@@ -13,7 +13,7 @@ from weylsplit.errors import (DiagramTooLarge, ExactnessError, NotFiniteType, No
                               OrbitTooLarge)
 
 from conftest import (apply_mat, brute_numbering, brute_positive_roots, brute_weyl_group,
-                      brute_weyl_orbit, fraction_inverse, mat_det)
+                      brute_weyl_orbit, fraction_inverse, mat_det, norm2)
 
 
 def rand_weight(rng, n, lo=-6, hi=6):
@@ -142,8 +142,8 @@ def test_root_coords_and_heights(diagrams):
 
 def test_g2_inner_products_and_heights():
     g2 = build_diagram("G2")
-    assert g2.norm2(g2.alpha(1)) == 2
-    assert g2.norm2(g2.alpha(2)) == 6
+    assert norm2(g2, g2.alpha(1)) == 2
+    assert norm2(g2, g2.alpha(2)) == 6
     assert g2.inner_product(g2.alpha(1), g2.alpha(2)) == -3
     assert g2.height((1, 0)) == 3
     assert g2.height((0, 1)) == 5

@@ -677,9 +677,14 @@ def test_jnu_readers_reject_bad_subweights(name, nodes, nu, error):
 def test_sub_weight_counts_a_repeated_node_once():
     assert sub_weight(3, (3, 1, 3), (4, 5)) == ((1, 3), {1: 4, 3: 5})
     assert sub_weight(2, (), ()) == ((), {})
-    # every reader accepts J in any order, with repeats
+    # every reader accepts J in any order, with repeats; {} is not a
+    # (J,nu)-coloring of R(1,1), so tau_from_jnu_coloring gets a real one
     for name, read in JNU_READERS.items():
-        read((2, 1, 2), (0, 0))
+        if name != "tau_from_jnu_coloring":
+            read((2, 1, 2), (0, 0))
+    r = cr.build_crystal(A2, (1, 1))
+    kap = cr.jnu_coloring(r.tensor_ops.factors, r, (2, 1, 2), (0, 0))
+    cr.tau_from_jnu_coloring(r, (2, 1, 2), (0, 0), kap)
 
 
 def test_build_crystal_checks_seed_weight(monkeypatch):

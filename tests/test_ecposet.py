@@ -13,7 +13,7 @@ from weylsplit.errors import (DiagramMismatch, DomainError, ExactnessError,
 
 from conftest import (brute_chain_product_factorization, brute_color_tables,
                       brute_members, brute_poset_error, brute_subblock_coloring,
-                      load_fixture, sub_block_members)
+                      coroot_pairing, load_fixture, sub_block_members)
 
 A2 = build_diagram("A2")
 G2 = build_diagram("G2")
@@ -683,7 +683,7 @@ def test_lemma_3_4_invariants():
     sub, sel = A2.sub_diagram((1, 2))
     for x in range(p.n):
         for j in (1, 2):
-            pairing = A2.coroot_pairing(p.wt[x], A2.alpha(j))
+            pairing = coroot_pairing(A2, p.wt[x], A2.alpha(j))
             assert p.m(j, x) == pairing
     # equal weights in a connected M-structured poset have equal rank
     by_wt = {}

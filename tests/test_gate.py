@@ -1,9 +1,10 @@
 """Bad library input ends in a DomainError subclass, also under python -O.
 
-Weights, nodes, witness J and nu, numbers-game strategies and lattice
-family parameters are read through DynkinDiagram.check_weight,
+Weights, nodes, witness J and nu, numbers-game positions and strategies
+and lattice family parameters are read through DynkinDiagram.check_weight,
 check_dominant, check_node, cartan.sub_weight and cartan.int_tuple; a
-coloring witness's S, kappa and tau through ecposet.ColoringWitness.check;
+coloring witness's S, kappa and tau through ecposet.ColoringWitness.check,
+and the kappa of tau_from_jnu_coloring through verify_jnu_coloring;
 WeylSymFn.power takes only a plain int exponent >= 0.
 """
 
@@ -77,6 +78,17 @@ PROBES = [
      "MalformedPoset"),
     ("crystal.verify_jnu_coloring(p, (1, 2), (0, 0), {0: True, 1: 2})", "MalformedPoset"),
     ("crystal.tau_from_jnu_coloring(p, (1, 2), (0, 0), {-1: 2})", "MalformedPoset"),
+    # plain-int kappas that are not (J,nu)-colorings: a bare KeyError (color
+    # outside J), IndexError (color outside the diagram) and StopIteration
+    ("crystal.tau_from_jnu_coloring(p, (1,), (0,), {0: 2})", "MalformedPoset"),
+    ("crystal.tau_from_jnu_coloring(p, (1, 2), (0, 0), {0: 5})", "MalformedPoset"),
+    ("crystal.tau_from_jnu_coloring(p, (1, 2), (0, 0), {0: 2})", "MalformedPoset"),
+    # a node subset that is not a sequence was a bare TypeError
+    ("crystal.branch(d, (1, 1), 1)", "NotGCM"),
+    # play read True as 1, played 1.5 in floats, and None was a bare TypeError
+    ("numbersgame.play(d, None)", "NotAWeight"),
+    ("numbersgame.play(d, (1.5, 0))", "NotAWeight"),
+    ("numbersgame.play(d, (True, 0))", "NotAWeight"),
 ]
 
 # One interpreter for the whole table; each call gets a 1 s alarm, so a walk

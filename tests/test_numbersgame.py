@@ -7,7 +7,7 @@ from weylsplit import DynkinDiagram, build_diagram
 from weylsplit import numbersgame as ng
 from weylsplit.errors import ExactnessError, IllegalFire, NotDominant
 
-from conftest import brute_positive_roots, brute_weyl_group, inversion_roots
+from conftest import brute_positive_roots, brute_weyl_group, inversion_roots, norm2
 
 FINITE_TYPES = (["A%d" % n for n in range(1, 9)] + ["B%d" % n for n in range(3, 9)]
                 + ["C%d" % n for n in range(2, 9)] + ["D%d" % n for n in range(4, 9)]
@@ -290,7 +290,7 @@ def test_positive_roots_are_the_inversion_sequence(many_diagrams):
             [d.root_lattice_coords(r.root) for r in roots]
         # short roots have squared length 2 in every component
         assert [r.length_class for r in roots] == \
-            ["short" if d.norm2(r.root) == 2 else "long" for r in roots]
+            ["short" if norm2(d, r.root) == 2 else "long" for r in roots]
 
 
 def test_play_rejects_a_cap_below_one():

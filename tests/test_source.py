@@ -190,3 +190,22 @@ def test_every_coloring_reader_reads_the_gate():
                 args["kappa"] = bad
             with pytest.raises(MalformedPoset):
                 fn(**args)
+
+
+def test_cli_reads_the_diagram_once():
+    """main builds the diagram (and parses --weight over it) for every
+    subcommand; a handler takes (args, d, lam) and never reads args.diagram."""
+    tree = ast.parse((SRC / "cli.py").read_text())
+    calls = [node.lineno for node in ast.walk(tree) if isinstance(node, ast.Call)
+             and isinstance(node.func, ast.Name) and node.func.id == "build_diagram"]
+    functions = [fn for fn in tree.body if isinstance(fn, ast.FunctionDef)]
+    main, = [fn for fn in functions if fn.name == "main"]
+    assert len(calls) == 1 and main.lineno <= calls[0] <= main.end_lineno, calls
+    handlers = [fn for fn in functions if fn.name.startswith("cmd_")]
+    assert len(handlers) == 14
+    for fn in handlers:
+        assert [a.arg for a in fn.args.args] == ["args", "d", "lam"], fn.name
+        reads = [node.lineno for node in ast.walk(fn)
+                 if isinstance(node, ast.Attribute) and node.attr == "diagram"
+                 and isinstance(node.value, ast.Name) and node.value.id == "args"]
+        assert not reads, "%s reads args.diagram at %s" % (fn.name, reads)

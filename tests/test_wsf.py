@@ -10,7 +10,8 @@ from weylsplit.cartan import DynkinDiagram, wadd, wneg, wsub
 from weylsplit.errors import ExactnessError, NotDominant, NotInvariant
 
 from conftest import (brute_dominant_weights_below, brute_partition_count,
-                      brute_weyl_dimension, load_fixture, recursive_kostant_partition)
+                      brute_weyl_dimension, coroot_pairing, load_fixture,
+                      recursive_kostant_partition)
 
 G2FIX = load_fixture("g2_reference.json")
 
@@ -79,7 +80,7 @@ def test_weight_diagram_structure(diagrams):
         # saturation: mu - k*alpha stays inside for 0 <= k <= <mu,alpha_vee>
         for mu in pi.weights:
             for r in d.positive_roots():
-                pairing = d.coroot_pairing(mu, r.root)
+                pairing = coroot_pairing(d, mu, r.root)
                 k = 0
                 while k <= pairing:
                     assert tuple(a - k * b for a, b in zip(mu, r.root)) in pi.weights
