@@ -587,10 +587,12 @@ class DynkinDiagram:
         Any other diagram is built once per node set and kept in memo["sub"],
         so a restriction keeps its own memo hits.  nodes is read through
         int_tuple (NotGCM unless it is a sequence of plain ints), then each
-        node through check_node.
+        node through check_node; an empty subset raises NotGCM too.
         """
         nodes = int_tuple(nodes, NotGCM, "a node subset")
         nodes = tuple(sorted(set(map(self.check_node, nodes))))
+        if not nodes:
+            raise NotGCM("a node subset must hold at least one node")
         if len(nodes) == self.rank:
             return self, nodes
         subs = self.memo.setdefault("sub", {})

@@ -59,13 +59,12 @@ def cmd_info(args, d, lam):
 def cmd_numbers_game(args, d, lam):
     from . import numbersgame
     pos = parse_weight(args.position, d.rank)
-    if args.strategy == "all":
-        recs = numbersgame.play(d, pos, "all", cap=args.cap)
-    elif args.strategy == "first":
-        recs = [numbersgame.play(d, pos, "first", cap=args.cap)]
-    else:
-        seq = [int(x) for x in args.strategy.split(",")]
-        recs = [numbersgame.play(d, pos, seq, cap=args.cap)]
+    strategy = args.strategy
+    if strategy not in ("first", "all"):
+        strategy = [int(x) for x in strategy.split(",")]
+    recs = numbersgame.play(d, pos, strategy, cap=args.cap)
+    if strategy != "all":
+        recs = [recs]
     if args.json:
         print(json.dumps([r.to_json_dict() for r in recs], separators=(",", ":")))
     else:

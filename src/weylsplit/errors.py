@@ -47,7 +47,12 @@ class NotAWeight(DomainError):
 # --- numbersgame ---
 
 class IllegalFire(DomainError):
-    """Attempt to fire a node whose number is not positive."""
+    """Attempt to fire a node whose number is not positive.
+
+    Also a numbers-game strategy that is not "first", "all" or a sequence of
+    plain ints in 1..rank, and a firing cap that is not a plain int >= 1
+    (`numbersgame.play`).
+    """
 
 
 # --- wsf ---

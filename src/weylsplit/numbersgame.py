@@ -68,71 +68,60 @@ def play(d, position, strategy="first", cap=DEFAULT_FIRING_CAP):
 
     strategy: "first" (lowest positive node), a sequence of nodes, or "all"
     (exhaustive enumeration of every maximal legal play; returns a list of
-    GameRecords in deterministic order).  Divergence is reported via the
-    record's diverged flag, never as an error.  Any other strategy is an
-    explicit sequence, which raises IllegalFire before anything is fired
-    unless it holds plain ints in 1..rank, and for a node whose number is
-    nonpositive when its turn comes.  A cap below 1 raises ValueError.  The
-    position is read through int_tuple: NotAWeight unless it is a sequence
-    of plain ints and Fractions (1.5 and True are rejected, not played), and
+    GameRecords in deterministic order).  The three are one depth-first
+    walk: the strategy only picks the nodes tried from each position.  A
+    position with no node to try ends a terminal record; that is checked
+    before the cap, so a game that ends at exactly cap firings is terminal.
+    The cap applies to "first" and "all", never to a sequence, and
+    divergence is reported via the record's diverged flag, never as an
+    error.  Any other strategy is an explicit sequence, which raises
+    IllegalFire before anything is fired unless it holds plain ints in
+    1..rank, and for a node whose number is nonpositive when its turn comes.
+    A cap that is not a plain int >= 1 raises IllegalFire.  The position is
+    read through int_tuple: NotAWeight unless it is a sequence of plain ints
+    and Fractions (1.5 and True are rejected, not played), and
     DiagramMismatch unless it has rank entries.  fire(), the hot path of
     constants() and rgf_exponents, reads its position unchecked.
     """
-    if cap < 1:
-        raise ValueError("firing cap %s is below 1" % (cap,))
+    if type(cap) is not int or cap < 1:
+        raise IllegalFire("firing cap %r is below 1 or not a plain int" % (cap,))
     position = int_tuple(position, NotAWeight, "a position", fractions=True)
     if len(position) != d.rank:
         raise DiagramMismatch("position %s does not have %d entries" % (position, d.rank))
-    if strategy == "all":
-        # depth-first over shared fired/trace lists; todo[k] holds the nodes
-        # still to fire from trace[k], lowest last so pop() takes it first
-        records, fired, trace, todo = [], [], [position], []
-        while True:
-            pos = trace[-1]
-            if len(fired) >= cap:
-                records.append(GameRecord(position, tuple(fired), tuple(trace),
-                                          pos, True, cap))
-                nodes = []
-            else:
-                nodes = _positive_nodes(d, pos)
-                if not nodes:
-                    records.append(GameRecord(position, tuple(fired), tuple(trace), pos))
-            todo.append(nodes[::-1])
-            while not todo[-1]:
-                todo.pop()
-                if not todo:
-                    return records
-                fired.pop()
-                trace.pop()
-            i = todo[-1].pop()
-            fired.append(i)
-            trace.append(fire(d, trace[-1], i))
-
-    fired, trace = [], [position]
-    pos = position
-    if strategy == "first":
-        while True:
-            nodes = _positive_nodes(d, pos)
-            if not nodes:
-                return GameRecord(position, tuple(fired), tuple(trace), pos)
-            if len(fired) >= cap:
-                return GameRecord(position, tuple(fired), tuple(trace), pos, True, cap)
-            i = nodes[0]
-            pos = fire(d, pos, i)
-            fired.append(i)
-            trace.append(pos)
-    # explicit firing sequence.  The range check stays here: fire() is the
-    # hot path of constants() and rgf_exponents, and its row lookup would
-    # wrap a node 0 to the last row.
-    strategy = int_tuple(strategy, IllegalFire, 'a strategy other than "first" or "all"')
-    for i in strategy:
-        if not 1 <= i <= d.rank:
-            raise IllegalFire("node %s is not in 1..%d" % (i, d.rank))
-    for i in strategy:
-        pos = fire(d, pos, i)
+    seq = None
+    if strategy not in ("first", "all"):
+        # The range check stays here: fire() stays unchecked, as the hot
+        # path of this walk and of rgf_exponents, and its row lookup would
+        # wrap a node 0 to the last row.
+        seq = int_tuple(strategy, IllegalFire, 'a strategy other than "first" or "all"')
+        for i in seq:
+            if not 1 <= i <= d.rank:
+                raise IllegalFire("node %s is not in 1..%d" % (i, d.rank))
+        cap = len(seq)      # the sequence runs out before this cap is reached
+    # depth-first over shared fired/trace lists; todo[k] holds the nodes
+    # still to fire from trace[k], lowest last so pop() takes it first
+    records, fired, trace, todo = [], [], [position], []
+    while True:
+        pos, k = trace[-1], len(fired)
+        if seq is None:
+            nodes = _positive_nodes(d, pos)[:1 if strategy == "first" else None]
+        else:
+            nodes = list(seq[k:k + 1])
+        if not nodes:
+            records.append(GameRecord(position, tuple(fired), tuple(trace), pos))
+        elif k >= cap:
+            records.append(GameRecord(position, tuple(fired), tuple(trace), pos, True, cap))
+            nodes = []
+        todo.append(nodes[::-1])
+        while not todo[-1]:
+            todo.pop()
+            if not todo:
+                return records if strategy == "all" else records[0]
+            fired.pop()
+            trace.pop()
+        i = todo[-1].pop()
         fired.append(i)
-        trace.append(pos)
-    return GameRecord(position, tuple(fired), tuple(trace), pos)
+        trace.append(fire(d, trace[-1], i))
 
 
 def _primes(n):

@@ -51,6 +51,10 @@ def test_numbers_game_all(capsys):
     lines = out.splitlines()
     assert len(lines) == 2
     assert all("terminal -1,-1" in l for l in lines)
+    # a game that ends at exactly the cap is terminal, not diverged
+    rc, out, _ = run(capsys, "numbers-game", "--diagram", "A1",
+                     "--position", "1", "--cap", "1", "--strategy", "all")
+    assert rc == 0 and out == "fired 1  terminal -1\n"
 
 
 def test_numbers_game_json_schema(capsys):

@@ -400,6 +400,8 @@ def test_branch_rejects_nodes_out_of_range():
     for nodes in [(0,), (3,), (1, 5)]:
         with pytest.raises(NotGCM, match="node subset out of range"):
             cr.branch(A2, (1, 1), nodes)
+    with pytest.raises(NotGCM, match="at least one node"):
+        cr.branch(A2, (1, 1), ())
 
 
 def test_branch_matches_oracle():

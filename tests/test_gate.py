@@ -5,7 +5,8 @@ and lattice family parameters are read through DynkinDiagram.check_weight,
 check_dominant, check_node, cartan.sub_weight and cartan.int_tuple; a
 coloring witness's S, kappa and tau through ecposet.ColoringWitness.check,
 and the kappa of tau_from_jnu_coloring through verify_jnu_coloring;
-WeylSymFn.power takes only a plain int exponent >= 0.
+WeylSymFn.power takes only a plain int exponent >= 0, and numbersgame.play
+only a plain int firing cap >= 1.
 """
 
 import json
@@ -89,6 +90,10 @@ PROBES = [
     ("numbersgame.play(d, None)", "NotAWeight"),
     ("numbersgame.play(d, (1.5, 0))", "NotAWeight"),
     ("numbersgame.play(d, (True, 0))", "NotAWeight"),
+    # a cap of 1.5 played as 2, True was kept as the cap, 0 a bare ValueError
+    ("numbersgame.play(d, (1, 0), cap=1.5)", "IllegalFire"),
+    ("numbersgame.play(d, (1, 0), cap=True)", "IllegalFire"),
+    ("numbersgame.play(d, (1, 0), cap=0)", "IllegalFire"),
 ]
 
 # One interpreter for the whole table; each call gets a 1 s alarm, so a walk

@@ -195,6 +195,23 @@ def test_strong_convergence_rank2_exhaustive():
             assert not any(r.diverged for r in recs)
 
 
+def test_play_strategies_are_one_walk():
+    # "first" is the first record of "all"; a record ends terminal whenever its
+    # position has no positive node, even at exactly cap firings; and a
+    # terminal record's word, replayed as a sequence, gives the same record
+    for spec in ["A1", "A2", "C2", "G2", "A1+A1"]:
+        d = build_diagram(spec)
+        for pos in itertools.product([-1, 0, 1, 2], repeat=d.rank):
+            for cap in range(1, 9):
+                recs = ng.play(d, pos, "all", cap)
+                assert ng.play(d, pos, "first", cap) == recs[0], (spec, pos, cap)
+                for r in recs:
+                    stuck = all(x <= 0 for x in r.terminal)
+                    assert r.diverged != stuck, (spec, pos, cap, r)
+                    if not r.diverged:
+                        assert ng.play(d, pos, r.fired, cap) == r, (spec, pos, cap, r)
+
+
 def test_longest_word_length_is_root_count():
     for spec in ["A1", "A2", "A3", "A4", "B3", "B4", "C2", "C3", "C4",
                  "D4", "F4", "G2", "A2+A1", "C2+G2"]:
@@ -297,5 +314,5 @@ def test_play_rejects_a_cap_below_one():
     g2 = build_diagram("G2")
     for cap in [0, -3]:
         for strategy in ["first", "all", (1, 2)]:
-            with pytest.raises(ValueError, match="below 1"):
+            with pytest.raises(IllegalFire, match="below 1"):
                 ng.play(g2, (1, 1), strategy, cap=cap)

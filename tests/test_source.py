@@ -209,3 +209,18 @@ def test_cli_reads_the_diagram_once():
                  if isinstance(node, ast.Attribute) and node.attr == "diagram"
                  and isinstance(node.value, ast.Name) and node.value.id == "args"]
         assert not reads, "%s reads args.diagram at %s" % (fn.name, reads)
+
+
+
+def test_play_fires_at_one_site():
+    """"first", "all" and a fixed sequence are one walk: play fires at one
+    site, and the CLI's numbers-game calls play once for every strategy."""
+    def calls(path, function, name):
+        fn, = [fn for fn in ast.parse(path.read_text()).body
+               if isinstance(fn, ast.FunctionDef) and fn.name == function]
+        return [node.lineno for node in ast.walk(fn) if isinstance(node, ast.Call)
+                and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+    fires = calls(SRC / "numbersgame.py", "play", "fire")
+    assert len(fires) == 1, fires
+    plays = calls(SRC / "cli.py", "cmd_numbers_game", "play")
+    assert len(plays) == 1, plays
