@@ -9,8 +9,10 @@ Conventions used throughout the package:
   classifies as C2.
 * Every public entry point reads a weight from its caller once, through
   DynkinDiagram.check_weight or check_dominant, and goes on with the tuple
-  they return.  A node goes through check_node, and a node subset J with
-  its weight nu through sub_weight.
+  they return.  One rule, _node_subset, reads nodes: a node subset J is a
+  sequence of plain ints in 1..rank (NotGCM otherwise), sorted with repeats
+  dropped.  check_node is its one-node case, sub_weight reads J with its
+  weight nu through it, and sub_diagram reads J through it too.
 * The i-th simple root, in omega coordinates, is row i of the Cartan matrix.
 * All arithmetic is exact: ints and fractions.Fraction, never floats.  A
   diagram is set up in ints (the inverse Cartan matrix as det and adjugate,
@@ -96,19 +98,31 @@ def int_tuple(seq, error, what, fractions=False):
     return out
 
 
+def _node_subset(rank, nodes):
+    """A node subset J of 1..rank, sorted, with a repeated node counted once.
+
+    The one node rule: J is read through int_tuple (NotGCM unless it is a
+    sequence of plain ints), and a node outside 1..rank raises NotGCM.  J
+    may be empty.
+    """
+    nodes = int_tuple(nodes, NotGCM, "node subset J")
+    for j in nodes:
+        if not 1 <= j <= rank:
+            raise NotGCM("node subset out of range: %r not in 1..%d" % (j, rank))
+    return tuple(sorted(set(nodes)))
+
+
 def sub_weight(rank, nodes, nu):
     """Check a node subset J of 1..rank and a dominant weight nu over it.
 
-    Returns J sorted, with a repeated node counted once, and the map
-    j -> nu_j, nu read in that order.  Raises NotGCM for a node that is not
-    a plain int in 1..rank, NotAWeight for a nu entry that is not a plain
-    int, DiagramMismatch unless nu has one entry per node of J, and
-    NotDominant for a negative entry.
+    Returns J as _node_subset reads it (sorted, a repeated node counted
+    once; NotGCM for a node that is not a plain int in 1..rank) and the map
+    j -> nu_j, nu read in that order.  Then raises NotAWeight for a nu entry
+    that is not a plain int, DiagramMismatch unless nu has one entry per
+    node of J, and NotDominant for a negative entry.
     """
-    nodes = tuple(sorted(set(int_tuple(nodes, NotGCM, "node subset J"))))
+    nodes = _node_subset(rank, nodes)
     nu = int_tuple(nu, NotAWeight, "nu")
-    if any(not 1 <= j <= rank for j in nodes):
-        raise NotGCM("node subset out of range")
     if len(nu) != len(nodes):
         raise DiagramMismatch("nu has %d entries for %d nodes in J" % (len(nu), len(nodes)))
     if any(c < 0 for c in nu):
@@ -445,10 +459,11 @@ class DynkinDiagram:
         return mu
 
     def check_node(self, i):
-        """i when it is a plain int in 1..rank; NotGCM otherwise."""
-        if type(i) is not int or not 1 <= i <= self.rank:
-            raise NotGCM("node subset out of range: %r not in 1..%d" % (i, self.rank))
-        return i
+        """i when it is a plain int in 1..rank; NotGCM otherwise.
+
+        The one-node case of the node rule, _node_subset.
+        """
+        return _node_subset(self.rank, (i,))[0]
 
     def is_strongly_dominant(self, mu):
         return all(c > 0 for c in mu)
@@ -585,12 +600,12 @@ class DynkinDiagram:
 
         The full node set gives this diagram itself, so it shares this memo.
         Any other diagram is built once per node set and kept in memo["sub"],
-        so a restriction keeps its own memo hits.  nodes is read through
-        int_tuple (NotGCM unless it is a sequence of plain ints), then each
-        node through check_node; an empty subset raises NotGCM too.
+        so a restriction keeps its own memo hits.  nodes is read by the node
+        rule, _node_subset (NotGCM unless it is a sequence of plain ints in
+        1..rank); an empty subset raises NotGCM too, since a diagram needs a
+        node.
         """
-        nodes = int_tuple(nodes, NotGCM, "a node subset")
-        nodes = tuple(sorted(set(map(self.check_node, nodes))))
+        nodes = _node_subset(self.rank, nodes)
         if not nodes:
             raise NotGCM("a node subset must hold at least one node")
         if len(nodes) == self.rank:
@@ -602,7 +617,12 @@ class DynkinDiagram:
         return subs[nodes], nodes
 
     def project(self, mu, nodes):
-        """Projection of mu onto the sub-lattice for the given nodes."""
+        """Projection of mu onto the sub-lattice for the given nodes.
+
+        nodes is a J that sub_diagram or sub_weight already returned, and mu
+        a checked weight: like the other hot inner calls, project reads both
+        unchecked.
+        """
         return tuple(mu[j - 1] for j in nodes)
 
 

@@ -106,9 +106,9 @@ class TensorOps:
     def __init__(self, factors):
         if not factors:
             raise NotFibrous("need at least one factor")
-        d = factors[0].d
+        d = factors[0].checked_d()
         for f in factors:
-            if f.d != d:
+            if f.checked_d() != d:
                 raise DiagramMismatch("factors over different diagrams")
             if not f.is_fibrous():
                 raise NotFibrous("crystal product factors must be fibrous")
@@ -412,13 +412,13 @@ def branch(d, lam, nodes):
 
     Nodes are 1-based; sub_diagram sorts them and raises NotGCM for one
     that is not a plain int in 1..rank (row 0 would otherwise read as the
-    last node, and True as node 1).
+    last node, and True as node 1), and for an empty subset.
     """
     _, nodes = d.sub_diagram(nodes)
     r = build_crystal(d, lam)
     out = {}
     for x in m_set(r, nodes, (0,) * len(nodes)):
-        w = r.wt_restricted(x, nodes)
+        w = d.project(r.wt[x], nodes)
         out[w] = out.get(w, 0) + 1
     return out
 
@@ -627,10 +627,14 @@ def u_table(d):
 
 
 def saturation_predicate(d, lam, nu, nodes=None):
-    """M_{J,nu}(R(lambda)) fills R(lambda) iff sum a_k u_j^(k) <= nu_j on J."""
+    """M_{J,nu}(R(lambda)) fills R(lambda) iff sum a_k u_j^(k) <= nu_j on J.
+
+    nodes is J, None (the default) for every node; () is the empty J, on
+    which nu must be () too.  J and nu are read by `sub_weight`.
+    """
     lam = d.check_dominant(lam)
     table = u_table(d)
-    nodes, nu_of = sub_weight(d.rank, nodes or range(1, d.rank + 1), nu)
+    nodes, nu_of = sub_weight(d.rank, range(1, d.rank + 1) if nodes is None else nodes, nu)
     for j in nodes:
         total = sum(a * table[k][j - 1] for k, a in enumerate(lam, start=1) if a)
         if total > nu_of[j]:

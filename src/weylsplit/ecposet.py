@@ -330,8 +330,14 @@ class ColoredPoset:
     def maximal_vertices(self):
         return [v for v in range(self.n) if not self.out[v]]
 
-    def wt_restricted(self, x, nodes):
-        return tuple(self.wt[x][j - 1] for j in nodes)
+    def checked_d(self):
+        """The diagram; NotMStructured("no diagram attached") when there is none.
+
+        Every reader that needs the poset's diagram reads it through here.
+        """
+        if self.d is None:
+            raise NotMStructured("no diagram attached")
+        return self.d
 
     # -- structure predicates ----------------------------------------------------
 
@@ -349,10 +355,9 @@ class ColoredPoset:
         return True
 
     def is_m_structured(self):
-        if self.d is None:
-            raise NotMStructured("no diagram attached")
+        cartan = self.checked_d().cartan
         for u, v, c in self.edges:
-            if wadd(self.wt[u], self.d.cartan[c - 1]) != self.wt[v]:
+            if wadd(self.wt[u], cartan[c - 1]) != self.wt[v]:
                 return False
         return True
 
@@ -417,13 +422,12 @@ class ColoredPoset:
     # -- weight generating functions ------------------------------------------------
 
     def wgf(self):
-        if self.d is None:
-            raise NotMStructured("no diagram attached")
+        d = self.checked_d()
         out = {}
         for x in range(self.n):
             w = self.wt[x]
             out[w] = out.get(w, 0) + 1
-        return wsf.WeylSymFn(self.d, out)
+        return wsf.WeylSymFn(d, out)
 
 
 StructureChecks = namedtuple("StructureChecks", [
@@ -469,7 +473,7 @@ def recolor(p, sigma):
 
 def bowtie(p):
     """The sigma0-recolored dual."""
-    s0 = p.d.sigma0()
+    s0 = p.checked_d().sigma0()
     return ColoredPoset(p.n, [(v, u, s0[c]) for u, v, c in p.edges], diagram=p.d,
                         n_colors=p.n_colors, labels=p.labels)
 
@@ -775,7 +779,8 @@ def verify_tau_kappa(p, nodes, nu, witness):
     """
     witness = witness.check(p)
     sel, nu_of = sub_weight(p.n_colors, nodes, nu)
-    sub = p.d.sub_diagram(sel)[0]
+    d = p.checked_d()
+    sub = d.sub_diagram(sel)[0]
     nu = tuple(nu_of.values())
     rest = [x for x in range(p.n) if x not in witness.S]
     if sorted(witness.tau) != sorted(rest) or sorted(witness.tau.values()) != sorted(rest):
@@ -784,15 +789,15 @@ def verify_tau_kappa(p, nodes, nu, witness):
         if witness.kappa.get(x) not in nu_of:
             return False, "kappa(%d) missing or outside J" % x
     for s in witness.S:
-        if not sub.is_dominant(wadd(nu, p.wt_restricted(s, sel))):
+        if not sub.is_dominant(wadd(nu, d.project(p.wt[s], sel))):
             return False, "nu + wtJ not dominant at vertex %d" % s
     for x in rest:
         k = witness.kappa[x]
         t = sel.index(k)
         coef = 1 + nu_of[k] + p.m(k, x)
-        want = wsub(wadd(nu, p.wt_restricted(x, sel)),
+        want = wsub(wadd(nu, d.project(p.wt[x], sel)),
                     tuple(coef * sub.cartan[t][j] for j in range(sub.rank)))
-        got = wadd(nu, p.wt_restricted(witness.tau[x], sel))
+        got = wadd(nu, d.project(p.wt[witness.tau[x]], sel))
         if got != want:
             return False, "tau/kappa identity fails at vertex %d" % x
     wgf_j = p.wgf().restrict(sel)
@@ -802,7 +807,7 @@ def verify_tau_kappa(p, nodes, nu, witness):
     lhs = wsf.freudenthal(sub, nu) * wgf_j
     rhs = wsf.WeylSymFn(sub)
     for s in witness.S:
-        rhs = rhs + wsf.freudenthal(sub, wadd(nu, p.wt_restricted(s, sel)))
+        rhs = rhs + wsf.freudenthal(sub, wadd(nu, d.project(p.wt[s], sel)))
     if lhs != rhs:
         return False, "conclusion identity failed (unexpected)"
     return True, None

@@ -21,7 +21,8 @@ class ExactnessError(ArithmeticError):
 # --- cartan ---
 
 class NotGCM(DomainError):
-    """Matrix violates the generalized Cartan matrix axioms."""
+    """Matrix violates the generalized Cartan matrix axioms, or a node or
+    node subset is not plain ints in 1..rank (cartan's one node rule)."""
 
 
 class NotFiniteType(DomainError):
@@ -88,7 +89,8 @@ class NotRanked(DomainError):
 
 
 class NotMStructured(DomainError):
-    """Operation requires an M-structured poset."""
+    """Operation requires an M-structured poset, or a poset with a diagram
+    attached (ColoredPoset.checked_d)."""
 
 
 class NotConnected(DomainError):

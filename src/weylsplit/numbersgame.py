@@ -112,11 +112,13 @@ def play(d, position, strategy="first", cap=DEFAULT_FIRING_CAP):
         elif k >= cap:
             records.append(GameRecord(position, tuple(fired), tuple(trace), pos, True, cap))
             nodes = []
+        if not nodes and strategy != "all":
+            return records[0]       # one record: no stack to unwind
         todo.append(nodes[::-1])
         while not todo[-1]:
             todo.pop()
             if not todo:
-                return records if strategy == "all" else records[0]
+                return records
             fired.pop()
             trace.pop()
         i = todo[-1].pop()

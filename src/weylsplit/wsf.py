@@ -95,7 +95,8 @@ class WeylSymFn:
         return sorted(self.terms.items())
 
     def coeff(self, mu):
-        return self.terms.get(tuple(mu), 0)
+        """The coefficient of e^mu, mu read through d.check_weight."""
+        return self.terms.get(self.d.check_weight(mu), 0)
 
     def power(self, k):
         """self ** k for a plain int k >= 0; BadExponent otherwise."""
@@ -418,7 +419,7 @@ def expand_in_bialternants(f):
         if not all(d.is_dominant(m) for m in layer):
             raise NotInvariant("top-height support is not dominant")
         for m in layer:
-            c = rem.coeff(m)
+            c = rem.terms.get(m, 0)
             if c:
                 out[m] = out.get(m, 0) + c
                 rem = rem - c * freudenthal(d, m)

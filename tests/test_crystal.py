@@ -666,14 +666,36 @@ JNU_READERS = _jnu_readers()
 @pytest.mark.parametrize("nodes, nu, error", [
     ((1, 3), (0, 0), NotGCM),
     ((0,), (0,), NotGCM),
+    ((True,), (0,), NotGCM),
     # node 2 used to be dropped in silence, and the extra entry ignored
     ((1, 2), (0,), DiagramMismatch),
     ((1, 1), (0, 5), DiagramMismatch),
     ((1,), (-1,), NotDominant),
-], ids=["node_3", "node_0", "short_nu", "repeated_node_long_nu", "negative_nu"])
+], ids=["node_3", "node_0", "node_true", "short_nu", "repeated_node_long_nu",
+        "negative_nu"])
 def test_jnu_readers_reject_bad_subweights(name, nodes, nu, error):
     with pytest.raises(error):
         JNU_READERS[name](nodes, nu)
+
+
+# the readers of a node or a node subset without a nu, each given one node of A2
+NODE_READERS = {
+    "branch": lambda j: cr.branch(A2, (1, 1), (j,)),
+    "restrict": lambda j: wsf.freudenthal(A2, (1, 0)).restrict((j,)),
+    "sub_diagram": lambda j: A2.sub_diagram((1, j)),
+    "check_node": A2.check_node,
+    "alpha": A2.alpha,
+    "omega": A2.omega,
+}
+
+
+@pytest.mark.parametrize("name", sorted(NODE_READERS))
+@pytest.mark.parametrize("node", [0, 3, True], ids=["node_0", "node_3", "node_true"])
+def test_node_readers_share_the_node_rule(name, node):
+    """Node 0 would read the last row, True node 1: all raise NotGCM."""
+    with pytest.raises(NotGCM, match="node subset"):
+        NODE_READERS[name](node)
+    assert NODE_READERS[name](2) is not None
 
 
 def test_sub_weight_counts_a_repeated_node_once():

@@ -1,12 +1,16 @@
 """Bad library input ends in a DomainError subclass, also under python -O.
 
-Weights, nodes, witness J and nu, numbers-game positions and strategies
-and lattice family parameters are read through DynkinDiagram.check_weight,
-check_dominant, check_node, cartan.sub_weight and cartan.int_tuple; a
-coloring witness's S, kappa and tau through ecposet.ColoringWitness.check,
-and the kappa of tau_from_jnu_coloring through verify_jnu_coloring;
-WeylSymFn.power takes only a plain int exponent >= 0, and numbersgame.play
-only a plain int firing cap >= 1.
+Weights, numbers-game positions and strategies and lattice family
+parameters are read through DynkinDiagram.check_weight, check_dominant and
+cartan.int_tuple (WeylSymFn.coeff reads its weight through check_weight);
+nodes and node subsets J through the one node rule, which check_node,
+sub_diagram and cartan.sub_weight (J with its nu) share; a coloring
+witness's S, kappa and tau through ecposet.ColoringWitness.check, and the
+kappa of tau_from_jnu_coloring through verify_jnu_coloring; a poset's
+diagram through ColoredPoset.checked_d, so a poset without one raises
+NotMStructured.  saturation_predicate reads an empty J as empty, not as
+every node.  WeylSymFn.power takes only a plain int exponent >= 0, and
+numbersgame.play only a plain int firing cap >= 1.
 """
 
 import json
@@ -94,6 +98,16 @@ PROBES = [
     ("numbersgame.play(d, (1, 0), cap=1.5)", "IllegalFire"),
     ("numbersgame.play(d, (1, 0), cap=True)", "IllegalFire"),
     ("numbersgame.play(d, (1, 0), cap=0)", "IllegalFire"),
+    # a poset with no diagram: bare AttributeErrors
+    ("ecposet.verify_tau_kappa(ecposet.ColoredPoset(3, p.edges), (1, 2), (0, 0), "
+     "ecposet.ColoringWitness({2}, {0: 1, 1: 2}, {0: 0, 1: 1}))", "NotMStructured"),
+    ("ecposet.bowtie(ecposet.ColoredPoset(3, p.edges))", "NotMStructured"),
+    ("crystal.crystal_product(ecposet.ColoredPoset(3, p.edges))", "NotMStructured"),
+    # an empty J read as every node, and returned True
+    ("crystal.saturation_predicate(d, (1, 0), (5, 5), ())", "DiagramMismatch"),
+    # coeff kept any tuple: a short weight gave 0, a float entry matched 1
+    ("wsf.WeylSymFn.monomial(d, (1, 0)).coeff((1,))", "DiagramMismatch"),
+    ("wsf.WeylSymFn.monomial(d, (1, 0)).coeff((1.0, 0))", "NotAWeight"),
 ]
 
 # One interpreter for the whole table; each call gets a 1 s alarm, so a walk

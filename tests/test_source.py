@@ -211,16 +211,69 @@ def test_cli_reads_the_diagram_once():
         assert not reads, "%s reads args.diagram at %s" % (fn.name, reads)
 
 
+def _functions(path):
+    """Each function defined in path, by its name with its classes
+    (Class.method), outside any other function."""
+    out, stack = {}, [(ast.parse(path.read_text(), str(path)), "")]
+    while stack:
+        node, scope = stack.pop()
+        for child in ast.iter_child_nodes(node):
+            if isinstance(child, (ast.FunctionDef, ast.ClassDef)):
+                name = scope + "." + child.name if scope else child.name
+                if isinstance(child, ast.FunctionDef):
+                    out[name] = child
+                else:
+                    stack.append((child, name))
+    return out
+
+
+def _calls(fn, name):
+    """Lines of the calls in fn of a function or method called name."""
+    return [node.lineno for node in ast.walk(fn) if isinstance(node, ast.Call)
+            and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
+
+
+def _raises(path, error, text):
+    """Lines of path that raise error(...) with text in a string of the call."""
+    return [node.lineno for node in ast.walk(ast.parse(path.read_text(), str(path)))
+            if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
+            and getattr(node.exc.func, "id", None) == error
+            and any(isinstance(c, ast.Constant) and text in str(c.value)
+                    for c in ast.walk(node.exc))]
+
 
 def test_play_fires_at_one_site():
     """"first", "all" and a fixed sequence are one walk: play fires at one
     site, and the CLI's numbers-game calls play once for every strategy."""
-    def calls(path, function, name):
-        fn, = [fn for fn in ast.parse(path.read_text()).body
-               if isinstance(fn, ast.FunctionDef) and fn.name == function]
-        return [node.lineno for node in ast.walk(fn) if isinstance(node, ast.Call)
-                and name in (getattr(node.func, "id", None), getattr(node.func, "attr", None))]
-    fires = calls(SRC / "numbersgame.py", "play", "fire")
+    fires = _calls(_functions(SRC / "numbersgame.py")["play"], "fire")
     assert len(fires) == 1, fires
-    plays = calls(SRC / "cli.py", "cmd_numbers_game", "play")
+    plays = _calls(_functions(SRC / "cli.py")["cmd_numbers_game"], "play")
     assert len(plays) == 1, plays
+
+
+def test_node_rule_and_diagram_check_are_stated_once():
+    """cartan states the node rule once, in _node_subset, and sub_weight,
+    sub_diagram and check_node call it; a poset's diagram is read through
+    ColoredPoset.checked_d, the one raise of "no diagram attached"."""
+    where = {path.name: (_raises(path, "NotGCM", "out of range"),
+                         _raises(path, "NotMStructured", "no diagram attached"))
+             for path in sorted(SRC.glob("*.py"))}
+    assert {name: len(lines) for name, (lines, _) in where.items() if lines} \
+        == {"cartan.py": 1}, where
+    assert {name: len(lines) for name, (_, lines) in where.items() if lines} \
+        == {"ecposet.py": 1}, where
+    cartan = _functions(SRC / "cartan.py")
+    assert where["cartan.py"][0][0] in range(cartan["_node_subset"].lineno,
+                                             cartan["_node_subset"].end_lineno + 1)
+    ecposet_fns = _functions(SRC / "ecposet.py")
+    checked = ecposet_fns["ColoredPoset.checked_d"]
+    assert where["ecposet.py"][1][0] in range(checked.lineno, checked.end_lineno + 1)
+    readers = [(cartan, name, "_node_subset") for name in
+               ("sub_weight", "DynkinDiagram.sub_diagram", "DynkinDiagram.check_node")]
+    readers += [(ecposet_fns, name, "checked_d") for name in
+                ("ColoredPoset.is_m_structured", "ColoredPoset.wgf", "bowtie",
+                 "verify_tau_kappa")]
+    readers.append((_functions(SRC / "crystal.py"), "TensorOps.__init__", "checked_d"))
+    for functions, name, callee in readers:
+        assert _calls(functions[name], callee), "%s does not call %s" % (name, callee)
+    assert not hasattr(ecposet.ColoredPoset, "wt_restricted")
