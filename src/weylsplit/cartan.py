@@ -14,6 +14,10 @@ Conventions used throughout the package:
   dropped.  check_node is its one-node case, sub_weight reads J with its
   weight nu through it, and sub_diagram reads J through it too.
 * The i-th simple root, in omega coordinates, is row i of the Cartan matrix.
+* RawGCMGraph is the one GCM-graph class: the matrix, check_node and
+  simple_reflection, the one formula for s_i.  Firing node i in the numbers
+  game is s_i, and numbersgame.fire calls it.  DynkinDiagram extends
+  RawGCMGraph with the rank bound and the finite-type set-up.
 * All arithmetic is exact: ints and fractions.Fraction, never floats.  A
   diagram is set up in ints (the inverse Cartan matrix as det and adjugate,
   root lengths from an integer symmetrizer); its public inverse_cartan,
@@ -304,15 +308,64 @@ def gcm_matrix(cartan):
 _MIJ_FROM_PRODUCT = {0: 2, 1: 3, 2: 4, 3: 6}
 
 
-class DynkinDiagram:
+class RawGCMGraph:
+    """A GCM graph: its matrix, its simple reflections and the node rule.
+
+    The base class of DynkinDiagram, with no finite-type requirement and no
+    rank bound.  Built from a bare matrix it is the numbers game's
+    diagnostics mode: fire and play accept it, so the admissibility
+    experiment (convergence from a nonzero dominant position iff finite
+    type) runs on any GCM graph, with no convergence guarantee.
+    """
+
+    def __init__(self, cartan):
+        self.cartan = gcm_matrix(cartan)
+        self.rank = len(self.cartan)
+        # the nonzero (j, M_ij) of each row: s_i moves only node i and its neighbours
+        self._sparse_rows = tuple(tuple((j, a) for j, a in enumerate(row) if a)
+                                  for row in self.cartan)
+
+    def check_node(self, i):
+        """i when it is a plain int in 1..rank; NotGCM otherwise.
+
+        The one-node case of the node rule, _node_subset.
+        """
+        return _node_subset(self.rank, (i,))[0]
+
+    def simple_reflection(self, i, mu):
+        """s_i(mu) = mu - mu_i * alpha_i: the one formula for s_i.
+
+        Firing node i in the numbers game (numbersgame.fire) is this map.
+        mu may hold ints and Fractions; only node i and its neighbours
+        change, so an entry j with M_ij = 0 keeps its value and its type.
+        i and mu are read unchecked, as on every hot inner call.
+        """
+        c = mu[i - 1]
+        if c == 0:
+            return tuple(mu)
+        out = list(mu)
+        for j, a in self._sparse_rows[i - 1]:
+            out[j] -= c * a
+        return tuple(out)
+
+    def act(self, word, mu):
+        """Apply s_{i_k} ... s_{i_1} for word = (i_1, ..., i_k)."""
+        for i in word:
+            mu = self.simple_reflection(i, mu)
+        return mu
+
+
+class DynkinDiagram(RawGCMGraph):
     """A validated finite-type GCM graph; the single source of Cartan data.
 
-    Immutable after construction and safe to share.  Derived root-system
-    constants (positive roots, longest word, sigma_0, Weyl order) are
-    computed lazily through the numbers-game engine and cached.  Every other
-    derived result lives in ``memo``, a dict from kind to that kind's
-    results: "kostant" (wsf, partition counts), "freudenthal" (wsf, the
-    dominant multiplicities of each lambda, shared by freudenthal and
+    A RawGCMGraph (so it shares that class's s_i and node rule) of rank at
+    most MAX_RANK whose every component is of finite type.  Immutable after
+    construction and safe to share.  Derived root-system constants
+    (positive roots, longest word, sigma_0, Weyl order) are computed lazily
+    through the numbers-game engine and cached.  Every other derived result
+    lives in ``memo``, a dict from kind to that kind's results: "kostant"
+    (wsf, partition counts), "freudenthal" (wsf, the dominant
+    multiplicities of each lambda, shared by freudenthal and
     dominant_multiplicities), "crystal" (the R(lambda) posets) and "sub"
     (the diagrams sub_diagram built on proper node subsets, by node tuple).
     The results are freed with the diagram; an equal diagram built afresh
@@ -320,14 +373,9 @@ class DynkinDiagram:
     """
 
     def __init__(self, cartan):
-        cartan = gcm_matrix(cartan)
-        n = len(cartan)
-        _check_rank(n)
-        self.cartan = cartan
-        self.rank = n
-        # the nonzero (j, M_ij) of each row: s_i moves only node i and its neighbours
-        self._sparse_rows = tuple(tuple((j, a) for j, a in enumerate(row) if a)
-                                  for row in cartan)
+        super().__init__(cartan)
+        _check_rank(self.rank)
+        cartan, n = self.cartan, self.rank
 
         # connected components of the underlying graph, and along the same
         # walk <a_w,a_w> / <a_s,a_s> as num[w] / den[w], since
@@ -458,33 +506,10 @@ class DynkinDiagram:
             raise NotDominant("weight %s is not dominant" % (mu,))
         return mu
 
-    def check_node(self, i):
-        """i when it is a plain int in 1..rank; NotGCM otherwise.
-
-        The one-node case of the node rule, _node_subset.
-        """
-        return _node_subset(self.rank, (i,))[0]
-
     def is_strongly_dominant(self, mu):
         return all(c > 0 for c in mu)
 
     # -- exact coordinate algebra ------------------------------------------
-
-    def simple_reflection(self, i, mu):
-        """s_i(mu) = mu - mu_i * alpha_i; identical to firing node i."""
-        c = mu[i - 1]
-        if c == 0:
-            return tuple(mu)
-        out = list(mu)
-        for j, a in self._sparse_rows[i - 1]:
-            out[j] -= c * a
-        return tuple(out)
-
-    def act(self, word, mu):
-        """Apply s_{i_k} ... s_{i_1} for word = (i_1, ..., i_k)."""
-        for i in word:
-            mu = self.simple_reflection(i, mu)
-        return mu
 
     def root_coords_scaled(self, mu):
         """denom times the coefficients of mu on the simple roots (Q^T mu)."""
@@ -666,7 +691,13 @@ def build_diagram(spec):
 
 
 def parse_weight(text, rank):
-    parts = [p for p in text.split(",") if p.strip() != ""]
+    """The CLI's comma-separated weight text as a tuple of rank ints.
+
+    Every field is read by int, which accepts whitespace around it.  An
+    empty field ("1,,0", "1,0,"), a field int cannot read and a text with
+    other than rank fields raise ValueError: the CLI's usage error, exit 2.
+    """
+    parts = text.split(",")
     if len(parts) != rank:
         raise ValueError("weight %r has wrong length for rank %d" % (text, rank))
-    return tuple(int(p) for p in parts)
+    return tuple(map(int, parts))

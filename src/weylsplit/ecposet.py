@@ -42,7 +42,7 @@ from . import wsf
 from .cartan import sub_weight, wadd, wsub
 from .errors import (DiagramMismatch, ExactnessError, MalformedPoset,
                      NotAcyclic, NotChainProduct, NotConnected, NotCovering,
-                     NotMStructured, NotRanked)
+                     NotMStructured, NotRanked, UnknownFormat)
 
 LATTICE_CHECK_LIMIT = 900
 
@@ -995,6 +995,7 @@ def colored_isomorphic(p, q):
 # serialization
 
 def export_poset(p, fmt="json"):
+    """p as compact JSON text or a Graphviz dot digraph; UnknownFormat otherwise."""
     if fmt == "json":
         import json
         data = {
@@ -1011,7 +1012,7 @@ def export_poset(p, fmt="json"):
             lines.append('  v%d -> v%d [label="%d"];' % (u, v, c))
         lines.append("}")
         return "\n".join(lines)
-    raise ValueError("unknown export format %r" % fmt)
+    raise UnknownFormat("unknown export format %r" % (fmt,))
 
 
 def import_poset(data, diagram=None):

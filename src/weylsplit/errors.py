@@ -51,8 +51,9 @@ class IllegalFire(DomainError):
     """Attempt to fire a node whose number is not positive.
 
     Also a numbers-game strategy that is not "first", "all" or a sequence of
-    plain ints in 1..rank, and a firing cap that is not a plain int >= 1
-    (`numbersgame.play`).
+    plain ints, and a firing cap that is not a plain int >= 1
+    (`numbersgame.play`).  A strategy node outside 1..rank is NotGCM, the
+    node rule's error.
     """
 
 
@@ -99,6 +100,10 @@ class NotConnected(DomainError):
 
 class NotChainProduct(DomainError):
     """A monochromatic component failed chain-product factorization."""
+
+
+class UnknownFormat(DomainError):
+    """A poset export format other than "json" or "dot" (`ecposet.export_poset`)."""
 
 
 class MalformedPoset(DomainError):

@@ -3,26 +3,17 @@
 Firing, game sequences, convergence, the one reduced word for the longest
 Weyl group element and the positive roots read off it, rank generating
 function exponents, and the Weyl group order.  Positions are ints or
-Fractions, and a node fires only while its number is positive.
+Fractions, and a node fires only while its number is positive.  The game
+runs on cartan's GCM graphs and states none of their rules again: firing
+node i is the graph's simple_reflection s_i, a strategy's nodes are read by
+its check_node, and a bare matrix is played as a cartan.RawGCMGraph (also
+importable from here).
 """
 
 from collections import namedtuple
 
-from .cartan import DEFAULT_FIRING_CAP, gcm_matrix, int_tuple
+from .cartan import DEFAULT_FIRING_CAP, RawGCMGraph, int_tuple
 from .errors import DiagramMismatch, ExactnessError, IllegalFire, NotAWeight
-
-
-class RawGCMGraph:
-    """A GCM graph without the finite-type requirement.
-
-    Diagnostics-only: fire/play accept it, so the admissibility experiment
-    (convergence from a nonzero dominant position iff finite type) can be
-    run on arbitrary GCM graphs.  No convergence guarantee.
-    """
-
-    def __init__(self, cartan):
-        self.cartan = gcm_matrix(cartan)
-        self.rank = len(self.cartan)
 
 
 class GameRecord(namedtuple("GameRecord", [
@@ -51,12 +42,17 @@ class GameRecord(namedtuple("GameRecord", [
 
 
 def fire(d, position, i):
-    """Fire node i: lambda_j -> lambda_j - M_ij * lambda_i."""
-    row = d.cartan[i - 1]
+    """Fire node i: lambda_j -> lambda_j - M_ij * lambda_i.
+
+    Firing is the simple reflection s_i: fire raises IllegalFire unless
+    node i's number is positive, then returns d.simple_reflection(i,
+    position).  It is the hot path of constants() and rgf_exponents, so i
+    and position are read unchecked.
+    """
     v = position[i - 1]
     if v <= 0:
         raise IllegalFire("node %d has nonpositive number %s" % (i, v))
-    return tuple(p - row[j] * v for j, p in enumerate(position))
+    return d.simple_reflection(i, position)
 
 
 def _positive_nodes(d, position):
@@ -74,14 +70,15 @@ def play(d, position, strategy="first", cap=DEFAULT_FIRING_CAP):
     before the cap, so a game that ends at exactly cap firings is terminal.
     The cap applies to "first" and "all", never to a sequence, and
     divergence is reported via the record's diverged flag, never as an
-    error.  Any other strategy is an explicit sequence, which raises
-    IllegalFire before anything is fired unless it holds plain ints in
-    1..rank, and for a node whose number is nonpositive when its turn comes.
-    A cap that is not a plain int >= 1 raises IllegalFire.  The position is
-    read through int_tuple: NotAWeight unless it is a sequence of plain ints
-    and Fractions (1.5 and True are rejected, not played), and
+    error.  Any other strategy is an explicit sequence.  Before anything is
+    fired it raises IllegalFire unless it is a sequence of plain ints, and
+    NotGCM for a node outside 1..rank (d.check_node, the node rule); it
+    raises IllegalFire for a node whose number is nonpositive when its turn
+    comes.  A cap that is not a plain int >= 1 raises IllegalFire.  The
+    position is read through int_tuple: NotAWeight unless it is a sequence
+    of plain ints and Fractions (1.5 and True are rejected, not played), and
     DiagramMismatch unless it has rank entries.  fire(), the hot path of
-    constants() and rgf_exponents, reads its position unchecked.
+    constants() and rgf_exponents, reads its node and position unchecked.
     """
     if type(cap) is not int or cap < 1:
         raise IllegalFire("firing cap %r is below 1 or not a plain int" % (cap,))
@@ -90,13 +87,8 @@ def play(d, position, strategy="first", cap=DEFAULT_FIRING_CAP):
         raise DiagramMismatch("position %s does not have %d entries" % (position, d.rank))
     seq = None
     if strategy not in ("first", "all"):
-        # The range check stays here: fire() stays unchecked, as the hot
-        # path of this walk and of rgf_exponents, and its row lookup would
-        # wrap a node 0 to the last row.
-        seq = int_tuple(strategy, IllegalFire, 'a strategy other than "first" or "all"')
-        for i in seq:
-            if not 1 <= i <= d.rank:
-                raise IllegalFire("node %s is not in 1..%d" % (i, d.rank))
+        seq = tuple(d.check_node(i) for i in int_tuple(
+            strategy, IllegalFire, 'a strategy other than "first" or "all"'))
         cap = len(seq)      # the sequence runs out before this cap is reached
     # depth-first over shared fired/trace lists; todo[k] holds the nodes
     # still to fire from trace[k], lowest last so pop() takes it first

@@ -1,7 +1,8 @@
 """Shared fixtures and independent brute-force oracles.
 
-The oracles here deliberately avoid the library's own derivations: the
-Weyl group is closed as a set of exact matrices, partition counts come
+The oracles here deliberately avoid the library's own derivations: a
+numbers-game firing reads the whole dense Cartan row, the Weyl group is
+closed as a set of exact matrices, partition counts come
 from bounded enumeration (and, with their memo keys, from a recursion per
 positive root), positive roots from reflection closure or by
 reflecting each simple root along a word, Weyl orbits from a search that
@@ -40,6 +41,15 @@ def diagrams():
 
 def load_fixture(name):
     return json.loads(resources.files("weylsplit.fixtures").joinpath(name).read_text())
+
+
+# ---------------------------------------------------------------------------
+# firing by the dense Cartan row
+
+def dense_fire(d, position, i):
+    """Fire node i of d: lambda_j - M_ij * lambda_i for every j, zeros included."""
+    row, v = d.cartan[i - 1], position[i - 1]
+    return tuple(p - m * v for p, m in zip(position, row))
 
 
 # ---------------------------------------------------------------------------

@@ -77,6 +77,16 @@ def test_usage_error_exit_2(capsys):
     assert rc == 2
 
 
+@pytest.mark.parametrize("weight", ["1,,0", "1,0,", ",1,0"])
+def test_empty_weight_field_is_a_usage_error(capsys, weight):
+    """Every --weight field is read: an empty one is not skipped."""
+    rc, out, err = run(capsys, "char", "--diagram", "A2", "--weight", weight)
+    assert rc == 2 and out == "" and err.startswith("usage error:")
+    # whitespace around a field is still accepted
+    assert run(capsys, "char", "--diagram", "A2", "--weight", " 1 , 0 ") \
+        == run(capsys, "char", "--diagram", "A2", "--weight", "1,0")
+
+
 def test_domain_error_exit_1(capsys):
     rc, _, err = run(capsys, "info", "--diagram", "cartan:[[2,-2],[-2,2]]")
     assert rc == 1
@@ -326,9 +336,9 @@ def test_optimized_run_rejects_non_dominant():
      "MalformedPoset"),
     # node 0 would read the last Cartan row, node 5 past the end
     (("numbers-game", "--diagram", "A2", "--position", "1,1", "--strategy", "0"),
-     "IllegalFire"),
+     "NotGCM"),
     (("numbers-game", "--diagram", "A2", "--position", "1,1", "--strategy", "5"),
-     "IllegalFire"),
+     "NotGCM"),
     (("branch", "--diagram", "A2", "--weight", "1,1", "--subset", "0"), "NotGCM"),
     (("branch", "--diagram", "A2", "--weight", "1,1", "--subset", "5"), "NotGCM"),
     (("lattice", "--family", "gt", "--n", "3"), "InvalidFamilyParams"),

@@ -3,14 +3,15 @@
 Weights, numbers-game positions and strategies and lattice family
 parameters are read through DynkinDiagram.check_weight, check_dominant and
 cartan.int_tuple (WeylSymFn.coeff reads its weight through check_weight);
-nodes and node subsets J through the one node rule, which check_node,
-sub_diagram and cartan.sub_weight (J with its nu) share; a coloring
-witness's S, kappa and tau through ecposet.ColoringWitness.check, and the
-kappa of tau_from_jnu_coloring through verify_jnu_coloring; a poset's
-diagram through ColoredPoset.checked_d, so a poset without one raises
-NotMStructured.  saturation_predicate reads an empty J as empty, not as
+nodes, node subsets J and a numbers-game strategy's nodes through the one
+node rule, which check_node, sub_diagram and cartan.sub_weight (J with its
+nu) share; a coloring witness's S, kappa and tau through
+ecposet.ColoringWitness.check, and the kappa of tau_from_jnu_coloring
+through verify_jnu_coloring; a poset's diagram through
+ColoredPoset.checked_d, so a poset without one raises NotMStructured.  saturation_predicate reads an empty J as empty, not as
 every node.  WeylSymFn.power takes only a plain int exponent >= 0, and
-numbersgame.play only a plain int firing cap >= 1.
+numbersgame.play only a plain int firing cap >= 1.  ecposet.export_poset
+writes only json and dot.
 """
 
 import json
@@ -108,6 +109,10 @@ PROBES = [
     # coeff kept any tuple: a short weight gave 0, a float entry matched 1
     ("wsf.WeylSymFn.monomial(d, (1, 0)).coeff((1,))", "DiagramMismatch"),
     ("wsf.WeylSymFn.monomial(d, (1, 0)).coeff((1.0, 0))", "NotAWeight"),
+    # a bare ValueError
+    ("ecposet.export_poset(p, 'xml')", "UnknownFormat"),
+    # a strategy node had its own rule and error, IllegalFire
+    ("numbersgame.play(d, (1, 1), (0,))", "NotGCM"),
 ]
 
 # One interpreter for the whole table; each call gets a 1 s alarm, so a walk

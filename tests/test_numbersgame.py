@@ -1,18 +1,23 @@
 import itertools
 import random
+from fractions import Fraction
 
 import pytest
 
 from weylsplit import DynkinDiagram, build_diagram
 from weylsplit import numbersgame as ng
-from weylsplit.errors import ExactnessError, IllegalFire, NotDominant
+from weylsplit.errors import ExactnessError, IllegalFire, NotDominant, NotGCM
 
-from conftest import brute_positive_roots, brute_weyl_group, inversion_roots, norm2
+from conftest import (brute_positive_roots, brute_weyl_group, dense_fire, inversion_roots,
+                      norm2)
 
 FINITE_TYPES = (["A%d" % n for n in range(1, 9)] + ["B%d" % n for n in range(3, 9)]
                 + ["C%d" % n for n in range(2, 9)] + ["D%d" % n for n in range(4, 9)]
                 + ["E6", "E7", "E8", "F4", "G2"])
 SUMS = ["A2+A1", "C2+G2", "B3+A2+G2", "A1+A1+A1", "D4+F4"]
+# affine, hyperbolic, and a non-symmetric 3 x 3 graph with a zero pair
+RAW_CARTANS = ([[2, -2], [-2, 2]], [[2, -3], [-3, 2]],
+               [[2, -1, 0], [-3, 2, -2], [0, -1, 2]])
 
 
 def _roots(d):
@@ -39,6 +44,32 @@ def test_fire_c2_examples():
     c2 = build_diagram("C2")
     assert ng.fire(c2, (1, 1), 1) == (-1, 2)
     assert ng.fire(c2, (-1, 2), 2) == (3, -2)
+
+
+def test_fire_is_the_dense_row_formula(many_diagrams):
+    """fire equals the dense-row oracle in value on int and mixed
+    int/Fraction positions, and in each entry's type on int positions."""
+    rng = random.Random(35)
+    graphs = many_diagrams + [ng.RawGCMGraph(m) for m in RAW_CARTANS]
+    for d in graphs:
+        for _ in range(3):
+            ints = tuple(rng.randint(-5, 5) for _ in range(d.rank))
+            mixed = tuple(rng.choice((x, Fraction(x, rng.randint(2, 5)))) for x in ints)
+            for pos, i in itertools.product((ints, mixed), range(1, d.rank + 1)):
+                pos = pos[:i - 1] + (abs(pos[i - 1]) + 1,) + pos[i:]
+                got, want = ng.fire(d, pos, i), dense_fire(d, pos, i)
+                assert got == want, (d.cartan, pos, i)
+                if all(type(x) is int for x in pos):
+                    assert list(map(type, got)) == list(map(type, want)), (d.cartan, pos, i)
+
+
+def test_fire_keeps_the_type_of_an_unmoved_entry():
+    # node 3 is no neighbour of node 1, so its int 7 is not touched
+    a3 = build_diagram("A3")
+    got = ng.fire(a3, (Fraction(1, 2), 5, 7), 1)
+    assert got == (Fraction(-1, 2), Fraction(11, 2), 7) and type(got[2]) is int
+    rec = ng.play(a3, (Fraction(1, 2), 5, 7), (1,))
+    assert rec.to_json_dict()["terminal"] == ["-1/2", "11/2", 7]
 
 
 def test_fire_twice_illegal():
@@ -69,7 +100,7 @@ def test_play_g2_given_sequence():
 def test_play_rejects_nodes_out_of_range():
     a2 = build_diagram("A2")
     for seq in [(0,), (3,), (1, 5), (-1,)]:
-        with pytest.raises(IllegalFire, match="not in 1..2"):
+        with pytest.raises(NotGCM, match="not in 1..2"):
             ng.play(a2, (1, 1), seq)
 
 

@@ -6,7 +6,8 @@ from pathlib import Path
 
 import pytest
 
-from weylsplit import build_diagram, crystal, ecposet, numbersgame, patternlat, wsf
+from weylsplit import (DynkinDiagram, build_diagram, crystal, ecposet, numbersgame, patternlat,
+                       wsf)
 from weylsplit.errors import DiagramMismatch, MalformedPoset, NotAWeight
 
 SRC = Path(__file__).resolve().parent.parent / "src" / "weylsplit"
@@ -234,10 +235,11 @@ def _calls(fn, name):
 
 
 def _raises(path, error, text):
-    """Lines of path that raise error(...) with text in a string of the call."""
+    """Lines of path that raise error(...), or any error when error is None,
+    with text in a string of the call."""
     return [node.lineno for node in ast.walk(ast.parse(path.read_text(), str(path)))
             if isinstance(node, ast.Raise) and isinstance(node.exc, ast.Call)
-            and getattr(node.exc.func, "id", None) == error
+            and error in (None, getattr(node.exc.func, "id", None))
             and any(isinstance(c, ast.Constant) and text in str(c.value)
                     for c in ast.walk(node.exc))]
 
@@ -269,7 +271,7 @@ def test_node_rule_and_diagram_check_are_stated_once():
     checked = ecposet_fns["ColoredPoset.checked_d"]
     assert where["ecposet.py"][1][0] in range(checked.lineno, checked.end_lineno + 1)
     readers = [(cartan, name, "_node_subset") for name in
-               ("sub_weight", "DynkinDiagram.sub_diagram", "DynkinDiagram.check_node")]
+               ("sub_weight", "DynkinDiagram.sub_diagram", "RawGCMGraph.check_node")]
     readers += [(ecposet_fns, name, "checked_d") for name in
                 ("ColoredPoset.is_m_structured", "ColoredPoset.wgf", "bowtie",
                  "verify_tau_kappa")]
@@ -277,3 +279,32 @@ def test_node_rule_and_diagram_check_are_stated_once():
     for functions, name, callee in readers:
         assert _calls(functions[name], callee), "%s does not call %s" % (name, callee)
     assert not hasattr(ecposet.ColoredPoset, "wt_restricted")
+
+
+def test_the_numbers_game_states_no_graph_rule():
+    """cartan holds the one GCM-graph class, RawGCMGraph, with the one s_i
+    and the node rule, and DynkinDiagram extends it.  fire calls
+    simple_reflection and reads no Cartan matrix, play reads a strategy's
+    nodes through check_node, numbersgame defines no graph class (its only
+    classes are its two records), only cartan reads _sparse_rows, and no
+    "is not in 1.." node message is raised outside the node rule."""
+    cartan_fns, game_fns = _functions(SRC / "cartan.py"), _functions(SRC / "numbersgame.py")
+    assert DynkinDiagram.__bases__ == (numbersgame.RawGCMGraph,)
+    assert numbersgame.RawGCMGraph.__module__ == "weylsplit.cartan"
+    for name in ("simple_reflection", "act", "check_node"):
+        assert "RawGCMGraph." + name in cartan_fns and "DynkinDiagram." + name not in cartan_fns
+    fire = game_fns["fire"]
+    assert _calls(fire, "simple_reflection")
+    cartan_reads = [node.lineno for node in ast.walk(fire)
+                    if isinstance(node, ast.Attribute) and node.attr == "cartan"]
+    assert not cartan_reads, "fire reads the Cartan matrix at %s" % cartan_reads
+    assert _calls(game_fns["play"], "check_node")
+    tree = ast.parse((SRC / "numbersgame.py").read_text())
+    assert {node.name for node in ast.walk(tree) if isinstance(node, ast.ClassDef)} \
+        == {"GameRecord", "DiagramConstants"}
+    readers = {path.name for path in SRC.glob("*.py")
+               for node in ast.walk(ast.parse(path.read_text(), str(path)))
+               if isinstance(node, ast.Attribute) and node.attr == "_sparse_rows"}
+    assert readers == {"cartan.py"}, readers
+    stray = {path.name: _raises(path, None, "is not in 1..") for path in SRC.glob("*.py")}
+    assert not any(stray.values()), stray
