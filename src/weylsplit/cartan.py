@@ -42,12 +42,15 @@ from fractions import Fraction
 from functools import lru_cache
 from itertools import chain
 from math import gcd, lcm
-from operator import mul
+from operator import add, mul, sub
 
 from .errors import (DiagramMismatch, DiagramTooLarge, ExactnessError, NotAWeight,
                      NotDominant, NotFiniteType, NotGCM, OrbitTooLarge)
 
 DEFAULT_ORBIT_CAP = 10 ** 6
+# steps of recorded orbit walks a diagram keeps, over all its zero sets; past
+# it, walks run without being recorded (5 bytes a step)
+ORBIT_TABLE_STEPS = 1 << 16
 # greatest total rank of a diagram
 MAX_RANK = 64
 # numbers-game firings before a play is reported as diverged; defined here so
@@ -69,11 +72,11 @@ def orbit_cap():
 # weight helpers (weights are plain int tuples in omega coordinates)
 
 def wadd(u, v):
-    return tuple(a + b for a, b in zip(u, v))
+    return tuple(map(add, u, v))
 
 
 def wsub(u, v):
-    return tuple(a - b for a, b in zip(u, v))
+    return tuple(map(sub, u, v))
 
 
 def wneg(u):
@@ -349,7 +352,15 @@ class RawGCMGraph:
         return tuple(out)
 
     def act(self, word, mu):
-        """Apply s_{i_k} ... s_{i_1} for word = (i_1, ..., i_k)."""
+        """Apply s_{i_k} ... s_{i_1} for word = (i_1, ..., i_k).
+
+        Each node of word is read through check_node (NotGCM unless it is a
+        plain int in 1..rank); mu is read unchecked.
+        """
+        return self._act([self.check_node(i) for i in word], mu)
+
+    def _act(self, word, mu):
+        """act with the nodes of word read unchecked."""
         for i in word:
             mu = self.simple_reflection(i, mu)
         return mu
@@ -366,8 +377,10 @@ class DynkinDiagram(RawGCMGraph):
     lives in ``memo``, a dict from kind to that kind's results: "kostant"
     (wsf, partition counts), "freudenthal" (wsf, the dominant
     multiplicities of each lambda, shared by freudenthal and
-    dominant_multiplicities), "crystal" (the R(lambda) posets) and "sub"
-    (the diagrams sub_diagram built on proper node subsets, by node tuple).
+    dominant_multiplicities), "crystal" (the R(lambda) posets), "sub"
+    (the diagrams sub_diagram built on proper node subsets, by node tuple)
+    and "orbit" (the step table of each orbit walk, by zero set; see
+    _orbit).
     The results are freed with the diagram; an equal diagram built afresh
     starts with an empty memo.
     """
@@ -517,7 +530,7 @@ class DynkinDiagram(RawGCMGraph):
 
     def height_scaled(self, mu):
         """denom * ht(mu)."""
-        return sum(m * h for m, h in zip(mu, self._heights_scaled))
+        return sum(map(mul, mu, self._heights_scaled))
 
     def inner_product_scaled(self, u, v):
         """denom * <u, v>."""
@@ -555,43 +568,105 @@ class DynkinDiagram(RawGCMGraph):
     def weyl_orbit(self, mu):
         """Orbit of mu with det(w) parities, relative to mu.
 
-        Returns dict weight -> parity in {1, -1, None}.  The orbit is walked
-        down from the dominant representative lam, applying s_i to a weight
-        only where its coordinate i is positive: each such step lengthens the
-        minimal w with w(lam) = weight by exactly one, so the breadth-first
-        level of a weight is its depth (Snow, "Weyl group orbits", ACM TOMS
-        16, 1990).  When every coordinate of lam is positive, w is unique and
-        the parity of a weight is (-1)^(depth(weight) - depth(mu)), so mu
-        itself gets 1.  The parity is None (Indeterminate) for every element
-        exactly when lam has a zero coordinate, that is when mu is
-        non-regular.  Raises OrbitTooLarge when more weights are found than
-        the cap, which `orbit_cap` reads from the WEYL_ORBIT_CAP environment
-        variable (default DEFAULT_ORBIT_CAP) at each call.
+        Returns dict weight -> parity in {1, -1, None}, in the order and with
+        the levels of _orbit's walk from the dominant representative top of
+        mu.  A step of that walk lengthens the minimal w with w(top) =
+        weight by exactly one, so the level of a weight is its depth.  When
+        every coordinate of top is positive, w is unique and the parity of a
+        weight is (-1)^(depth(weight) - depth(mu)), so mu itself gets 1.
+        The parity is None (Indeterminate) for every element exactly when
+        top has a zero coordinate, that is when mu is non-regular.  Raises
+        OrbitTooLarge, naming mu, when the orbit holds more weights than the
+        cap (see _orbit).
         """
-        cap = orbit_cap()
         mu = self.check_weight(mu)
         top = self.dominant_rep(mu)
-        parities = {top: 1}
-        frontier, p = [top], 1
-        while frontier:
-            p = -p
-            nxt = []
-            for v in frontier:
-                for i, c in enumerate(v, start=1):
-                    if c > 0:
-                        w = self.simple_reflection(i, v)
-                        if w not in parities:
-                            parities[w] = p
-                            nxt.append(w)
-                            if len(parities) > cap:
-                                raise OrbitTooLarge("orbit of %s exceeds cap %d"
-                                                    % (mu, cap))
-            frontier = nxt
+        orbit, starts = self._orbit(top, mu)
         if not self.is_strongly_dominant(top):
-            return dict.fromkeys(parities)
+            return dict.fromkeys(orbit)
+        parities = {}
+        for level, (a, b) in enumerate(zip(starts, (*starts[1:], len(orbit)))):
+            parities.update(dict.fromkeys(orbit[a:b], -1 if level % 2 else 1))
         if parities[mu] == -1:
             return {w: -q for w, q in parities.items()}
         return parities
+
+    def _orbit(self, top, mu=None):
+        """The orbit of a checked dominant weight top: (weights, level starts).
+
+        The trusted form of weyl_orbit, for callers that already hold a
+        dominant weight.  The walk goes down from top breadth-first,
+        applying s_i to a weight only where its coordinate i is positive
+        (Snow, "Weyl group orbits", ACM TOMS 16, 1990); weights lists the
+        orbit in the order found, and level k runs from starts[k] to the
+        next start.  Raises OrbitTooLarge, naming mu (default top), when
+        the orbit holds more weights than the cap, which orbit_cap reads
+        from the WEYL_ORBIT_CAP environment variable (default
+        DEFAULT_ORBIT_CAP) at each call.
+
+        Each walk is recorded once per zero set J of top, as the (parent
+        index, node) of every weight found after top, in memo["orbit"][J];
+        a later top with the same J replays those steps instead of walking.
+        Why the replay is exact: for w in W, coordinate i of w(top) is
+        <top, w^-1 alpha_i^vee>.  The coroot w^-1 alpha_i^vee is a
+        nonnegative or a nonpositive sum of simple coroots, and top is zero
+        on J and positive off it, so the sign of that coordinate depends
+        only on w and J.  And w(top) = w'(top) exactly when w W_J = w' W_J,
+        W_J being the stabilizer of top (Chevalley).  So the walk makes the
+        same choices for every top with zero set J: which coordinates are
+        positive, and which reflections land on a weight already found.
+        Its sequence of (parent index, node) steps is therefore the same
+        for all of them, and replaying it from another top gives that top's
+        walk exactly: the same weights, in the same order, at the same
+        levels.  A walk stopped by the cap stores nothing, and a diagram
+        keeps at most ORBIT_TABLE_STEPS steps; past that, walks run without
+        being stored.
+        """
+        cap = orbit_cap()
+        rows = self._sparse_rows
+        tables = self.memo.setdefault("orbit", {})
+        zeros = tuple(i for i, c in enumerate(top, 1) if not c)
+        table = tables.get(zeros)
+        orbit = [top]
+        append = orbit.append
+        if table is not None:
+            parents, nodes, starts = table
+            if parents and len(parents) + 1 > cap:
+                raise OrbitTooLarge("orbit of %s exceeds cap %d"
+                                    % (top if mu is None else mu, cap))
+            for k, i in zip(parents, nodes):
+                v = orbit[k]
+                c = v[i]
+                w = list(v)
+                for j, a in rows[i]:
+                    w[j] -= c * a
+                append(tuple(w))
+            return orbit, starts
+        from array import array
+        parents, nodes, starts = array("i"), array("b"), [0]
+        seen, level_end = {top}, 1
+        for k, v in enumerate(orbit):       # orbit grows as the walk finds weights
+            if k == level_end:
+                starts.append(k)
+                level_end = len(orbit)
+            for i, c in enumerate(v):
+                if c > 0:
+                    w = list(v)
+                    for j, a in rows[i]:
+                        w[j] -= c * a
+                    w = tuple(w)
+                    if w not in seen:
+                        seen.add(w)
+                        append(w)
+                        parents.append(k)
+                        nodes.append(i)
+                        if len(orbit) > cap:
+                            raise OrbitTooLarge("orbit of %s exceeds cap %d"
+                                                % (top if mu is None else mu, cap))
+        starts = tuple(starts)
+        if sum(len(t[0]) for t in tables.values()) + len(parents) <= ORBIT_TABLE_STEPS:
+            tables[zeros] = parents, nodes, starts
+        return orbit, starts
 
     # -- derived constants (delegating to the numbers game) ------------------
 

@@ -44,11 +44,15 @@ class GameRecord(namedtuple("GameRecord", [
 def fire(d, position, i):
     """Fire node i: lambda_j -> lambda_j - M_ij * lambda_i.
 
-    Firing is the simple reflection s_i: fire raises IllegalFire unless
-    node i's number is positive, then returns d.simple_reflection(i,
-    position).  It is the hot path of constants() and rgf_exponents, so i
-    and position are read unchecked.
+    Firing is the simple reflection s_i: fire reads node i through
+    d.check_node (NotGCM unless it is a plain int in 1..rank), raises
+    IllegalFire unless its number is positive, then returns
+    d.simple_reflection(i, position).  The position is read unchecked.  The
+    game's own walks (play, and through it longest_word and constants(), and
+    rgf_exponents) fire nodes they chose themselves, so they call
+    d.simple_reflection unchecked.
     """
+    i = d.check_node(i)
     v = position[i - 1]
     if v <= 0:
         raise IllegalFire("node %d has nonpositive number %s" % (i, v))
@@ -77,8 +81,9 @@ def play(d, position, strategy="first", cap=DEFAULT_FIRING_CAP):
     comes.  A cap that is not a plain int >= 1 raises IllegalFire.  The
     position is read through int_tuple: NotAWeight unless it is a sequence
     of plain ints and Fractions (1.5 and True are rejected, not played), and
-    DiagramMismatch unless it has rank entries.  fire(), the hot path of
-    constants() and rgf_exponents, reads its node and position unchecked.
+    DiagramMismatch unless it has rank entries.  A node "first" or "all"
+    picks has a positive number, so it fires as d.simple_reflection,
+    unchecked; a node of a sequence fires through fire.
     """
     if type(cap) is not int or cap < 1:
         raise IllegalFire("firing cap %r is below 1 or not a plain int" % (cap,))
@@ -115,7 +120,8 @@ def play(d, position, strategy="first", cap=DEFAULT_FIRING_CAP):
             trace.pop()
         i = todo[-1].pop()
         fired.append(i)
-        trace.append(fire(d, trace[-1], i))
+        trace.append(d.simple_reflection(i, trace[-1]) if seq is None
+                     else fire(d, trace[-1], i))
 
 
 def _primes(n):
@@ -197,7 +203,10 @@ def rgf_exponents(d, lam):
     """Fired-node numbers of the w_0 word played from (lambda_i + 1).
 
     These are the exponents <lambda + rho, beta_j_vee> appearing in rank
-    generating function and dimension formulas.
+    generating function and dimension formulas.  Each is positive, since
+    the word is reduced and lambda + rho strongly dominant (see
+    enumerate_positive_roots), so the word fires as d.simple_reflection,
+    unchecked.
     """
     lam = d.check_dominant(lam)
     word = d.constants().longest_word
@@ -205,7 +214,7 @@ def rgf_exponents(d, lam):
     out = []
     for i in word:
         out.append(pos[i - 1])
-        pos = fire(d, pos, i)
+        pos = d.simple_reflection(i, pos)
     return out
 
 

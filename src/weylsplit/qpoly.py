@@ -2,13 +2,15 @@
 
 Polynomials are lists of int coefficients, index = exponent.  Dynkin
 polynomials and rank generating functions are quotients
-prod(1 - q^c) / prod(1 - q^e).  ``quotient_rgf`` computes one on a single
-int list of length sum(c) + 1: the power series of the quotient, truncated
-past the numerator's degree.  Multiplying by (1 - q^c) subtracts the series
+prod(1 - q^c) / prod(1 - q^e).  ``quotient_rgf`` cancels the exponents both
+sides share, then computes the quotient on a single int list of length
+sum(c) + 1: the power series of the quotient, truncated past the
+numerator's degree.  Multiplying by (1 - q^c) subtracts the series
 shifted by c; dividing by (1 - q^e) = 1 + q^e + q^2e + ... is a prefix sum
 with stride e.  Each step is linear in the degree.
 """
 
+from collections import Counter
 from itertools import accumulate
 
 
@@ -31,10 +33,14 @@ def quotient_rgf(num_exponents, den_exponents):
 
     The quotient is a polynomial exactly when the truncated series vanishes
     past sum(c) - sum(e): then it times the denominator agrees with the
-    numerator up to and including their common degree sum(c).
+    numerator up to and including their common degree sum(c).  Exponents
+    shared by both sides, counted with multiplicity, cancel first: the
+    quotient is the same, and so is its degree, on a shorter list.
     """
     if min([*num_exponents, *den_exponents], default=1) < 1:
         raise ValueError("exponents must be positive")
+    num, den = Counter(num_exponents), Counter(den_exponents)
+    num_exponents, den_exponents = list((num - den).elements()), list((den - num).elements())
     top = sum(num_exponents)
     s = [1] + [0] * top
     for c in num_exponents:

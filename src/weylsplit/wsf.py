@@ -108,11 +108,16 @@ class WeylSymFn:
         return out
 
     def w_action(self, word):
-        """Transport coefficients along w = s_{i_k} ... s_{i_1}."""
+        """Transport coefficients along w = s_{i_k} ... s_{i_1}.
+
+        The nodes of word are read once, through d.check_node.
+        """
+        d = self.d
+        word = [d.check_node(i) for i in word]
         out = {}
         for m, c in self.terms.items():
-            out[self.d.act(word, m)] = c
-        return WeylSymFn(self.d, out)
+            out[d._act(word, m)] = c
+        return WeylSymFn(d, out)
 
     def is_invariant(self):
         """Full check that every coefficient is constant on simple reflections."""
@@ -183,7 +188,7 @@ def weight_diagram(d, lam):
     """Pi(lambda): union of the orbits of the dominant weights below lambda."""
     weights = set()
     for nu in dominant_weights_below(d, lam):
-        weights.update(d.weyl_orbit(nu))
+        weights.update(d._orbit(nu)[0])
     edges = set()
     for mu in weights:
         for i, a in enumerate(d.cartan, start=1):       # alpha_i is row i
@@ -299,7 +304,7 @@ def _freudenthal_walk(d, lam):
     for r in d.positive_roots():
         g_alpha = tuple(_dot(row, r.root) for row in d.gram_scaled)   # G symmetric
         pos_roots.append((r.root, g_alpha, _dot(r.root, g_alpha)))
-    mult, out = {lam: 1}, dict.fromkeys(d.weyl_orbit(lam), 1)
+    mult, out = {lam: 1}, dict.fromkeys(d._orbit(lam)[0], 1)
     for mu in doms[1:]:         # doms[0] is lam, the one dominant weight of depth 0
         total = 0
         for alpha, g_alpha, aa in pos_roots:
@@ -317,7 +322,7 @@ def _freudenthal_walk(d, lam):
             raise ExactnessError("Freudenthal multiplicity %d at %s is not positive"
                                  % (val, mu))
         mult[mu] = val
-        out.update(dict.fromkeys(d.weyl_orbit(mu), val))
+        out.update(dict.fromkeys(d._orbit(mu)[0], val))
     d.memo.setdefault("freudenthal", {})[lam] = mult
     return mult, out
 
@@ -347,7 +352,7 @@ def freudenthal(d, lam):
         return WeylSymFn(d, _freudenthal_walk(d, lam)[1])
     out = {}
     for rep, c in mult.items():
-        out.update(dict.fromkeys(d.weyl_orbit(rep), c))
+        out.update(dict.fromkeys(d._orbit(rep)[0], c))
     return WeylSymFn(d, out)
 
 

@@ -229,6 +229,59 @@ def test_orbit_matches_brute_random(data):
     assert d.weyl_orbit(mu) == brute_weyl_orbit(d, mu)
 
 
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_orbit_table_replay_matches_a_fresh_walk(data):
+    spec = data.draw(st.sampled_from(SMALL_SPECS))
+    d = build_diagram(spec)
+    perm = data.draw(st.permutations(range(d.rank)))
+    matrix = [[d.cartan[i][j] for j in perm] for i in perm]
+    d = build_diagram(matrix)
+    # two dominant weights with one zero set J, and a weight in the second orbit
+    zero = data.draw(st.lists(st.booleans(), min_size=d.rank, max_size=d.rank))
+    tops = [tuple(0 if z else data.draw(st.integers(1, 4)) for z in zero) for _ in "ab"]
+    mu = d.act(data.draw(st.lists(st.integers(1, d.rank), max_size=6)), tops[1])
+    d.weyl_orbit(tops[0])
+    got = list(d.weyl_orbit(mu).items())
+    assert list(d.memo["orbit"]) == [tuple(j for j, z in enumerate(zero, 1) if z)]
+    assert got == list(build_diagram(matrix).weyl_orbit(mu).items())
+    assert dict(got) == brute_weyl_orbit(d, mu)
+
+
+def test_orbit_table_honours_the_cap(monkeypatch):
+    d = build_diagram("B3")
+    size = len(d.weyl_orbit((1, 0, 2)))     # records the table of J = (2,)
+    mu = d.act((1,), (3, 0, 1))
+    assert not d.is_dominant(mu)
+    monkeypatch.setenv("WEYL_ORBIT_CAP", str(size))
+    assert len(d.weyl_orbit(mu)) == size
+    monkeypatch.setenv("WEYL_ORBIT_CAP", str(size - 1))
+    with pytest.raises(OrbitTooLarge, match=r"orbit of \(%d, %d, %d\) exceeds cap %d"
+                       % (*mu, size - 1)):
+        d.weyl_orbit(mu)
+    # a walk the cap stops stores nothing
+    fresh = build_diagram("B3")
+    with pytest.raises(OrbitTooLarge):
+        fresh.weyl_orbit(mu)
+    assert not fresh.memo.get("orbit")
+    monkeypatch.delenv("WEYL_ORBIT_CAP")
+    assert list(fresh.weyl_orbit(mu).items()) == list(d.weyl_orbit(mu).items())
+    assert list(fresh.memo["orbit"]) == [(2,)]
+
+
+def test_orbit_tables_stay_within_their_budget(monkeypatch):
+    weights = list(itertools.product(range(-1, 3), repeat=3))
+    want = [list(build_diagram("B3").weyl_orbit(mu).items()) for mu in weights]
+    monkeypatch.setattr(cartan, "ORBIT_TABLE_STEPS", 30)
+    d = build_diagram("B3")
+    for _ in range(2):
+        assert [list(d.weyl_orbit(mu).items()) for mu in weights] == want
+        steps = [len(table[0]) for table in d.memo["orbit"].values()]
+        assert sum(steps) <= 30
+    # the regular orbit has 48 weights: it is walked every time, never stored
+    assert steps and () not in d.memo["orbit"]
+
+
 def test_diagram_constants_examples():
     g2 = build_diagram("G2")
     c = g2.constants()

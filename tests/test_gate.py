@@ -5,8 +5,9 @@ parameters are read through DynkinDiagram.check_weight, check_dominant and
 cartan.int_tuple (WeylSymFn.coeff reads its weight through check_weight);
 nodes, node subsets J and a numbers-game strategy's nodes through the one
 node rule, which check_node, sub_diagram and cartan.sub_weight (J with its
-nu) share; a coloring witness's S, kappa and tau through
-ecposet.ColoringWitness.check, and the kappa of tau_from_jnu_coloring
+nu) share, and the nodes of numbersgame.fire, DynkinDiagram.act and
+WeylSymFn.w_action through check_node; a coloring witness's S, kappa and
+tau through ecposet.ColoringWitness.check, and the kappa of tau_from_jnu_coloring
 through verify_jnu_coloring; a poset's diagram through
 ColoredPoset.checked_d, so a poset without one raises NotMStructured.  saturation_predicate reads an empty J as empty, not as
 every node.  WeylSymFn.power takes only a plain int exponent >= 0, and
@@ -113,6 +114,10 @@ PROBES = [
     ("ecposet.export_poset(p, 'xml')", "UnknownFormat"),
     # a strategy node had its own rule and error, IllegalFire
     ("numbersgame.play(d, (1, 1), (0,))", "NotGCM"),
+    # node 0 read index -1, so each of these returned s_2's answer
+    ("numbersgame.fire(d, (1, 1), 0)", "NotGCM"),
+    ("d.act((0,), (1, 1))", "NotGCM"),
+    ("wsf.WeylSymFn.monomial(d, (1, 0)).w_action((0,))", "NotGCM"),
 ]
 
 # One interpreter for the whole table; each call gets a 1 s alarm, so a walk

@@ -180,7 +180,7 @@ def test_quotient_rgf_matches_sympy(nums, free, cuts):
 
 
 def test_quotient_rgf_rejects_non_positive_exponents():
-    for nums, dens in (([0], []), ([2], [0]), ([3, -1], [2])):
+    for nums, dens in (([0], []), ([2], [0]), ([3, -1], [2]), ([0], [0])):
         with pytest.raises(ValueError, match="positive"):
             qpoly.quotient_rgf(nums, dens)
 
