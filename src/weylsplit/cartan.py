@@ -377,7 +377,8 @@ class DynkinDiagram(RawGCMGraph):
     lives in ``memo``, a dict from kind to that kind's results: "kostant"
     (wsf, partition counts), "freudenthal" (wsf, the dominant
     multiplicities of each lambda, shared by freudenthal and
-    dominant_multiplicities), "crystal" (the R(lambda) posets), "sub"
+    dominant_multiplicities), "roots" (wsf, the positive roots with their
+    Gram images, for Freudenthal), "crystal" (the R(lambda) posets), "sub"
     (the diagrams sub_diagram built on proper node subsets, by node tuple)
     and "orbit" (the step table of each orbit walk, by zero set; see
     _orbit).
@@ -430,6 +431,11 @@ class DynkinDiagram(RawGCMGraph):
                 lengths[v] = 2 * scaled[v] // shortest
 
         self.component_of = tuple(comp_of)
+        # the canonical-parent rule of the orbit walks (see _children): for
+        # each node f, its neighbours i > f with row i's entries M_if..M_i,i-1
+        self._canonical = tuple(tuple((i, cartan[i][f:i]) for i in range(f + 1, n)
+                                      if cartan[i][f])
+                                for f in range(n))
         self.coxeter_exponents = tuple(
             tuple(1 if i == j else _MIJ_FROM_PRODUCT[cartan[i][j] * cartan[j][i]]
                   for j in range(n))
@@ -568,14 +574,15 @@ class DynkinDiagram(RawGCMGraph):
     def weyl_orbit(self, mu):
         """Orbit of mu with det(w) parities, relative to mu.
 
-        Returns dict weight -> parity in {1, -1, None}, in the order and with
-        the levels of _orbit's walk from the dominant representative top of
-        mu.  A step of that walk lengthens the minimal w with w(top) =
-        weight by exactly one, so the level of a weight is its depth.  When
-        every coordinate of top is positive, w is unique and the parity of a
-        weight is (-1)^(depth(weight) - depth(mu)), so mu itself gets 1.
-        The parity is None (Indeterminate) for every element exactly when
-        top has a zero coordinate, that is when mu is non-regular.  Raises
+        Returns dict weight -> parity in {1, -1, None}, in the order of
+        _orbit's walk from the dominant representative top of mu: level by
+        level; inside a level, by canonical parent.  A step of that walk
+        lengthens the minimal w with w(top) = weight by exactly one, so the
+        level of a weight is its depth.  When every coordinate of top is
+        positive, w is unique and the parity of a weight is
+        (-1)^(depth(weight) - depth(mu)), so mu itself gets 1.  The parity
+        is None (Indeterminate) for every element exactly when top has a
+        zero coordinate, that is when mu is non-regular.  Raises
         OrbitTooLarge, naming mu, when the orbit holds more weights than the
         cap (see _orbit).
         """
@@ -591,18 +598,60 @@ class DynkinDiagram(RawGCMGraph):
             return {w: -q for w, q in parities.items()}
         return parities
 
+    def _children(self, v):
+        """The (i, v_i) of the steps v -> s_i v that an orbit walk takes.
+
+        Snow's canonical-parent rule ("Weyl group orbits", ACM TOMS 16,
+        1990): the walk goes down from a dominant top, and takes s_i v only
+        when v_i > 0 and i is the first negative coordinate of s_i v.  For
+        j < i, coordinate j of s_i v is v_j - v_i M_ij >= v_j, since M_ij <= 0.
+        So with f the first negative coordinate of v, every i < f with v_i > 0
+        passes, and an i > f passes only when it neighbours f (else
+        coordinate f stays negative) and v_j - v_i M_ij >= 0 for f <= j < i:
+        the lower entries of row i that _canonical holds.  The test comes
+        before s_i v is built.
+
+        Why each weight of the orbit is found exactly once: the level of u
+        = w(top), for w of least length, is that length, the number of
+        positive roots beta with <u, beta^vee> < 0.  A u other than top has
+        a negative coordinate; let m be the first.  Then s_m u, its one
+        canonical parent, is one level up: s_m permutes the positive roots
+        other than alpha_m, so s_m u pairs negatively with s_m of those
+        that u pairs negatively with, alpha_m dropped.  By induction on the
+        level the walk finds s_m u, and from it takes node m, since
+        (s_m u)_m = -u_m > 0 and m is u's first negative coordinate; no
+        other v leads to u, since the rule makes v = s_m u.  Every step goes
+        one level down, so the walk, breadth-first, lists the orbit level by
+        level.
+        """
+        for f, c in enumerate(v):
+            if c > 0:
+                yield f, c
+            elif c:
+                break
+        else:
+            return
+        tail = v[f:]
+        for i, low in self._canonical[f]:
+            c = v[i]
+            if c > 0:
+                for a, x in zip(low, tail):
+                    if x < c * a:
+                        break
+                else:
+                    yield i, c
+
     def _orbit(self, top, mu=None):
         """The orbit of a checked dominant weight top: (weights, level starts).
 
         The trusted form of weyl_orbit, for callers that already hold a
-        dominant weight.  The walk goes down from top breadth-first,
-        applying s_i to a weight only where its coordinate i is positive
-        (Snow, "Weyl group orbits", ACM TOMS 16, 1990); weights lists the
-        orbit in the order found, and level k runs from starts[k] to the
-        next start.  Raises OrbitTooLarge, naming mu (default top), when
-        the orbit holds more weights than the cap, which orbit_cap reads
-        from the WEYL_ORBIT_CAP environment variable (default
-        DEFAULT_ORBIT_CAP) at each call.
+        dominant weight.  The walk goes down from top breadth-first by the
+        canonical-parent rule of _children, which finds each weight once, so
+        no set of weights seen is kept; weights lists the orbit in the order
+        found, and level k runs from starts[k] to the next start.  Raises
+        OrbitTooLarge, naming mu (default top), when the orbit holds more
+        weights than the cap, which orbit_cap reads from the WEYL_ORBIT_CAP
+        environment variable (default DEFAULT_ORBIT_CAP) at each call.
 
         Each walk is recorded once per zero set J of top, as the (parent
         index, node) of every weight found after top, in memo["orbit"][J];
@@ -611,16 +660,14 @@ class DynkinDiagram(RawGCMGraph):
         <top, w^-1 alpha_i^vee>.  The coroot w^-1 alpha_i^vee is a
         nonnegative or a nonpositive sum of simple coroots, and top is zero
         on J and positive off it, so the sign of that coordinate depends
-        only on w and J.  And w(top) = w'(top) exactly when w W_J = w' W_J,
-        W_J being the stabilizer of top (Chevalley).  So the walk makes the
-        same choices for every top with zero set J: which coordinates are
-        positive, and which reflections land on a weight already found.
-        Its sequence of (parent index, node) steps is therefore the same
-        for all of them, and replaying it from another top gives that top's
-        walk exactly: the same weights, in the same order, at the same
-        levels.  A walk stopped by the cap stores nothing, and a diagram
-        keeps at most ORBIT_TABLE_STEPS steps; past that, walks run without
-        being stored.
+        only on w and J.  The rule of _children reads nothing but such
+        signs: that of v_i, and those of the coordinates of s_i v.  So the
+        walk makes the same choices for every top with zero set J, its
+        sequence of (parent index, node) steps is the same for all of them,
+        and replaying it from another top gives that top's walk exactly:
+        the same weights, in the same order, at the same levels.  A walk
+        stopped by the cap stores nothing, and a diagram keeps at most
+        ORBIT_TABLE_STEPS steps; past that, walks run without being stored.
         """
         cap = orbit_cap()
         rows = self._sparse_rows
@@ -644,29 +691,65 @@ class DynkinDiagram(RawGCMGraph):
             return orbit, starts
         from array import array
         parents, nodes, starts = array("i"), array("b"), [0]
-        seen, level_end = {top}, 1
+        children, level_end = self._children, 1
         for k, v in enumerate(orbit):       # orbit grows as the walk finds weights
             if k == level_end:
                 starts.append(k)
                 level_end = len(orbit)
-            for i, c in enumerate(v):
-                if c > 0:
-                    w = list(v)
-                    for j, a in rows[i]:
-                        w[j] -= c * a
-                    w = tuple(w)
-                    if w not in seen:
-                        seen.add(w)
-                        append(w)
-                        parents.append(k)
-                        nodes.append(i)
-                        if len(orbit) > cap:
-                            raise OrbitTooLarge("orbit of %s exceeds cap %d"
-                                                % (top if mu is None else mu, cap))
+            for i, c in children(v):
+                w = list(v)
+                for j, a in rows[i]:
+                    w[j] -= c * a
+                append(tuple(w))
+                parents.append(k)
+                nodes.append(i)
+            if len(orbit) > cap:
+                raise OrbitTooLarge("orbit of %s exceeds cap %d"
+                                    % (top if mu is None else mu, cap))
         starts = tuple(starts)
         if sum(len(t[0]) for t in tables.values()) + len(parents) <= ORBIT_TABLE_STEPS:
             tables[zeros] = parents, nodes, starts
         return orbit, starts
+
+    def _orbit_above(self, top, top_rc, floor):
+        """The weights u of the orbit of top with rc(u) >= floor, with parities.
+
+        top is a checked strongly dominant weight, so w -> w(top) is one to
+        one and det(w) = (-1)^level; rc(u) is denom times the root
+        coordinates of u (root_coords_scaled), top_rc that of top, and floor
+        a tuple compared with rc coordinate by coordinate.  Returns dict u ->
+        det(w).  The walk is _orbit's, by the rule of _children, pruned:
+        s_i lowers only coordinate i of rc, by denom * v_i, and a step whose
+        coordinate i drops below floor_i is not taken.  The cut is exact:
+        rc only falls along a step, so a weight lies below its canonical
+        parent, every weight on the chain of canonical parents from top
+        down to a u with rc(u) >= floor has rc >= floor too, and the walk
+        reaches u.  Raises OrbitTooLarge, naming top, when |W| exceeds the
+        cap (see _orbit).
+        """
+        cap = orbit_cap()
+        if self.weyl_order() > cap:
+            raise OrbitTooLarge("orbit of %s exceeds cap %d" % (top, cap))
+        if any(x < f for x, f in zip(top_rc, floor)):
+            return {}                   # every weight of the orbit lies below top
+        rows, den, children = self._sparse_rows, self.denom, self._children
+        found, walk = {top: 1}, [(top, list(top_rc))]
+        sign, level_end = -1, 1         # the parity of the next level
+        for k, (v, rc) in enumerate(walk):
+            if k == level_end:
+                sign, level_end = -sign, len(walk)
+            for i, c in children(v):
+                r = rc[i] - den * c
+                if r >= floor[i]:
+                    w = list(v)
+                    for j, a in rows[i]:
+                        w[j] -= c * a
+                    w = tuple(w)
+                    found[w] = sign
+                    rc_w = rc.copy()
+                    rc_w[i] = r
+                    walk.append((w, rc_w))
+        return found
 
     # -- derived constants (delegating to the numbers game) ------------------
 

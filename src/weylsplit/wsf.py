@@ -18,8 +18,10 @@ from .cartan import wadd, wneg, wsub, zero_weight
 from .errors import (BadExponent, DiagramMismatch, ExactnessError, NotInvariant,
                      OrbitTooLarge)
 
-# Orbit-sum routes (alternant, Kostant multiplicity) stay desk scale; F4's
-# group is the largest allowed.  Freudenthal has no such cap.
+# Orbit-sum routes stay desk scale, F4's group the largest allowed: the
+# alternant writes all of W, and Kostant's pruned walk still visits every
+# w(lam + rho) above mu + rho, nearly all of W for a low mu, with a partition
+# count each.  Freudenthal has no such cap.
 WEYL_GROUP_CAP = 1152
 
 
@@ -168,18 +170,25 @@ def dominant_weights_below(d, lam):
     first.
     """
     lam = d.check_dominant(lam)
-    steps = [(r.root, r.alpha_coords) for r in d.positive_roots()]
+    # mu - root is dominant exactly when mu_j >= root_j wherever root_j > 0,
+    # since mu >= 0 covers the other coordinates; test that before building it
+    steps = [(r.root, r.alpha_coords, [(j, c) for j, c in enumerate(r.root) if c > 0])
+             for r in d.positive_roots()]
     depth = {lam: (0,) * d.rank}     # nu -> root coordinates of lam - nu
     frontier = [lam]
     while frontier:
         nxt = []
         for mu in frontier:
             k = depth[mu]
-            for root, coords in steps:
-                nu = wsub(mu, root)
-                if nu not in depth and all(c >= 0 for c in nu):
-                    depth[nu] = wadd(k, coords)
-                    nxt.append(nu)
+            for root, coords, pos in steps:
+                for j, c in pos:
+                    if mu[j] < c:
+                        break
+                else:
+                    nu = wsub(mu, root)
+                    if nu not in depth:
+                        depth[nu] = wadd(k, coords)
+                        nxt.append(nu)
         frontier = nxt
     return sorted(depth, key=depth.__getitem__)
 
@@ -273,6 +282,22 @@ def _kostant_partition(d, mu):
 # ---------------------------------------------------------------------------
 # Weyl bialternants
 
+def _gram_roots(d):
+    """(alpha, G alpha, <alpha, alpha>) for each positive root alpha, scaled
+    by d.denom, so that <alpha, nu> = G alpha . nu (G is symmetric).
+
+    Built on first use and kept in d.memo["roots"].
+    """
+    roots = d.memo.get("roots")
+    if roots is None:
+        roots = []
+        for r in d.positive_roots():
+            g_alpha = tuple(_dot(row, r.root) for row in d.gram_scaled)
+            roots.append((r.root, g_alpha, _dot(r.root, g_alpha)))
+        roots = d.memo["roots"] = tuple(roots)
+    return roots
+
+
 def _freudenthal_walk(d, lam):
     """Freudenthal's recurrence fused with its own orbit expansion.
 
@@ -299,11 +324,7 @@ def _freudenthal_walk(d, lam):
     rho = d.rho()
     top = wadd(lam, rho)
     top_norm = d.inner_product_scaled(top, top)
-    # (alpha, G alpha, <alpha, alpha>), so that <alpha, nu> = G alpha . nu
-    pos_roots = []
-    for r in d.positive_roots():
-        g_alpha = tuple(_dot(row, r.root) for row in d.gram_scaled)   # G symmetric
-        pos_roots.append((r.root, g_alpha, _dot(r.root, g_alpha)))
+    pos_roots = _gram_roots(d)
     mult, out = {lam: 1}, dict.fromkeys(d._orbit(lam)[0], 1)
     for mu in doms[1:]:         # doms[0] is lam, the one dominant weight of depth 0
         total = 0
@@ -359,18 +380,21 @@ def freudenthal(d, lam):
 def kostant_multiplicity(d, lam, mu):
     """d_{lam,mu} by the Kostant multiplicity formula.
 
-    Sums det(w) * P(w(lam + rho) - (mu + rho)) over the parity-tagged orbit
-    of the regular weight lam + rho.
+    Sums det(w) * P(w(lam + rho) - (mu + rho)) over W, taking only the w
+    that can contribute: P vanishes unless w(lam + rho) lies at or above mu
+    + rho in every root coordinate, and d._orbit_above walks exactly those
+    w(lam + rho) (a pruned canonical-parent walk; see its proof), with
+    det(w) = (-1)^level since lam + rho is regular.
     """
     lam, mu = d.check_dominant(lam), d.check_weight(mu)
     _check_group_cap(d)
     rho = d.rho()
     shifted = wadd(lam, rho)
     target = wadd(mu, rho)
-    total = 0
-    for w, parity in d.weyl_orbit(shifted).items():
-        total += parity * _kostant_partition(d, wsub(w, target))
-    return total
+    above = d._orbit_above(shifted, d.root_coords_scaled(shifted),
+                           d.root_coords_scaled(target))
+    return sum(parity * _kostant_partition(d, wsub(w, target))
+               for w, parity in above.items())
 
 
 def _check_group_cap(d):

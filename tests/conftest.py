@@ -7,8 +7,9 @@ from bounded enumeration (and, with their memo keys, from a recursion per
 positive root), positive roots from reflection closure or by
 reflecting each simple root along a word, Weyl orbits from a search that
 tries every simple reflection on every element, crystal signatures from
-separate forward and suffix scans, omega expressions from a deepening
-depth-first search, (J,nu)-colorings from a recursion on the prefix length
+separate forward and suffix scans, Kostant multiplicities from a sum over
+the whole orbit, omega expressions from a deepening depth-first search,
+(J,nu)-colorings from a recursion on the prefix length
 that rescans each prefix's signature, and colored posets are checked
 against their full transitive closure and their component member lists
 against an eager grouping by union-find root.  The inverse Cartan matrix
@@ -220,6 +221,19 @@ def recursive_kostant_partition(d, mu, memo):
         return memo[(j, v)]
 
     return f(len(roots) - 1, vec)
+
+
+def brute_kostant_multiplicity(d, lam, mu):
+    """Kostant's multiplicity formula summed over the whole brute orbit.
+
+    sum of det(w) * P(w(lam + rho) - (mu + rho)) over every element of
+    brute_weyl_orbit(lam + rho), whose parities are det(w) since lam + rho
+    is dominant and regular, with P by brute_partition_count.
+    """
+    roots = brute_positive_roots(d)
+    shifted, target = tuple(a + 1 for a in lam), tuple(a + 1 for a in mu)
+    return sum(det * brute_partition_count(d, wsub(w, target), roots)
+               for w, det in brute_weyl_orbit(d, shifted).items())
 
 
 def brute_dominant_weights_below(d, lam):

@@ -13,7 +13,7 @@ from weylsplit.errors import (DiagramTooLarge, ExactnessError, NotFiniteType, No
                               OrbitTooLarge)
 
 from conftest import (apply_mat, brute_numbering, brute_positive_roots, brute_weyl_group,
-                      brute_weyl_orbit, fraction_inverse, mat_det, norm2)
+                      brute_weyl_orbit, coroot_pairing, fraction_inverse, mat_det, norm2)
 
 
 def rand_weight(rng, n, lo=-6, hi=6):
@@ -246,6 +246,47 @@ def test_orbit_table_replay_matches_a_fresh_walk(data):
     assert list(d.memo["orbit"]) == [tuple(j for j, z in enumerate(zero, 1) if z)]
     assert got == list(build_diagram(matrix).weyl_orbit(mu).items())
     assert dict(got) == brute_weyl_orbit(d, mu)
+
+
+def renumbered(data, specs):
+    """A diagram drawn from specs, with its nodes renumbered."""
+    d = build_diagram(data.draw(st.sampled_from(specs)))
+    perm = data.draw(st.permutations(range(d.rank)))
+    return build_diagram([[d.cartan[i][j] for j in perm] for i in perm])
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_orbit_walk_finds_each_weight_once_at_its_level(data):
+    """The canonical-parent walk of a fresh diagram (a table miss) lists the
+    brute orbit once over, and a weight nu sits at level #{beta > 0 :
+    <nu, beta^vee> < 0}; the replay of its table gives the same list."""
+    d = renumbered(data, SMALL_SPECS)
+    top = tuple(data.draw(st.lists(st.integers(0, 3), min_size=d.rank, max_size=d.rank)))
+    orbit, starts = d._orbit(top)
+    assert len(set(orbit)) == len(orbit)
+    assert set(orbit) == set(brute_weyl_orbit(d, top))
+    roots = brute_positive_roots(d)
+    for level, (a, b) in enumerate(zip(starts, (*starts[1:], len(orbit)))):
+        assert a < b
+        for nu in orbit[a:b]:
+            assert sum(coroot_pairing(d, nu, beta) < 0 for beta in roots) == level, nu
+    assert d._orbit(top) == (orbit, starts)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_orbit_above_is_the_orbit_cut_at_the_floor(data):
+    """_orbit_above(top, rc(top), floor) is the brute orbit of a regular top
+    with its det parities, kept where every scaled root coordinate is at
+    least floor's."""
+    d = renumbered(data, SMALL_SPECS)
+    top = tuple(data.draw(st.lists(st.integers(1, 3), min_size=d.rank, max_size=d.rank)))
+    nu = tuple(data.draw(st.lists(st.integers(-4, 4), min_size=d.rank, max_size=d.rank)))
+    floor = d.root_coords_scaled(nu)
+    want = {u: p for u, p in brute_weyl_orbit(d, top).items()
+            if all(x >= f for x, f in zip(d.root_coords_scaled(u), floor))}
+    assert d._orbit_above(top, d.root_coords_scaled(top), floor) == want
 
 
 def test_orbit_table_honours_the_cap(monkeypatch):

@@ -7,11 +7,11 @@ from hypothesis import assume, given, settings, strategies as st
 
 from weylsplit import build_diagram, wsf
 from weylsplit.cartan import DynkinDiagram, wadd, wneg, wsub
-from weylsplit.errors import ExactnessError, NotDominant, NotInvariant
+from weylsplit.errors import ExactnessError, NotDominant, NotInvariant, OrbitTooLarge
 
-from conftest import (brute_dominant_weights_below, brute_partition_count,
-                      brute_weyl_dimension, coroot_pairing, load_fixture,
-                      recursive_kostant_partition)
+from conftest import (brute_dominant_weights_below, brute_kostant_multiplicity,
+                      brute_partition_count, brute_weyl_dimension, coroot_pairing,
+                      load_fixture, recursive_kostant_partition)
 
 G2FIX = load_fixture("g2_reference.json")
 
@@ -164,6 +164,44 @@ def test_kostant_equals_freudenthal_small(diagrams):
             outside = wadd(lam, d.alpha(1))
             assert wsf.kostant_multiplicity(d, lam, outside) == 0
             assert wsf.kostant_multiplicity(d, lam, lam) == 1
+
+
+KOSTANT_SPECS = ["A1", "A2", "A3", "B3", "C2", "C3", "G2", "A1+A1", "A2+A1", "A1+G2"]
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_kostant_multiplicity_matches_the_whole_orbit_sum(data):
+    """The pruned walk against det(w) * P summed over the whole brute orbit,
+    on renumbered diagrams, for a mu drawn either from the orbit of a
+    dominant weight of Pi(lam) (mostly non-dominant) or from a box around
+    it (mostly outside Pi(lam), and often off lam's lattice class)."""
+    base = build_diagram(data.draw(st.sampled_from(KOSTANT_SPECS)))
+    perm = data.draw(st.permutations(range(base.rank)))
+    d = build_diagram([[base.cartan[i][j] for j in perm] for i in perm])
+    lam = tuple(data.draw(st.lists(st.integers(0, 2), min_size=d.rank, max_size=d.rank)))
+    if data.draw(st.booleans()):
+        nu = data.draw(st.sampled_from(wsf.dominant_weights_below(d, lam)))
+        mu = d.act(data.draw(st.lists(st.integers(1, d.rank), max_size=6)), nu)
+    else:
+        mu = tuple(data.draw(st.lists(st.integers(-4, 4), min_size=d.rank,
+                                      max_size=d.rank)))
+    assert wsf.kostant_multiplicity(d, lam, mu) == brute_kostant_multiplicity(d, lam, mu)
+
+
+def test_kostant_multiplicity_honours_the_orbit_cap(monkeypatch):
+    """A WEYL_ORBIT_CAP below |W| raises the message that names lam + rho,
+    even for a mu whose pruned walk takes only lam + rho itself."""
+    d = build_diagram("B3")                 # |W| = 48
+    lam = (1, 0, 1)
+    want = [wsf.kostant_multiplicity(d, lam, mu) for mu in (lam, (0, 0, 1))]
+    assert want == [1, 3]
+    monkeypatch.setenv("WEYL_ORBIT_CAP", "48")
+    assert [wsf.kostant_multiplicity(d, lam, mu) for mu in (lam, (0, 0, 1))] == want
+    monkeypatch.setenv("WEYL_ORBIT_CAP", "47")
+    for mu in (lam, (0, 0, 1), (5, 5, 5)):
+        with pytest.raises(OrbitTooLarge, match=r"^orbit of \(2, 1, 2\) exceeds cap 47$"):
+            wsf.kostant_multiplicity(d, lam, mu)
 
 
 def test_alternant():
