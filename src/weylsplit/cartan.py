@@ -48,8 +48,8 @@ from .errors import (DiagramMismatch, DiagramTooLarge, ExactnessError, NotAWeigh
                      NotDominant, NotFiniteType, NotGCM, OrbitTooLarge)
 
 DEFAULT_ORBIT_CAP = 10 ** 6
-# steps of recorded orbit walks a diagram keeps, over all its zero sets; past
-# it, walks run without being recorded (5 bytes a step)
+# steps of stage tables a diagram keeps, over all its stages; past it, stages
+# are walked without being recorded (7 bytes a step)
 ORBIT_TABLE_STEPS = 1 << 16
 # greatest total rank of a diagram
 MAX_RANK = 64
@@ -311,6 +311,61 @@ def gcm_matrix(cartan):
 _MIJ_FROM_PRODUCT = {0: 2, 1: 3, 2: 4, 3: 6}
 
 
+def _canonical_rule(cartan):
+    """The table _children reads: for each node f (0-based), its neighbours
+    i > f with row i's entries M_if..M_i,i-1."""
+    n = len(cartan)
+    return tuple(tuple((i, cartan[i][f:i]) for i in range(f + 1, n) if cartan[i][f])
+                 for f in range(n))
+
+
+def _children(canonical, v):
+    """The (i, v_i) of the steps v -> s_i v that an orbit walk takes.
+
+    Snow's canonical-parent rule ("Weyl group orbits", ACM TOMS 16,
+    1990): the walk goes down from a dominant top, and takes s_i v only
+    when v_i > 0 and i is the first negative coordinate of s_i v.  For
+    j < i, coordinate j of s_i v is v_j - v_i M_ij >= v_j, since M_ij <= 0.
+    So with f the first negative coordinate of v, every i < f with v_i > 0
+    passes, and an i > f passes only when it neighbours f (else
+    coordinate f stays negative) and v_j - v_i M_ij >= 0 for f <= j < i:
+    the lower entries of row i, which canonical (the matrix's
+    _canonical_rule table) holds.  The test comes before s_i v is built.
+    Indices are 0-based.  A stage walk (DynkinDiagram._stage) reads the
+    rule over a node subset K by passing K's coordinates of v and the
+    table of the matrix restricted to K.
+
+    Why each weight of the orbit is found exactly once: the level of u
+    = w(top), for w of least length, is that length, the number of
+    positive roots beta with <u, beta^vee> < 0.  A u other than top has
+    a negative coordinate; let m be the first.  Then s_m u, its one
+    canonical parent, is one level up: s_m permutes the positive roots
+    other than alpha_m, so s_m u pairs negatively with s_m of those
+    that u pairs negatively with, alpha_m dropped.  By induction on the
+    level the walk finds s_m u, and from it takes node m, since
+    (s_m u)_m = -u_m > 0 and m is u's first negative coordinate; no
+    other v leads to u, since the rule makes v = s_m u.  Every step goes
+    one level down, so the walk, breadth-first, lists the orbit level by
+    level.
+    """
+    for f, c in enumerate(v):
+        if c > 0:
+            yield f, c
+        elif c:
+            break
+    else:
+        return
+    tail = v[f:]
+    for i, low in canonical[f]:
+        c = v[i]
+        if c > 0:
+            for a, x in zip(low, tail):
+                if x < c * a:
+                    break
+            else:
+                yield i, c
+
+
 class RawGCMGraph:
     """A GCM graph: its matrix, its simple reflections and the node rule.
 
@@ -380,8 +435,8 @@ class DynkinDiagram(RawGCMGraph):
     dominant_multiplicities), "roots" (wsf, the positive roots with their
     Gram images, for Freudenthal), "crystal" (the R(lambda) posets), "sub"
     (the diagrams sub_diagram built on proper node subsets, by node tuple)
-    and "orbit" (the step table of each orbit walk, by zero set; see
-    _orbit).
+    and "orbit" (the stage tables that every orbit is composed from, by
+    (K, m); see _stage and _orbit).
     The results are freed with the diagram; an equal diagram built afresh
     starts with an empty memo.
     """
@@ -431,11 +486,8 @@ class DynkinDiagram(RawGCMGraph):
                 lengths[v] = 2 * scaled[v] // shortest
 
         self.component_of = tuple(comp_of)
-        # the canonical-parent rule of the orbit walks (see _children): for
-        # each node f, its neighbours i > f with row i's entries M_if..M_i,i-1
-        self._canonical = tuple(tuple((i, cartan[i][f:i]) for i in range(f + 1, n)
-                                      if cartan[i][f])
-                                for f in range(n))
+        # the canonical-parent rule of the orbit walks (see _children)
+        self._canonical = _canonical_rule(cartan)
         self.coxeter_exponents = tuple(
             tuple(1 if i == j else _MIJ_FROM_PRODUCT[cartan[i][j] * cartan[j][i]]
                   for j in range(n))
@@ -575,12 +627,15 @@ class DynkinDiagram(RawGCMGraph):
         """Orbit of mu with det(w) parities, relative to mu.
 
         Returns dict weight -> parity in {1, -1, None}, in the order of
-        _orbit's walk from the dominant representative top of mu: level by
-        level; inside a level, by canonical parent.  A step of that walk
-        lengthens the minimal w with w(top) = weight by exactly one, so the
-        level of a weight is its depth.  When every coordinate of top is
-        positive, w is unique and the parity of a weight is
-        (-1)^(depth(weight) - depth(mu)), so mu itself gets 1.  The parity
+        _orbit's composed replay from the dominant representative top of mu:
+        the weights u_1 ... u_s(top), each u_t running over the weights of
+        stage t in the order of that stage's walk, u_1 slowest and u_s
+        fastest, so top comes first (see _orbit).  This is not level by
+        level; the dict is the same as a set of items whatever the order.
+        The level _orbit gives a weight is the length of the minimal w with
+        w(top) = weight.  When every coordinate of top is positive, w is
+        unique, det(w) = (-1)^level, and the parity of a weight is
+        (-1)^(level(weight) - level(mu)), so mu itself gets 1.  The parity
         is None (Indeterminate) for every element exactly when top has a
         zero coordinate, that is when mu is non-regular.  Raises
         OrbitTooLarge, naming mu, when the orbit holds more weights than the
@@ -588,128 +643,153 @@ class DynkinDiagram(RawGCMGraph):
         """
         mu = self.check_weight(mu)
         top = self.dominant_rep(mu)
-        orbit, starts = self._orbit(top, mu)
+        orbit, levels = self._orbit(top, mu)
         if not self.is_strongly_dominant(top):
             return dict.fromkeys(orbit)
-        parities = {}
-        for level, (a, b) in enumerate(zip(starts, (*starts[1:], len(orbit)))):
-            parities.update(dict.fromkeys(orbit[a:b], -1 if level % 2 else 1))
-        if parities[mu] == -1:
-            return {w: -q for w, q in parities.items()}
-        return parities
+        signs = (-1, 1) if levels[orbit.index(mu)] % 2 else (1, -1)
+        return {w: signs[level % 2] for w, level in zip(orbit, levels)}
 
-    def _children(self, v):
-        """The (i, v_i) of the steps v -> s_i v that an orbit walk takes.
+    def _stage(self, nodes, m, limit):
+        """Stage (K, m) of the orbits: the orbit of omega_m under W_K, as steps.
 
-        Snow's canonical-parent rule ("Weyl group orbits", ACM TOMS 16,
-        1990): the walk goes down from a dominant top, and takes s_i v only
-        when v_i > 0 and i is the first negative coordinate of s_i v.  For
-        j < i, coordinate j of s_i v is v_j - v_i M_ij >= v_j, since M_ij <= 0.
-        So with f the first negative coordinate of v, every i < f with v_i > 0
-        passes, and an i > f passes only when it neighbours f (else
-        coordinate f stays negative) and v_j - v_i M_ij >= 0 for f <= j < i:
-        the lower entries of row i that _canonical holds.  The test comes
-        before s_i v is built.
+        nodes is K, a sorted tuple of nodes (1-based), and m one of them.
+        Returns (parents, steps, levels): weight 0 is omega_m, and weight k
+        >= 1 is s_i of weight parents[k - 1], i = steps[k - 1] the node's
+        0-based index in the full numbering, so replaying the steps from any
+        weight x gives u(x) for the u that the walk reaches.  levels[k] is
+        the level of weight k, levels[0] = 0, and len(levels) is the size of
+        the stage.  A stage walked afresh with more than limit weights
+        returns None: its walk stops there and stores nothing.
 
-        Why each weight of the orbit is found exactly once: the level of u
-        = w(top), for w of least length, is that length, the number of
-        positive roots beta with <u, beta^vee> < 0.  A u other than top has
-        a negative coordinate; let m be the first.  Then s_m u, its one
-        canonical parent, is one level up: s_m permutes the positive roots
-        other than alpha_m, so s_m u pairs negatively with s_m of those
-        that u pairs negatively with, alpha_m dropped.  By induction on the
-        level the walk finds s_m u, and from it takes node m, since
-        (s_m u)_m = -u_m > 0 and m is u's first negative coordinate; no
-        other v leads to u, since the rule makes v = s_m u.  Every step goes
-        one level down, so the walk, breadth-first, lists the orbit level by
-        level.
+        The walk is _children's, read over the nodes of K only: it runs on
+        the K-coordinates of the weights, with the rows and the rule table
+        of the matrix restricted to K.  Why that is the walk of the W_K-orbit
+        of omega_m: for i in K, s_i changes coordinate j by -v_i M_ij, so
+        under W_K the K-coordinates of a weight change exactly as the
+        coordinates of the sub-diagram on K do.  The stabilizer of a
+        dominant weight is generated by the simple reflections that fix it
+        (Humphreys, Introduction to Lie Algebras and Representation Theory,
+        10.3, Lemma B), so W_K fixes omega_m in the subgroup W_(K - m), and
+        the sub-diagram's Weyl group fixes the K-projection of omega_m (its
+        fundamental weight of m) in that same subgroup.  So taking the
+        K-coordinates is one to one on the orbit, the sub-diagram's walk by
+        the rule finds each weight once (the proof of _children), and the
+        level of a weight is the length of the minimal coset representative
+        u in W_K^(K - m) that takes omega_m there.  The s_i read along the
+        weight's chain of canonical parents form a word of that length for
+        some w' with w'(omega_m) equal to the weight; w' lies in u W_(K - m)
+        and is no longer than u, the one shortest element of that coset, so
+        w' = u and the word is a reduced word of u.
+
+        Stages live in memo["orbit"] under (K, m), shared by every orbit
+        whose composition meets them (see _orbit).  A diagram keeps at most
+        ORBIT_TABLE_STEPS steps over all its stages; past that, a stage is
+        walked on every call without being stored.
         """
-        for f, c in enumerate(v):
-            if c > 0:
-                yield f, c
-            elif c:
-                break
-        else:
-            return
-        tail = v[f:]
-        for i, low in self._canonical[f]:
-            c = v[i]
-            if c > 0:
-                for a, x in zip(low, tail):
-                    if x < c * a:
-                        break
-                else:
-                    yield i, c
+        tables = self.memo.setdefault("orbit", {})
+        table = tables.get((nodes, m))
+        if table is not None:
+            return table
+        from array import array
+        idx = [k - 1 for k in nodes]
+        sub = [[self.cartan[a][b] for b in idx] for a in idx]
+        rows = [[(q, a) for q, a in enumerate(row) if a] for row in sub]
+        canonical = _canonical_rule(sub)
+        walk = [tuple(int(k == m) for k in nodes)]
+        # a level is at most the 4 096 positive roots of a rank-64 diagram
+        parents, steps, levels = array("i"), array("b"), array("H", [0])
+        for k, v in enumerate(walk):        # walk grows as it finds weights
+            level = levels[k] + 1
+            for p, c in _children(canonical, v):
+                w = list(v)
+                for q, a in rows[p]:
+                    w[q] -= c * a
+                walk.append(tuple(w))
+                parents.append(k)
+                steps.append(idx[p])
+                levels.append(level)
+            if len(walk) > limit:
+                return None
+        table = parents, steps, levels
+        if sum(len(t[0]) for t in tables.values()) + len(parents) <= ORBIT_TABLE_STEPS:
+            tables[(nodes, m)] = table
+        return table
 
     def _orbit(self, top, mu=None):
-        """The orbit of a checked dominant weight top: (weights, level starts).
+        """The orbit of a checked dominant weight top: (weights, levels).
 
         The trusted form of weyl_orbit, for callers that already hold a
-        dominant weight.  The walk goes down from top breadth-first by the
-        canonical-parent rule of _children, which finds each weight once, so
-        no set of weights seen is kept; weights lists the orbit in the order
-        found, and level k runs from starts[k] to the next start.  Raises
-        OrbitTooLarge, naming mu (default top), when the orbit holds more
-        weights than the cap, which orbit_cap reads from the WEYL_ORBIT_CAP
-        environment variable (default DEFAULT_ORBIT_CAP) at each call.
+        dominant weight.  weights lists the orbit once over, and levels[k]
+        is the level of weights[k]: the length of the minimal w with w(top)
+        = weights[k], that is #{beta > 0 : <weights[k], beta^vee> < 0}.
+        Raises OrbitTooLarge, naming mu (default top), when the orbit holds
+        more weights than the cap, which orbit_cap reads from the
+        WEYL_ORBIT_CAP environment variable (default DEFAULT_ORBIT_CAP) at
+        each call.
 
-        Each walk is recorded once per zero set J of top, as the (parent
-        index, node) of every weight found after top, in memo["orbit"][J];
-        a later top with the same J replays those steps instead of walking.
-        Why the replay is exact: for w in W, coordinate i of w(top) is
-        <top, w^-1 alpha_i^vee>.  The coroot w^-1 alpha_i^vee is a
-        nonnegative or a nonpositive sum of simple coroots, and top is zero
-        on J and positive off it, so the sign of that coordinate depends
-        only on w and J.  The rule of _children reads nothing but such
-        signs: that of v_i, and those of the coordinates of s_i v.  So the
-        walk makes the same choices for every top with zero set J, its
-        sequence of (parent index, node) steps is the same for all of them,
-        and replaying it from another top gives that top's walk exactly:
-        the same weights, in the same order, at the same levels.  A walk
-        stopped by the cap stores nothing, and a diagram keeps at most
-        ORBIT_TABLE_STEPS steps; past that, walks run without being stored.
+        The orbit is composed from stage tables (_stage).  Let m_1 < ... <
+        m_s be the nonzero nodes of top, K_0 all nodes, K_t = K_(t-1) - m_t,
+        so K_s is the zero set J of top, and stage t is (K_(t-1), m_t).  The
+        replay starts from [top] and replays stage s from it; then it replays
+        stage s - 1 from each weight obtained, and so on out to stage 1.  The
+        list so far is group 0 of the next stage, and each step k -> j of
+        that stage, s_i, applied to every weight of group k in order, appends
+        group j, so weights[k] is u_1 ... u_s(top) with the index of u_1 in
+        its stage varying slowest and that of u_s fastest; a weight's level
+        is the sum of its stage levels.  Why each weight appears once, at its
+        level: for J in K, every w in W^J (the minimal representatives of
+        W / W_J) factors uniquely as w = u v with u in W^K and v in W_K^J,
+        and l(w) = l(u) + l(v) (Bjorner and Brenti, Combinatorics of Coxeter
+        Groups, Prop. 2.4.4).  Along K_0, ..., K_s that gives w = u_1 ...
+        u_s, u_t in W_(K_(t-1))^(K_t), uniquely, with lengths adding.  The
+        stabilizer of omega_(m_t) in W_(K_(t-1)) is W_(K_t), so u_t runs
+        over the weights of stage t, and replaying the stage applies a
+        reduced word of u_t.  The replay therefore lists w(top) for every w
+        in W^J once, and w -> w(top) is one to one on W^J since W_J is the
+        stabilizer of top.  The size of the orbit is the product of the
+        stage sizes, so the cap is checked on that product before any weight
+        of the orbit is built; a stage walked afresh may hold at most the
+        cap over the product of the stages before it, so a miss stops as
+        soon as the product is sure to exceed the cap.
         """
         cap = orbit_cap()
+        stages, nodes, size = [], tuple(range(1, self.rank + 1)), 1
+        for m, c in enumerate(top, 1):
+            if c:
+                stage = self._stage(nodes, m, cap // size)
+                if stage is None:           # more than cap // size weights
+                    size = cap + 1
+                    break
+                stages.append(stage)
+                size *= len(stage[2])
+                nodes = tuple(k for k in nodes if k != m)
+        if size > cap:
+            raise OrbitTooLarge("orbit of %s exceeds cap %d"
+                                % (top if mu is None else mu, cap))
         rows = self._sparse_rows
-        tables = self.memo.setdefault("orbit", {})
-        zeros = tuple(i for i, c in enumerate(top, 1) if not c)
-        table = tables.get(zeros)
-        orbit = [top]
+        orbit, levels = [top], [0]
         append = orbit.append
-        if table is not None:
-            parents, nodes, starts = table
-            if parents and len(parents) + 1 > cap:
-                raise OrbitTooLarge("orbit of %s exceeds cap %d"
-                                    % (top if mu is None else mu, cap))
-            for k, i in zip(parents, nodes):
-                v = orbit[k]
-                c = v[i]
-                w = list(v)
-                for j, a in rows[i]:
-                    w[j] -= c * a
-                append(tuple(w))
-            return orbit, starts
-        from array import array
-        parents, nodes, starts = array("i"), array("b"), [0]
-        children, level_end = self._children, 1
-        for k, v in enumerate(orbit):       # orbit grows as the walk finds weights
-            if k == level_end:
-                starts.append(k)
-                level_end = len(orbit)
-            for i, c in children(v):
-                w = list(v)
-                for j, a in rows[i]:
-                    w[j] -= c * a
-                append(tuple(w))
-                parents.append(k)
-                nodes.append(i)
-            if len(orbit) > cap:
-                raise OrbitTooLarge("orbit of %s exceeds cap %d"
-                                    % (top if mu is None else mu, cap))
-        starts = tuple(starts)
-        if sum(len(t[0]) for t in tables.values()) + len(parents) <= ORBIT_TABLE_STEPS:
-            tables[zeros] = parents, nodes, starts
-        return orbit, starts
+        for parents, steps, stage_levels in reversed(stages):
+            n = len(orbit)
+            if n == 1:      # stage s, from top alone, without a slice per weight
+                for k, i in zip(parents, steps):
+                    v = orbit[k]
+                    c = v[i]
+                    w = list(v)
+                    for j, a in rows[i]:
+                        w[j] -= c * a
+                    append(tuple(w))
+            else:           # step k -> j maps group k of the list to group j
+                for k, i in zip(parents, steps):
+                    row, start = rows[i], k * n
+                    for v in orbit[start:start + n]:
+                        c = v[i]
+                        w = list(v)
+                        for j, a in row:
+                            w[j] -= c * a
+                        append(tuple(w))
+            levels = [a + b for a in stage_levels for b in levels]
+        return orbit, levels
 
     def _orbit_above(self, top, top_rc, floor):
         """The weights u of the orbit of top with rc(u) >= floor, with parities.
@@ -718,7 +798,8 @@ class DynkinDiagram(RawGCMGraph):
         one and det(w) = (-1)^level; rc(u) is denom times the root
         coordinates of u (root_coords_scaled), top_rc that of top, and floor
         a tuple compared with rc coordinate by coordinate.  Returns dict u ->
-        det(w).  The walk is _orbit's, by the rule of _children, pruned:
+        det(w).  The walk is the breadth-first walk down from top by the
+        rule of _children over all nodes, pruned:
         s_i lowers only coordinate i of rc, by denom * v_i, and a step whose
         coordinate i drops below floor_i is not taken.  The cut is exact:
         rc only falls along a step, so a weight lies below its canonical
@@ -732,13 +813,13 @@ class DynkinDiagram(RawGCMGraph):
             raise OrbitTooLarge("orbit of %s exceeds cap %d" % (top, cap))
         if any(x < f for x, f in zip(top_rc, floor)):
             return {}                   # every weight of the orbit lies below top
-        rows, den, children = self._sparse_rows, self.denom, self._children
+        rows, den, canonical = self._sparse_rows, self.denom, self._canonical
         found, walk = {top: 1}, [(top, list(top_rc))]
         sign, level_end = -1, 1         # the parity of the next level
         for k, (v, rc) in enumerate(walk):
             if k == level_end:
                 sign, level_end = -sign, len(walk)
-            for i, c in children(v):
+            for i, c in _children(canonical, v):
                 r = rc[i] - den * c
                 if r >= floor[i]:
                     w = list(v)

@@ -144,7 +144,7 @@ def _lattice_of(args):
     if args.family == "gt":
         if args.weight is None:
             raise InvalidFamilyParams("gt needs --weight")
-        lam = tuple(int(x) for x in args.weight.split(","))
+        lam = parse_weight(args.weight, args.n - 1)
         return patternlat.gt_lattice(args.n, lam)
     if args.family == "sp":
         return patternlat.symplectic_lattice(args.n, args.m)

@@ -427,7 +427,7 @@ class ColoredPoset:
         for x in range(self.n):
             w = self.wt[x]
             out[w] = out.get(w, 0) + 1
-        return wsf.WeylSymFn(d, out)
+        return wsf.WeylSymFn._of(d, out)
 
 
 StructureChecks = namedtuple("StructureChecks", [
@@ -726,7 +726,7 @@ def verify_splitting(p, targets):
             return False, {"reason": "not M-structured"}
     except NotMStructured:
         return False, {"reason": "no diagram"}
-    want = wsf.WeylSymFn(p.d)
+    want = wsf.WeylSymFn._of(p.d, {})
     for lam in targets:
         want = want + wsf.freudenthal(p.d, lam)
     got = p.wgf()
@@ -805,7 +805,7 @@ def verify_tau_kappa(p, nodes, nu, witness):
         return False, "WGF restricted to J is not W_J-invariant"
     # hypotheses hold; verify the conclusion by direct expansion
     lhs = wsf.freudenthal(sub, nu) * wgf_j
-    rhs = wsf.WeylSymFn(sub)
+    rhs = wsf.WeylSymFn._of(sub, {})
     for s in witness.S:
         rhs = rhs + wsf.freudenthal(sub, wadd(nu, d.project(p.wt[s], sel)))
     if lhs != rhs:

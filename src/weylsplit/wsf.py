@@ -26,7 +26,13 @@ WEYL_GROUP_CAP = 1152
 
 
 class WeylSymFn:
-    """An element of Z[Lambda]: finite map weight -> nonzero integer."""
+    """An element of Z[Lambda]: finite map weight -> nonzero integer.
+
+    WeylSymFn(d, terms) is the public constructor: it copies terms, reads
+    every key through d.check_weight (NotAWeight, DiagramMismatch) and
+    raises TypeError for a coefficient that is not a plain int.  Every
+    result the package builds itself goes through the trusted _of instead.
+    """
 
     __slots__ = ("d", "terms")
 
@@ -35,15 +41,32 @@ class WeylSymFn:
         if not set(map(type, terms.values())) <= {int}:
             raise TypeError("WeylSymFn coefficients must be plain ints")
         self.d = d
-        self.terms = {tuple(m): c for m, c in terms.items() if c}
+        self.terms = {m: c for m, c in zip(map(d.check_weight, terms), terms.values()) if c}
+
+    @classmethod
+    def _of(cls, d, terms):
+        """The trusted constructor: a WeylSymFn over the dict terms itself.
+
+        For results the package builds: every key of terms is a checked
+        weight of d and every value a plain int, so nothing is read again
+        and nothing is copied.  The caller hands terms over and keeps no
+        use of it.  Zero coefficients are deleted from terms in place, so
+        every stored coefficient stays nonzero.
+        """
+        if 0 in terms.values():
+            for m in [m for m, c in terms.items() if not c]:
+                del terms[m]
+        out = object.__new__(cls)
+        out.d, out.terms = d, terms
+        return out
 
     @classmethod
     def monomial(cls, d, mu, coeff=1):
-        return cls(d, {d.check_weight(mu): coeff})
+        return cls(d, {mu: coeff})
 
     @classmethod
     def unit(cls, d):
-        return cls.monomial(d, zero_weight(d.rank))
+        return cls._of(d, {zero_weight(d.rank): 1})
 
     def _check(self, other):
         if self.d != other.d:
@@ -60,7 +83,7 @@ class WeylSymFn:
         out = dict(self.terms)
         for m, c in other.terms.items():
             out[m] = out.get(m, 0) + c
-        return WeylSymFn(self.d, out)
+        return WeylSymFn._of(self.d, out)
 
     def __sub__(self, other):
         if not isinstance(other, WeylSymFn):
@@ -69,11 +92,11 @@ class WeylSymFn:
         out = dict(self.terms)
         for m, c in other.terms.items():
             out[m] = out.get(m, 0) - c
-        return WeylSymFn(self.d, out)
+        return WeylSymFn._of(self.d, out)
 
     def __mul__(self, other):
         if isinstance(other, int):
-            return WeylSymFn(self.d, {m: c * other for m, c in self.terms.items()})
+            return WeylSymFn._of(self.d, {m: c * other for m, c in self.terms.items()})
         if not isinstance(other, WeylSymFn):
             return NotImplemented
         self._check(other)
@@ -82,7 +105,7 @@ class WeylSymFn:
             for m2, c2 in other.terms.items():
                 m = wadd(m1, m2)
                 out[m] = out.get(m, 0) + c1 * c2
-        return WeylSymFn(self.d, out)
+        return WeylSymFn._of(self.d, out)
 
     __rmul__ = __mul__
 
@@ -119,7 +142,7 @@ class WeylSymFn:
         out = {}
         for m, c in self.terms.items():
             out[d._act(word, m)] = c
-        return WeylSymFn(d, out)
+        return WeylSymFn._of(d, out)
 
     def is_invariant(self):
         """Full check that every coefficient is constant on simple reflections."""
@@ -131,11 +154,11 @@ class WeylSymFn:
 
     def star(self):
         """Dualizing involution e^mu -> e^(-mu)."""
-        return WeylSymFn(self.d, {wneg(m): c for m, c in self.terms.items()})
+        return WeylSymFn._of(self.d, {wneg(m): c for m, c in self.terms.items()})
 
     def bowtie(self):
         """Bow tie involution e^mu -> e^(w0(mu))."""
-        return WeylSymFn(self.d, {self.d.w0_weight(m): c for m, c in self.terms.items()})
+        return WeylSymFn._of(self.d, {self.d.w0_weight(m): c for m, c in self.terms.items()})
 
     def restrict(self, nodes):
         """Project each weight onto the subdiagram for the given nodes."""
@@ -144,7 +167,7 @@ class WeylSymFn:
         for m, c in self.terms.items():
             key = self.d.project(m, sel)
             out[key] = out.get(key, 0) + c
-        return WeylSymFn(sub, out)
+        return WeylSymFn._of(sub, out)
 
 
 # ---------------------------------------------------------------------------
@@ -370,11 +393,11 @@ def freudenthal(d, lam):
     lam = d.check_dominant(lam)
     mult = d.memo.get("freudenthal", {}).get(lam)
     if mult is None:
-        return WeylSymFn(d, _freudenthal_walk(d, lam)[1])
+        return WeylSymFn._of(d, _freudenthal_walk(d, lam)[1])
     out = {}
     for rep, c in mult.items():
         out.update(dict.fromkeys(d._orbit(rep)[0], c))
-    return WeylSymFn(d, out)
+    return WeylSymFn._of(d, out)
 
 
 def kostant_multiplicity(d, lam, mu):
@@ -384,7 +407,11 @@ def kostant_multiplicity(d, lam, mu):
     that can contribute: P vanishes unless w(lam + rho) lies at or above mu
     + rho in every root coordinate, and d._orbit_above walks exactly those
     w(lam + rho) (a pruned canonical-parent walk; see its proof), with
-    det(w) = (-1)^level since lam + rho is regular.
+    det(w) = (-1)^level since lam + rho is regular.  A mu outside
+    Pi(lambda), that is one whose dominant representative is not below
+    lambda (lambda minus it not a sum of simple roots), has multiplicity 0,
+    returned without a partition count.  The walk still runs first, so a
+    |W| over the orbit cap raises OrbitTooLarge whatever mu is.
     """
     lam, mu = d.check_dominant(lam), d.check_weight(mu)
     _check_group_cap(d)
@@ -393,6 +420,9 @@ def kostant_multiplicity(d, lam, mu):
     target = wadd(mu, rho)
     above = d._orbit_above(shifted, d.root_coords_scaled(shifted),
                            d.root_coords_scaled(target))
+    gap = d.root_lattice_coords(wsub(lam, d.dominant_rep(mu)))
+    if gap is None or any(c < 0 for c in gap):
+        return 0
     return sum(parity * _kostant_partition(d, wsub(w, target))
                for w, parity in above.items())
 
@@ -408,14 +438,14 @@ def alternant(d, lam):
     lam = d.check_dominant(lam)
     _check_group_cap(d)
     if not d.is_strongly_dominant(lam):
-        return WeylSymFn(d)
-    return WeylSymFn(d, dict(d.weyl_orbit(lam).items()))
+        return WeylSymFn._of(d, {})
+    return WeylSymFn._of(d, d.weyl_orbit(lam))
 
 
 def monomial_wsf(d, lam):
     """zeta_lambda: the orbit indicator function."""
     lam = d.check_dominant(lam)
-    return WeylSymFn(d, {w: 1 for w in d.weyl_orbit(lam)})
+    return WeylSymFn._of(d, dict.fromkeys(d.weyl_orbit(lam), 1))
 
 
 def elementary_wsf(d, lam):
@@ -457,7 +487,7 @@ def expand_in_bialternants(f):
 
 def reconstruct(d, expansion):
     """Inverse of expand_in_bialternants: sum c_lambda chi_lambda."""
-    out = WeylSymFn(d)
+    out = WeylSymFn._of(d, {})
     for lam, c in expansion.items():
         out = out + c * freudenthal(d, lam)
     return out
@@ -481,8 +511,9 @@ def specialize(d, lam):
     ht_lam = d.height_scaled(lam)
     deg = _as_int(2 * ht_lam, den)
     coeffs = [0] * (deg + 1)
+    heights = d._heights_scaled         # the height of mu is sum(mu * heights) / den
     for mu, c in freudenthal(d, lam).terms.items():
-        coeffs[_as_int(d.height_scaled(mu) + ht_lam, den)] += c
+        coeffs[_as_int(sum(map(mul, mu, heights)) + ht_lam, den)] += c
     nums = numbersgame.rgf_exponents(d, lam)
     dens = numbersgame.rgf_exponents(d, zero_weight(d.rank))
     quot = qpoly.quotient_rgf(nums, dens)

@@ -5,8 +5,9 @@ numbers-game firing reads the whole dense Cartan row, the Weyl group is
 closed as a set of exact matrices, partition counts come
 from bounded enumeration (and, with their memo keys, from a recursion per
 positive root), positive roots from reflection closure or by
-reflecting each simple root along a word, Weyl orbits from a search that
-tries every simple reflection on every element, crystal signatures from
+reflecting each simple root along a word, Weyl orbits (and the orbits of
+a parabolic subgroup W_K) from a search that tries every simple reflection
+on every element, crystal signatures from
 separate forward and suffix scans, Kostant multiplicities from a sum over
 the whole orbit, omega expressions from a deepening depth-first search,
 (J,nu)-colorings from a recursion on the prefix length
@@ -300,6 +301,22 @@ def brute_weyl_orbit(d, mu, cap=None):
     if indeterminate:
         return {w: None for w in parities}
     return parities
+
+
+def brute_parabolic_orbit(d, mu, nodes):
+    """The orbit of mu under W_K, K = nodes (1-based), as a set, by a
+    search that tries every s_k, k in K, on every element."""
+    seen, frontier = {tuple(mu)}, [tuple(mu)]
+    while frontier:
+        nxt = []
+        for v in frontier:
+            for k in nodes:
+                w = d.simple_reflection(k, v)
+                if w not in seen:
+                    seen.add(w)
+                    nxt.append(w)
+        frontier = nxt
+    return seen
 
 
 # ---------------------------------------------------------------------------

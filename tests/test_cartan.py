@@ -1,6 +1,8 @@
 import itertools
 import json
+import math
 import random
+import re
 from fractions import Fraction
 
 import pytest
@@ -12,8 +14,9 @@ from weylsplit import DynkinDiagram, build_diagram, cartan, crystal
 from weylsplit.errors import (DiagramTooLarge, ExactnessError, NotFiniteType, NotGCM,
                               OrbitTooLarge)
 
-from conftest import (apply_mat, brute_numbering, brute_positive_roots, brute_weyl_group,
-                      brute_weyl_orbit, coroot_pairing, fraction_inverse, mat_det, norm2)
+from conftest import (apply_mat, brute_numbering, brute_parabolic_orbit, brute_positive_roots,
+                      brute_weyl_group, brute_weyl_orbit, coroot_pairing, fraction_inverse,
+                      mat_det, norm2)
 
 
 def rand_weight(rng, n, lo=-6, hi=6):
@@ -229,9 +232,24 @@ def test_orbit_matches_brute_random(data):
     assert d.weyl_orbit(mu) == brute_weyl_orbit(d, mu)
 
 
+def stage_keys(top):
+    """The (K, m) of the stages the orbit of top is composed from: K_0 all
+    nodes, m_t the t-th nonzero node of top, K_t = K_(t-1) - m_t."""
+    nodes, keys = list(range(1, len(top) + 1)), []
+    for m, c in enumerate(top, 1):
+        if c:
+            keys.append((tuple(nodes), m))
+            nodes.remove(m)
+    return keys
+
+
 @settings(max_examples=60, deadline=None)
 @given(st.data())
 def test_orbit_table_replay_matches_a_fresh_walk(data):
+    """Two dominant weights with one zero set share every stage: after the
+    first orbit, the second is replayed from stored stage tables only, and
+    gives the list (order included) that a fresh diagram gives, equal to the
+    brute orbit."""
     spec = data.draw(st.sampled_from(SMALL_SPECS))
     d = build_diagram(spec)
     perm = data.draw(st.permutations(range(d.rank)))
@@ -242,8 +260,11 @@ def test_orbit_table_replay_matches_a_fresh_walk(data):
     tops = [tuple(0 if z else data.draw(st.integers(1, 4)) for z in zero) for _ in "ab"]
     mu = d.act(data.draw(st.lists(st.integers(1, d.rank), max_size=6)), tops[1])
     d.weyl_orbit(tops[0])
+    stored = dict(d.memo.get("orbit", {}))
+    assert list(stored) == stage_keys(tops[0])
     got = list(d.weyl_orbit(mu).items())
-    assert list(d.memo["orbit"]) == [tuple(j for j, z in enumerate(zero, 1) if z)]
+    assert d.memo.get("orbit", {}) == stored
+    assert all(d.memo["orbit"][key] is table for key, table in stored.items())
     assert got == list(build_diagram(matrix).weyl_orbit(mu).items())
     assert dict(got) == brute_weyl_orbit(d, mu)
 
@@ -258,20 +279,76 @@ def renumbered(data, specs):
 @settings(max_examples=80, deadline=None)
 @given(st.data())
 def test_orbit_walk_finds_each_weight_once_at_its_level(data):
-    """The canonical-parent walk of a fresh diagram (a table miss) lists the
-    brute orbit once over, and a weight nu sits at level #{beta > 0 :
-    <nu, beta^vee> < 0}; the replay of its table gives the same list."""
+    """The orbit composed from the stages of a fresh diagram (every stage a
+    miss) lists the brute orbit once over, as many weights as the product of
+    the stage sizes, and puts each weight nu at level #{beta > 0 :
+    <nu, beta^vee> < 0}; the replay from the stored stages gives the same
+    list and levels."""
     d = renumbered(data, SMALL_SPECS)
     top = tuple(data.draw(st.lists(st.integers(0, 3), min_size=d.rank, max_size=d.rank)))
-    orbit, starts = d._orbit(top)
-    assert len(set(orbit)) == len(orbit)
+    orbit, levels = d._orbit(top)
+    assert len(set(orbit)) == len(orbit) == len(levels)
     assert set(orbit) == set(brute_weyl_orbit(d, top))
+    stages = d.memo.get("orbit", {})
+    assert list(stages) == stage_keys(top)
+    assert len(orbit) == math.prod(len(table[2]) for table in stages.values())
     roots = brute_positive_roots(d)
-    for level, (a, b) in enumerate(zip(starts, (*starts[1:], len(orbit)))):
-        assert a < b
-        for nu in orbit[a:b]:
-            assert sum(coroot_pairing(d, nu, beta) < 0 for beta in roots) == level, nu
-    assert d._orbit(top) == (orbit, starts)
+    for nu, level in zip(orbit, levels):
+        assert sum(coroot_pairing(d, nu, beta) < 0 for beta in roots) == level, nu
+    assert d._orbit(top) == (orbit, levels)
+
+
+@settings(max_examples=80, deadline=None)
+@given(st.data())
+def test_each_stage_is_the_parabolic_orbit_once(data):
+    """Stage (K, m), replayed from omega_m, lists the brute W_K-orbit of
+    omega_m once over, each weight nu at level #{beta > 0 with support in K
+    : <nu, beta^vee> < 0}."""
+    d = renumbered(data, SMALL_SPECS)
+    nodes = tuple(sorted(data.draw(st.sets(st.integers(1, d.rank), min_size=1))))
+    m = data.draw(st.sampled_from(nodes))
+    parents, steps, levels = d._stage(nodes, m, cartan.orbit_cap())
+    weights = [d.omega(m)]
+    for k, i in zip(parents, steps):
+        assert i + 1 in nodes
+        weights.append(d.simple_reflection(i + 1, weights[k]))
+    assert len(set(weights)) == len(weights) == len(levels)
+    assert set(weights) == brute_parabolic_orbit(d, d.omega(m), nodes)
+    roots = [beta for beta in brute_positive_roots(d)
+             if all(c == 0 or j in nodes for j, c in enumerate(d.to_root_coords(beta), 1))]
+    for nu, level in zip(weights, levels):
+        assert sum(coroot_pairing(d, nu, beta) < 0 for beta in roots) == level, nu
+    assert d.memo["orbit"] == {(nodes, m): (parents, steps, levels)}
+
+
+class _NoRows:
+    """Stands in for a diagram's rows: building any weight of an orbit reads them."""
+
+    def __getitem__(self, i):
+        raise AssertionError("an orbit weight was built")
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_orbit_cap_raises_before_any_weight_is_built(data):
+    """A cap one below the orbit's size raises OrbitTooLarge, naming the
+    weight, with the stages stored or not, and never reads the rows that
+    building an orbit weight needs; at the size itself the orbit is built."""
+    d = renumbered(data, SMALL_SPECS)
+    top = tuple(data.draw(st.lists(st.integers(0, 3), min_size=d.rank, max_size=d.rank)))
+    size = len(brute_weyl_orbit(d, top))
+    fresh = build_diagram(d.cartan)
+    assert len(d._orbit(top)[0]) == size        # stores every stage
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setenv("WEYL_ORBIT_CAP", str(size - 1))
+        for e in (d, fresh):
+            rows, e._sparse_rows = e._sparse_rows, _NoRows()
+            with pytest.raises(OrbitTooLarge, match="^%s$" % re.escape(
+                    "orbit of %s exceeds cap %d" % (top, size - 1))):
+                e._orbit(top)
+            e._sparse_rows = rows
+        mp.setenv("WEYL_ORBIT_CAP", str(size))
+        assert d._orbit(top) == fresh._orbit(top)
 
 
 @settings(max_examples=80, deadline=None)
@@ -291,7 +368,9 @@ def test_orbit_above_is_the_orbit_cut_at_the_floor(data):
 
 def test_orbit_table_honours_the_cap(monkeypatch):
     d = build_diagram("B3")
-    size = len(d.weyl_orbit((1, 0, 2)))     # records the table of J = (2,)
+    # records the stages ((1, 2, 3), 1), 6 weights, and ((2, 3), 3), 4 weights
+    size = len(d.weyl_orbit((1, 0, 2)))
+    assert size == 24 and list(d.memo["orbit"]) == [((1, 2, 3), 1), ((2, 3), 3)]
     mu = d.act((1,), (3, 0, 1))
     assert not d.is_dominant(mu)
     monkeypatch.setenv("WEYL_ORBIT_CAP", str(size))
@@ -300,27 +379,34 @@ def test_orbit_table_honours_the_cap(monkeypatch):
     with pytest.raises(OrbitTooLarge, match=r"orbit of \(%d, %d, %d\) exceeds cap %d"
                        % (*mu, size - 1)):
         d.weyl_orbit(mu)
-    # a walk the cap stops stores nothing
+    # a stage walk the cap stops stores nothing: the first stage fits in 23,
+    # the second would need 4 weights beside its 6 (6 * 4 > 23)
+    fresh = build_diagram("B3")
+    with pytest.raises(OrbitTooLarge):
+        fresh.weyl_orbit(mu)
+    assert list(fresh.memo["orbit"]) == [((1, 2, 3), 1)]
+    monkeypatch.setenv("WEYL_ORBIT_CAP", "5")
     fresh = build_diagram("B3")
     with pytest.raises(OrbitTooLarge):
         fresh.weyl_orbit(mu)
     assert not fresh.memo.get("orbit")
     monkeypatch.delenv("WEYL_ORBIT_CAP")
     assert list(fresh.weyl_orbit(mu).items()) == list(d.weyl_orbit(mu).items())
-    assert list(fresh.memo["orbit"]) == [(2,)]
+    assert list(fresh.memo["orbit"]) == [((1, 2, 3), 1), ((2, 3), 3)]
 
 
 def test_orbit_tables_stay_within_their_budget(monkeypatch):
     weights = list(itertools.product(range(-1, 3), repeat=3))
     want = [list(build_diagram("B3").weyl_orbit(mu).items()) for mu in weights]
-    monkeypatch.setattr(cartan, "ORBIT_TABLE_STEPS", 30)
+    monkeypatch.setattr(cartan, "ORBIT_TABLE_STEPS", 10)
     d = build_diagram("B3")
     for _ in range(2):
         assert [list(d.weyl_orbit(mu).items()) for mu in weights] == want
         steps = [len(table[0]) for table in d.memo["orbit"].values()]
-        assert sum(steps) <= 30
-    # the regular orbit has 48 weights: it is walked every time, never stored
-    assert steps and () not in d.memo["orbit"]
+        assert sum(steps) <= 10
+    # the stage of omega_2 under B3 has 12 weights, 11 steps: it is walked
+    # every time, never stored
+    assert steps and ((1, 2, 3), 2) not in d.memo["orbit"]
 
 
 def test_diagram_constants_examples():

@@ -87,6 +87,17 @@ def test_empty_weight_field_is_a_usage_error(capsys, weight):
         == run(capsys, "char", "--diagram", "A2", "--weight", "1,0")
 
 
+@pytest.mark.parametrize("weight", ["1,,0", "1,0,", "1,0", "1,0,0,0"])
+def test_lattice_weight_is_read_by_the_weight_parser(capsys, weight):
+    """lattice --weight is read by cartan.parse_weight over n - 1 fields: an
+    empty field or a wrong length is a usage error."""
+    rc, out, err = run(capsys, "lattice", "--family", "gt", "--n", "4", "--weight", weight)
+    assert rc == 2 and out == "" and err.startswith("usage error:")
+    rc, out, _ = run(capsys, "lattice", "--family", "gt", "--n", "4", "--weight", " 1 ,0, 2")
+    assert rc == 0 and out == run(capsys, "lattice", "--family", "gt", "--n", "4",
+                                  "--weight", "1,0,2")[1]
+
+
 def test_domain_error_exit_1(capsys):
     rc, _, err = run(capsys, "info", "--diagram", "cartan:[[2,-2],[-2,2]]")
     assert rc == 1

@@ -2,7 +2,8 @@
 
 Weights, numbers-game positions and strategies and lattice family
 parameters are read through DynkinDiagram.check_weight, check_dominant and
-cartan.int_tuple (WeylSymFn.coeff reads its weight through check_weight);
+cartan.int_tuple (the WeylSymFn constructor reads every key, and coeff its
+weight, through check_weight);
 nodes, node subsets J and a numbers-game strategy's nodes through the one
 node rule, which check_node, sub_diagram and cartan.sub_weight (J with its
 nu) share, and the nodes of numbersgame.fire, DynkinDiagram.act and
@@ -62,6 +63,11 @@ PROBES = [
     ("wsf.WeylSymFn.monomial(d, (1, 0)).power(2.0)", "BadExponent"),
     ("wsf.WeylSymFn.monomial(d, (1,))", "DiagramMismatch"),
     ("wsf.WeylSymFn.monomial(d, (1.0, 0))", "NotAWeight"),
+    # the constructor kept any tuple as a weight key, so a product with a
+    # character truncated in wadd's zip or computed in floats
+    ("wsf.WeylSymFn(d, {(1,): 1})", "DiagramMismatch"),
+    ("wsf.WeylSymFn(d, {(1.0, 0): 1})", "NotAWeight"),
+    ("wsf.WeylSymFn(d, {(1, 0): 1, (1, 0, 0): 0})", "DiagramMismatch"),
     # rgf_closed_form ended in a bare TypeError or ValueError
     ("patternlat.rgf_closed_form('C', 2, m=1.5)", "InvalidFamilyParams"),
     ("patternlat.rgf_closed_form('A', 2, lam=(1, 0.5))", "InvalidFamilyParams"),

@@ -308,3 +308,22 @@ def test_the_numbers_game_states_no_graph_rule():
     assert readers == {"cartan.py"}, readers
     stray = {path.name: _raises(path, None, "is not in 1..") for path in SRC.glob("*.py")}
     assert not any(stray.values()), stray
+
+
+def test_package_results_skip_the_public_constructor():
+    """The package builds its WeylSymFn results through the trusted
+    WeylSymFn._of: outside the class itself no source file calls
+    WeylSymFn(...), and wsf and ecposet do call _of."""
+    bad, trusted = [], {}
+    for path in sorted(SRC.glob("*.py")):
+        tree = ast.parse(path.read_text(), str(path))
+        inside = set()
+        if path.name == "wsf.py":
+            cls, = [node for node in tree.body
+                    if isinstance(node, ast.ClassDef) and node.name == "WeylSymFn"]
+            inside = set(range(cls.lineno, cls.end_lineno + 1))
+        bad += ["%s:%d" % (path.name, line) for line in _calls(tree, "WeylSymFn")
+                if line not in inside]
+        trusted[path.name] = len(_calls(tree, "_of"))
+    assert not bad, "WeylSymFn(...) called in src: %s" % bad
+    assert trusted["wsf.py"] and trusted["ecposet.py"], trusted

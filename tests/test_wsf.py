@@ -7,7 +7,8 @@ from hypothesis import assume, given, settings, strategies as st
 
 from weylsplit import build_diagram, wsf
 from weylsplit.cartan import DynkinDiagram, wadd, wneg, wsub
-from weylsplit.errors import ExactnessError, NotDominant, NotInvariant, OrbitTooLarge
+from weylsplit.errors import (DiagramMismatch, ExactnessError, NotAWeight, NotDominant,
+                              NotInvariant, OrbitTooLarge)
 
 from conftest import (brute_dominant_weights_below, brute_kostant_multiplicity,
                       brute_partition_count, brute_weyl_dimension, coroot_pairing,
@@ -43,6 +44,26 @@ def test_non_int_coefficients_raise():
             wsf.WeylSymFn.monomial(a2, (1, 0), c)
     assert wsf.WeylSymFn(a2, {(1, 0): 0}) == wsf.WeylSymFn(a2)
     assert wsf.WeylSymFn(a2, {(1, 0): -2}).terms == {(1, 0): -2}
+
+
+def test_constructors_check_or_hand_over():
+    """The public constructor copies its terms and reads every key through
+    the gate; the trusted _of keeps the dict it is handed, with its zero
+    coefficients deleted in place."""
+    a2 = build_diagram("A2")
+    for bad, error in (({(1,): 1}, DiagramMismatch), ({(1.0, 0): 1}, NotAWeight),
+                       ({(True, 0): 1}, NotAWeight), ({(1, 0): 1, (1, 0, 0): 0}, DiagramMismatch),
+                       ({"ab": 1}, NotAWeight)):
+        with pytest.raises(error):
+            wsf.WeylSymFn(a2, bad)
+    terms = {(1, 0): 2, (0, 1): 0}
+    f = wsf.WeylSymFn(a2, [((1, 0), 2), ((0, 1), 0)])
+    assert f.terms == {(1, 0): 2} and {type(w) for w in f.terms} == {tuple}
+    g = wsf.WeylSymFn._of(a2, terms)
+    assert g.terms is terms and terms == {(1, 0): 2} and g == f
+    h = f - f
+    assert not h and h.terms == {}
+    assert (f * 0).terms == {} and (f + f).terms == {(1, 0): 4}
 
 
 @pytest.mark.parametrize("other", [0.5, 1, Fraction(1, 2), "x", None])
@@ -187,6 +208,38 @@ def test_kostant_multiplicity_matches_the_whole_orbit_sum(data):
         mu = tuple(data.draw(st.lists(st.integers(-4, 4), min_size=d.rank,
                                       max_size=d.rank)))
     assert wsf.kostant_multiplicity(d, lam, mu) == brute_kostant_multiplicity(d, lam, mu)
+
+
+def _no_partition_count(d, mu):
+    raise AssertionError("a partition count was made for %s" % (mu,))
+
+
+def test_kostant_multiplicity_outside_pi_counts_no_partition(monkeypatch):
+    """A mu whose dominant representative is not below lambda has
+    multiplicity 0, and no partition count is made: F4 (0,0,0,0) at
+    (-2,-2,-2,-2) took 86.8 s and 3.2 million memo keys by the sum (so a
+    count here fails at once instead of running)."""
+    d = build_diagram("F4")
+    monkeypatch.setattr(wsf, "_kostant_partition", _no_partition_count)
+    assert wsf.kostant_multiplicity(d, (0, 0, 0, 0), (-2, -2, -2, -2)) == 0
+    assert not d.memo.get("kostant")
+
+
+@pytest.mark.parametrize("spec, lam, mu", [
+    ("A2", (1, 0), (-1, -1)), ("A2", (1, 1), (3, -1)), ("A2", (0, 0), (1, -2)),
+    ("B3", (1, 0, 0), (0, 0, 2)), ("B3", (0, 0, 1), (-1, 1, 1)),
+    ("C2", (0, 1), (-2, 2)), ("G2", (1, 0), (0, -1)), ("G2", (0, 1), (-3, 0)),
+    ("A1+A1", (1, 0), (1, 2)), ("A3", (0, 1, 0), (1, -2, 1))])
+def test_kostant_multiplicity_outside_pi_matches_the_whole_orbit_sum(spec, lam, mu,
+                                                                      monkeypatch):
+    """Small mu outside Pi(lambda), against det(w) * P over the whole brute
+    orbit: both 0, with no partition count made."""
+    d = build_diagram(spec)
+    assert d.dominant_rep(mu) not in wsf.dominant_weights_below(d, lam)
+    want = brute_kostant_multiplicity(d, lam, mu)
+    monkeypatch.setattr(wsf, "_kostant_partition", _no_partition_count)
+    assert wsf.kostant_multiplicity(d, lam, mu) == 0 == want
+    assert not d.memo.get("kostant")
 
 
 def test_kostant_multiplicity_honours_the_orbit_cap(monkeypatch):
