@@ -890,6 +890,18 @@ class DynkinDiagram(RawGCMGraph):
         return tuple(mu[j - 1] for j in nodes)
 
 
+def check_diagram(d):
+    """d when it is a DynkinDiagram; DiagramMismatch otherwise.
+
+    The one diagram gate: every public wsf entry point reads its diagram
+    through here, so a type string or None in its place raises a named
+    error instead of a bare AttributeError.
+    """
+    if not isinstance(d, DynkinDiagram):
+        raise DiagramMismatch("%r is not a DynkinDiagram" % (d,))
+    return d
+
+
 # ---------------------------------------------------------------------------
 # diagram spec parsing: "G2", "A3+A1", or "cartan:[[2,-1],[-3,2]]"
 

@@ -73,7 +73,7 @@ def quasi_minuscule_tau_kappa(d, poset):
     short roots, and colors a fixed vertex by any edge above it; S is the
     top vertex.  Feeds ecposet.verify_tau_kappa directly.
     """
-    top = max(range(poset.n), key=poset.global_rank)
+    top = max(range(poset.n), key=poset._global_rank.__getitem__)
     s_set = frozenset([top])
     by_label = {poset.labels[v]: v for v in range(poset.n)}
     tau, kappa = {}, {}
@@ -114,6 +114,17 @@ class TensorOps:
                 raise NotFibrous("crystal product factors must be fibrous")
         self.factors = list(factors)
         self.d = d
+        # _pairs[i][q][v] = (delta_i, m_i) of vertex v of factor q, read off
+        # the factor's rho and lng rows once; equal pairs are one tuple
+        shared, per_factor = {}, {}
+        for f in self.factors:
+            if id(f) not in per_factor:
+                rows = per_factor[id(f)] = [None]
+                for i in range(1, d.rank + 1):
+                    pairs = [(l - r, 2 * r - l) for r, l in zip(f.rho[i], f.lng[i])]
+                    rows.append(list(map(shared.setdefault, pairs, pairs)))
+        self._pairs = [None] + [[per_factor[id(f)][i] for f in self.factors]
+                                for i in range(1, d.rank + 1)]
 
     def wt(self, x):
         out = zero_weight(self.d.rank)
@@ -133,14 +144,14 @@ class TensorOps:
         """
         best = first = last = None
         pref = 0
-        for q, (f, v) in enumerate(zip(self.factors, x)):
-            rho, lng = f.rho[i][v], f.lng[i][v]
-            val = lng - rho - pref
+        for q, (pairs, v) in enumerate(zip(self._pairs[i], x)):
+            delta, m = pairs[v]
+            val = delta - pref
             if best is None or val > best:
                 best, first, last = val, q, q
             elif val == best:
                 last = q
-            pref += 2 * rho - lng
+            pref += m
         return best, first, best + pref, last
 
     def raising(self, i, x):
@@ -391,8 +402,9 @@ def build_crystal(d, lam):
 def m_set(p, nodes, nu):
     """M_{J,nu}(p) = vertices with delta_j <= nu_j for all j in J."""
     _, nu_of = sub_weight(p.n_colors, nodes, nu)
+    rho, lng = p.rho, p.lng
     return [x for x in range(p.n)
-            if all(p.delta(j, x) <= nu_of[j] for j in nu_of)]
+            if all(lng[j][x] - rho[j][x] <= nu_of[j] for j in nu_of)]
 
 
 def decompose(d, nu, lam):
@@ -507,7 +519,7 @@ def verify_jnu_coloring(p, nodes, nu, kappa):
         return False, "kappa domain is not the complement of M_{J,nu}"
     for x in kappa:
         j = kappa[x]
-        if j not in nodes or p.delta(j, x) <= nu_of[j]:
+        if j not in nodes or p.lng[j][x] - p.rho[j][x] <= nu_of[j]:
             return False, "kappa(%d) is not in K_{J,nu}" % x
         comp = p.comp_members(j, x)
         chain = sorted(comp, key=lambda v: p.rho[j][v])

@@ -6,13 +6,13 @@ length l_i, depth delta_i = l_i - rho_i, m_i = 2 rho_i - l_i, and the
 weight wt(x) = sum m_i(x) omega_i.  All of these follow from the rank of
 each vertex and from which vertices share a component (of the poset, and
 of each color), and one method, `ColoredPoset._fill`, writes every one of
-them, the global ranks and poset components included.  A poset is set up
-by assigning its five inputs (d, n_colors, n, edges, labels) and calling
-`_fill`; everything else is a cache built when first read.  On top of that
-live the structure predicates (M-structured, fibrous, primary,
-diamond-colored), weight generating functions, poset transforms,
-generalized weight diagrams, the unique maximal splitting poset, and the
-splitting verifiers.
+them, the edges, the global ranks and the poset components included.  A
+poset is set up by assigning its four inputs (d, n_colors, n, labels) and
+calling `_fill` with its edges; everything else is a cache built when
+first read.  On top of that live the structure predicates (M-structured,
+fibrous, primary, diamond-colored), weight generating functions, poset
+transforms, generalized weight diagrams, the unique maximal splitting
+poset, and the splitting verifiers.
 
 The unique maximal splitting poset U(lambda) is the blow-up of Pi(lambda):
 d_{lambda,mu} copies of each weight mu, and a complete bipartite block for
@@ -20,23 +20,28 @@ each edge.  Only Pi(lambda) goes through the constructor's checks; U(lambda)
 reads its ranks and components off Pi(lambda)'s ranks, components and
 lng rows, as `_blow_up` proves sound, and passes them to the same fill.
 
-Edges are triples (u, v, c) of plain ints, kept sorted in `edges`.  The
-adjacency lists `out[u]` and `inc[v]` hold those same triple objects, in
-sorted-edge order, so nothing else is allocated per edge.  They, the
-member lists of the components and the reachability masks are built only
-when first read: ranking uses adjacency rows of its own and keeps none, so
-a poset that is only asked for ranks, weights and edges never holds them.
-A blow-up's `edges` is a read-only sequence whose length is the sum of
-the block sizes, so `len(u.edges)` costs no edge; its triples too are
-built on first read.
+Edges are triples (u, v, c) of plain ints, sorted, and every poset keeps
+them in one EdgeColumns: three machine-int columns that read as the tuple
+of the triples, each triple built when it is read.  The per-vertex rows
+(global ranks, poset components, and comp_id, rho and lng per color) are
+unsigned `array` rows as narrow as their values allow, and equal weights
+share one tuple in `wt`.  The adjacency lists `out[u]` and `inc[v]` hold
+the triples in sorted-edge order.  They, the member lists of the
+components and the reachability masks are built only when first read:
+ranking uses adjacency rows of its own and keeps none, so a poset that is
+only asked for ranks, weights and edges never holds them.  A blow-up's
+columns are filled the first time an edge is read; their length is the sum
+of the block sizes, so `len(u.edges)` costs no edge.
 
 Posets are immutable after construction; every cache is computed once.
 """
 
+from array import array
 from collections import namedtuple
 from collections.abc import Sequence
 from functools import cached_property
 from itertools import chain, repeat
+from operator import eq
 
 from . import wsf
 from .cartan import sub_weight, wadd, wsub
@@ -73,11 +78,80 @@ def _find(parent, x):
 
 
 def _adjacency(n, edges, end):
-    """Per vertex, the edges whose end-th entry it is: the triples themselves."""
+    """Per vertex, the edges whose end-th entry it is, in the order of edges."""
     rows = [[] for _ in range(n)]
     for e in edges:
         rows[e[end]].append(e)
     return rows
+
+
+# unsigned array typecodes, narrowest first, each with the first int it cannot hold
+_CODES = tuple((1 << 8 * array(code).itemsize, code) for code in "BHIQ")
+
+
+def _row(values, hi):
+    """values, all in 0..hi, as an array of the narrowest unsigned typecode."""
+    if hi < 256:
+        return array("B", bytes(values))    # bytes reads ints about 4 times faster
+    for lim, code in _CODES:
+        if hi < lim:
+            break
+    return array(code, values)      # a value past the widest code raises OverflowError
+
+
+class EdgeColumns(Sequence):
+    """A poset's sorted edges as three int columns u, v and c.
+
+    It reads as the tuple of the triples (u, v, c) that it holds: the same
+    len, items (negative indices too), slices (tuples of triples),
+    iteration, == (against an EdgeColumns column by column, against
+    anything else as that tuple compares), hash and repr.  Each triple is
+    built when it is read.  The columns are `_row` arrays, as narrow as the
+    vertex and color counts allow.  Either they are given, or `fill`
+    returns them on the first read; the length is known before either.
+    """
+
+    __slots__ = ("_len", "_cols", "_fill")
+
+    def __init__(self, length, cols=None, fill=None):
+        self._len, self._cols, self._fill = length, cols, fill
+
+    @classmethod
+    def of(cls, edges, n, n_colors):
+        """The columns of the triples edges, in their order, on n vertices."""
+        u, v, c = zip(*edges) if edges else ((), (), ())
+        return cls(len(edges), (_row(u, n - 1), _row(v, n - 1), _row(c, n_colors)))
+
+    def columns(self):
+        """The (u, v, c) columns, filled on the first call."""
+        if self._cols is None:
+            self._cols, self._fill = self._fill(), None
+        return self._cols
+
+    def __len__(self):
+        return self._len
+
+    def __iter__(self):
+        return zip(*self.columns())
+
+    def __getitem__(self, i):
+        u, v, c = self.columns()
+        if isinstance(i, slice):
+            return tuple(zip(u[i], v[i], c[i]))
+        return u[i], v[i], c[i]
+
+    def __eq__(self, other):
+        if isinstance(other, EdgeColumns):
+            return self._len == other._len and self.columns() == other.columns()
+        if isinstance(other, tuple):
+            return self._len == len(other) and all(map(eq, self, other))
+        return NotImplemented
+
+    def __hash__(self):
+        return hash(tuple(self))
+
+    def __repr__(self):
+        return repr(tuple(self))
 
 
 def component_roots(n, edges, n_colors):
@@ -135,8 +209,63 @@ def _rank_and_components(n, edges):
     return rank, comp
 
 
+def _closure(out, order):
+    """Bitmask closure over the adjacency out, filled from the top of a
+    topological order."""
+    r = [0] * len(out)
+    for v in reversed(order):
+        m = 1 << v
+        for _, w, _ in out[v]:
+            m |= r[w]
+        r[v] = m
+    return r
+
+
+def _check_covering(n, edges):
+    """Raise NotAcyclic on a directed cycle, NotCovering on an edge that a
+    longer path implies; the constructor's diagnosis of an unranked relation."""
+    out = _adjacency(n, edges, 0)
+    indeg = [0] * n
+    for _, v, _ in edges:
+        indeg[v] += 1
+    order = [v for v in range(n) if indeg[v] == 0]
+    for v in order:                     # order grows as vertices free up
+        for _, w, _ in out[v]:
+            indeg[w] -= 1
+            if indeg[w] == 0:
+                order.append(w)
+    if len(order) != n:
+        raise NotAcyclic("edge relation has a directed cycle")
+    r = _closure(out, order)
+    for u in range(n):
+        acc = 0
+        for _, w, _ in out[u]:
+            acc |= r[w] & ~(1 << w)
+        for _, v, _ in out[u]:
+            if acc >> v & 1:
+                raise NotCovering("edge %d->%d is implied by a longer path" % (u, v))
+
+
 class ColoredPoset:
-    """Finite ranked poset with covering edges colored by 1..n_colors."""
+    """Finite ranked poset with covering edges colored by 1..n_colors.
+
+    Its tables, all written by `_fill`:
+
+    - edges: the sorted triples (u, v, c) in one EdgeColumns.
+    - _global_rank and _poset_comp: per vertex, its rank and the number of
+      its poset component (n_poset_components of them), each one `_row`.
+    - comp_id, rho and lng: per color c = 1..n_colors, row c holds per
+      vertex the number of its color-c component, rho_c and l_c, each row
+      a `_row`; row 0 is one shared row of zeros, so colors index from 1.
+    - wt: a tuple of weight tuples, equal weights one shared tuple.
+    - labels: the labels given, as a tuple, or None.
+
+    A vertex is a plain int in 0..n-1 and a color a plain int in
+    1..n_colors: global_rank, delta, m and comp_members read their
+    arguments by that one rule (`_vertex`, `_color`) and raise
+    MalformedPoset for anything else.  The package's own loops, which hold
+    valid ids, read the rows directly.
+    """
 
     def __init__(self, n_vertices, edges, diagram=None, n_colors=None,
                  labels=None, is_lattice_hint=None):
@@ -174,41 +303,49 @@ class ColoredPoset:
             pu, pv = u, v
         if repeated:
             raise NotCovering("multiple edges between a vertex pair")
-        self.edges = tuple(edges)
 
         # Ranking raises each edge by one rank and each longer path by at
         # least two, so a ranked poset is acyclic and no path implies an edge:
         # the cycle and closure checks are needed only if ranking fails.
         try:
-            rank, comp = _rank_and_components(n, self.edges)
+            rank, comp = _rank_and_components(n, edges)
         except NotRanked:
-            self._check_covering(self._toposort())
+            _check_covering(n, edges)
             raise
-        self._fill(rank, comp, component_roots(n, self.edges, n_colors))
+        self._fill(EdgeColumns.of(edges, n, n_colors), rank, comp,
+                   component_roots(n, edges, n_colors))
         if is_lattice_hint is not None:
             self._is_lattice = is_lattice_hint
 
     _is_lattice = None      # unknown until is_lattice() or a hint sets it
 
-    def _fill(self, rank, comp, keys):
-        """Write every derived table from the ranks and the component keys.
+    def _fill(self, edges, rank, comp, keys):
+        """Store the EdgeColumns edges and write every derived table from
+        the ranks and the component keys.
 
-        The tables are the global ranks, the poset components and their
-        count, comp_id, rho, lng and wt; no other code assigns them.  comp
-        is equal on x and y exactly when they lie in one component of the
-        poset, and keys holds one row per color c = 1..n_colors, equal on x
-        and y exactly when they lie in one color-c component K.  Every
-        component is numbered by its smallest member; for x in K,
-        rho_c(x) = rank(x) - min rank(K), l_c(x) = max rank(K) - min rank(K)
-        and wt(x)_c = m_c(x) = 2 rho_c(x) - l_c(x).  The member lists are
+        The tables are the edges, the global ranks, the poset components
+        and their count, comp_id, rho, lng and wt; no other code assigns
+        them.  comp is equal on x and y exactly when they lie in one
+        component of the poset, and keys holds one row per color c =
+        1..n_colors, equal on x and y exactly when they lie in one color-c
+        component K.  Every component is numbered by its smallest member;
+        for x in K, rho_c(x) = rank(x) - min rank(K), l_c(x) = max rank(K) -
+        min rank(K) and wt(x)_c = m_c(x) = 2 rho_c(x) - l_c(x).  rho_c and
+        l_c lie in 0..max rank and a component number below the count, so
+        each `_row` is as wide as that bound needs.  The member lists are
         grouped here but not kept; `_members` regroups them from comp_id.
         """
         n = self.n
-        self._global_rank = rank = tuple(rank)
+        self.edges = edges
+        rank = list(rank)
+        top = max(rank, default=0)
+        self._global_rank = _row(rank, top)
         first = {}
-        self._poset_comp = tuple(first.setdefault(k, len(first)) for k in comp)
+        comp = [first.setdefault(k, len(first)) for k in comp]
+        self._poset_comp = _row(comp, len(first))
         self.n_poset_components = len(first)
-        self.comp_id, self.rho, self.lng = [[0] * n], [[0] * n], [[0] * n]  # 1-based color
+        zero = _row(bytes(n), 0)
+        self.comp_id, self.rho, self.lng = [zero], [zero], [zero]   # 1-based color
         m_rows = []
         for key in keys:
             groups = {}         # by key, in order of each group's smallest member
@@ -220,11 +357,13 @@ class ColoredPoset:
             hi = [max(map(rank.__getitem__, m)) for m in groups.values()]
             span = [h - l for h, l in zip(hi, lo)]
             rho = [r - lo[g] for r, g in zip(rank, comp_id)]
-            self.comp_id.append(comp_id)
-            self.rho.append(rho)
-            self.lng.append(list(map(span.__getitem__, comp_id)))
+            self.comp_id.append(_row(comp_id, len(groups)))
+            self.rho.append(_row(rho, top))
+            self.lng.append(_row(map(span.__getitem__, comp_id), top))
             m_rows.append([2 * r - span[g] for r, g in zip(rho, comp_id)])
-        self.wt = tuple(zip(*m_rows)) or ((),) * n   # zip(*[]) is empty
+        wts = list(zip(*m_rows)) or [()] * n         # zip(*[]) is empty
+        shared = {}
+        self.wt = tuple(map(shared.setdefault, wts, wts))
 
     # -- construction helpers ------------------------------------------------
 
@@ -249,66 +388,45 @@ class ColoredPoset:
             members.append(list(map(tuple, groups)))
         return members
 
-    def _toposort(self):
-        indeg = [len(self.inc[v]) for v in range(self.n)]
-        order = [v for v in range(self.n) if indeg[v] == 0]
-        i = 0
-        while i < len(order):
-            v = order[i]
-            i += 1
-            for _, w, _ in self.out[v]:
-                indeg[w] -= 1
-                if indeg[w] == 0:
-                    order.append(w)
-        if len(order) != self.n:
-            raise NotAcyclic("edge relation has a directed cycle")
-        return order
-
-    def _closure(self, order):
-        """Bitmask closure, filled from the top of a topological order."""
-        r = [0] * self.n
-        for v in reversed(order):
-            m = 1 << v
-            for _, w, _ in self.out[v]:
-                m |= r[w]
-            r[v] = m
-        return r
-
     @cached_property
     def _reach(self):
-        return self._closure(sorted(range(self.n), key=self._global_rank.__getitem__))
+        return _closure(self.out, sorted(range(self.n), key=self._global_rank.__getitem__))
 
     def reach(self):
         """Bitmask closure: reach()[v] has bit w set iff v <= w."""
         return self._reach
 
-    def _check_covering(self, order):
-        r = self._closure(order)
-        for u in range(self.n):
-            acc = 0
-            for _, w, _ in self.out[u]:
-                acc |= r[w] & ~(1 << w)
-            for _, v, _ in self.out[u]:
-                if acc >> v & 1:
-                    raise NotCovering("edge %d->%d is implied by a longer path"
-                                      % (u, v))
-
     # -- elementary accessors --------------------------------------------------
 
+    def _vertex(self, x):
+        """x when it is a vertex: a plain int in 0..n-1; MalformedPoset otherwise."""
+        if type(x) is not int or not 0 <= x < self.n:
+            raise MalformedPoset("vertex %r is not an id in 0..%d" % (x, self.n - 1))
+        return x
+
+    def _color(self, c):
+        """c when it is a color: a plain int in 1..n_colors; MalformedPoset otherwise."""
+        if type(c) is not int or not 1 <= c <= self.n_colors:
+            raise MalformedPoset("color %r is not an id in 1..%d" % (c, self.n_colors))
+        return c
+
     def delta(self, c, x):
+        c, x = self._color(c), self._vertex(x)
         return self.lng[c][x] - self.rho[c][x]
 
     def m(self, c, x):
+        c, x = self._color(c), self._vertex(x)
         return 2 * self.rho[c][x] - self.lng[c][x]
 
     def global_rank(self, x):
-        return self._global_rank[x]
+        return self._global_rank[self._vertex(x)]
 
     def comp_members(self, c, x):
         """The color-c component of x, in ascending id order.
 
         The first call groups every component of every color from comp_id.
         """
+        c, x = self._color(c), self._vertex(x)
         return self._members[c][self.comp_id[c][x]]
 
     def up(self, c, x):
@@ -370,12 +488,13 @@ class ColoredPoset:
         """
         if not self.is_fibrous():
             return False
+        rho, lng = self.rho, self.lng
         for x in range(self.n):
             for i in range(1, self.n_colors + 1):
-                if self.lng[i][x] < 2 or self.delta(i, x) == 0:
+                if lng[i][x] < 2 or lng[i][x] == rho[i][x]:
                     continue            # x is not a non-top vertex of a long chain
                 for j in range(1, self.n_colors + 1):
-                    if j != i and self.lng[j][x] >= 2 and self.delta(j, x) != 0:
+                    if j != i and lng[j][x] >= 2 and lng[j][x] != rho[j][x]:
                         return False
         return True
 
@@ -539,7 +658,7 @@ def generalized_weight_diagram(p):
 
 def prominent_vertices(p):
     return [x for x in range(p.n)
-            if all(p.delta(c, x) == 0 for c in range(1, p.n_colors + 1))]
+            if all(p.lng[c][x] == p.rho[c][x] for c in range(1, p.n_colors + 1))]
 
 
 def minimally_indomitable(p):
@@ -578,9 +697,9 @@ def rank_function(p):
     out = {}
     for x in range(p.n):
         r = d.height(wsub(p.wt[x], w0lam))
-        if r != p.global_rank(x):
+        if r != p._global_rank[x]:
             raise ExactnessError("weight rank %s disagrees with BFS rank %d at %d"
-                                 % (r, p.global_rank(x), x))
+                                 % (r, p._global_rank[x], x))
         out[x] = int(r)
     return out
 
@@ -608,54 +727,6 @@ def maximal_splitting_poset(d, lam):
     sizes = [counts[w] for w in q.labels]
     labels = [(w, j) for w, k in zip(q.labels, sizes) for j in range(1, k + 1)]
     return _blow_up(q, sizes, labels)
-
-
-class _BlockEdges(Sequence):
-    """The sorted edges of a blow-up of q, built on first use.
-
-    Each edge x -c-> y of q lifts to one complete bipartite block of
-    len(fibre[x]) * len(fibre[y]) edges, and no pair lies in two blocks, so
-    the length is known before any triple exists.  Iterating, indexing,
-    hashing or comparing builds the triples; == compares as the tuple that
-    ColoredPoset would hold.
-    """
-
-    def __init__(self, q, fibre):
-        self._q, self._fibre = q, fibre
-        self._len = sum(len(fibre[x]) * len(fibre[y]) for x, y, _ in q.edges)
-        self._built = None
-
-    def triples(self):
-        """The edge triples, built once.
-
-        The copies are numbered x by x, so walking each copy a of x through
-        the blocks of q.out[x], which is sorted by (y, c), yields the
-        triples (a, b, c) already sorted.
-        """
-        if self._built is None:
-            q, fibre = self._q, self._fibre
-            self._built = tuple(chain.from_iterable(
-                zip(repeat(a), fibre[y], repeat(c))
-                for x in range(q.n) for a in fibre[x] for _, y, c in q.out[x]))
-        return self._built
-
-    def __len__(self):
-        return self._len
-
-    def __getitem__(self, i):
-        return self.triples()[i]
-
-    def __iter__(self):
-        return iter(self.triples())
-
-    def __eq__(self, other):
-        return self.triples() == other
-
-    def __hash__(self):
-        return hash(self.triples())
-
-    def __repr__(self):
-        return repr(self.triples())
 
 
 def _blow_up(q, sizes, labels=None):
@@ -689,28 +760,43 @@ def _blow_up(q, sizes, labels=None):
     it numbers each component by its first copy, as the constructor numbers
     it by its smallest member.
 
-    The edges are a _BlockEdges that keeps q and the fibres; its length is
-    the sum of sizes[x] * sizes[y] over q's edges, one block per edge with
-    no pair repeated, and the triples are built the first time any of them
-    is read, out and inc the first time those are.  A caller that needs
-    only n, labels, wgf() or len(edges) allocates no edge.
+    The edges are an EdgeColumns whose length is the sum of sizes[x] *
+    sizes[y] over q's edges, one block per edge with no pair repeated.  Its
+    columns are filled the first time an edge is read, out and inc the
+    first time those are, so a caller that needs only n, labels, wgf() or
+    len(edges) allocates no edge.  The copies are numbered x by x and
+    q.out[x] is sorted by (y, c), so each copy a of x, walked through the
+    blocks of q.out[x], gives the next run of sorted triples (a, b, c), and
+    every copy of x gives the same run of b and of c: each run is built
+    once per x and copied into the columns, no triple built.
     """
     n = sum(sizes)
-    ids = list(range(n))            # each id is one int object, shared by its edges
     fibre, of = [], []
     for x, k in enumerate(sizes):
-        fibre.append(ids[len(of):len(of) + k])
+        fibre.append(range(len(of), len(of) + k))
         of += [x] * k
 
     def keys(comp, has_edge):
-        return [comp[x] if has_edge[x] else ~a for a, x in zip(ids, of)]
+        return [comp[x] if has_edge[x] else ~a for a, x in enumerate(of)]
+
+    def columns():
+        us, vs, cs = _row((), n - 1), _row((), n - 1), _row((), q.n_colors)
+        for x, block in enumerate(q.out):
+            run_b = _row(chain.from_iterable(fibre[y] for _, y, _ in block), n - 1)
+            run_c = _row(chain.from_iterable(repeat(c, sizes[y]) for _, y, c in block),
+                         q.n_colors)
+            for a in fibre[x]:
+                us += _row((a,), n - 1) * len(run_b)
+                vs += run_b
+                cs += run_c
+        return us, vs, cs
 
     u = ColoredPoset.__new__(ColoredPoset)
     u.d, u.n_colors, u.n = q.d, q.n_colors, n
-    u.edges = _BlockEdges(q, fibre)
     u.labels = tuple(labels) if labels is not None else None
     # lng[0] is the zero row before color 1, so every vertex has a column
-    u._fill(map(q._global_rank.__getitem__, of),
+    u._fill(EdgeColumns(sum(sizes[x] * sizes[y] for x, y, _ in q.edges), fill=columns),
+            map(q._global_rank.__getitem__, of),
             keys(q._poset_comp, list(map(any, zip(*q.lng)))),
             [keys(q.comp_id[c], q.lng[c]) for c in range(1, q.n_colors + 1)])
     return u
@@ -794,7 +880,7 @@ def verify_tau_kappa(p, nodes, nu, witness):
     for x in rest:
         k = witness.kappa[x]
         t = sel.index(k)
-        coef = 1 + nu_of[k] + p.m(k, x)
+        coef = 1 + nu_of[k] + 2 * p.rho[k][x] - p.lng[k][x]
         want = wsub(wadd(nu, d.project(p.wt[x], sel)),
                     tuple(coef * sub.cartan[t][j] for j in range(sub.rank)))
         got = wadd(nu, d.project(p.wt[witness.tau[x]], sel))
@@ -932,7 +1018,7 @@ def verify_subblock_coloring(p, nodes, nu, s_set, kappa):
 # colored poset isomorphism (refinement + backtracking)
 
 def _refine(p):
-    sig = [(p.global_rank(v),
+    sig = [(p._global_rank[v],
             tuple(sorted(c for _, _, c in p.out[v])),
             tuple(sorted(c for _, _, c in p.inc[v])))
            for v in range(p.n)]

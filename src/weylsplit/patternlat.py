@@ -232,10 +232,10 @@ class PatternLattice:
         return out
 
     def rgf(self):
-        length = max(self.poset.global_rank(v) for v in range(self.poset.n))
-        coeffs = [0] * (length + 1)
-        for v in range(self.poset.n):
-            coeffs[self.poset.global_rank(v)] += 1
+        ranks = self.poset._global_rank
+        coeffs = [0] * (max(ranks) + 1)
+        for r in ranks:
+            coeffs[r] += 1
         return tuple(coeffs)
 
 

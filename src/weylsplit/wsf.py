@@ -14,7 +14,7 @@ from fractions import Fraction
 from operator import mul
 
 from . import numbersgame, qpoly
-from .cartan import wadd, wneg, wsub, zero_weight
+from .cartan import check_diagram, wadd, wneg, wsub, zero_weight
 from .errors import (BadExponent, DiagramMismatch, ExactnessError, NotInvariant,
                      OrbitTooLarge)
 
@@ -28,15 +28,17 @@ WEYL_GROUP_CAP = 1152
 class WeylSymFn:
     """An element of Z[Lambda]: finite map weight -> nonzero integer.
 
-    WeylSymFn(d, terms) is the public constructor: it copies terms, reads
-    every key through d.check_weight (NotAWeight, DiagramMismatch) and
-    raises TypeError for a coefficient that is not a plain int.  Every
-    result the package builds itself goes through the trusted _of instead.
+    WeylSymFn(d, terms) is the public constructor: it reads d through
+    check_diagram, copies terms, reads every key through d.check_weight
+    (NotAWeight, DiagramMismatch) and raises TypeError for a coefficient
+    that is not a plain int.  Every result the package builds itself goes
+    through the trusted _of instead.
     """
 
     __slots__ = ("d", "terms")
 
     def __init__(self, d, terms=()):
+        d = check_diagram(d)
         terms = dict(terms)
         if not set(map(type, terms.values())) <= {int}:
             raise TypeError("WeylSymFn coefficients must be plain ints")
@@ -66,7 +68,7 @@ class WeylSymFn:
 
     @classmethod
     def unit(cls, d):
-        return cls._of(d, {zero_weight(d.rank): 1})
+        return cls._of(check_diagram(d), {zero_weight(d.rank): 1})
 
     def _check(self, other):
         if self.d != other.d:
@@ -192,7 +194,7 @@ def dominant_weights_below(d, lam):
     lexicographically by the root coordinates of lam - nu, so lam comes
     first.
     """
-    lam = d.check_dominant(lam)
+    lam = check_diagram(d).check_dominant(lam)
     # mu - root is dominant exactly when mu_j >= root_j wherever root_j > 0,
     # since mu >= 0 covers the other coordinates; test that before building it
     steps = [(r.root, r.alpha_coords, [(j, c) for j, c in enumerate(r.root) if c > 0])
@@ -259,7 +261,7 @@ def kostant_partition(d, mu):
 
     mu is read through the gate; the count is `_kostant_partition`'s.
     """
-    return _kostant_partition(d, d.check_weight(mu))
+    return _kostant_partition(d, check_diagram(d).check_weight(mu))
 
 
 def _kostant_partition(d, mu):
@@ -379,7 +381,7 @@ def dominant_multiplicities(d, lam):
     raises OrbitTooLarge where freudenthal would).  The caller gets a fresh
     dict, so mutating it cannot change a later answer.
     """
-    lam = d.check_dominant(lam)
+    lam = check_diagram(d).check_dominant(lam)
     got = d.memo.get("freudenthal", {}).get(lam)
     return dict(got if got is not None else _freudenthal_walk(d, lam)[0])
 
@@ -390,7 +392,7 @@ def freudenthal(d, lam):
     A cold call returns the character the fused walk builds; a memo hit
     expands the stored dominant multiplicities over their orbits.
     """
-    lam = d.check_dominant(lam)
+    lam = check_diagram(d).check_dominant(lam)
     mult = d.memo.get("freudenthal", {}).get(lam)
     if mult is None:
         return WeylSymFn._of(d, _freudenthal_walk(d, lam)[1])
@@ -413,7 +415,7 @@ def kostant_multiplicity(d, lam, mu):
     returned without a partition count.  The walk still runs first, so a
     |W| over the orbit cap raises OrbitTooLarge whatever mu is.
     """
-    lam, mu = d.check_dominant(lam), d.check_weight(mu)
+    lam, mu = check_diagram(d).check_dominant(lam), d.check_weight(mu)
     _check_group_cap(d)
     rho = d.rho()
     shifted = wadd(lam, rho)
@@ -435,7 +437,7 @@ def _check_group_cap(d):
 
 def alternant(d, lam):
     """A(e^lambda) = sum det(w) e^{w(lambda)}; zero unless strongly dominant."""
-    lam = d.check_dominant(lam)
+    lam = check_diagram(d).check_dominant(lam)
     _check_group_cap(d)
     if not d.is_strongly_dominant(lam):
         return WeylSymFn._of(d, {})
@@ -444,13 +446,13 @@ def alternant(d, lam):
 
 def monomial_wsf(d, lam):
     """zeta_lambda: the orbit indicator function."""
-    lam = d.check_dominant(lam)
+    lam = check_diagram(d).check_dominant(lam)
     return WeylSymFn._of(d, dict.fromkeys(d.weyl_orbit(lam), 1))
 
 
 def elementary_wsf(d, lam):
     """psi_lambda: product of fundamental bialternant powers."""
-    lam = d.check_dominant(lam)
+    lam = check_diagram(d).check_dominant(lam)
     out = WeylSymFn.unit(d)
     for i, a in enumerate(lam, start=1):
         if a:
@@ -487,7 +489,7 @@ def expand_in_bialternants(f):
 
 def reconstruct(d, expansion):
     """Inverse of expand_in_bialternants: sum c_lambda chi_lambda."""
-    out = WeylSymFn._of(d, {})
+    out = WeylSymFn._of(check_diagram(d), {})
     for lam, c in expansion.items():
         out = out + c * freudenthal(d, lam)
     return out
@@ -506,7 +508,7 @@ def specialize(d, lam):
     of products with exponents read off the numbers game.  The two must
     agree exactly.
     """
-    lam = d.check_dominant(lam)
+    lam = check_diagram(d).check_dominant(lam)
     den = d.denom
     ht_lam = d.height_scaled(lam)
     deg = _as_int(2 * ht_lam, den)

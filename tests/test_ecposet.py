@@ -30,7 +30,8 @@ def test_build_single_vertex():
     # with no colors there are no component tables past the unused row 0
     empty = ec.ColoredPoset(3, [], n_colors=0)
     assert empty.wt == ((),) * 3
-    assert (empty.comp_id, empty.rho, empty.lng) == ([[0] * 3],) * 3
+    assert [list(map(list, t)) for t in (empty.comp_id, empty.rho, empty.lng)] \
+        == [[[0] * 3]] * 3
 
 
 @pytest.mark.parametrize("make, error", [
@@ -97,15 +98,13 @@ def test_constructor_matches_brute_checks(data):
         return
     assert want is None, edges
     assert p.edges == tuple(sorted(edges))
-    # the adjacency lists hold the edge triples themselves, in sorted order
+    # the adjacency lists hold the edge triples, in sorted order
     for x in range(n):
         assert p.out[x] == [e for e in p.edges if e[0] == x]
         assert p.inc[x] == [e for e in p.edges if e[1] == x]
-    kept = {id(e) for e in p.edges}
-    assert all(id(e) in kept for adj in (p.out, p.inc) for es in adj for e in es)
     rank, comp_id, rho, lng = brute_color_tables(n, edges, n_colors)
     assert [p.global_rank(x) for x in range(n)] == rank
-    assert (p.comp_id, p.rho, p.lng) == (comp_id, rho, lng)
+    assert [list(map(list, t)) for t in (p.comp_id, p.rho, p.lng)] == [comp_id, rho, lng]
     for c in range(1, n_colors + 1):
         for x in range(n):
             assert p.comp_members(c, x) == tuple(
@@ -367,12 +366,13 @@ def test_maximal_splitting_poset():
 
 
 def _same_as_generic(p, diagram=None):
-    """p equals the generic constructor on its edges, and shares their triples.
+    """p equals the generic constructor on its edges, and stores them alike.
 
-    A blow-up builds its edges, out and inc only when they are read, so
-    every other table (n, n_colors, d, labels, rank, components, comp_id,
-    rho, lng, wt and the unset caches) is compared field by field, and the
-    adjacency as materialized views.  The member lists are read on both
+    A blow-up fills its edge columns, out and inc only when they are read,
+    so every other table (n, n_colors, d, labels, rank, components,
+    comp_id, rho, lng, wt and the unset caches) is compared field by field,
+    the adjacency as materialized views, and the edge columns and every
+    row by value and by array typecode.  The member lists are read on both
     sides first, since vars() holds a cache only once it is built.
     """
     generic = ec.ColoredPoset(p.n, list(p.edges), diagram=diagram,
@@ -385,8 +385,13 @@ def _same_as_generic(p, diagram=None):
     assert tables(p) == tables(generic)
     assert tuple(p.edges) == generic.edges and p.edges == generic.edges
     assert p.out == generic.out and p.inc == generic.inc
-    kept = {id(e) for e in p.edges}
-    assert all(id(e) in kept for adj in (p.out, p.inc) for es in adj for e in es)
+
+    def codes(poset):
+        rows = [poset._global_rank, poset._poset_comp, *poset.comp_id, *poset.rho,
+                *poset.lng, *poset.edges.columns()]
+        return [r.typecode for r in rows]
+
+    assert p.edges.columns() == generic.edges.columns() and codes(p) == codes(generic)
 
 
 @pytest.mark.parametrize("spec, lam", [
@@ -419,8 +424,8 @@ def test_maximal_splitting_poset_answers_before_its_edges_exist(spec, lam):
     assert u.labels == tuple(sorted((mu, j) for mu, k in chi.terms.items()
                                     for j in range(1, k + 1)))
     assert u.wgf() == chi
-    # none of those answers built an edge triple or an adjacency list
-    assert u.edges._built is None and "out" not in vars(u) and "inc" not in vars(u)
+    # none of those answers filled an edge column or built an adjacency list
+    assert u.edges._cols is None and "out" not in vars(u) and "inc" not in vars(u)
     assert len(tuple(u.edges)) == len(u.edges)
 
 
@@ -447,6 +452,101 @@ def test_blow_up_matches_constructor(data):
     assert all(p.edges[i] == want[i] for i in range(-len(want), len(want)))
     assert hash(p.edges) == hash(want) and repr(p.edges) == repr(want)
     _same_as_generic(p)
+
+
+def _reads_as(edges, want, data):
+    """edges reads as the tuple want: len, items at every positive and
+    negative index, slices, iteration, == and != both ways, hash and repr."""
+    assert len(edges) == len(want) and bool(edges) == bool(want)
+    assert all(edges[i] == want[i] for i in range(-len(want), len(want)))
+    for i in (len(want), -len(want) - 1):
+        with pytest.raises(IndexError):
+            edges[i]
+    for _ in range(3):
+        cut = data.draw(st.slices(len(want)), label="slice")
+        assert type(edges[cut]) is tuple and edges[cut] == want[cut]
+    assert tuple(edges) == want and list(edges) == list(want)
+    assert all(type(e) is tuple for e in edges)
+    assert edges == want and want == edges and not edges != want and not want != edges
+    # a tuple is never equal to a list, and neither is the container
+    assert edges != list(want) and list(want) != edges
+    if want:
+        shorter, changed = want[:-1], want[:-1] + ((want[-1][0], want[-1][1], 99),)
+        assert edges != shorter and shorter != edges and edges != changed
+    assert hash(edges) == hash(want) and repr(edges) == repr(want)
+
+
+CRYSTALS = [(A2, (1, 0)), (A2, (1, 1)), (A2, (2, 1)), (G2, (1, 0)), (G2, (0, 1)),
+            (build_diagram("C2"), (1, 1)), (build_diagram("A1+A1"), (2, 1))]
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_edge_columns_read_as_the_tuple_of_triples(data):
+    """Every poset's edges, from the constructor, a crystal closure or a
+    blow-up, read as the tuple of their sorted triples, each built apart
+    from the columns; a blow-up's len fills no column."""
+    kind = data.draw(st.sampled_from(["constructor", "closure", "blow-up"]), label="kind")
+    if kind == "closure":
+        d, lam = data.draw(st.sampled_from(CRYSTALS), label="crystal")
+        p = crystal.build_crystal(d, lam)
+        ops, ids = p.tensor_ops, {x: k for k, x in enumerate(p.labels)}
+        want = tuple(sorted((ids[z], ids[x], i) for x in p.labels
+                            for i in range(1, d.rank + 1)
+                            for z in (ops.lowering(i, x),) if z is not None))
+        return _reads_as(p.edges, want, data)
+    n = data.draw(st.integers(1, 7), label="n")
+    n_colors = data.draw(st.integers(1, 3), label="n_colors")
+    # edges up one level, no pair twice: ranked and covering
+    level = data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    pairs = [(u, v) for u in range(n) for v in range(n) if level[v] == level[u] + 1]
+    chosen = data.draw(st.lists(st.sampled_from(pairs), max_size=12, unique=True)) if pairs else []
+    edges = [(u, v, data.draw(st.integers(1, n_colors))) for u, v in chosen]
+    q = ec.ColoredPoset(n, edges, n_colors=n_colors)
+    if kind == "constructor":
+        return _reads_as(q.edges, tuple(sorted(edges)), data)
+    sizes = data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n), label="sizes")
+    start = list(itertools.accumulate([0] + sizes))
+    p = ec._blow_up(q, sizes)
+    assert len(p.edges) == sum(sizes[x] * sizes[y] for x, y, _ in edges)
+    assert bool(p.edges) == bool(edges) and p.edges._cols is None
+    _reads_as(p.edges, tuple(sorted(
+        (a, b, c) for x, y, c in edges
+        for a in range(start[x], start[x + 1]) for b in range(start[y], start[y + 1]))), data)
+
+
+def test_rows_are_narrow_arrays_and_weights_shared():
+    """Each row is an unsigned array as narrow as its values allow, and
+    equal weights are one tuple."""
+    chain = ec.ColoredPoset(300, [(x, x + 1, 1 + x % 2) for x in range(299)],
+                            diagram=A2)
+    assert chain.edges.columns()[0].typecode == chain._global_rank.typecode == "H"
+    assert chain.edges.columns()[2].typecode == chain._poset_comp.typecode == "B"
+    assert [r.typecode for r in chain.rho] == ["B", "H", "H"]
+    assert [r.typecode for r in chain.comp_id] == ["B", "B", "B"]
+    r = crystal.build_crystal(G2, (2, 1))
+    assert len({id(w) for w in r.wt}) == len(set(r.wt)) < r.n
+
+
+def test_vertex_and_color_rule():
+    """global_rank, delta, m and comp_members take a vertex as a plain int in
+    0..n-1 and a color as a plain int in 1..n_colors, and raise
+    MalformedPoset for anything else (-1 used to read the last vertex, color
+    0 a row of zeros, and vertex n ended in a bare IndexError)."""
+    p = crystal.build_crystal(A2, (1, 1))
+    for call in (lambda: p.global_rank(-1), lambda: p.global_rank(p.n),
+                 lambda: p.global_rank(1.0), lambda: p.global_rank(True),
+                 lambda: p.m(-1, 0), lambda: p.m(0, 0), lambda: p.m(3, 0),
+                 lambda: p.delta(1, p.n), lambda: p.delta(1.0, 0),
+                 lambda: p.comp_members(1, -1), lambda: p.comp_members(True, 0),
+                 lambda: ec.chain_product_factorization(p, 1, -1),
+                 lambda: ec.chain_product_factorization(p, 1.0, 0)):
+        with pytest.raises(MalformedPoset):
+            call()
+    x = p.n - 1
+    assert p.global_rank(x) == p._global_rank[x]
+    assert p.m(2, x) + p.delta(2, x) == p.rho[2][x]
+    assert x in p.comp_members(2, x)
 
 
 def test_verify_splitting_examples():

@@ -10,7 +10,10 @@ nu) share, and the nodes of numbersgame.fire, DynkinDiagram.act and
 WeylSymFn.w_action through check_node; a coloring witness's S, kappa and
 tau through ecposet.ColoringWitness.check, and the kappa of tau_from_jnu_coloring
 through verify_jnu_coloring; a poset's diagram through
-ColoredPoset.checked_d, so a poset without one raises NotMStructured.  saturation_predicate reads an empty J as empty, not as
+ColoredPoset.checked_d, so a poset without one raises NotMStructured; a
+poset's vertices and colors through its one vertex and color rule
+(ColoredPoset._vertex, _color); and the diagram of every wsf entry point
+through cartan.check_diagram.  saturation_predicate reads an empty J as empty, not as
 every node.  WeylSymFn.power takes only a plain int exponent >= 0, and
 numbersgame.play only a plain int firing cap >= 1.  ecposet.export_poset
 writes only json and dot.
@@ -124,6 +127,23 @@ PROBES = [
     ("numbersgame.fire(d, (1, 1), 0)", "NotGCM"),
     ("d.act((0,), (1, 1))", "NotGCM"),
     ("wsf.WeylSymFn.monomial(d, (1, 0)).w_action((0,))", "NotGCM"),
+    # a type string or None for the diagram was a bare AttributeError
+    ("wsf.WeylSymFn('A2', {(1, 0): 1})", "DiagramMismatch"),
+    ("wsf.WeylSymFn(None, {})", "DiagramMismatch"),
+    ("wsf.freudenthal('A2', (1, 0))", "DiagramMismatch"),
+    ("wsf.specialize('A2', (1, 0))", "DiagramMismatch"),
+    ("wsf.kostant_multiplicity('A2', (1, 0), (1, 0))", "DiagramMismatch"),
+    ("wsf.reconstruct('A2', {})", "DiagramMismatch"),
+    # a poset read -1 as its last vertex and color 0 as a row of zeros, and
+    # vertex n or a float color was a bare IndexError or TypeError
+    ("p.global_rank(-1)", "MalformedPoset"),
+    ("p.global_rank(p.n)", "MalformedPoset"),
+    ("p.m(-1, 0)", "MalformedPoset"),
+    ("p.m(0, 0)", "MalformedPoset"),
+    ("p.delta(1, 1.0)", "MalformedPoset"),
+    ("p.comp_members(1, -1)", "MalformedPoset"),
+    ("ecposet.chain_product_factorization(p, 1, -1)", "MalformedPoset"),
+    ("ecposet.chain_product_factorization(p, 1.0, 0)", "MalformedPoset"),
 ]
 
 # One interpreter for the whole table; each call gets a 1 s alarm, so a walk

@@ -94,7 +94,8 @@ def test_no_self_calls_in_src():
 
 # each table a poset derives from its inputs, and the one function that writes it
 TABLE_WRITERS = dict.fromkeys(
-    ("_global_rank", "_poset_comp", "n_poset_components", "comp_id", "rho", "lng", "wt"),
+    ("edges", "_global_rank", "_poset_comp", "n_poset_components", "comp_id", "rho", "lng",
+     "wt"),
     "ColoredPoset._fill")
 TABLE_WRITERS["tensor_ops"] = "TensorOps.closure"
 
@@ -115,7 +116,7 @@ def _attribute_stores(tree):
 
 
 def test_each_poset_table_has_one_writer():
-    """The derived tables of a ColoredPoset are assigned only in _fill, and
+    """The edges and the derived tables of a ColoredPoset are assigned only in _fill, and
     a crystal's tensor_ops only where its closure builds it: a poset built
     another way (a blow-up, a crystal) cannot set up its state differently."""
     bad, seen = [], set()
@@ -162,6 +163,26 @@ def test_every_weight_entry_point_reads_the_gate():
             for bad, error in (((1,), DiagramMismatch), ((1.0, 0), NotAWeight)):
                 with pytest.raises(error):
                     fn(d, **dict(args, **{w: bad}))
+
+
+def test_every_wsf_entry_point_reads_the_diagram_gate():
+    """Every public function and constructor of wsf that takes a diagram d
+    reads it through check_diagram: a type string or None in its place
+    raises DiagramMismatch, with every other argument valid."""
+    valid = {"lam": (1, 0), "mu": (1, 0), "expansion": {}, "terms": {(1, 0): 1}}
+    found = {name: fn for name, fn in inspect.getmembers(wsf, inspect.isfunction)
+             if fn.__module__ == wsf.__name__ and not name.startswith("_")
+             and list(inspect.signature(fn).parameters)[:1] == ["d"]}
+    assert {"freudenthal", "specialize", "kostant_multiplicity", "kostant_partition",
+            "reconstruct", "dominant_weights_below", "weight_diagram"} <= set(found)
+    found.update(WeylSymFn=wsf.WeylSymFn, unit=wsf.WeylSymFn.unit,
+                 monomial=wsf.WeylSymFn.monomial)
+    for fn in found.values():
+        params = list(inspect.signature(fn).parameters)[1:]
+        args = [valid[name] for name in params if name in valid]
+        for bad in ("A2", None):
+            with pytest.raises(DiagramMismatch):
+                fn(bad, *args)
 
 
 def test_every_coloring_reader_reads_the_gate():
