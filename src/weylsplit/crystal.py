@@ -166,7 +166,7 @@ class TensorOps:
         dl, q, _, _ = self.signature(i, x)
         if dl <= 0:
             return None
-        return x[:q] + (self.factors[q].up(i, x[q]),) + x[q + 1:]
+        return x[:q] + (self.factors[q]._up(i, x[q]),) + x[q + 1:]
 
     def lowering(self, i, x):
         """Lower factor `last`, or None when rho_i(x) = 0.
@@ -188,7 +188,7 @@ class TensorOps:
         _, _, rh, r = self.signature(i, x)
         if rh <= 0:
             return None
-        return x[:r] + (self.factors[r].down(i, x[r]),) + x[r + 1:]
+        return x[:r] + (self.factors[r]._down(i, x[r]),) + x[r + 1:]
 
     def closure(self, seeds):
         """Everything reached from the seed tuples by lowering.
@@ -231,14 +231,25 @@ def crystal_product(*factors):
     return ops.closure(tuples)
 
 
+def _apply(op, product, x, i):
+    """op(i, x) of the product's TensorOps, i read by check_node (NotGCM)
+    and x as a tuple or list of one vertex per factor, each read by that
+    factor's vertex rule (MalformedPoset, as for a poset that is not a
+    crystal product)."""
+    ops = getattr(product, "tensor_ops", None)
+    if ops is None or not isinstance(x, (tuple, list)) or len(x) != len(ops.factors):
+        raise MalformedPoset("%r is not one vertex per factor of a crystal product" % (x,))
+    return op(ops, ops.d.check_node(i), tuple(map(ecposet.ColoredPoset._vertex, ops.factors, x)))
+
+
 def raising(product, x, i):
     """Raising operator on a product vertex (factor tuple); None if undefined."""
-    return product.tensor_ops.raising(i, tuple(x))
+    return _apply(TensorOps.raising, product, x, i)
 
 
 def lowering(product, x, i):
     """Lowering operator on a product vertex (factor tuple); None if undefined."""
-    return product.tensor_ops.lowering(i, tuple(x))
+    return _apply(TensorOps.lowering, product, x, i)
 
 
 # ---------------------------------------------------------------------------
@@ -555,15 +566,14 @@ def strongly_untangled(p):
 
 
 def _unique_max_components(p, js):
-    jset = set(js)
-    # the J-edges as one color: its components are the J-components
-    root, = ecposet.component_roots(
-        p.n, [(u, v, 1) for u, v, c in p.edges if c in jset], 1)
-    maxes = {}
-    for x in range(p.n):
-        if not any(c in jset for _, _, c in p.out[x]):
-            maxes[root[x]] = maxes.get(root[x], 0) + 1
-    return all(v == 1 for v in maxes.values())
+    """Whether no two maximal vertices of the J-edges share a J-component.
+
+    Every component has a maximal vertex, so then it has exactly one.
+    """
+    jedges = [(u, v, 1) for u, v, c in p.edges if c in js]
+    _, (comp, _) = ecposet.rank_and_components(p.n, jedges, 1)
+    tops = [comp[x] for x in set(range(p.n)).difference(u for u, _, _ in jedges)]
+    return len(tops) == len(set(tops))
 
 
 def classify_primary_plus(p):

@@ -25,10 +25,11 @@ them in one EdgeColumns: three machine-int columns that read as the tuple
 of the triples, each triple built when it is read.  The per-vertex rows
 (global ranks, poset components, and comp_id, rho and lng per color) are
 unsigned `array` rows as narrow as their values allow, and equal weights
-share one tuple in `wt`.  The adjacency lists `out[u]` and `inc[v]` hold
-the triples in sorted-edge order.  They, the member lists of the
-components and the reachability masks are built only when first read:
-ranking uses adjacency rows of its own and keeps none, so a poset that is
+share one tuple in `wt`.  The ranks and the components of the poset and
+of each color come from one pass over the edges (`rank_and_components`),
+with no adjacency.  The adjacency lists `out[u]` and `inc[v]`, which hold
+the triples in sorted-edge order, the member lists of the components and
+the reachability masks are built only when first read, so a poset that is
 only asked for ranks, weights and edges never holds them.  A blow-up's
 columns are filled the first time an edge is read; their length is the sum
 of the block sizes, so `len(u.edges)` costs no edge.
@@ -154,59 +155,54 @@ class EdgeColumns(Sequence):
         return repr(tuple(self))
 
 
-def component_roots(n, edges, n_colors):
-    """Per color c = 1..n_colors, the union-find root of each vertex under the c-edges.
+def rank_and_components(n, edges, n_colors):
+    """(rank, keys) of the ranked relation edges, triples (u, v, c) on n vertices.
 
-    Row c - 1 is equal on two vertices exactly when they lie in one color-c
-    component.  All colors are filled in one pass over the edges.
+    keys[0] is equal on two vertices exactly when they lie in one component
+    of the poset, and keys[c], c = 1..n_colors, exactly when they lie in one
+    color-c component; every component is ranked so that its lowest vertices
+    have rank 0.  One pass over the edges, in any order, fills them all.
+
+    The poset components of the edges read so far are member lists merged
+    by size (Tarjan, J. ACM 22, 1975), so a vertex moves at most log2 n
+    times.  Each list is keyed by its head, its first vertex, at which each
+    member points, and lift[x] is rank(x) - rank(head).  An edge u -> v that
+    joins two lists moves the shorter into the longer, adding one shift to
+    its lifts so that lift[v] = lift[u] + 1; the edges read before keep
+    their steps of one.  An edge inside one list must already have lift[v]
+    = lift[u] + 1.  If it has not, the edges read before join u to v by a
+    path whose up edges minus down edges is lift[v] - lift[u], so no ranks
+    raise that path and this edge by one each, and NotRanked is raised.  At
+    the end each list is shifted so that its lowest rank is 0.  The color
+    components are path-halving union-finds, filled in the same loop and
+    keyed by root.
     """
-    parents = [list(range(n)) for _ in range(n_colors)]
+    head, lift = list(range(n)), [0] * n
+    members = {x: [x] for x in range(n)}     # by head
+    parents = [None] + [list(range(n)) for _ in range(n_colors)]
     for u, v, c in edges:
-        parent = parents[c - 1]
-        parent[_find(parent, u)] = _find(parent, v)
-    return [[_find(parent, x) for x in range(n)] for parent in parents]
-
-
-def _rank_and_components(n, edges):
-    """(rank, comp): per vertex, its rank and its poset component's key.
-
-    Each component is walked from its smallest vertex, which is its key, and
-    ranked so that its lowest vertices have rank 0.  Raises NotRanked when
-    an edge does not raise the rank by exactly one.
-    """
-    out, inc = _adjacency(n, edges, 0), _adjacency(n, edges, 1)
-    rank = [None] * n
-    comp = [None] * n
-    for s in range(n):
-        if rank[s] is not None:
-            continue
-        rank[s] = 0
-        comp[s] = s
-        frontier = [s]
-        members = [s]
-        while frontier:
-            v = frontier.pop()
-            for _, w, _ in out[v]:
-                if rank[w] is None:
-                    rank[w] = rank[v] + 1
-                    comp[w] = s
-                    frontier.append(w)
-                    members.append(w)
-                elif rank[w] != rank[v] + 1:
-                    raise NotRanked("rank conflict on edge %d->%d" % (v, w))
-            for w, _, _ in inc[v]:
-                if rank[w] is None:
-                    rank[w] = rank[v] - 1
-                    comp[w] = s
-                    frontier.append(w)
-                    members.append(w)
-                elif rank[w] != rank[v] - 1:
-                    raise NotRanked("rank conflict on edge %d->%d" % (w, v))
-        lo = min(rank[v] for v in members)
+        hu, hv, shift = head[u], head[v], lift[u] + 1 - lift[v]
+        if hu != hv:
+            if len(members[hu]) < len(members[hv]):
+                hu, hv, shift = hv, hu, -shift      # move u's list instead
+            for x in members[hv]:
+                head[x] = hu
+                lift[x] += shift
+            members[hu] += members.pop(hv)
+        elif shift:
+            raise NotRanked("rank conflict on edge %d->%d" % (u, v))
+        parent = parents[c]
+        while parent[u] != u:
+            parent[u] = u = parent[parent[u]]
+        while parent[v] != v:
+            parent[v] = v = parent[parent[v]]
+        parent[u] = v
+    for m in members.values():
+        lo = min(map(lift.__getitem__, m))
         if lo:
-            for v in members:
-                rank[v] -= lo
-    return rank, comp
+            for x in m:
+                lift[x] -= lo
+    return lift, [head] + [[_find(parent, x) for x in range(n)] for parent in parents[1:]]
 
 
 def _closure(out, order):
@@ -308,12 +304,11 @@ class ColoredPoset:
         # least two, so a ranked poset is acyclic and no path implies an edge:
         # the cycle and closure checks are needed only if ranking fails.
         try:
-            rank, comp = _rank_and_components(n, edges)
+            rank, keys = rank_and_components(n, edges, n_colors)
         except NotRanked:
             _check_covering(n, edges)
             raise
-        self._fill(EdgeColumns.of(edges, n, n_colors), rank, comp,
-                   component_roots(n, edges, n_colors))
+        self._fill(EdgeColumns.of(edges, n, n_colors), rank, keys[0], keys[1:])
         if is_lattice_hint is not None:
             self._is_lattice = is_lattice_hint
 
@@ -328,11 +323,13 @@ class ColoredPoset:
         them.  comp is equal on x and y exactly when they lie in one
         component of the poset, and keys holds one row per color c =
         1..n_colors, equal on x and y exactly when they lie in one color-c
-        component K.  Every component is numbered by its smallest member;
-        for x in K, rho_c(x) = rank(x) - min rank(K), l_c(x) = max rank(K) -
-        min rank(K) and wt(x)_c = m_c(x) = 2 rho_c(x) - l_c(x).  rho_c and
-        l_c lie in 0..max rank and a component number below the count, so
-        each `_row` is as wide as that bound needs.  The member lists are
+        component K: `rank_and_components` gives both to the constructor,
+        and `_blow_up` reads them off q.  Whatever the keys are, every
+        component is numbered by its smallest member; for x in K, rho_c(x)
+        = rank(x) - min rank(K), l_c(x) = max rank(K) - min rank(K) and
+        wt(x)_c = m_c(x) = 2 rho_c(x) - l_c(x).  rho_c and l_c lie in
+        0..max rank and a component number below the count, so each `_row`
+        is as wide as that bound needs.  The member lists are
         grouped here but not kept; `_members` regroups them from comp_id.
         """
         n = self.n
@@ -431,16 +428,18 @@ class ColoredPoset:
 
     def up(self, c, x):
         """The unique color-c cover above x, or None (chain components only)."""
-        for _, w, cc in self.out[x]:
-            if cc == c:
-                return w
-        return None
+        return self._up(self._color(c), self._vertex(x))
 
     def down(self, c, x):
-        for w, _, cc in self.inc[x]:
-            if cc == c:
-                return w
-        return None
+        """The unique color-c cover below x, or None (chain components only)."""
+        return self._down(self._color(c), self._vertex(x))
+
+    def _up(self, c, x):
+        """up(c, x) for a valid color and vertex, read unchecked."""
+        return next((w for _, w, cc in self.out[x] if cc == c), None)
+
+    def _down(self, c, x):
+        return next((w for w, _, cc in self.inc[x] if cc == c), None)
 
     def is_connected(self):
         return self.n_poset_components <= 1
@@ -684,7 +683,7 @@ def rank_function(p):
     """Weight-theoretic ranks on a connected M-structured poset.
 
     rank(t) = <wt(t) - w0(lambda), rho_vee> where lambda is any weight of
-    maximal height; checked against the BFS ranks.
+    maximal height; checked against the ranks the poset was built with.
     """
     if not p.is_connected():
         raise NotConnected("rank function formula needs a connected poset")
@@ -698,7 +697,7 @@ def rank_function(p):
     for x in range(p.n):
         r = d.height(wsub(p.wt[x], w0lam))
         if r != p._global_rank[x]:
-            raise ExactnessError("weight rank %s disagrees with BFS rank %d at %d"
+            raise ExactnessError("weight rank %s disagrees with poset rank %d at %d"
                                  % (r, p._global_rank[x], x))
         out[x] = int(r)
     return out
@@ -736,8 +735,9 @@ def _blow_up(q, sizes, labels=None):
     x -c-> y of q becomes the complete bipartite block of c-edges from the
     copies of x to the copies of y.  The result equals ColoredPoset on the
     blown-up edges, but its ranks and components are read off q's instead
-    of computed from the edges, because q already passed every check.  Let
-    f send a copy to its vertex of q; f is onto and nondecreasing.
+    of found by `rank_and_components` from the edges, because q already
+    passed every check.  Let f send a copy to its vertex of q; f is onto and
+    nondecreasing.
 
     - Each edge (a, b, c) comes from the edge (f(a), f(b), c) of q, so its
       endpoints and color are in range and a != b; and each pair (a, b)

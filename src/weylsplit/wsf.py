@@ -11,6 +11,7 @@ nonzero ints.
 
 from collections import namedtuple
 from fractions import Fraction
+from heapq import heappop, heappush
 from operator import mul
 
 from . import numbersgame, qpoly
@@ -463,28 +464,37 @@ def elementary_wsf(d, lam):
 def expand_in_bialternants(f):
     """Expand a W-invariant element as sum of c_lambda chi_lambda.
 
-    Peels the top-height dominant terms round by round; terminates by the
-    mesh-size height argument.  Raises NotInvariant when the input fails
-    the (full) orbit-constancy check.
+    Raises NotInvariant when the input fails the (full) orbit-constancy
+    check.  Each chi_lambda is the sum of d_{lambda,mu} zeta_mu over the
+    dominant mu <= lambda, with d_{lambda,lambda} = 1, and an invariant f is
+    the sum of its coefficient at mu times zeta_mu over its dominant mu.  So
+    the c_lambda solve a unitriangular system in f's dominant coefficients
+    alone, solved here by decreasing height.  When m has the greatest height
+    of the dominant weights left, no constituent left lies strictly above m
+    (it would have a greater height), so the coefficient c left at m is c_m;
+    c times m's dominant multiplicities is then subtracted, which touches
+    only m and weights strictly below it, taken later.
     """
     if not isinstance(f, WeylSymFn):
         raise TypeError("expected WeylSymFn")
     if f and not f.is_invariant():
         raise NotInvariant("input is not W-invariant")
     d = f.d
+    rest = {m: c for m, c in f.terms.items() if d.is_dominant(m)}
+    # by height, then in the order first seen; a sorted list is a heap
+    heap = sorted((-d.height_scaled(m), k, m) for k, m in enumerate(rest))
     out = {}
-    rem = f
-    while rem:
-        top = max(d.height_scaled(m) for m in rem.terms)
-        layer = [m for m in rem.terms if d.height_scaled(m) == top]
-        if not all(d.is_dominant(m) for m in layer):
-            raise NotInvariant("top-height support is not dominant")
-        for m in layer:
-            c = rem.terms.get(m, 0)
-            if c:
-                out[m] = out.get(m, 0) + c
-                rem = rem - c * freudenthal(d, m)
-    return {m: c for m, c in out.items() if c}
+    while heap:
+        m = heappop(heap)[2]
+        c = rest[m]
+        if c:
+            out[m] = c
+            for mu, k in dominant_multiplicities(d, m).items():
+                if mu not in rest:
+                    heappush(heap, (-d.height_scaled(mu), len(rest), mu))
+                    rest[mu] = 0
+                rest[mu] -= c * k
+    return out
 
 
 def reconstruct(d, expansion):

@@ -9,13 +9,14 @@ reflecting each simple root along a word, Weyl orbits (and the orbits of
 a parabolic subgroup W_K) from a search that tries every simple reflection
 on every element, crystal signatures from
 separate forward and suffix scans, Kostant multiplicities from a sum over
-the whole orbit, omega expressions from a deepening depth-first search,
+the whole orbit, bialternant expansions from peeling whole characters off
+the top, omega expressions from a deepening depth-first search,
 (J,nu)-colorings from a recursion on the prefix length
 that rescans each prefix's signature, and colored posets are checked
 against their full transitive closure and their component member lists
-against an eager grouping by union-find root.  The inverse Cartan matrix
-comes from Fraction Gauss-Jordan, component numberings from a slot-by-slot
-backtracking search, chain-product factorizations from growing chains and
+against networkx's weakly connected components of each color.  The
+inverse Cartan matrix comes from Fraction Gauss-Jordan, component
+numberings from a slot-by-slot backtracking search, chain-product factorizations from growing chains and
 scanning every chain pair, sub-block colorings from trying every factor
 order, and pattern lattices from filtering every array in a box by the interlacing
 inequalities.
@@ -27,9 +28,10 @@ from fractions import Fraction
 from itertools import permutations, product
 from importlib import resources
 
+import networkx as nx
 import pytest
 
-from weylsplit import build_diagram, crystal as cr, ecposet
+from weylsplit import build_diagram, crystal as cr, ecposet, wsf
 from weylsplit.cartan import _finite_types, orbit_cap, seed_cartan, wadd, wsub
 from weylsplit.errors import (ExactnessError, NotAcyclic, NotChainProduct, NotCovering,
                              NotRanked, OrbitTooLarge)
@@ -319,6 +321,27 @@ def brute_parabolic_orbit(d, mu, nodes):
     return seen
 
 
+def peel_bialternants(f):
+    """The bialternant expansion of an invariant f, by peeling whole characters.
+
+    Round by round, the terms of greatest height left are dominant (the
+    support of an invariant is W-stable, and s_i raises the height of a
+    weight with a negative entry i), so each is a constituent, and its
+    whole character is subtracted from what is left.
+    """
+    d, out, rem = f.d, {}, f
+    while rem:
+        top = max(d.height_scaled(m) for m in rem.terms)
+        layer = [m for m in rem.terms if d.height_scaled(m) == top]
+        assert all(d.is_dominant(m) for m in layer), layer
+        for m in layer:
+            c = rem.terms.get(m, 0)
+            if c:
+                out[m] = c
+                rem = rem - c * wsf.freudenthal(d, m)
+    return out
+
+
 # ---------------------------------------------------------------------------
 # colored posets: every check in its original order, on the full closure
 
@@ -422,15 +445,16 @@ def brute_color_tables(n, edges, n_colors):
 
 
 def brute_members(n, edges, n_colors):
-    """Per color 1..n_colors, the member tuples of each component, grouped
-    eagerly by union-find root in the order of their smallest members (the
+    """Per color 1..n_colors, the member tuples of each component: the weakly
+    connected components of that color's subgraph (networkx), each in
+    ascending order, listed in the order of their smallest members (the
     unused row 0 is ()); `ColoredPoset._members` indexed as comp_id numbers."""
     members = [()]
-    for key in ecposet.component_roots(n, sorted(edges), n_colors):
-        groups = {}
-        for x, k in enumerate(key):
-            groups.setdefault(k, []).append(x)
-        members.append(list(map(tuple, groups.values())))
+    for c in range(1, n_colors + 1):
+        g = nx.DiGraph()
+        g.add_nodes_from(range(n))
+        g.add_edges_from((u, v) for u, v, cc in edges if cc == c)
+        members.append(sorted(tuple(sorted(k)) for k in nx.weakly_connected_components(g)))
     return members
 
 

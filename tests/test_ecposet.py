@@ -6,13 +6,13 @@ import networkx as nx
 import pytest
 from hypothesis import given, settings, strategies as st
 
-from weylsplit import build_diagram, crystal, ecposet as ec, wsf
+from weylsplit import build_diagram, crystal, ecposet as ec, patternlat, wsf
 from weylsplit.errors import (DiagramMismatch, DomainError, ExactnessError,
                               MalformedPoset, NotAcyclic, NotChainProduct,
                               NotCovering, NotMStructured, NotRanked)
 
 from conftest import (brute_chain_product_factorization, brute_color_tables,
-                      brute_members, brute_poset_error, brute_subblock_coloring,
+                      brute_members, brute_poset_error, brute_ranks, brute_subblock_coloring,
                       coroot_pairing, load_fixture, sub_block_members)
 
 A2 = build_diagram("A2")
@@ -122,7 +122,7 @@ def test_constructor_matches_brute_checks(data):
 @given(st.data())
 def test_lazy_tables_match_eager_ones(data):
     """out, inc and the member lists are built on first read, and then equal
-    _adjacency on the sorted edges and the eager grouping by union-find root."""
+    _adjacency on the sorted edges and networkx's components of each color."""
     n = data.draw(st.integers(1, 8), label="n")
     n_colors = data.draw(st.integers(1, 4), label="n_colors")
     # edges up one level, no pair twice: ranked and covering
@@ -134,6 +134,68 @@ def test_lazy_tables_match_eager_ones(data):
     assert not {"out", "inc", "_members"} & set(vars(p))
     assert p._members == brute_members(n, edges, n_colors)
     assert p.out == ec._adjacency(n, p.edges, 0) and p.inc == ec._adjacency(n, p.edges, 1)
+
+
+def _partition(keys):
+    """The classes of vertices with equal keys, as a set of frozensets."""
+    groups = {}
+    for x, k in enumerate(keys):
+        groups.setdefault(k, set()).add(x)
+    return set(map(frozenset, groups.values()))
+
+
+@settings(max_examples=300, deadline=None)
+@given(st.data())
+def test_rank_and_components_matches_brute(data):
+    """One pass over the edges, in any order, gives brute_ranks' ranks
+    (NotRanked where it finds none), and keys whose classes are networkx's
+    weakly connected components of the poset and of each color, on ranked,
+    unranked and disconnected edge sets."""
+    n = data.draw(st.integers(0, 9), label="n")
+    n_colors = data.draw(st.integers(0, 3), label="n_colors")
+    kind = data.draw(st.sampled_from(["graded", "apart", "any"]), label="kind")
+    if kind == "any":
+        pairs = [(u, v) for u in range(n) for v in range(n)]
+    else:
+        # up one level only: ranked; "apart" joins only vertices of one parity
+        level = data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+        pairs = [(u, v) for u in range(n) for v in range(n) if level[v] == level[u] + 1
+                 and (kind == "graded" or u % 2 == v % 2)]
+    chosen = data.draw(st.lists(st.sampled_from(pairs), max_size=14)) \
+        if pairs and n_colors else []
+    edges = [(u, v, data.draw(st.integers(1, n_colors))) for u, v in chosen]
+    want = brute_ranks(n, edges)
+    if want is None:
+        with pytest.raises(NotRanked):
+            ec.rank_and_components(n, edges, n_colors)
+        return
+    rank, keys = ec.rank_and_components(n, edges, n_colors)
+    assert rank == want and len(keys) == n_colors + 1
+    for c in range(n_colors + 1):
+        g = nx.DiGraph()
+        g.add_nodes_from(range(n))
+        g.add_edges_from((u, v) for u, v, cc in edges if c in (0, cc))
+        assert _partition(keys[c]) == set(map(frozenset, nx.weakly_connected_components(g)))
+
+
+def test_valid_posets_build_no_adjacency(monkeypatch):
+    """Ranks and components come from the edges alone: with _adjacency
+    raising, constructor, closure and lattice posets still build, and read
+    no out or inc of their own."""
+    f = crystal.minuscule_poset(A2, (1, 0))
+    f.is_fibrous()          # the factor's out and inc, which the closure reads
+
+    def no_adjacency(*args):
+        raise AssertionError("_adjacency called")
+
+    monkeypatch.setattr(ec, "_adjacency", no_adjacency)
+    p = ec.ColoredPoset(4, [(0, 1, 1), (0, 2, 2), (1, 3, 2), (2, 3, 1)], diagram=A2)
+    prod = crystal.crystal_product(f, f)
+    lat = patternlat.gt_lattice(3, (1, 1))
+    assert [p.n, prod.n, lat.poset.n] == [4, 9, 8]
+    assert p.n_poset_components == 1 and prod.n_poset_components == 2
+    assert [p.global_rank(x) for x in range(4)] == [0, 1, 1, 2]
+    assert not any({"out", "inc"} & set(vars(q)) for q in (p, prod, lat.poset))
 
 
 @pytest.mark.parametrize("edges", [
@@ -274,9 +336,9 @@ def test_rank_function():
 def test_rank_function_checks_the_bfs_ranks(monkeypatch):
     d = build_diagram("G2")
     r = crystal.build_crystal(d, (1, 0))
-    # a wrong w0(lambda) shifts every weight rank off the BFS rank
+    # a wrong w0(lambda) shifts every weight rank off the poset's rank
     monkeypatch.setattr(d, "w0_weight", lambda lam: (-2, 1))
-    with pytest.raises(ExactnessError, match="disagrees with BFS rank"):
+    with pytest.raises(ExactnessError, match="disagrees with poset rank"):
         ec.rank_function(r)
 
 

@@ -12,11 +12,12 @@ tau through ecposet.ColoringWitness.check, and the kappa of tau_from_jnu_colorin
 through verify_jnu_coloring; a poset's diagram through
 ColoredPoset.checked_d, so a poset without one raises NotMStructured; a
 poset's vertices and colors through its one vertex and color rule
-(ColoredPoset._vertex, _color); and the diagram of every wsf entry point
-through cartan.check_diagram.  saturation_predicate reads an empty J as empty, not as
-every node.  WeylSymFn.power takes only a plain int exponent >= 0, and
-numbersgame.play only a plain int firing cap >= 1.  ecposet.export_poset
-writes only json and dot.
+(ColoredPoset._vertex, _color), and a crystal product's vertices through
+each factor's rule and its node through check_node; and the diagram of
+every wsf entry point through cartan.check_diagram.  saturation_predicate
+reads an empty J as empty, not as every node.  WeylSymFn.power takes only
+a plain int exponent >= 0, and numbersgame.play only a plain int firing
+cap >= 1.  ecposet.export_poset writes only json and dot.
 """
 
 import json
@@ -144,6 +145,19 @@ PROBES = [
     ("p.comp_members(1, -1)", "MalformedPoset"),
     ("ecposet.chain_product_factorization(p, 1, -1)", "MalformedPoset"),
     ("ecposet.chain_product_factorization(p, 1.0, 0)", "MalformedPoset"),
+    # on R(A2, (1, 1)), with 8 vertices, up and down read x as a Python index
+    # and c unchecked: down(2, -1) returned vertex 7's answer, up(1.5, 0)
+    # None, and vertex 8 was a bare IndexError
+    ("crystal.build_crystal(d, (1, 1)).down(2, -1)", "MalformedPoset"),
+    ("crystal.build_crystal(d, (1, 1)).up(1.5, 0)", "MalformedPoset"),
+    ("crystal.build_crystal(d, (1, 1)).up(1, 8)", "MalformedPoset"),
+    # the operators on p x p read x unchecked: a tuple of the wrong length
+    # returned a tuple, and vertex 5 or node 7 was a bare IndexError
+    ("crystal.raising(crystal.crystal_product(p, p), (0,), 1)", "MalformedPoset"),
+    ("crystal.raising(crystal.crystal_product(p, p), (0, 0, 0), 1)", "MalformedPoset"),
+    ("crystal.raising(crystal.crystal_product(p, p), (5, 0), 1)", "MalformedPoset"),
+    ("crystal.lowering(crystal.crystal_product(p, p), (0, 0), 7)", "NotGCM"),
+    ("crystal.raising(p, (0,), 1)", "MalformedPoset"),
 ]
 
 # One interpreter for the whole table; each call gets a 1 s alarm, so a walk

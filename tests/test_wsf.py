@@ -12,7 +12,7 @@ from weylsplit.errors import (DiagramMismatch, ExactnessError, NotAWeight, NotDo
 
 from conftest import (brute_dominant_weights_below, brute_kostant_multiplicity,
                       brute_partition_count, brute_weyl_dimension, coroot_pairing,
-                      load_fixture, recursive_kostant_partition)
+                      load_fixture, peel_bialternants, recursive_kostant_partition)
 
 G2FIX = load_fixture("g2_reference.json")
 
@@ -329,6 +329,38 @@ def test_expand_reconstruct_roundtrip(diagrams):
             combo = {k: v for k, v in combo.items() if v}
             fn = wsf.reconstruct(d, combo)
             assert wsf.expand_in_bialternants(fn) == combo
+
+
+@settings(max_examples=60, deadline=None)
+@given(st.data())
+def test_expansion_matches_the_peel(data):
+    """The unitriangular solve gives the peel's expansion of integer
+    combinations of characters of nested weights, over several diagrams.
+    Half of the combinations cancel the term of f at one dominant weight mu,
+    which the solve must then find as a constituent below the others."""
+    spec = data.draw(st.sampled_from(["A2", "C2", "G2", "B3", "A3", "A2+G2", "D4"]))
+    d = build_diagram(spec)
+    top = tuple(data.draw(st.lists(st.integers(0, 2 if d.rank < 4 else 1),
+                                   min_size=d.rank, max_size=d.rank)))
+    below = wsf.dominant_weights_below(d, top)
+    combo = data.draw(st.dictionaries(st.sampled_from(below), st.integers(-3, 3), max_size=4))
+    if data.draw(st.booleans(), label="cancel"):
+        # the coefficient that leaves f no term at mu
+        mu = data.draw(st.sampled_from(below), label="mu")
+        combo[mu] = -sum(c * wsf.dominant_multiplicities(d, lam).get(mu, 0)
+                         for lam, c in combo.items() if lam != mu)
+    f = wsf.reconstruct(d, combo)
+    got = wsf.expand_in_bialternants(f)
+    assert got == peel_bialternants(f) == {m: c for m, c in combo.items() if c}
+
+
+def test_expansion_finds_a_cancelled_constituent():
+    """chi_(1,1) - 2 chi_(0,0) of A2 has no term at (0,0), whose multiplicity
+    in chi_(1,1) is 2; the solve still finds the constituent (0,0)."""
+    a2 = build_diagram("A2")
+    f = chi(a2, (1, 1)) - 2 * chi(a2, (0, 0))
+    assert (0, 0) not in f.terms
+    assert wsf.expand_in_bialternants(f) == peel_bialternants(f) == {(1, 1): 1, (0, 0): -2}
 
 
 def test_monomial_and_elementary():
