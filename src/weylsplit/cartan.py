@@ -890,15 +890,17 @@ class DynkinDiagram(RawGCMGraph):
         return tuple(mu[j - 1] for j in nodes)
 
 
-def check_diagram(d):
-    """d when it is a DynkinDiagram; DiagramMismatch otherwise.
+def check_diagram(d, cls=DynkinDiagram):
+    """d when it is a DynkinDiagram (an instance of cls); DiagramMismatch otherwise.
 
-    The one diagram gate: every public wsf entry point reads its diagram
-    through here, so a type string or None in its place raises a named
-    error instead of a bare AttributeError.
+    The one diagram gate: every public entry point of wsf, crystal,
+    numbersgame and patternlat that takes a diagram reads it through here,
+    so a type string or None in its place raises a named error instead of a
+    bare AttributeError.  The numbers game's fire and play pass
+    cls=RawGCMGraph, since they play any GCM graph.
     """
-    if not isinstance(d, DynkinDiagram):
-        raise DiagramMismatch("%r is not a DynkinDiagram" % (d,))
+    if not isinstance(d, cls):
+        raise DiagramMismatch("%r is not a %s" % (d, cls.__name__))
     return d
 
 

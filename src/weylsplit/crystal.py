@@ -16,7 +16,7 @@ down from its seeds by lowering alone and records every edge once.
 from collections import namedtuple
 
 from . import ecposet, wsf
-from .cartan import sub_weight, wadd, wsub, zero_weight
+from .cartan import check_diagram, sub_weight, wadd, wsub, zero_weight
 from .errors import (DiagramMismatch, ExactnessError, MalformedPoset, NoExpression,
                      NotFibrous, NotIrreducible, NotMinuscule, NotMStructured,
                      NotPrimaryFactor)
@@ -199,7 +199,9 @@ class TensorOps:
         (crystal_product) this is the whole product; a seed of R(lambda) is
         the highest-weight vertex of its component (see build_crystal), and
         the whole component lies below it.  The poset's vertices are the
-        tuples reached, as labels, and its `tensor_ops` is this object.
+        tuples reached, in sorted order; its labels hold them as one column
+        per factor position (an `ecposet.Columns`, which reads as the tuple
+        of the tuples), and its `tensor_ops` is this object.
         """
         seen = set(seeds)
         frontier = list(seeds)
@@ -216,8 +218,8 @@ class TensorOps:
         verts = sorted(seen)
         ids = {v: k for k, v in enumerate(verts)}
         poset = ecposet.ColoredPoset(
-            len(verts), [(ids[a], ids[b], i) for a, b, i in edges],
-            diagram=self.d, labels=verts)
+            len(verts), [(ids[a], ids[b], i) for a, b, i in edges], diagram=self.d,
+            labels=ecposet.Columns.of(verts, [f.n - 1 for f in self.factors]))
         poset.tensor_ops = self
         return poset
 
@@ -387,9 +389,9 @@ def build_crystal(d, lam):
     So x is the highest-weight vertex of its component, which in a product
     of the crystals B(mu_q-hat) is B(lambda), all of it below x under
     lowering (Kashiwara).  Results are cached in d.memo (posets are
-    immutable).
+    immutable).  d is read by `cartan.check_diagram`.
     """
-    lam = d.check_dominant(lam)
+    lam = check_diagram(d).check_dominant(lam)
     memo = d.memo.setdefault("crystal", {})
     got = memo.get(lam)
     if got is not None:
@@ -419,8 +421,9 @@ def m_set(p, nodes, nu):
 
 
 def decompose(d, nu, lam):
-    """Expansion of chi_nu * chi_lambda from M_{I,nu}(R(lambda))."""
-    nu = d.check_dominant(nu)
+    """Expansion of chi_nu * chi_lambda from M_{I,nu}(R(lambda)); d is read
+    by `cartan.check_diagram`."""
+    nu = check_diagram(d).check_dominant(nu)
     r = build_crystal(d, lam)
     nodes = tuple(range(1, d.rank + 1))
     out = {}
@@ -435,9 +438,10 @@ def branch(d, lam, nodes):
 
     Nodes are 1-based; sub_diagram sorts them and raises NotGCM for one
     that is not a plain int in 1..rank (row 0 would otherwise read as the
-    last node, and True as node 1), and for an empty subset.
+    last node, and True as node 1), and for an empty subset.  d is read by
+    `cartan.check_diagram`.
     """
-    _, nodes = d.sub_diagram(nodes)
+    _, nodes = check_diagram(d).sub_diagram(nodes)
     r = build_crystal(d, lam)
     out = {}
     for x in m_set(r, nodes, (0,) * len(nodes)):

@@ -21,27 +21,35 @@ reads its ranks and components off Pi(lambda)'s ranks, components and
 lng rows, as `_blow_up` proves sound, and passes them to the same fill.
 
 Edges are triples (u, v, c) of plain ints, sorted, and every poset keeps
-them in one EdgeColumns: three machine-int columns that read as the tuple
-of the triples, each triple built when it is read.  The per-vertex rows
+them in one Columns: three machine-int columns that read as the tuple of
+the triples, each triple built when it is read.  The per-vertex rows
 (global ranks, poset components, and comp_id, rho and lng per color) are
 unsigned `array` rows as narrow as their values allow, and equal weights
 share one tuple in `wt`.  The ranks and the components of the poset and
 of each color come from one pass over the edges (`rank_and_components`),
-with no adjacency.  The adjacency lists `out[u]` and `inc[v]`, which hold
-the triples in sorted-edge order, the member lists of the components and
-the reachability masks are built only when first read, so a poset that is
-only asked for ranks, weights and edges never holds them.  A blow-up's
-columns are filled the first time an edge is read; their length is the sum
-of the block sizes, so `len(u.edges)` costs no edge.
+with no adjacency.  The adjacency `out[u]` and `inc[v]` is an Adjacency
+over the edge columns: n + 1 offsets, since sorted edges make out[u] one
+run, and for inc a counting-sort permutation of the edge ids as well.  It
+reads as the lists of the triples in sorted-edge order, each row built
+when it is read, and the package's own readers take the other ends and
+colors of a row from the columns, no triple built.  The `up` and `down`
+rows (per color, the first cover above and below each vertex), the member
+lists of the components and the reachability masks are built only when
+first read, so a poset that is only asked for ranks, weights and edges
+never holds them.  A blow-up's columns are filled the first time an edge
+is read; their length is the sum of the block sizes, so `len(u.edges)`
+costs no edge.  Trusted producers (`_blow_up`, the pattern lattices) hand
+`_fill` their columns, ranks and component keys through `ColoredPoset._of`;
+every caller with outside data goes through the checking constructor.
 
 Posets are immutable after construction; every cache is computed once.
 """
 
 from array import array
-from collections import namedtuple
+from collections import Counter, namedtuple
 from collections.abc import Sequence
 from functools import cached_property
-from itertools import chain, repeat
+from itertools import accumulate, chain, repeat
 from operator import eq
 
 from . import wsf
@@ -78,38 +86,37 @@ def _find(parent, x):
     return x
 
 
-def _adjacency(n, edges, end):
-    """Per vertex, the edges whose end-th entry it is, in the order of edges."""
-    rows = [[] for _ in range(n)]
-    for e in edges:
-        rows[e[end]].append(e)
-    return rows
-
-
 # unsigned array typecodes, narrowest first, each with the first int it cannot hold
 _CODES = tuple((1 << 8 * array(code).itemsize, code) for code in "BHIQ")
 
 
-def _row(values, hi):
-    """values, all in 0..hi, as an array of the narrowest unsigned typecode."""
-    if hi < 256:
-        return array("B", bytes(values))    # bytes reads ints about 4 times faster
+def _code(hi):
+    """The narrowest unsigned typecode that holds 0..hi; OverflowError past the widest."""
     for lim, code in _CODES:
         if hi < lim:
-            break
-    return array(code, values)      # a value past the widest code raises OverflowError
+            return code
+    raise OverflowError("%d does not fit an unsigned array row" % hi)
 
 
-class EdgeColumns(Sequence):
-    """A poset's sorted edges as three int columns u, v and c.
+def _row(values, hi):
+    """values, all in 0..hi, as an array of the narrowest unsigned typecode."""
+    if hi < 256 and not isinstance(values, array):     # bytes(array) would copy its buffer
+        return array("B", bytes(values))    # bytes reads ints about 4 times faster
+    return array(_code(hi), values)
 
-    It reads as the tuple of the triples (u, v, c) that it holds: the same
-    len, items (negative indices too), slices (tuples of triples),
-    iteration, == (against an EdgeColumns column by column, against
-    anything else as that tuple compares), hash and repr.  Each triple is
-    built when it is read.  The columns are `_row` arrays, as narrow as the
-    vertex and color counts allow.  Either they are given, or `fill`
-    returns them on the first read; the length is known before either.
+
+class Columns(Sequence):
+    """Equal-length int columns that read as the tuple of their rows.
+
+    A poset's sorted edges are three columns u, v and c, and the labels of
+    a crystal closure one column per factor position.  It reads as the
+    tuple of the row tuples that it holds: the same len, items (negative
+    indices too), slices (tuples of rows), iteration, == (against a Columns
+    column by column, against anything else as that tuple compares), hash
+    and repr.  Each row tuple is built when it is read.  The columns are
+    `_row` arrays, as narrow as their values allow.  Either they are given,
+    or `fill` returns them on the first read; the length is known before
+    either.
     """
 
     __slots__ = ("_len", "_cols", "_fill")
@@ -118,13 +125,18 @@ class EdgeColumns(Sequence):
         self._len, self._cols, self._fill = length, cols, fill
 
     @classmethod
-    def of(cls, edges, n, n_colors):
-        """The columns of the triples edges, in their order, on n vertices."""
-        u, v, c = zip(*edges) if edges else ((), (), ())
-        return cls(len(edges), (_row(u, n - 1), _row(v, n - 1), _row(c, n_colors)))
+    def of(cls, rows, his):
+        """The columns of the tuples rows, in their order; column k holds ints in 0..his[k]."""
+        cols = zip(*rows) if rows else [()] * len(his)
+        return cls(len(rows), tuple(map(_row, cols, his)))
+
+    @classmethod
+    def of_columns(cls, cols, his):
+        """The equal-length int sequences cols; column k holds ints in 0..his[k]."""
+        return cls(len(cols[0]), tuple(map(_row, cols, his)))
 
     def columns(self):
-        """The (u, v, c) columns, filled on the first call."""
+        """The columns, filled on the first call."""
         if self._cols is None:
             self._cols, self._fill = self._fill(), None
         return self._cols
@@ -136,13 +148,13 @@ class EdgeColumns(Sequence):
         return zip(*self.columns())
 
     def __getitem__(self, i):
-        u, v, c = self.columns()
+        cols = self.columns()
         if isinstance(i, slice):
-            return tuple(zip(u[i], v[i], c[i]))
-        return u[i], v[i], c[i]
+            return tuple(zip(*[col[i] for col in cols]))
+        return tuple([col[i] for col in cols])
 
     def __eq__(self, other):
-        if isinstance(other, EdgeColumns):
+        if isinstance(other, Columns):
             return self._len == other._len and self.columns() == other.columns()
         if isinstance(other, tuple):
             return self._len == len(other) and all(map(eq, self, other))
@@ -153,6 +165,96 @@ class EdgeColumns(Sequence):
 
     def __repr__(self):
         return repr(tuple(self))
+
+
+class Groups(Sequence):
+    """The ids 0..len(key)-1 grouped by key, each group in ascending order.
+
+    Group g, g in 0..m-1, holds the ids i with key[i] == g.  It reads as
+    the tuple of those ids, and the whole as the list of those tuples.
+    What it holds is m + 1 offsets into a counting sort of the ids by key,
+    which keeps each group ascending; when key is nondecreasing (is_sorted),
+    the ids are already in that order, and only the offsets are kept.
+    """
+
+    __slots__ = ("_off", "_perm")
+
+    def __init__(self, key, m, is_sorted=False):
+        counts = Counter(key)
+        off = _row(accumulate(map(counts.get, range(m), repeat(0)), initial=0), len(key))
+        perm = None
+        if not is_sorted:
+            code, pos = _code(max(len(key) - 1, 0)), off[:-1]
+            perm = array(code, bytes(len(key) * array(code).itemsize))
+            for i, g in enumerate(key):
+                perm[pos[g]] = i
+                pos[g] += 1
+        self._off, self._perm = off, perm
+
+    def ids(self, g):
+        """The ids of group g, ascending: a range, or an array slice."""
+        a, b = self._off[g], self._off[g + 1]
+        return range(a, b) if self._perm is None else self._perm[a:b]
+
+    def __len__(self):
+        return len(self._off) - 1
+
+    def __getitem__(self, g):
+        return tuple(self.ids(range(len(self))[g]))     # list indexing: negatives, IndexError
+
+    def __iter__(self):
+        return map(self.__getitem__, range(len(self)))
+
+    def __eq__(self, other):
+        if isinstance(other, (Groups, list)):
+            return len(self) == len(other) and all(map(eq, self, other))
+        return NotImplemented
+
+    __hash__ = None
+
+    def __repr__(self):
+        return repr(list(self))
+
+
+class Adjacency(Groups):
+    """One end of a poset's sorted edges, per vertex: out or inc.
+
+    The Groups of the edge ids by their u (out) or v (inc): the edges are
+    sorted by (u, v, c), so out[x] is one run of ids and needs only the
+    offsets, while inc needs the counting sort as well, which keeps each
+    row in sorted-edge order.  Row x reads as the list of its triples,
+    built when it is read, and the whole as the list of the rows.  `ends(x)`
+    reads a row as the other ends and the colors of its edges, no triple
+    built.
+    """
+
+    __slots__ = ("_end", "_other", "_colors")
+
+    def __init__(self, edges, n, end):
+        cols = edges.columns()
+        super().__init__(cols[end], n, is_sorted=not end)
+        self._end, self._other, self._colors = end, cols[1 - end], cols[2]
+
+    def ends(self, x):
+        """(w, c) of vertex x: the other end and the color of each of its
+        edges, in sorted-edge order, as two int sequences."""
+        if self._perm is None:
+            a, b = self._off[x], self._off[x + 1]
+            return self._other[a:b], self._colors[a:b]
+        ids = self.ids(x)
+        return list(map(self._other.__getitem__, ids)), list(map(self._colors.__getitem__, ids))
+
+    def ends_of(self, x, c):
+        """The other ends of x's color-c edges, in sorted-edge order."""
+        other, colors = self._other, self._colors
+        return [other[e] for e in self.ids(x) if colors[e] == c]
+
+    def __getitem__(self, x):
+        x = range(len(self))[x]
+        w, c = self.ends(x)
+        if self._end:
+            return list(zip(w, repeat(x), c))
+        return list(zip(repeat(x), w, c))
 
 
 def rank_and_components(n, edges, n_colors):
@@ -206,12 +308,12 @@ def rank_and_components(n, edges, n_colors):
 
 
 def _closure(out, order):
-    """Bitmask closure over the adjacency out, filled from the top of a
+    """Bitmask closure over the Adjacency out, filled from the top of a
     topological order."""
     r = [0] * len(out)
     for v in reversed(order):
         m = 1 << v
-        for _, w, _ in out[v]:
+        for w in out.ends(v)[0]:
             m |= r[w]
         r[v] = m
     return r
@@ -219,14 +321,13 @@ def _closure(out, order):
 
 def _check_covering(n, edges):
     """Raise NotAcyclic on a directed cycle, NotCovering on an edge that a
-    longer path implies; the constructor's diagnosis of an unranked relation."""
-    out = _adjacency(n, edges, 0)
-    indeg = [0] * n
-    for _, v, _ in edges:
-        indeg[v] += 1
-    order = [v for v in range(n) if indeg[v] == 0]
+    longer path implies, for the sorted Columns edges on n vertices; the
+    constructor's diagnosis of an unranked relation."""
+    out = Adjacency(edges, n, 0)
+    indeg = Counter(edges.columns()[1])
+    order = [v for v in range(n) if not indeg[v]]
     for v in order:                     # order grows as vertices free up
-        for _, w, _ in out[v]:
+        for w in out.ends(v)[0]:
             indeg[w] -= 1
             if indeg[w] == 0:
                 order.append(w)
@@ -234,12 +335,18 @@ def _check_covering(n, edges):
         raise NotAcyclic("edge relation has a directed cycle")
     r = _closure(out, order)
     for u in range(n):
+        ws = out.ends(u)[0]
         acc = 0
-        for _, w, _ in out[u]:
+        for w in ws:
             acc |= r[w] & ~(1 << w)
-        for _, v, _ in out[u]:
+        for v in ws:
             if acc >> v & 1:
                 raise NotCovering("edge %d->%d is implied by a longer path" % (u, v))
+
+
+def _labels(labels):
+    """Labels as a poset keeps them: None, a Columns as it is, anything else as a tuple."""
+    return labels if labels is None or isinstance(labels, Columns) else tuple(labels)
 
 
 class ColoredPoset:
@@ -247,14 +354,14 @@ class ColoredPoset:
 
     Its tables, all written by `_fill`:
 
-    - edges: the sorted triples (u, v, c) in one EdgeColumns.
+    - edges: the sorted triples (u, v, c) in one Columns.
     - _global_rank and _poset_comp: per vertex, its rank and the number of
       its poset component (n_poset_components of them), each one `_row`.
     - comp_id, rho and lng: per color c = 1..n_colors, row c holds per
       vertex the number of its color-c component, rho_c and l_c, each row
       a `_row`; row 0 is one shared row of zeros, so colors index from 1.
     - wt: a tuple of weight tuples, equal weights one shared tuple.
-    - labels: the labels given, as a tuple, or None.
+    - labels: the labels given, as a tuple (a Columns is kept as it is), or None.
 
     A vertex is a plain int in 0..n-1 and a color a plain int in
     1..n_colors: global_rank, delta, m and comp_members read their
@@ -278,7 +385,7 @@ class ColoredPoset:
             raise MalformedPoset("vertex count %r is not an int >= 0" % (n_vertices,))
         self.n_colors = n_colors
         self.n = n = n_vertices
-        self.labels = tuple(labels) if labels is not None else None
+        self.labels = _labels(labels)
         if labels is not None and len(self.labels) != n:
             raise MalformedPoset("%d labels for %d vertices" % (len(self.labels), n))
         edges = list(map(tuple, edges))
@@ -300,23 +407,37 @@ class ColoredPoset:
         if repeated:
             raise NotCovering("multiple edges between a vertex pair")
 
+        cols = Columns.of(edges, (n - 1, n - 1, n_colors))
         # Ranking raises each edge by one rank and each longer path by at
         # least two, so a ranked poset is acyclic and no path implies an edge:
         # the cycle and closure checks are needed only if ranking fails.
         try:
             rank, keys = rank_and_components(n, edges, n_colors)
         except NotRanked:
-            _check_covering(n, edges)
+            _check_covering(n, cols)
             raise
-        self._fill(EdgeColumns.of(edges, n, n_colors), rank, keys[0], keys[1:])
+        self._fill(cols, rank, keys[0], keys[1:])
         if is_lattice_hint is not None:
             self._is_lattice = is_lattice_hint
 
     _is_lattice = None      # unknown until is_lattice() or a hint sets it
 
+    @classmethod
+    def _of(cls, diagram, n_colors, n, labels, edges, rank, comp, keys):
+        """The poset that a trusted producer describes, with no check, sort
+        or union-find: edges a Columns of sorted triples, rank, comp and keys
+        as `_fill` reads them.  Each producer proves in its docstring that
+        they are what the constructor finds on those edges, so the result
+        equals ColoredPoset(n, edges, diagram, n_colors, labels).
+        """
+        p = cls.__new__(cls)
+        p.d, p.n_colors, p.n, p.labels = diagram, n_colors, n, _labels(labels)
+        p._fill(edges, rank, comp, keys)
+        return p
+
     def _fill(self, edges, rank, comp, keys):
-        """Store the EdgeColumns edges and write every derived table from
-        the ranks and the component keys.
+        """Store the Columns edges and write every derived table from the
+        ranks and the component keys.
 
         The tables are the edges, the global ranks, the poset components
         and their count, comp_id, rho, lng and wt; no other code assigns
@@ -324,13 +445,16 @@ class ColoredPoset:
         component of the poset, and keys holds one row per color c =
         1..n_colors, equal on x and y exactly when they lie in one color-c
         component K: `rank_and_components` gives both to the constructor,
-        and `_blow_up` reads them off q.  Whatever the keys are, every
+        `_blow_up` reads them off q, and `patternlat.PatternLattice` off its
+        walk.  Whatever the keys are, every
         component is numbered by its smallest member; for x in K, rho_c(x)
         = rank(x) - min rank(K), l_c(x) = max rank(K) - min rank(K) and
         wt(x)_c = m_c(x) = 2 rho_c(x) - l_c(x).  rho_c and l_c lie in
         0..max rank and a component number below the count, so each `_row`
-        is as wide as that bound needs.  The member lists are
-        grouped here but not kept; `_members` regroups them from comp_id.
+        is as wide as that bound needs.  No member list is built here;
+        `_members` groups them from comp_id when first read.  Each vertex's
+        weight tuple is shared as soon as it is built, so no list of
+        unshared tuples is ever held.
         """
         n = self.n
         self.edges = edges
@@ -345,45 +469,62 @@ class ColoredPoset:
         self.comp_id, self.rho, self.lng = [zero], [zero], [zero]   # 1-based color
         m_rows = []
         for key in keys:
-            groups = {}         # by key, in order of each group's smallest member
-            for x, k in enumerate(key):
-                groups.setdefault(k, []).append(x)
-            gid = {k: g for g, k in enumerate(groups)}
-            comp_id = list(map(gid.__getitem__, key))
-            lo = [min(map(rank.__getitem__, m)) for m in groups.values()]
-            hi = [max(map(rank.__getitem__, m)) for m in groups.values()]
+            gid = {}            # numbers each component by its smallest member
+            comp_id = [gid.setdefault(k, len(gid)) for k in key]
+            lo, hi = [top] * len(gid), [0] * len(gid)
+            for g, r in zip(comp_id, rank):
+                if r < lo[g]:
+                    lo[g] = r
+                if r > hi[g]:
+                    hi[g] = r
             span = [h - l for h, l in zip(hi, lo)]
             rho = [r - lo[g] for r, g in zip(rank, comp_id)]
-            self.comp_id.append(_row(comp_id, len(groups)))
+            self.comp_id.append(_row(comp_id, len(gid)))
             self.rho.append(_row(rho, top))
             self.lng.append(_row(map(span.__getitem__, comp_id), top))
             m_rows.append([2 * r - span[g] for r, g in zip(rho, comp_id)])
-        wts = list(zip(*m_rows)) or [()] * n         # zip(*[]) is empty
         shared = {}
-        self.wt = tuple(map(shared.setdefault, wts, wts))
+        self.wt = tuple([shared.setdefault(w, w) for w in zip(*m_rows)]
+                        if m_rows else [()] * n)        # zip(*[]) is empty
 
     # -- construction helpers ------------------------------------------------
 
     @cached_property
     def out(self):
-        """out[u]: the edges from u, in sorted-edge order."""
-        return _adjacency(self.n, self.edges, 0)
+        """out[u]: the edges from u, in sorted-edge order (an Adjacency)."""
+        return Adjacency(self.edges, self.n, 0)
 
     @cached_property
     def inc(self):
-        """inc[v]: the edges into v, in sorted-edge order."""
-        return _adjacency(self.n, self.edges, 1)
+        """inc[v]: the edges into v, in sorted-edge order (an Adjacency)."""
+        return Adjacency(self.edges, self.n, 1)
+
+    @cached_property
+    def _ups(self):
+        return self._cover_rows(self.out)
+
+    @cached_property
+    def _downs(self):
+        return self._cover_rows(self.inc)
+
+    def _cover_rows(self, adj):
+        """Row c, c = 1..n_colors: per vertex x, the other end of the first
+        color-c edge of adj[x] in sorted-edge order, or n when x has none;
+        row 0 is None.  Each row is a `_row`."""
+        n = self.n
+        rows = [[n] * n for _ in range(self.n_colors)]
+        for x in range(n):
+            ws, cs = adj.ends(x)
+            for w, c in zip(reversed(ws), reversed(cs)):     # the first one written last
+                rows[c - 1][x] = w
+        return [None] + [_row(r, n) for r in rows]
 
     @cached_property
     def _members(self):
-        """_members[c][g]: the color-c component numbered g, in ascending id order."""
-        members = [()]
-        for comp_id in self.comp_id[1:]:
-            groups = [[] for _ in range(max(comp_id, default=-1) + 1)]
-            for x, g in enumerate(comp_id):
-                groups[g].append(x)
-            members.append(list(map(tuple, groups)))
-        return members
+        """_members[c][g]: the color-c component numbered g, in ascending id
+        order; row c is the Groups of the vertices by comp_id[c]."""
+        return [()] + [Groups(comp_id, max(comp_id, default=-1) + 1)
+                       for comp_id in self.comp_id[1:]]
 
     @cached_property
     def _reach(self):
@@ -436,16 +577,18 @@ class ColoredPoset:
 
     def _up(self, c, x):
         """up(c, x) for a valid color and vertex, read unchecked."""
-        return next((w for _, w, cc in self.out[x] if cc == c), None)
+        w = self._ups[c][x]
+        return None if w == self.n else w
 
     def _down(self, c, x):
-        return next((w for w, _, cc in self.inc[x] if cc == c), None)
+        w = self._downs[c][x]
+        return None if w == self.n else w
 
     def is_connected(self):
         return self.n_poset_components <= 1
 
     def maximal_vertices(self):
-        return [v for v in range(self.n) if not self.out[v]]
+        return [v for v in range(self.n) if not self.out.ends(v)[0]]
 
     def checked_d(self):
         """The diagram; NotMStructured("no diagram attached") when there is none.
@@ -459,16 +602,12 @@ class ColoredPoset:
     # -- structure predicates ----------------------------------------------------
 
     def is_fibrous(self):
-        for v in range(self.n):
-            seen_out, seen_in = set(), set()
-            for _, _, c in self.out[v]:
-                if c in seen_out:
+        """No vertex has two edges of one color out of it, or two into it."""
+        for adj in (self.out, self.inc):
+            for v in range(self.n):
+                cs = adj.ends(v)[1]
+                if len(set(cs)) != len(cs):
                     return False
-                seen_out.add(c)
-            for _, _, c in self.inc[v]:
-                if c in seen_in:
-                    return False
-                seen_in.add(c)
         return True
 
     def is_m_structured(self):
@@ -521,14 +660,15 @@ class ColoredPoset:
 
     def diamond_condition(self):
         """In every diamond, parallel edges carry equal colors."""
+        out = self.out
         for b in range(self.n):
-            outs = self.out[b]
-            for a in range(len(outs)):
-                _, s, i = outs[a]
-                for bb in range(a + 1, len(outs)):
-                    _, t, j = outs[bb]
-                    tops = {w: c for _, w, c in self.out[s]}
-                    for _, w, l in self.out[t]:
+            ws, cs = out.ends(b)
+            for a in range(len(ws)):
+                s, i = ws[a], cs[a]
+                for bb in range(a + 1, len(ws)):
+                    t, j = ws[bb], cs[bb]
+                    tops = dict(zip(*out.ends(s)))
+                    for w, l in zip(*out.ends(t)):
                         k = tops.get(w)
                         if k is None:
                             continue
@@ -583,8 +723,10 @@ def dual(p):
 
 
 def recolor(p, sigma):
-    """sigma: dict or callable on 1-based colors."""
+    """sigma: dict or callable on 1-based colors; MalformedPoset for anything else."""
     f = sigma.get if isinstance(sigma, dict) else sigma
+    if not callable(f):
+        raise MalformedPoset("recoloring %r is not a dict or a callable" % (sigma,))
     return ColoredPoset(p.n, [(u, v, f(c)) for u, v, c in p.edges], diagram=p.d,
                         n_colors=p.n_colors, labels=p.labels)
 
@@ -621,7 +763,7 @@ def disjoint_sum(p, q):
     edges = list(p.edges) + [(u + p.n, v + p.n, c) for u, v, c in q.edges]
     labels = None
     if p.labels is not None and q.labels is not None:
-        labels = p.labels + q.labels
+        labels = tuple(p.labels) + tuple(q.labels)
     return ColoredPoset(p.n + q.n, edges, diagram=p.d or q.d,
                         n_colors=max(p.n_colors, q.n_colors), labels=labels)
 
@@ -760,15 +902,15 @@ def _blow_up(q, sizes, labels=None):
     it numbers each component by its first copy, as the constructor numbers
     it by its smallest member.
 
-    The edges are an EdgeColumns whose length is the sum of sizes[x] *
-    sizes[y] over q's edges, one block per edge with no pair repeated.  Its
-    columns are filled the first time an edge is read, out and inc the
-    first time those are, so a caller that needs only n, labels, wgf() or
-    len(edges) allocates no edge.  The copies are numbered x by x and
-    q.out[x] is sorted by (y, c), so each copy a of x, walked through the
-    blocks of q.out[x], gives the next run of sorted triples (a, b, c), and
-    every copy of x gives the same run of b and of c: each run is built
-    once per x and copied into the columns, no triple built.
+    The edges are a Columns whose length is the sum of sizes[x] * sizes[y]
+    over q's edges, one block per edge with no pair repeated.  Its columns
+    are filled the first time an edge is read, out and inc the first time
+    those are, so a caller that needs only n, labels, wgf() or len(edges)
+    allocates no edge.  The copies are numbered x by x and q.out[x] is
+    sorted by (y, c), so each copy a of x, walked through the blocks of
+    q.out[x], gives the next run of sorted triples (a, b, c), and every copy
+    of x gives the same run of b and of c: each run is built once per x
+    from q.out's ends and copied into the columns, no triple built.
     """
     n = sum(sizes)
     fibre, of = [], []
@@ -781,9 +923,10 @@ def _blow_up(q, sizes, labels=None):
 
     def columns():
         us, vs, cs = _row((), n - 1), _row((), n - 1), _row((), q.n_colors)
-        for x, block in enumerate(q.out):
-            run_b = _row(chain.from_iterable(fibre[y] for _, y, _ in block), n - 1)
-            run_c = _row(chain.from_iterable(repeat(c, sizes[y]) for _, y, c in block),
+        for x in range(q.n):
+            ys, ccs = q.out.ends(x)
+            run_b = _row(chain.from_iterable(map(fibre.__getitem__, ys)), n - 1)
+            run_c = _row(chain.from_iterable(map(repeat, ccs, map(sizes.__getitem__, ys))),
                          q.n_colors)
             for a in fibre[x]:
                 us += _row((a,), n - 1) * len(run_b)
@@ -791,22 +934,26 @@ def _blow_up(q, sizes, labels=None):
                 cs += run_c
         return us, vs, cs
 
-    u = ColoredPoset.__new__(ColoredPoset)
-    u.d, u.n_colors, u.n = q.d, q.n_colors, n
-    u.labels = tuple(labels) if labels is not None else None
     # lng[0] is the zero row before color 1, so every vertex has a column
-    u._fill(EdgeColumns(sum(sizes[x] * sizes[y] for x, y, _ in q.edges), fill=columns),
-            map(q._global_rank.__getitem__, of),
-            keys(q._poset_comp, list(map(any, zip(*q.lng)))),
-            [keys(q.comp_id[c], q.lng[c]) for c in range(1, q.n_colors + 1)])
-    return u
+    return ColoredPoset._of(
+        q.d, q.n_colors, n, labels,
+        Columns(sum(sizes[x] * sizes[y] for x, y, _ in q.edges), fill=columns),
+        map(q._global_rank.__getitem__, of),
+        keys(q._poset_comp, list(map(any, zip(*q.lng)))),
+        [keys(q.comp_id[c], q.lng[c]) for c in range(1, q.n_colors + 1)])
 
 
 # ---------------------------------------------------------------------------
 # splitting verifiers
 
 def verify_splitting(p, targets):
-    """Is p an M-structured poset with WGF = sum chi_lambda over targets?"""
+    """Is p an M-structured poset with WGF = sum chi_lambda over targets?
+
+    targets is a list or tuple of dominant weights, each read by freudenthal;
+    anything else raises MalformedPoset.
+    """
+    if not isinstance(targets, (list, tuple)):
+        raise MalformedPoset("targets %r are not a list or tuple of weights" % (targets,))
     try:
         if not p.is_m_structured():
             return False, {"reason": "not M-structured"}
@@ -935,7 +1082,8 @@ def chain_product_factorization(p, color, x):
     coordinate sums differ by 1.
     """
     members = p.comp_members(color, x)
-    below = {v: [u for u, _, c in p.inc[v] if c == color] for v in members}
+    inc = p.inc
+    below = {v: inc.ends_of(v, color) for v in members}
     down, masks, chains, irr = {}, [], [], 0
     for i, v in enumerate(sorted(members, key=p.rho[color].__getitem__)):
         down[v] = 1 << i
@@ -1018,16 +1166,15 @@ def verify_subblock_coloring(p, nodes, nu, s_set, kappa):
 # colored poset isomorphism (refinement + backtracking)
 
 def _refine(p):
-    sig = [(p._global_rank[v],
-            tuple(sorted(c for _, _, c in p.out[v])),
-            tuple(sorted(c for _, _, c in p.inc[v])))
+    out, inc = p.out, p.inc
+    sig = [(p._global_rank[v], tuple(sorted(out.ends(v)[1])), tuple(sorted(inc.ends(v)[1])))
            for v in range(p.n)]
     colors = {s: i for i, s in enumerate(sorted(set(sig)))}
     cur = [colors[s] for s in sig]
     for _ in range(p.n):
         sig = [(cur[v],
-                tuple(sorted((c, cur[w]) for _, w, c in p.out[v])),
-                tuple(sorted((c, cur[w]) for w, _, c in p.inc[v])))
+                tuple(sorted((c, cur[w]) for w, c in zip(*out.ends(v)))),
+                tuple(sorted((c, cur[w]) for w, c in zip(*inc.ends(v)))))
                for v in range(p.n)]
         colors = {s: i for i, s in enumerate(sorted(set(sig)))}
         nxt = [colors[s] for s in sig]

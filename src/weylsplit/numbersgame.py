@@ -12,7 +12,7 @@ importable from here).
 
 from collections import namedtuple
 
-from .cartan import DEFAULT_FIRING_CAP, RawGCMGraph, int_tuple
+from .cartan import DEFAULT_FIRING_CAP, RawGCMGraph, check_diagram, int_tuple
 from .errors import DiagramMismatch, ExactnessError, IllegalFire, NotAWeight
 
 
@@ -50,9 +50,10 @@ def fire(d, position, i):
     d.simple_reflection(i, position).  The position is read unchecked.  The
     game's own walks (play, and through it longest_word and constants(), and
     rgf_exponents) fire nodes they chose themselves, so they call
-    d.simple_reflection unchecked.
+    d.simple_reflection unchecked.  d is read by `cartan.check_diagram`, as
+    any RawGCMGraph.
     """
-    i = d.check_node(i)
+    i = check_diagram(d, RawGCMGraph).check_node(i)
     v = position[i - 1]
     if v <= 0:
         raise IllegalFire("node %d has nonpositive number %s" % (i, v))
@@ -83,8 +84,10 @@ def play(d, position, strategy="first", cap=DEFAULT_FIRING_CAP):
     of plain ints and Fractions (1.5 and True are rejected, not played), and
     DiagramMismatch unless it has rank entries.  A node "first" or "all"
     picks has a positive number, so it fires as d.simple_reflection,
-    unchecked; a node of a sequence fires through fire.
+    unchecked; a node of a sequence fires through fire.  d is read by
+    `cartan.check_diagram`, as any RawGCMGraph.
     """
+    check_diagram(d, RawGCMGraph)
     if type(cap) is not int or cap < 1:
         raise IllegalFire("firing cap %r is below 1 or not a plain int" % (cap,))
     position = int_tuple(position, NotAWeight, "a position", fractions=True)
@@ -206,9 +209,9 @@ def rgf_exponents(d, lam):
     generating function and dimension formulas.  Each is positive, since
     the word is reduced and lambda + rho strongly dominant (see
     enumerate_positive_roots), so the word fires as d.simple_reflection,
-    unchecked.
+    unchecked.  d is read by `cartan.check_diagram`.
     """
-    lam = d.check_dominant(lam)
+    lam = check_diagram(d).check_dominant(lam)
     word = d.constants().longest_word
     pos = tuple(c + 1 for c in lam)
     out = []

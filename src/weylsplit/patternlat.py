@@ -37,7 +37,9 @@ The closed m-values, the slantwise-least-maximizable vertex coloring and
 the A/B/C rank generating function products live here too.
 """
 
+from array import array
 from collections import namedtuple
+from itertools import repeat
 
 from . import ecposet, numbersgame, qpoly
 from .cartan import build_diagram, int_tuple, zero_weight
@@ -165,36 +167,48 @@ def _slantwise_positions(shape):
 
 
 class PatternLattice:
-    """One ideal-pattern lattice with its colored poset and indexing."""
+    """One ideal-pattern lattice with its colored poset and indexing.
+
+    The walk of the module docstring is breadth-first from the least
+    pattern P, recording each cover (pattern id, color) in int arrays, and
+    the poset is built from them through the trusted `ColoredPoset._of`,
+    with no triple list.  What it hands `_fill` is what the constructor
+    finds on the same edges:
+
+    - The edges, in the ids of the sorted patterns, sorted: each pattern's
+      covers are one run, in ascending order.  Patterns compare row by
+      row, so a bump in a higher row (smaller r), or further right in the
+      same row, gives the larger pattern: bumped in the reverse of the
+      cell order, the covers of t come out ascending.  No pair repeats,
+      since the covers of t are distinct bumps of t.
+    - Ranks: a cover raises the entry sum by one, so rank(t) is the entry
+      sum of t minus that of P.  Breadth-first discovery gives a pattern
+      the rank of its finder plus one, which is that, and so visits the
+      patterns by rank: every pattern is visited after all of its lower
+      covers were, and with them every cover into it was recorded.
+    - Components: the walk reaches every pattern from P, so there is one.
+    - Color-c components: a c-edge moves one cell of color c, and each
+      color lies in one drawn row, or among the outer row's slots for the
+      even orthogonal family, whose bounds read only other rows.  So with
+      the cells of other colors fixed, each c-cell ranges over an interval
+      of its own, the patterns that agree off the c-cells form a box, and
+      unit steps inside it are its c-edges: the c-component of t is that
+      box.  Its key is the walk id of its least member b.  b has no lower
+      c-cover, and keeps its own id; any other member has a lower c-cover
+      in the box, visited before it, so the key passed down each c-cover
+      is b's, by induction on rank.
+    """
 
     def __init__(self, shape):
         self.shape = shape
-        self.diagram = shape.diagram
+        self.diagram = d = shape.diagram
         self.lam = shape.lam
-        cells = _cells(shape)
-        found = [_extreme_pattern(shape, 0)]
-        ids = {found[0]: 0}
-        covers = []
-        for i, t in enumerate(found):       # found grows as the walk reaches more
-            for r, k, c in cells:
-                if t[r][k] < _cell_bounds(shape, t, r, k)[1]:
-                    u = _bump(t, r, k)
-                    j = ids.get(u)
-                    if j is None:
-                        j = ids[u] = len(found)
-                        found.append(u)
-                    covers.append((i, j, c))
-        self.patterns = patterns = tuple(sorted(found))
-        index = {t: i for i, t in enumerate(patterns)}
-        where = [index[t] for t in found]
-        edges = [(where[i], where[j], c) for i, j, c in covers]
-        # monotone interlacing bounds: closed under componentwise min and max
-        self.poset = ecposet.ColoredPoset(
-            len(patterns), edges, diagram=shape.diagram, labels=patterns,
-            is_lattice_hint=True)
-        self.index = index
+        self.patterns, self.index, edges, rank, keys = _walk(shape)
+        self.poset = ecposet.ColoredPoset._of(d, d.rank, len(rank), self.patterns, edges,
+                                              rank, bytes(len(rank)), keys)
+        self.poset._is_lattice = True       # closed under componentwise min and max
         self.max_pattern = _extreme_pattern(shape, 1)
-        if self.max_pattern not in index:
+        if self.max_pattern not in self.index:
             raise ExactnessError("max pattern %s not enumerated" % (self.max_pattern,))
 
     # -- closed m-values ---------------------------------------------------
@@ -243,6 +257,51 @@ def _bump(t, r, k):
     row = list(t[r])
     row[k] += 1
     return t[:r] + (tuple(row),) + t[r + 1:]
+
+
+def _walk(shape):
+    """(patterns, index, edges, rank, keys) of the lattice, as PatternLattice
+    reads them: the sorted patterns, the id of each, the sorted edge
+    Columns, and the ranks and color-c component keys in pattern id order,
+    as int arrays.  The walk's own tables are gone when it returns."""
+    cells = _cells(shape)[::-1]         # so each pattern's covers ascend
+    found = [_extreme_pattern(shape, 0)]
+    ids = {found[0]: 0}
+    rank, keys = [0], [[0] for _ in range(shape.diagram.rank)]     # keys by color - 1
+    cover_at, cover_id, cover_c = array("I", [0]), array("I"), array("B")
+    for i, t in enumerate(found):       # found grows as the walk reaches more
+        for r, k, c in cells:
+            if t[r][k] < _cell_bounds(shape, t, r, k)[1]:
+                u = _bump(t, r, k)
+                j = ids.get(u)
+                if j is None:
+                    j = ids[u] = len(found)
+                    found.append(u)
+                    rank.append(rank[i] + 1)
+                    for key in keys:
+                        key.append(j)
+                key = keys[c - 1]
+                key[j] = key[i]
+                cover_id.append(j)
+                cover_c.append(c)
+        cover_at.append(len(cover_id))
+    n = len(found)
+    order = sorted(range(n), key=found.__getitem__)
+    patterns = tuple(map(found.__getitem__, order))
+    where = array("I", [0]) * n
+    for x, i in enumerate(order):
+        where[i] = x
+        ids[found[i]] = x               # ids becomes the index of the sorted patterns
+    us, vs, cs = array("I"), array("I"), array("B")
+    for x, i in enumerate(order):
+        a, b = cover_at[i], cover_at[i + 1]
+        us.extend(repeat(x, b - a))
+        vs.extend(map(where.__getitem__, cover_id[a:b]))
+        cs.extend(cover_c[a:b])
+    return (patterns, ids,
+            ecposet.Columns.of_columns((us, vs, cs), (n - 1, n - 1, shape.diagram.rank)),
+            array("I", map(rank.__getitem__, order)),
+            [array("I", map(key.__getitem__, order)) for key in keys])
 
 
 # ---------------------------------------------------------------------------
@@ -320,7 +379,11 @@ def rgf_closed_form(family, n, lam=None, m=None):
 
 
 def rgf_quotient(d, lam):
-    """The general quotient-of-products form with numbers-game exponents."""
+    """The general quotient-of-products form with numbers-game exponents.
+
+    d is read by `cartan.check_diagram`, in rgf_exponents, before anything
+    else reads it.
+    """
     nums = numbersgame.rgf_exponents(d, lam)
     dens = numbersgame.rgf_exponents(d, zero_weight(d.rank))
     return tuple(qpoly.quotient_rgf(nums, dens))

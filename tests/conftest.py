@@ -13,7 +13,8 @@ the whole orbit, bialternant expansions from peeling whole characters off
 the top, omega expressions from a deepening depth-first search,
 (J,nu)-colorings from a recursion on the prefix length
 that rescans each prefix's signature, and colored posets are checked
-against their full transitive closure and their component member lists
+against their full transitive closure, their adjacency against lists of
+the triples at each end, and their component member lists
 against networkx's weakly connected components of each color.  The
 inverse Cartan matrix comes from Fraction Gauss-Jordan, component
 numberings from a slot-by-slot backtracking search, chain-product factorizations from growing chains and
@@ -344,6 +345,15 @@ def peel_bialternants(f):
 
 # ---------------------------------------------------------------------------
 # colored posets: every check in its original order, on the full closure
+
+def brute_adjacency(n, edges, end):
+    """Per vertex, the edges whose end-th entry it is, in the order of edges:
+    the lists of triples that ColoredPoset.out (end 0) and inc (end 1) read as."""
+    rows = [[] for _ in range(n)]
+    for e in edges:
+        rows[e[end]].append(e)
+    return rows
+
 
 def brute_ranks(n, edges):
     """Ranks that go up by one along every edge and start at 0 in each

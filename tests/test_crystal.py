@@ -260,14 +260,15 @@ def test_crystal_bytes_per_vertex():
 
     tracemalloc counts the bytes that build_crystal leaves allocated on a
     fresh diagram (constants built first).  On CPython 3.11 x86-64 that is
-    149 per vertex of R(F4, (1,0,0,1)), 150 of R(A4, (1,1,1,1)) and 142 of
-    R(G2, (3,2)), with the edges in int columns, shared weight tuples and
-    array rows; it was 503-518, 518 and 405 with a tuple per edge and list
-    rows, and 917 on F4 when out, inc and the member lists were built with
-    every poset.
+    76 per vertex of R(F4, (1,0,0,1)), 76 of R(A4, (1,1,1,1)) and 46 of
+    R(G2, (3,2)), with the edges in int columns, the labels in one int
+    column per factor, shared weight tuples and array rows; it was 149,
+    150 and 142 with a tuple of factor ids per vertex, 503-518, 518 and 405
+    with a tuple per edge and list rows as well, and 917 on F4 when out,
+    inc and the member lists were built with every poset.
     """
-    for spec, lam, bound in [("F4", (1, 0, 0, 1), 200), ("A4", (1, 1, 1, 1), 200),
-                             ("G2", (3, 2), 190)]:
+    for spec, lam, bound in [("F4", (1, 0, 0, 1), 100), ("A4", (1, 1, 1, 1), 100),
+                             ("G2", (3, 2), 60)]:
         d = build_diagram(spec)
         d.constants()
         gc.collect()
@@ -280,6 +281,17 @@ def test_crystal_bytes_per_vertex():
         finally:
             tracemalloc.stop()
         assert held / r.n <= bound, (spec, held / r.n)
+
+
+def test_crystal_labels_are_factor_columns():
+    """R(lambda)'s labels are one narrow int column per factor position, and
+    the constructor and the transforms keep them as they are."""
+    r = cr.build_crystal(G2, (2, 1))
+    assert isinstance(r.labels, ec.Columns)
+    assert [col.typecode for col in r.labels.columns()] == ["B"] * len(r.tensor_ops.factors)
+    for q in (ec.dual(r), ec.recolor(r, {1: 1, 2: 2}), ec.bowtie(r)):
+        assert q.labels is r.labels
+    assert ec.disjoint_sum(r, r).labels == tuple(r.labels) * 2
 
 
 def test_build_crystal_examples():

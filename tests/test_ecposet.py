@@ -11,7 +11,7 @@ from weylsplit.errors import (DiagramMismatch, DomainError, ExactnessError,
                               MalformedPoset, NotAcyclic, NotChainProduct,
                               NotCovering, NotMStructured, NotRanked)
 
-from conftest import (brute_chain_product_factorization, brute_color_tables,
+from conftest import (brute_adjacency, brute_chain_product_factorization, brute_color_tables,
                       brute_members, brute_poset_error, brute_ranks, brute_subblock_coloring,
                       coroot_pairing, load_fixture, sub_block_members)
 
@@ -122,7 +122,7 @@ def test_constructor_matches_brute_checks(data):
 @given(st.data())
 def test_lazy_tables_match_eager_ones(data):
     """out, inc and the member lists are built on first read, and then equal
-    _adjacency on the sorted edges and networkx's components of each color."""
+    brute_adjacency on the sorted edges and networkx's components of each color."""
     n = data.draw(st.integers(1, 8), label="n")
     n_colors = data.draw(st.integers(1, 4), label="n_colors")
     # edges up one level, no pair twice: ranked and covering
@@ -133,7 +133,7 @@ def test_lazy_tables_match_eager_ones(data):
     p = ec.ColoredPoset(n, edges, n_colors=n_colors)
     assert not {"out", "inc", "_members"} & set(vars(p))
     assert p._members == brute_members(n, edges, n_colors)
-    assert p.out == ec._adjacency(n, p.edges, 0) and p.inc == ec._adjacency(n, p.edges, 1)
+    assert p.out == brute_adjacency(n, p.edges, 0) and p.inc == brute_adjacency(n, p.edges, 1)
 
 
 def _partition(keys):
@@ -179,16 +179,17 @@ def test_rank_and_components_matches_brute(data):
 
 
 def test_valid_posets_build_no_adjacency(monkeypatch):
-    """Ranks and components come from the edges alone: with _adjacency
-    raising, constructor, closure and lattice posets still build, and read
-    no out or inc of their own."""
+    """Ranks and components come from the edges alone: with the Adjacency
+    constructor raising, constructor, closure and lattice posets still
+    build, and read no out or inc of their own; read afterwards, out and
+    inc equal the brute_adjacency oracle."""
     f = crystal.minuscule_poset(A2, (1, 0))
     f.is_fibrous()          # the factor's out and inc, which the closure reads
 
     def no_adjacency(*args):
-        raise AssertionError("_adjacency called")
+        raise AssertionError("Adjacency built")
 
-    monkeypatch.setattr(ec, "_adjacency", no_adjacency)
+    monkeypatch.setattr(ec, "Adjacency", no_adjacency)
     p = ec.ColoredPoset(4, [(0, 1, 1), (0, 2, 2), (1, 3, 2), (2, 3, 1)], diagram=A2)
     prod = crystal.crystal_product(f, f)
     lat = patternlat.gt_lattice(3, (1, 1))
@@ -196,6 +197,10 @@ def test_valid_posets_build_no_adjacency(monkeypatch):
     assert p.n_poset_components == 1 and prod.n_poset_components == 2
     assert [p.global_rank(x) for x in range(4)] == [0, 1, 1, 2]
     assert not any({"out", "inc"} & set(vars(q)) for q in (p, prod, lat.poset))
+    monkeypatch.undo()
+    for q in (p, prod, lat.poset):
+        assert q.out == brute_adjacency(q.n, q.edges, 0)
+        assert q.inc == brute_adjacency(q.n, q.edges, 1)
 
 
 @pytest.mark.parametrize("edges", [
@@ -435,10 +440,12 @@ def _same_as_generic(p, diagram=None):
     comp_id, rho, lng, wt and the unset caches) is compared field by field,
     the adjacency as materialized views, and the edge columns and every
     row by value and by array typecode.  The member lists are read on both
-    sides first, since vars() holds a cache only once it is built.
+    sides first, since vars() holds a cache only once it is built.  A
+    lattice's hint is passed on, as the checking constructor takes it.
     """
     generic = ec.ColoredPoset(p.n, list(p.edges), diagram=diagram,
-                              n_colors=p.n_colors, labels=p.labels)
+                              n_colors=p.n_colors, labels=p.labels,
+                              is_lattice_hint=p._is_lattice)
 
     def tables(poset):
         return {k: v for k, v in vars(poset).items() if k not in ("edges", "out", "inc")}
@@ -516,9 +523,90 @@ def test_blow_up_matches_constructor(data):
     _same_as_generic(p)
 
 
+def _gt(n, lam):
+    return patternlat.gt_lattice(n, tuple(lam[:n - 1]))
+
+
+LATTICES = st.one_of(
+    st.builds(_gt, st.integers(2, 4), st.lists(st.integers(0, 2), min_size=3, max_size=3)),
+    st.builds(patternlat.symplectic_lattice, st.integers(2, 3), st.integers(0, 3)),
+    st.builds(patternlat.odd_orth_lattice, st.integers(3, 4), st.integers(0, 2)),
+    st.builds(lambda n, m, last: patternlat.even_orth_lattice(n, m, n - last),
+              st.integers(4, 5), st.integers(0, 2), st.integers(0, 1)))
+
+
+@settings(max_examples=60, deadline=None)
+@given(LATTICES)
+def test_lattice_matches_constructor(lat):
+    """The pattern walk's trusted producer gives the poset that the checking
+    constructor builds on the same edges, field by field and typecode by
+    typecode, and its index is the position of each sorted pattern."""
+    _same_as_generic(lat.poset, diagram=lat.diagram)
+    assert lat.poset.n == len(lat.patterns) == len(lat.index)
+    assert all(lat.index[t] == x for x, t in enumerate(lat.patterns))
+
+
+FACTORS = [crystal.minuscule_poset(A2, (1, 0)), crystal.minuscule_poset(A2, (0, 1)),
+           crystal.quasi_minuscule_poset(A2)]
+
+
+def _some_poset(kind, data):
+    """A poset from the constructor, a crystal_product closure, a blow-up or a
+    pattern lattice."""
+    if kind == "closure":
+        k = data.draw(st.integers(1, 3), label="factors")
+        return crystal.crystal_product(*data.draw(
+            st.lists(st.sampled_from(FACTORS), min_size=k, max_size=k), label="which"))
+    if kind == "lattice":
+        return data.draw(LATTICES, label="lattice").poset
+    n = data.draw(st.integers(1, 7), label="n")
+    n_colors = data.draw(st.integers(1, 3), label="n_colors")
+    # edges up one level, no pair twice: ranked and covering
+    level = data.draw(st.lists(st.integers(0, 4), min_size=n, max_size=n))
+    pairs = [(u, v) for u in range(n) for v in range(n) if level[v] == level[u] + 1]
+    chosen = data.draw(st.lists(st.sampled_from(pairs), max_size=12, unique=True)) if pairs else []
+    q = ec.ColoredPoset(n, [(u, v, data.draw(st.integers(1, n_colors))) for u, v in chosen],
+                        n_colors=n_colors)
+    if kind == "constructor":
+        return q
+    return ec._blow_up(q, data.draw(st.lists(st.integers(1, 3), min_size=n, max_size=n)))
+
+
+@settings(max_examples=150, deadline=None)
+@given(st.data())
+def test_adjacency_reads_as_the_oracle(data):
+    """out and inc read as brute_adjacency's lists of triples, whole and row
+    by row (negative rows too, and IndexError past either end); ends and
+    ends_of read the other ends and colors of a row; and up and down give
+    the first cover of each color that a scan of the oracle's rows finds,
+    on constructor, crystal_product closure, blow-up and lattice posets."""
+    kind = data.draw(st.sampled_from(["constructor", "closure", "blow-up", "lattice"]),
+                     label="kind")
+    p = _some_poset(kind, data)
+    n, edges = p.n, tuple(p.edges)
+    want_out, want_inc = brute_adjacency(n, edges, 0), brute_adjacency(n, edges, 1)
+    for adj, want, end in ((p.out, want_out, 0), (p.inc, want_inc, 1)):
+        assert len(adj) == n and adj == want and want == adj and list(adj) == want
+        assert adj != want[:-1] and repr(adj) == repr(want)
+        assert all(adj[x] == want[x] for x in range(-n, n))
+        for x in (n, -n - 1):
+            with pytest.raises(IndexError):
+                adj[x]
+        for x in range(n):
+            ws, cs = adj.ends(x)
+            assert (list(ws), list(cs)) == ([e[1 - end] for e in want[x]], [e[2] for e in want[x]])
+            for c in range(1, p.n_colors + 1):
+                assert adj.ends_of(x, c) == [e[1 - end] for e in want[x] if e[2] == c]
+    for c in range(1, p.n_colors + 1):
+        for x in range(n):
+            assert p.up(c, x) == next((w for _, w, cc in want_out[x] if cc == c), None)
+            assert p.down(c, x) == next((u for u, _, cc in want_inc[x] if cc == c), None)
+
+
 def _reads_as(edges, want, data):
-    """edges reads as the tuple want: len, items at every positive and
-    negative index, slices, iteration, == and != both ways, hash and repr."""
+    """edges (any Columns) reads as the tuple want of equal-length tuples:
+    len, items at every positive and negative index, slices, iteration, ==
+    and != both ways, hash and repr."""
     assert len(edges) == len(want) and bool(edges) == bool(want)
     assert all(edges[i] == want[i] for i in range(-len(want), len(want)))
     for i in (len(want), -len(want) - 1):
@@ -533,7 +621,7 @@ def _reads_as(edges, want, data):
     # a tuple is never equal to a list, and neither is the container
     assert edges != list(want) and list(want) != edges
     if want:
-        shorter, changed = want[:-1], want[:-1] + ((want[-1][0], want[-1][1], 99),)
+        shorter, changed = want[:-1], want[:-1] + (want[-1][:-1] + (99,),)
         assert edges != shorter and shorter != edges and edges != changed
     assert hash(edges) == hash(want) and repr(edges) == repr(want)
 
@@ -547,7 +635,9 @@ CRYSTALS = [(A2, (1, 0)), (A2, (1, 1)), (A2, (2, 1)), (G2, (1, 0)), (G2, (0, 1))
 def test_edge_columns_read_as_the_tuple_of_triples(data):
     """Every poset's edges, from the constructor, a crystal closure or a
     blow-up, read as the tuple of their sorted triples, each built apart
-    from the columns; a blow-up's len fills no column."""
+    from the columns; a blow-up's len fills no column.  A closure's labels
+    read as the sorted tuple of the factor tuples that raising and lowering
+    reach from its top."""
     kind = data.draw(st.sampled_from(["constructor", "closure", "blow-up"]), label="kind")
     if kind == "closure":
         d, lam = data.draw(st.sampled_from(CRYSTALS), label="crystal")
@@ -556,7 +646,18 @@ def test_edge_columns_read_as_the_tuple_of_triples(data):
         want = tuple(sorted((ids[z], ids[x], i) for x in p.labels
                             for i in range(1, d.rank + 1)
                             for z in (ops.lowering(i, x),) if z is not None))
-        return _reads_as(p.edges, want, data)
+        _reads_as(p.edges, want, data)
+        seen = {p.labels[max(range(p.n), key=p.global_rank)]}
+        todo = list(seen)
+        while todo:
+            x = todo.pop()
+            for op in (ops.lowering, ops.raising):
+                for i in range(1, d.rank + 1):
+                    z = op(i, x)
+                    if z is not None and z not in seen:
+                        seen.add(z)
+                        todo.append(z)
+        return _reads_as(p.labels, tuple(sorted(seen)), data)
     n = data.draw(st.integers(1, 7), label="n")
     n_colors = data.draw(st.integers(1, 3), label="n_colors")
     # edges up one level, no pair twice: ranked and covering

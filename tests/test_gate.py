@@ -13,8 +13,12 @@ through verify_jnu_coloring; a poset's diagram through
 ColoredPoset.checked_d, so a poset without one raises NotMStructured; a
 poset's vertices and colors through its one vertex and color rule
 (ColoredPoset._vertex, _color), and a crystal product's vertices through
-each factor's rule and its node through check_node; and the diagram of
-every wsf entry point through cartan.check_diagram.  saturation_predicate
+each factor's rule and its node through check_node; the diagram of every
+wsf entry point, of build_crystal, decompose and branch, of the numbers
+game's fire, play and rgf_exponents (any GCM graph for fire and play) and
+of rgf_quotient through cartan.check_diagram; ecposet.recolor's sigma as a
+dict or a callable, and verify_splitting's targets as a list or tuple.
+saturation_predicate
 reads an empty J as empty, not as every node.  WeylSymFn.power takes only
 a plain int exponent >= 0, and numbersgame.play only a plain int firing
 cap >= 1.  ecposet.export_poset writes only json and dot.
@@ -135,6 +139,16 @@ PROBES = [
     ("wsf.specialize('A2', (1, 0))", "DiagramMismatch"),
     ("wsf.kostant_multiplicity('A2', (1, 0), (1, 0))", "DiagramMismatch"),
     ("wsf.reconstruct('A2', {})", "DiagramMismatch"),
+    ("crystal.build_crystal('A2', (1, 0))", "DiagramMismatch"),
+    ("crystal.decompose('A2', (1, 0), (1, 0))", "DiagramMismatch"),
+    ("crystal.branch('A2', (1, 0), (1,))", "DiagramMismatch"),
+    ("numbersgame.play('A2', (1, 0))", "DiagramMismatch"),
+    ("numbersgame.fire('A2', (1, 0), 1)", "DiagramMismatch"),
+    ("numbersgame.rgf_exponents('A2', (1, 0))", "DiagramMismatch"),
+    ("patternlat.rgf_quotient('A2', (1, 0))", "DiagramMismatch"),
+    # a float sigma and a None target list were bare TypeErrors
+    ("ecposet.recolor(p, 1.0)", "MalformedPoset"),
+    ("ecposet.verify_splitting(p, None)", "MalformedPoset"),
     # a poset read -1 as its last vertex and color 0 as a row of zeros, and
     # vertex n or a float color was a bare IndexError or TypeError
     ("p.global_rank(-1)", "MalformedPoset"),

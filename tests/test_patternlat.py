@@ -1,4 +1,6 @@
+import gc
 import itertools
+import tracemalloc
 
 import pytest
 import sympy
@@ -24,6 +26,29 @@ def verify_all(lat):
         lat.poset, all_nodes(d), (0,) * d.rank,
         {lat.index[lat.max_pattern]}, kap)
     assert ok, why
+
+
+def test_build_and_verify_peak_per_pattern():
+    """Building and verifying symplectic_lattice(3, 5), 2 548 patterns, has a
+    bounded traced peak.
+
+    tracemalloc's peak over the build, verify_splitting, the slantwise
+    coloring and verify_subblock_coloring is 468 bytes per pattern on
+    CPython 3.11 x86-64, with the covers in int arrays handed straight to
+    the poset and the adjacency and member lists held as offsets; it was
+    1 160 with lists of triples, the checking constructor's copies of them
+    and member tuples.
+    """
+    gc.collect()
+    tracemalloc.start()
+    try:
+        lat = pl.symplectic_lattice(3, 5)
+        verify_all(lat)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert lat.poset.n == 2548
+    assert peak / lat.poset.n <= 600, peak / lat.poset.n
 
 
 def test_gt_examples():
