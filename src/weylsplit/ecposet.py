@@ -1166,15 +1166,18 @@ def verify_subblock_coloring(p, nodes, nu, s_set, kappa):
 # colored poset isomorphism (refinement + backtracking)
 
 def _refine(p):
-    out, inc = p.out, p.inc
-    sig = [(p._global_rank[v], tuple(sorted(out.ends(v)[1])), tuple(sorted(inc.ends(v)[1])))
+    # per vertex, the (other end, color) pairs of its out and in edges
+    outs = [list(zip(*p.out.ends(v))) for v in range(p.n)]
+    incs = [list(zip(*p.inc.ends(v))) for v in range(p.n)]
+    sig = [(p._global_rank[v], tuple(sorted(c for _, c in outs[v])),
+            tuple(sorted(c for _, c in incs[v])))
            for v in range(p.n)]
     colors = {s: i for i, s in enumerate(sorted(set(sig)))}
     cur = [colors[s] for s in sig]
     for _ in range(p.n):
         sig = [(cur[v],
-                tuple(sorted((c, cur[w]) for w, c in zip(*out.ends(v)))),
-                tuple(sorted((c, cur[w]) for w, c in zip(*inc.ends(v)))))
+                tuple(sorted((c, cur[w]) for w, c in outs[v])),
+                tuple(sorted((c, cur[w]) for w, c in incs[v])))
                for v in range(p.n)]
         colors = {s: i for i, s in enumerate(sorted(set(sig)))}
         nxt = [colors[s] for s in sig]
@@ -1195,13 +1198,14 @@ def colored_isomorphic(p, q):
     order = sorted(range(p.n), key=lambda v: len(cand[v]))
     match = {}
     used = set()
+    q_edges = set(q.edges)
 
     def compatible(v, w):
-        for _, x, c in p.out[v]:
-            if x in match and (w, match[x], c) not in q.out[w]:
+        for x, c in zip(*p.out.ends(v)):
+            if x in match and (w, match[x], c) not in q_edges:
                 return False
-        for x, _, c in p.inc[v]:
-            if x in match and (match[x], w, c) not in q.inc[w]:
+        for x, c in zip(*p.inc.ends(v)):
+            if x in match and (match[x], w, c) not in q_edges:
                 return False
         return True
 
