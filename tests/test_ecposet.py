@@ -524,6 +524,7 @@ def test_blow_up_matches_constructor(data):
 
 
 def _gt(n, lam):
+    """The gt lattice of size n on the first n - 1 entries of lam."""
     return patternlat.gt_lattice(n, tuple(lam[:n - 1]))
 
 
