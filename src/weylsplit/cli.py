@@ -5,11 +5,11 @@ decompose, branch, umax, lattice, rgf, verify, experiment.  Output is
 deterministic for fixed flags; exit status 0 on success, 1 on a domain
 error (printed with its error name), 2 on usage errors.
 
-`--diagram` and `--weight` are declared once, on parent parsers.  `main`
-reads them before the subcommand runs: it builds the diagram, parses the
-weight over its rank where the subcommand takes one, and calls the handler
-as fn(args, d, lam) (d and lam are None for lattice, and lam for a
-subcommand without --weight).
+`--diagram`, `--weight` and `--json` are declared once, on parent parsers.
+`main` reads the first two before the subcommand runs: it builds the
+diagram, parses the weight over its rank where the subcommand takes one,
+and calls the handler as fn(args, d, lam) (d and lam are None for lattice,
+and lam for a subcommand without --weight).
 
 Each run is one fresh process, so start-up is paid per answer.  Only cartan
 and errors load with this module; each subcommand imports the layers it
@@ -240,6 +240,9 @@ def make_parser():
     diagram.add_argument("--diagram", required=True)
     weight = argparse.ArgumentParser(add_help=False, parents=[diagram])
     weight.add_argument("--weight", required=True)
+    # --json, for the subcommands that print their answer as JSON or as text
+    as_json = argparse.ArgumentParser(add_help=False)
+    as_json.add_argument("--json", action="store_true")
 
     def add(name, fn, *parents):
         p = sub.add_parser(name, parents=list(parents))
@@ -248,39 +251,32 @@ def make_parser():
 
     add("info", cmd_info, diagram)
 
-    p = add("numbers-game", cmd_numbers_game, diagram)
+    p = add("numbers-game", cmd_numbers_game, diagram, as_json)
     p.add_argument("--position", required=True)
     p.add_argument("--strategy", default="first")
     p.add_argument("--cap", type=_positive_int, default=DEFAULT_FIRING_CAP)
-    p.add_argument("--json", action="store_true")
 
-    p = add("roots", cmd_roots, diagram)
-    p.add_argument("--json", action="store_true")
+    add("roots", cmd_roots, diagram, as_json)
 
-    p = add("char", cmd_char, weight)
+    p = add("char", cmd_char, weight, as_json)
     p.add_argument("--method", choices=["freudenthal", "kostant"],
                    default="freudenthal")
-    p.add_argument("--json", action="store_true")
 
-    p = add("expand", cmd_expand, diagram)
+    p = add("expand", cmd_expand, diagram, as_json)
     p.add_argument("--weights", nargs="+", required=True,
                    help="expand the product of these bialternants")
-    p.add_argument("--json", action="store_true")
 
-    p = add("alternant", cmd_alternant, weight)
-    p.add_argument("--json", action="store_true")
+    add("alternant", cmd_alternant, weight, as_json)
 
     p = add("crystal", cmd_crystal, weight)
     p.add_argument("--export", choices=["json", "dot"], default="json")
 
-    p = add("decompose", cmd_decompose, diagram)
+    p = add("decompose", cmd_decompose, diagram, as_json)
     p.add_argument("--lhs", required=True)
     p.add_argument("--rhs", required=True)
-    p.add_argument("--json", action="store_true")
 
-    p = add("branch", cmd_branch, weight)
+    p = add("branch", cmd_branch, weight, as_json)
     p.add_argument("--subset", required=True)
-    p.add_argument("--json", action="store_true")
 
     p = add("umax", cmd_umax, weight)
     p.add_argument("--export", choices=["json", "dot"], default="json")
@@ -295,8 +291,7 @@ def make_parser():
     p.add_argument("--rgf", action="store_true")
     p.add_argument("--export", choices=["json", "dot"])
 
-    p = add("rgf", cmd_rgf, weight)
-    p.add_argument("--json", action="store_true")
+    add("rgf", cmd_rgf, weight, as_json)
 
     p = add("verify", cmd_verify, diagram)
     p.add_argument("--poset", required=True, help="poset JSON file")

@@ -345,7 +345,8 @@ def _component_factors(d, lam):
 
     Equal dominant representatives share one factor poset, built once per
     call.  A factor's labels are the weights of the subdiagram, so the seed
-    of the letter mu is the vertex labelled mu.
+    of the letter mu is the vertex labelled mu.  On an irreducible d the
+    subdiagram is d itself, and the factor is used as built.
     """
     factors, seeds = [], []
     for letter, rk, nodes in d.components:
@@ -362,7 +363,7 @@ def _component_factors(d, lam):
                     fsub = minuscule_poset(sub, rep)
                 else:
                     fsub = quasi_minuscule_poset(sub)
-                f = built[rep] = _inflate(fsub, d, sel)
+                f = built[rep] = fsub if sub is d else _inflate(fsub, d, sel)
             factors.append(f)
             seeds.append(f.labels.index(mu))
     return factors, seeds
@@ -596,19 +597,17 @@ def classify_primary_plus(p):
     lam = p.wt[maxes[0]]
     d = p.d
 
-    def cond2_zero_pairs():
-        for i in range(1, p.n_colors + 1):
-            for j in range(i + 1, p.n_colors + 1):
-                if d.cartan[i - 1][j - 1] == 0 and d.cartan[j - 1][i - 1] == 0:
-                    if not _unique_max_components(p, [i, j]):
-                        return False
-        return True
+    def untangled(products):
+        """Whether each pair i < j with M_ij M_ji in products has unique
+        maximal {i, j}-components.  In a GCM the product is 0 exactly when
+        both entries are 0, and 1 exactly when both are -1."""
+        return all(_unique_max_components(p, [i, j])
+                   for i in range(1, p.n_colors + 1) for j in range(i + 1, p.n_colors + 1)
+                   if d.cartan[i - 1][j - 1] * d.cartan[j - 1][i - 1] in products)
 
     if all(p.lng[i][x] <= 1 for i in range(1, p.n_colors + 1)
            for x in range(p.n)):
-        if cond2_zero_pairs():
-            return ("minuscule", lam)
-        return neither
+        return ("minuscule", lam) if untangled((0,)) else neither
 
     # quasi-minuscule shape conditions
     for x in range(p.n):
@@ -628,14 +627,7 @@ def classify_primary_plus(p):
                     return neither
                 if p.lng[j][x1] != 0:
                     return neither
-    if not cond2_zero_pairs():
-        return neither
-    for i in range(1, p.n_colors + 1):
-        for j in range(i + 1, p.n_colors + 1):
-            if d.cartan[i - 1][j - 1] == -1 and d.cartan[j - 1][i - 1] == -1:
-                if not _unique_max_components(p, [i, j]):
-                    return neither
-    return ("quasi-minuscule", lam)
+    return ("quasi-minuscule", lam) if untangled((0, 1)) else neither
 
 
 # ---------------------------------------------------------------------------

@@ -53,7 +53,7 @@ from itertools import accumulate, chain, repeat
 from operator import eq
 
 from . import wsf
-from .cartan import sub_weight, wadd, wsub
+from .cartan import MAX_RANK, check_diagram, sub_weight, wadd, wsub
 from .errors import (DiagramMismatch, ExactnessError, MalformedPoset,
                      NotAcyclic, NotChainProduct, NotConnected, NotCovering,
                      NotMStructured, NotRanked, UnknownFormat)
@@ -345,12 +345,53 @@ def _check_covering(n, edges):
 
 
 def _labels(labels):
-    """Labels as a poset keeps them: None, a Columns as it is, anything else as a tuple."""
-    return labels if labels is None or isinstance(labels, Columns) else tuple(labels)
+    """Labels as a poset keeps them: None, a Columns as it is, any other
+    iterable as a tuple; MalformedPoset for anything else."""
+    try:
+        return labels if labels is None or isinstance(labels, Columns) else tuple(labels)
+    except TypeError:
+        raise MalformedPoset("labels %r are not iterable" % (labels,)) from None
+
+
+_NOT_TRIPLES = "edges must be (u, v, c) triples of plain ints (not bool, float or str)"
+
+
+def _edge_list(edges):
+    """edges, read once from any iterable, as a sorted list of tuples of plain ints.
+
+    The constructor's reading of outside edges, which `build_poset` shares:
+    MalformedPoset when edges or an edge is not iterable, or an entry is not
+    a plain int.  The entries are checked before the sort compares them.  An
+    edge that is not a triple fails to unpack in the constructor's loop.
+    """
+    try:
+        edges = list(map(tuple, edges))
+    except TypeError:
+        raise MalformedPoset(_NOT_TRIPLES) from None
+    if not set(map(type, chain.from_iterable(edges))) <= {int}:
+        raise MalformedPoset(_NOT_TRIPLES)
+    edges.sort()
+    return edges
 
 
 class ColoredPoset:
     """Finite ranked poset with covering edges colored by 1..n_colors.
+
+    The constructor is the one gate for outside poset data, and it states
+    each input rule once, in this order.  diagram is None or a DynkinDiagram
+    (`cartan.check_diagram`, DiagramMismatch).  n_vertices is a plain int >=
+    0.  edges are read once (`_edge_list`), into a list of triples of plain
+    ints.  n_colors is then the diagram's rank, or else the largest edge
+    color, when not given; given, it is a plain int >= 0.  It must equal the
+    rank of a diagram (DiagramMismatch), and like a diagram's rank it is at
+    most cartan.MAX_RANK, since tables are built per color.  labels are
+    None, a Columns, or an iterable of n labels.  Anything else raises
+    MalformedPoset, also under python -O.  Then come the structure checks:
+    endpoints in range and no loop (NotAcyclic), colors in 1..n_colors and
+    no pair twice (NotCovering), and a ranking (NotRanked, or the cycle or
+    implied edge that `_check_covering` finds).  The transforms, the
+    importer and `build_poset` build through here; only trusted producers
+    skip it (`_of`).
 
     Its tables, all written by `_fill`:
 
@@ -370,40 +411,39 @@ class ColoredPoset:
     valid ids, read the rows directly.
     """
 
-    def __init__(self, n_vertices, edges, diagram=None, n_colors=None,
-                 labels=None, is_lattice_hint=None):
-        self.d = diagram
-        if n_colors is None:
-            if diagram is not None:
-                n_colors = diagram.rank
-            else:
-                n_colors = max((c for _, _, c in edges), default=0)
-        if diagram is not None and n_colors != diagram.rank:
-            raise DiagramMismatch("%d colors on a diagram of rank %d"
-                                  % (n_colors, diagram.rank))
+    def __init__(self, n_vertices, edges, diagram=None, n_colors=None, labels=None):
+        self.d = diagram if diagram is None else check_diagram(diagram)
         if type(n_vertices) is not int or n_vertices < 0:
             raise MalformedPoset("vertex count %r is not an int >= 0" % (n_vertices,))
-        self.n_colors = n_colors
         self.n = n = n_vertices
-        self.labels = _labels(labels)
-        if labels is not None and len(self.labels) != n:
-            raise MalformedPoset("%d labels for %d vertices" % (len(self.labels), n))
-        edges = list(map(tuple, edges))
-        if not set(map(type, chain.from_iterable(edges))) <= {int}:
-            raise MalformedPoset("edge entries must be ints (bool, float and "
-                                 "str are rejected)")
-        edges.sort()
-        repeated = False
-        pu = pv = None
-        for u, v, c in edges:
-            if not (0 <= u < n and 0 <= v < n):
-                raise NotAcyclic("edge endpoint out of range")
-            if not 1 <= c <= n_colors:
-                raise NotCovering("edge color %d out of range" % c)
-            if u == v:
-                raise NotAcyclic("loop edge at vertex %d" % u)
-            repeated = repeated or (u == pu and v == pv)
-            pu, pv = u, v
+        edges = _edge_list(edges)
+        try:                    # an edge that is not a triple fails to unpack
+            if n_colors is None:
+                n_colors = diagram.rank if diagram else max((c for _, _, c in edges), default=0)
+            elif type(n_colors) is not int or n_colors < 0:
+                raise MalformedPoset("color count %r is not an int >= 0" % (n_colors,))
+            if diagram is not None and n_colors != diagram.rank:
+                raise DiagramMismatch("%d colors on a diagram of rank %d"
+                                      % (n_colors, diagram.rank))
+            if n_colors > MAX_RANK:     # tables are built per color: bounded as a rank is
+                raise MalformedPoset("%d colors, more than MAX_RANK %d" % (n_colors, MAX_RANK))
+            self.n_colors = n_colors
+            self.labels = _labels(labels)
+            if labels is not None and len(self.labels) != n:
+                raise MalformedPoset("%d labels for %d vertices" % (len(self.labels), n))
+            repeated = False
+            pu = pv = None
+            for u, v, c in edges:
+                if not (0 <= u < n and 0 <= v < n):
+                    raise NotAcyclic("edge endpoint out of range")
+                if not 1 <= c <= n_colors:
+                    raise NotCovering("edge color %d out of range" % c)
+                if u == v:
+                    raise NotAcyclic("loop edge at vertex %d" % u)
+                repeated = repeated or (u == pu and v == pv)
+                pu, pv = u, v
+        except ValueError:
+            raise MalformedPoset(_NOT_TRIPLES) from None
         if repeated:
             raise NotCovering("multiple edges between a vertex pair")
 
@@ -417,10 +457,8 @@ class ColoredPoset:
             _check_covering(n, cols)
             raise
         self._fill(cols, rank, keys[0], keys[1:])
-        if is_lattice_hint is not None:
-            self._is_lattice = is_lattice_hint
 
-    _is_lattice = None      # unknown until is_lattice() or a hint sets it
+    _is_lattice = None      # unknown until is_lattice() or a producer sets it
 
     @classmethod
     def _of(cls, diagram, n_colors, n, labels, edges, rank, comp, keys):
@@ -707,11 +745,14 @@ def structure_checks(p):
 
 
 def build_poset(edges, n_colors, n_vertices=None, diagram=None, labels=None):
-    """Validate an edge list and build the poset with all caches."""
+    """The checked poset on edges, which are read once, by the constructor's
+    rule; n_vertices defaults to one more than the largest endpoint.  Its
+    tables are built as the constructor builds them, the caches on first read.
+    """
     if n_vertices is None:
-        n_vertices = 1 + max((max(u, v) for u, v, _ in edges), default=-1)
-    return ColoredPoset(n_vertices, edges, diagram=diagram, n_colors=n_colors,
-                        labels=labels)
+        edges = _edge_list(edges)
+        n_vertices = 1 + max(chain.from_iterable(e[:2] for e in edges), default=-1)
+    return ColoredPoset(n_vertices, edges, diagram=diagram, n_colors=n_colors, labels=labels)
 
 
 # ---------------------------------------------------------------------------
@@ -1253,6 +1294,13 @@ def export_poset(p, fmt="json"):
 
 
 def import_poset(data, diagram=None):
+    """The poset of export_poset's JSON, as text or parsed.
+
+    Its vertices must be the ids 0..n-1, each once, and every id and wt
+    entry a plain int; rank_n, the edges and the diagram are read by the
+    constructor.  Each stored wt must then have rank_n entries
+    (MalformedPoset) and equal the recomputed one (NotMStructured).
+    """
     import json
     try:
         if isinstance(data, str):
@@ -1263,27 +1311,16 @@ def import_poset(data, diagram=None):
     except (KeyError, TypeError, json.JSONDecodeError) as e:
         raise MalformedPoset("bad poset JSON (%s: %s)"
                              % (type(e).__name__, e)) from None
-    # the constructor checks the edge entries the same way
-    numbers = [n_colors] + [vid for vid, _ in wts] + [x for _, wt in wts for x in wt]
-    for x in numbers:
-        if type(x) is not int:          # bool, float and str are rejected too
-            raise MalformedPoset("poset JSON number %r is not an integer" % (x,))
-    if n_colors < 0:
-        raise MalformedPoset("rank_n %d is negative" % n_colors)
+    numbers = chain.from_iterable((vid,) + wt for vid, wt in wts)
+    if n_colors is None or not set(map(type, numbers)) <= {int}:   # null is not inferred
+        raise MalformedPoset("rank_n is null, or an id or a wt entry is not a plain int")
+    if sorted(vid for vid, _ in wts) != list(range(len(wts))):
+        raise MalformedPoset("vertex ids must be 0..%d, each once" % (len(wts) - 1))
+    p = ColoredPoset(len(wts), edges, diagram=diagram, n_colors=n_colors)
     for vid, wt in wts:
         if len(wt) != n_colors:
             raise MalformedPoset("wt of id %d has %d entries, rank_n is %d"
                                  % (vid, len(wt), n_colors))
-    if diagram is not None and n_colors != diagram.rank:
-        raise DiagramMismatch("rank_n %d on a diagram of rank %d"
-                              % (n_colors, diagram.rank))
-    n = len(wts)
-    dense = sorted(vid for vid, _ in wts) == list(range(n))
-    if not dense:
-        raise MalformedPoset("vertex ids must be 0..%d, each once" % (n - 1))
-    p = ColoredPoset(n, edges, diagram=diagram, n_colors=n_colors)
-    for vid, wt in wts:
         if wt != p.wt[vid]:
-            raise NotMStructured("stored wt disagrees with recomputed wt at id %d"
-                                 % vid)
+            raise NotMStructured("stored wt disagrees with recomputed wt at id %d" % vid)
     return p

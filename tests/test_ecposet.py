@@ -441,11 +441,13 @@ def _same_as_generic(p, diagram=None):
     the adjacency as materialized views, and the edge columns and every
     row by value and by array typecode.  The member lists are read on both
     sides first, since vars() holds a cache only once it is built.  A
-    lattice's hint is passed on, as the checking constructor takes it.
+    lattice's producer sets _is_lattice on it, so the same is set on the
+    generic poset where p has one.
     """
     generic = ec.ColoredPoset(p.n, list(p.edges), diagram=diagram,
-                              n_colors=p.n_colors, labels=p.labels,
-                              is_lattice_hint=p._is_lattice)
+                              n_colors=p.n_colors, labels=p.labels)
+    if "_is_lattice" in vars(p):
+        generic._is_lattice = p._is_lattice
 
     def tables(poset):
         return {k: v for k, v in vars(poset).items() if k not in ("edges", "out", "inc")}
@@ -1064,6 +1066,19 @@ def test_import_checks_rank_n():
         ec.import_poset(three, diagram=A2)
     assert ec.import_poset(three).wt == ((0, 0, 0),)
     assert ec.import_poset(three, diagram=build_diagram("A3")).n == 1
+
+
+def test_import_reads_rank_n_through_the_gate():
+    """A null rank_n is not passed on, where the constructor would infer it,
+    and a rank_n past MAX_RANK is refused by the constructor, which builds
+    its tables per color, also with no vertex whose wt length could differ."""
+    for rank_n, vertices in [(None, [{"id": 0, "wt": []}]), (None, []), (65, [])]:
+        with pytest.raises(MalformedPoset):
+            ec.import_poset({"rank_n": rank_n, "vertices": vertices, "edges": []})
+    with pytest.raises(MalformedPoset):
+        ec.import_poset({"rank_n": None, "vertices": [{"id": 0, "wt": [0, 0]}], "edges": []},
+                        diagram=A2)
+    assert ec.import_poset({"rank_n": 64, "vertices": [], "edges": []}).n_colors == 64
 
 
 @pytest.mark.parametrize("text", ['{"rank_n":2,', "", "[1, 2", "rank_n"])

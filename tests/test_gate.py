@@ -18,6 +18,11 @@ wsf entry point, of build_crystal, decompose and branch, of the numbers
 game's fire, play and rgf_exponents (any GCM graph for fire and play) and
 of rgf_quotient through cartan.check_diagram; ecposet.recolor's sigma as a
 dict or a callable, and verify_splitting's targets as a list or tuple.
+Outside poset data goes through one gate, the ColoredPoset constructor,
+which build_poset and import_poset call: the diagram through
+cartan.check_diagram, the vertex count and a given color count as plain
+ints >= 0, the edges read once (a generator too) as triples of plain ints,
+and labels as None, a Columns or an iterable of n labels.
 saturation_predicate
 reads an empty J as empty, not as every node.  WeylSymFn.power takes only
 a plain int exponent >= 0, and numbersgame.play only a plain int firing
@@ -36,7 +41,8 @@ import weylsplit
 from weylsplit import build_diagram, crystal, wsf
 from weylsplit.errors import NotAWeight
 
-# (call, the DomainError subclass it ends in), on d = A2 and p = Pi(omega_1)
+# (call, the DomainError subclass it ends in, or what it returns), on d = A2
+# and p = Pi(omega_1)
 PROBES = [
     # a 1-entry weight: zip truncated it, and these walks never ended
     ("wsf.freudenthal(d, (1,))", "DiagramMismatch"),
@@ -172,6 +178,31 @@ PROBES = [
     ("crystal.raising(crystal.crystal_product(p, p), (5, 0), 1)", "MalformedPoset"),
     ("crystal.lowering(crystal.crystal_product(p, p), (0, 0), 7)", "NotGCM"),
     ("crystal.raising(p, (0,), 1)", "MalformedPoset"),
+    # the poset gate: a str entry was a bare TypeError from max, an edge that
+    # is not a triple a bare ValueError, a non-iterable edge list, labels or
+    # a non-int color count a bare TypeError, and a type string for the
+    # diagram a bare AttributeError
+    ("ecposet.ColoredPoset(3, [(0, 1, 1), (1, 2, 'a')])", "MalformedPoset"),
+    ("ecposet.ColoredPoset(2, [(0, 1)], n_colors=1)", "MalformedPoset"),
+    ("ecposet.ColoredPoset(2, [(0, 1, 1, 1)], n_colors=1)", "MalformedPoset"),
+    ("ecposet.build_poset([(0, 1)], 1)", "MalformedPoset"),
+    ("ecposet.ColoredPoset(2, [5], n_colors=1)", "MalformedPoset"),
+    ("ecposet.ColoredPoset(2, None, n_colors=1)", "MalformedPoset"),
+    ("ecposet.ColoredPoset(2, [(0, 1, 1)], n_colors=1.5)", "MalformedPoset"),
+    ("ecposet.ColoredPoset(2, [(0, 1, 1)], n_colors='2')", "MalformedPoset"),
+    ("ecposet.ColoredPoset(2, [(0, 1, 1)], labels=5)", "MalformedPoset"),
+    ("ecposet.ColoredPoset(2, [(0, 1, 1)], diagram='A2')", "DiagramMismatch"),
+    ("ecposet.build_poset([(0, 1, 1)], 1, diagram='A2')", "DiagramMismatch"),
+    ("ecposet.import_poset(ecposet.export_poset(p), diagram='A2')", "DiagramMismatch"),
+    # built silently: a negative color count, True read as 1, and more colors
+    # than a diagram may have nodes, for each of which tables are built
+    ("ecposet.ColoredPoset(1, [], n_colors=-1)", "MalformedPoset"),
+    ("ecposet.ColoredPoset(2, [(0, 1, 1)], n_colors=True)", "MalformedPoset"),
+    ("ecposet.ColoredPoset(1, [], n_colors=cartan.MAX_RANK + 1)", "MalformedPoset"),
+    ("ecposet.ColoredPoset(2, [(0, 1, cartan.MAX_RANK + 1)])", "MalformedPoset"),
+    # a generator of edges was spent inferring n or n_colors, so no edge was left
+    ("ecposet.ColoredPoset(2, (e for e in [(0, 1, 1)])).edges", "returned ((0, 1, 1),)"),
+    ("ecposet.build_poset((e for e in [(0, 1, 1)]), 1).edges", "returned ((0, 1, 1),)"),
 ]
 
 # One interpreter for the whole table; each call gets a 1 s alarm, so a walk
@@ -213,6 +244,103 @@ def test_bad_library_input_under_optimize():
     assert res.returncode == 0, res.stderr
     got = [tuple(json.loads(line)) for line in res.stdout.splitlines()]
     assert got == PROBES
+
+
+# Hypothesis, in an interpreter under -O: a valid chain poset with one input
+# spoiled ends in the named DomainError from both ColoredPoset and
+# build_poset, and the unspoiled one builds the same from a generator of its
+# edges as from the list.  A failure raises out of the run, with its example.
+FUZZ = """
+from hypothesis import given, settings, strategies as st
+from weylsplit import build_diagram, ecposet
+from weylsplit.errors import DiagramMismatch, DomainError, MalformedPoset
+
+A2 = build_diagram("A2")
+SMALL = st.integers(0, 5)
+NOT_ITERABLE = st.one_of(st.integers(), st.floats(allow_nan=False), st.none())
+NOT_INT = st.one_of(st.booleans(), st.floats(allow_nan=False), st.text(max_size=2), st.none())
+
+
+@st.composite
+def bad_edges(draw, edges):
+    kind = draw(st.sampled_from(["whole", "edge", "arity", "entry"]))
+    if kind == "whole":
+        return draw(NOT_ITERABLE)
+    edges, k = list(edges), draw(st.integers(0, len(edges) - 1))
+    if kind == "edge":
+        edges[k] = draw(NOT_ITERABLE)
+    elif kind == "arity":
+        size = draw(st.sampled_from([0, 1, 2, 4, 5]))
+        edges[k] = draw(st.sampled_from([tuple, list]))(draw(st.lists(SMALL, min_size=size,
+                                                                      max_size=size)))
+    else:
+        e = list(edges[k])
+        e[draw(st.integers(0, 2))] = draw(NOT_INT)
+        edges[k] = tuple(e)
+    return edges
+
+
+def table(p):
+    return (p.n, p.n_colors, p.d, tuple(p.edges), p.wt, p.labels,
+            [list(row) for rows in (p.comp_id, p.rho, p.lng) for row in rows])
+
+
+def expect(error, make):
+    try:
+        got = make()
+    except error:
+        return
+    except DomainError as e:
+        raise RuntimeError("%s instead of %s" % (type(e).__name__, error.__name__))
+    raise RuntimeError("built %r instead of raising %s" % (table(got), error.__name__))
+
+
+@settings(max_examples=300, deadline=None, database=None)
+@given(st.data())
+def fuzz(data):
+    n = data.draw(st.integers(2, 6), label="n")
+    edges = [data.draw(st.sampled_from([tuple, list]))((x, x + 1, data.draw(st.integers(1, 2))))
+             for x in range(n - 1)]
+    diagram = data.draw(st.sampled_from([None, A2]), label="diagram")
+    n_colors = data.draw(st.sampled_from([None, 2]), label="n_colors")
+    labels = data.draw(st.sampled_from([None, list(range(n)), tuple("abcdef"[:n])]), label="labels")
+    args = dict(diagram=diagram, n_colors=n_colors, labels=labels)
+    p = ecposet.ColoredPoset(n, edges, **args)
+    if table(ecposet.ColoredPoset(n, (e for e in edges), **args)) != table(p):
+        raise RuntimeError("a generator of edges built another poset")
+    if table(ecposet.build_poset((e for e in edges), **args)) != table(p):
+        raise RuntimeError("build_poset built another poset from a generator")
+    spoil = data.draw(st.sampled_from(["edges", "n_colors", "labels", "diagram"]), label="spoil")
+    error = MalformedPoset
+    if spoil == "edges":
+        edges = data.draw(bad_edges(edges), label="edges")
+    elif spoil == "n_colors":
+        args["n_colors"] = data.draw(st.one_of(NOT_INT.filter(lambda c: c is not None),
+                                               st.integers(max_value=-1), st.lists(SMALL)),
+                                     label="n_colors")
+    elif spoil == "labels":
+        args["labels"] = data.draw(st.one_of(NOT_ITERABLE.filter(lambda x: x is not None),
+                                             st.lists(SMALL).filter(lambda x: len(x) != n)),
+                                   label="labels")
+    else:
+        args["diagram"] = data.draw(st.sampled_from(["A2", 2, [[2, -1], [-1, 2]]]),
+                                    label="diagram")
+        error = DiagramMismatch
+    expect(error, lambda: ecposet.ColoredPoset(n, edges, **args))
+    expect(error, lambda: ecposet.build_poset(edges, **args))
+
+
+fuzz()
+"""
+
+
+def test_poset_gate_fuzz_under_optimize():
+    src = str(Path(weylsplit.__file__).resolve().parent.parent)
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    res = subprocess.run([sys.executable, "-O", "-c", FUZZ], capture_output=True, text=True,
+                         env=env, timeout=300)
+    assert res.returncode == 0, res.stderr
 
 
 def test_memo_keys_come_only_from_the_gate():

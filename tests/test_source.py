@@ -302,6 +302,56 @@ def test_node_rule_and_diagram_check_are_stated_once():
     assert not hasattr(ecposet.ColoredPoset, "wt_restricted")
 
 
+def test_outside_poset_data_has_one_gate():
+    """ColoredPoset.__init__ states the poset input rules once.  import_poset
+    raises no DiagramMismatch and has no rule of its own for rank_n: it
+    compares the name that rank_n is read into with no number literal, passes
+    it to no type() or isinstance(), and lists it with no numbers to check.
+    The constructor and build_poset read edges through _edge_list, the only
+    map(tuple, edges); the constructor alone raises the color-count
+    and the colors-versus-rank errors, and it calls check_diagram."""
+    path = SRC / "ecposet.py"
+    fns = _functions(path)
+    imp = fns["import_poset"]
+    assert not [node.lineno for node in ast.walk(imp) if isinstance(node, ast.Raise)
+                and "DiagramMismatch" in ast.dump(node)]
+    rank_n = {target.id for node in ast.walk(imp) if isinstance(node, ast.Assign)
+              and "'rank_n'" in ast.unparse(node.value) for target in node.targets}
+    assert rank_n == {"n_colors"}, rank_n
+
+    def number(node):
+        if isinstance(node, ast.UnaryOp):
+            node = node.operand
+        return isinstance(node, ast.Constant) and type(node.value) in (int, float)
+
+    def names(nodes):
+        return {node.id for node in nodes if isinstance(node, ast.Name)}
+
+    for node in ast.walk(imp):
+        if isinstance(node, ast.Compare):
+            sides = [node.left, *node.comparators]
+            assert not (names(sides) & rank_n and any(map(number, sides))), ast.unparse(node)
+        elif isinstance(node, ast.Call) and getattr(node.func, "id", None) in ("type",
+                                                                              "isinstance"):
+            assert not names(node.args) & rank_n, ast.unparse(node)
+        elif isinstance(node, ast.List):
+            assert not names(node.elts) & rank_n, ast.unparse(node)
+    init = fns["ColoredPoset.__init__"]
+    for name in ("ColoredPoset.__init__", "build_poset"):
+        assert _calls(fns[name], "_edge_list"), name
+    assert _calls(init, "check_diagram")
+    tuple_maps = [node.lineno for node in ast.walk(ast.parse(path.read_text()))
+                  if isinstance(node, ast.Call) and getattr(node.func, "id", None) == "map"
+                  and [getattr(arg, "id", None) for arg in node.args] == ["tuple", "edges"]]
+    edge_list = fns["_edge_list"]
+    assert tuple_maps and all(edge_list.lineno <= line <= edge_list.end_lineno
+                              for line in tuple_maps), tuple_maps
+    for error, text in (("MalformedPoset", "color count"),
+                        ("DiagramMismatch", "colors on a diagram of rank")):
+        lines = _raises(path, error, text)
+        assert len(lines) == 1 and init.lineno <= lines[0] <= init.end_lineno, (error, lines)
+
+
 def test_the_numbers_game_states_no_graph_rule():
     """cartan holds the one GCM-graph class, RawGCMGraph, with the one s_i
     and the node rule, and DynkinDiagram extends it.  fire calls
