@@ -604,15 +604,21 @@ class DynkinDiagram(RawGCMGraph):
         return tuple(c // den for c in rc)
 
     def to_root_coords(self, mu):
-        """Coefficients of mu on the simple roots: Q^T applied to mu, exact."""
-        return tuple(Fraction(c, self.denom) for c in self.root_coords_scaled(mu))
+        """Coefficients of mu on the simple roots: Q^T applied to mu, exact.
+
+        mu is read by `check_weight`, as are the weights of height and
+        inner_product; the package's loops call the unchecked *_scaled forms.
+        """
+        return tuple(Fraction(c, self.denom)
+                     for c in self.root_coords_scaled(self.check_weight(mu)))
 
     def height(self, mu):
         """ht(mu) = <mu, rho_vee> = sum of the root coordinates of mu."""
-        return Fraction(self.height_scaled(mu), self.denom)
+        return Fraction(self.height_scaled(self.check_weight(mu)), self.denom)
 
     def inner_product(self, u, v):
-        return Fraction(self.inner_product_scaled(u, v), self.denom)
+        return Fraction(self.inner_product_scaled(self.check_weight(u), self.check_weight(v)),
+                        self.denom)
 
     def dominant_rep(self, mu):
         """The unique dominant weight in the W-orbit of mu."""

@@ -92,7 +92,6 @@ def cmd_char(args, d, lam):
     if args.method == "kostant":
         pi = wsf.weight_diagram(d, lam)
         terms = sorted((m, wsf.kostant_multiplicity(d, lam, m)) for m in pi.weights)
-        terms = [(m, c) for m, c in terms if c]
     else:
         terms = wsf.freudenthal(d, lam).sorted_terms()
     _emit_terms(terms, args.json)

@@ -522,29 +522,34 @@ def tau_from_jnu_coloring(p, nodes, nu, kappa):
 
 
 def verify_jnu_coloring(p, nodes, nu, kappa):
-    """Defining condition of a (J,nu)-coloring, checked literally.
+    """(ok, reason): is kappa a (J,nu)-coloring of the fibrous poset p?
 
     kappa is read through `ColoringWitness.check`: a key that is not a
     vertex id of p, or a key or value that is not a plain int, raises
-    MalformedPoset.
+    MalformedPoset; J and nu are then read by `m_set`.  A poset that is not
+    fibrous, or a kappa whose keys are not exactly the complement of
+    M_{J,nu}, gets (False, reason).  The rest is the sub-block criterion,
+    `ecposet.verify_subblock_coloring` with S = M_{J,nu}, read for chains.
+
+    On a fibrous poset every color-j component is a chain: each vertex has
+    at most one j-cover above it and one below.  For x outside M_{J,nu} the
+    (J,nu)-condition asks that kappa(x) = j lie in K_{J,nu}(x) = {j in J :
+    delta_j(x) > nu_j} and that K(x), the members y of comp_j(x) outside
+    M_{J,nu} with kappa(y) = j, be the chain minus its top nu_j + 1
+    members.  A chain of length l is a product of one chain, whose
+    coordinate is rho_j, so its (nu_j + 1)-sub-block holds the members of
+    rank at most l - nu_j - 1: exactly the chain minus its top nu_j + 1
+    members.  And x lies in K(x), so once K(x) is that sub-block, rho_j(x)
+    <= l - nu_j - 1 forces delta_j(x) = l - rho_j(x) > nu_j, and kappa(x)
+    lies in K_{J,nu}(x).  So the two conditions agree vertex by vertex.
     """
     kappa = ecposet.ColoringWitness((), kappa).check(p).kappa
-    nodes, nu_of = sub_weight(p.n_colors, nodes, nu)
-    mem = set(m_set(p, nodes, nu))
-    if set(kappa) != set(range(p.n)) - mem:
+    mem = m_set(p, nodes, nu)
+    if not p.is_fibrous():
+        return False, "the poset is not fibrous, so its components are not chains"
+    if set(kappa) != set(range(p.n)).difference(mem):
         return False, "kappa domain is not the complement of M_{J,nu}"
-    for x in kappa:
-        j = kappa[x]
-        if j not in nodes or p.lng[j][x] - p.rho[j][x] <= nu_of[j]:
-            return False, "kappa(%d) is not in K_{J,nu}" % x
-        comp = p.comp_members(j, x)
-        chain = sorted(comp, key=lambda v: p.rho[j][v])
-        top = set(chain[-(1 + nu_of[j]):])
-        want = set(chain) - top
-        got = {y for y in comp if y not in mem and kappa.get(y) == j}
-        if got != want:
-            return False, "coloring condition fails at vertex %d color %d" % (x, j)
-    return True, None
+    return ecposet.verify_subblock_coloring(p, nodes, nu, mem, kappa)
 
 
 # ---------------------------------------------------------------------------

@@ -539,22 +539,25 @@ class ColoredPoset:
 
     @cached_property
     def _ups(self):
-        return self._cover_rows(self.out)
+        return self._cover_rows(0)
 
     @cached_property
     def _downs(self):
-        return self._cover_rows(self.inc)
+        return self._cover_rows(1)
 
-    def _cover_rows(self, adj):
+    def _cover_rows(self, end):
         """Row c, c = 1..n_colors: per vertex x, the other end of the first
-        color-c edge of adj[x] in sorted-edge order, or n when x has none;
-        row 0 is None.  Each row is a `_row`."""
+        color-c edge whose end-th entry is x (end 0: out of x, end 1: into
+        x), in sorted-edge order, or n when x has none; row 0 is None.  Each
+        row is a `_row`.  The rows are written straight from the edge
+        columns, last edge first, so the first edge of x is written last
+        and wins; no out or inc view is built."""
         n = self.n
         rows = [[n] * n for _ in range(self.n_colors)]
-        for x in range(n):
-            ws, cs = adj.ends(x)
-            for w, c in zip(reversed(ws), reversed(cs)):     # the first one written last
-                rows[c - 1][x] = w
+        cols = self.edges.columns()
+        xs, ws, cs = cols[end], cols[1 - end], cols[2]
+        for x, w, c in zip(reversed(xs), reversed(ws), reversed(cs)):
+            rows[c - 1][x] = w
         return [None] + [_row(r, n) for r in rows]
 
     @cached_property
@@ -640,13 +643,14 @@ class ColoredPoset:
     # -- structure predicates ----------------------------------------------------
 
     def is_fibrous(self):
-        """No vertex has two edges of one color out of it, or two into it."""
-        for adj in (self.out, self.inc):
-            for v in range(self.n):
-                cs = adj.ends(v)[1]
-                if len(set(cs)) != len(cs):
-                    return False
-        return True
+        """No vertex has two edges of one color out of it, or two into it.
+
+        Read off the edge columns: that is, the (u, c) pairs of the edges
+        are distinct, and so are their (v, c) pairs.  No out or inc view
+        is built.
+        """
+        u, v, c = self.edges.columns()
+        return len(set(zip(u, c))) == len(set(zip(v, c))) == len(c)
 
     def is_m_structured(self):
         cartan = self.checked_d().cartan
@@ -1079,9 +1083,7 @@ def verify_tau_kappa(p, nodes, nu, witness):
         return False, "WGF restricted to J is not W_J-invariant"
     # hypotheses hold; verify the conclusion by direct expansion
     lhs = wsf.freudenthal(sub, nu) * wgf_j
-    rhs = wsf.WeylSymFn._of(sub, {})
-    for s in witness.S:
-        rhs = rhs + wsf.freudenthal(sub, wadd(nu, d.project(p.wt[s], sel)))
+    rhs = wsf.reconstruct(sub, Counter(wadd(nu, d.project(p.wt[s], sel)) for s in witness.S))
     if lhs != rhs:
         return False, "conclusion identity failed (unexpected)"
     return True, None
@@ -1156,6 +1158,12 @@ def chain_product_factorization(p, color, x):
 
 def verify_subblock_coloring(p, nodes, nu, s_set, kappa):
     """Sub-block coloring criterion: K(x) is a (nu_k+1)-sub-block of comp_k(x).
+
+    This is the package's one vertex-coloring check.  The pattern lattices'
+    colorings are read by it directly, and `crystal.verify_jnu_coloring`
+    reads a (J,nu)-coloring of a fibrous poset by it with S = M_{J,nu}: each
+    component is then a chain, and its docstring shows that the criterion
+    is the (J,nu)-condition there.
 
     nodes is the subset J, nu is indexed like the subdiagram weight (both
     checked by `sub_weight`), s_set the vertex set S, kappa the coloring on

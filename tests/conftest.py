@@ -12,7 +12,8 @@ separate forward and suffix scans, Kostant multiplicities from a sum over
 the whole orbit, bialternant expansions from peeling whole characters off
 the top, omega expressions from a deepening depth-first search,
 (J,nu)-colorings from a recursion on the prefix length
-that rescans each prefix's signature, and colored posets are checked
+that rescans each prefix's signature (and are checked by the defining
+condition, vertex by vertex), and colored posets are checked
 against their full transitive closure, their adjacency against lists of
 the triples at each end, and their component member lists
 against networkx's weakly connected components of each color.  The
@@ -185,6 +186,7 @@ def brute_partition_count(d, mu, roots):
     target = tuple(int(c) for c in coords)
     vecs = [tuple(int(c) for c in d.to_root_coords(r)) for r in roots]
 
+    @functools.lru_cache(maxsize=None)      # the same (idx, rest) recurs along many paths
     def count(idx, rest):
         if not any(rest):
             return 1
@@ -562,6 +564,30 @@ def brute_jnu_coloring(factors, poset, nodes, nu):
         if k is not None:
             out[vid] = k
     return out
+
+
+def literal_jnu_check(p, nodes, nu, kappa):
+    """The defining condition of a (J,nu)-coloring, checked literally vertex
+    by vertex: kappa is defined exactly off M_{J,nu} (delta_j <= nu_j for
+    every j in J), kappa(x) = j lies in J with delta_j(x) > nu_j, and the
+    members y of comp_j(x) outside M_{J,nu} with kappa(y) = j are the chain
+    minus its top nu_j + 1 members, the chain sorted by rho_j afresh for
+    every vertex.  Returns only the verdict."""
+    nu_of = dict(zip(sorted(set(nodes)), nu))
+    mem = {x for x in range(p.n) if all(p.delta(j, x) <= nu_of[j] for j in nu_of)}
+    if set(kappa) != set(range(p.n)) - mem:
+        return False
+    for x, j in kappa.items():
+        if j not in nu_of or p.delta(j, x) <= nu_of[j]:
+            return False
+        comp = p.comp_members(j, x)
+        chain = sorted(comp, key=lambda v: p.rho[j][v])
+        top = set(chain[-(1 + nu_of[j]):])
+        want = set(chain) - top
+        got = {y for y in comp if y not in mem and kappa.get(y) == j}
+        if got != want:
+            return False
+    return True
 
 
 # ---------------------------------------------------------------------------

@@ -44,6 +44,18 @@ def test_char_methods_agree(capsys):
     assert rc1 == rc2 == 0 and out1 == out2
 
 
+def test_char_kostant_prints_a_wrong_zero(capsys, monkeypatch):
+    """Every weight of Pi(lambda) has multiplicity >= 1, so the Kostant
+    route prints each one with what kostant_multiplicity says, a 0 too:
+    a wrong zero shows instead of dropping the weight."""
+    from weylsplit import wsf
+    real = wsf.kostant_multiplicity
+    monkeypatch.setattr(wsf, "kostant_multiplicity",
+                        lambda d, lam, mu: 0 if mu == (0, 0) else real(d, lam, mu))
+    rc, out, _ = run(capsys, "char", "--diagram", "G2", "--weight", "1,0", "--method", "kostant")
+    assert rc == 0 and "0,0  0" in out.splitlines() and len(out.splitlines()) == 7
+
+
 def test_numbers_game_all(capsys):
     rc, out, _ = run(capsys, "numbers-game", "--diagram", "C2",
                      "--position", "1,1", "--strategy", "all")

@@ -2,7 +2,7 @@ import gc
 import tracemalloc
 
 import pytest
-from hypothesis import given, settings, strategies as st
+from hypothesis import assume, given, settings, strategies as st
 
 from weylsplit import build_diagram, crystal as cr, ecposet as ec, wsf
 from weylsplit.cartan import sub_weight
@@ -11,7 +11,7 @@ from weylsplit.errors import (DiagramMismatch, ExactnessError, NoExpression,
                               NotMinuscule, NotMStructured, NotPrimaryFactor)
 
 from conftest import (brute_jnu_coloring, brute_omega_expression, brute_signature,
-                      load_fixture)
+                      literal_jnu_check, load_fixture)
 
 A1 = build_diagram("A1")
 A2 = build_diagram("A2")
@@ -252,7 +252,7 @@ def test_memoized_crystal_builds_no_unread_table():
     assert cr.build_crystal(d, lam) is r and not lazy & set(vars(r))
     r.comp_members(2, 0)
     r.up(1, 0)
-    assert {"out", "_members"} <= set(vars(r)) and "inc" not in vars(r)
+    assert {"_ups", "_members"} <= set(vars(r)) and not {"out", "inc"} & set(vars(r))
 
 
 def test_crystal_bytes_per_vertex():
@@ -656,6 +656,59 @@ def test_jnu_coloring_on_a_thousand_factors():
     kap = cr.jnu_coloring(r.tensor_ops.factors, r, (1,), (0,))
     assert len(kap) == r.n - 1
     assert cr.verify_jnu_coloring(r, (1,), (0,), kap) == (True, None)
+
+
+JNU_DIAGRAMS = [build_diagram(s) for s in ("A2", "C2", "G2", "B3", "A3", "C3", "A2+G2")]
+
+
+@st.composite
+def _jnu_cases(draw):
+    """(p, J, nu, kappa): p is R(lambda), lambda in {0,1}^rank, or the
+    crystal product of one or two of its factors; J possibly empty, nu in
+    0..2; kappa is jnu_coloring's, recolored at 0 to 3 vertices or given
+    one extra key (a vertex of M_{J,nu})."""
+    d = draw(st.sampled_from(JNU_DIAGRAMS))
+    lam = tuple(draw(st.lists(st.integers(0, 1), min_size=d.rank, max_size=d.rank)))
+    assume(any(lam))
+    p = cr.build_crystal(d, lam)
+    factors = p.tensor_ops.factors
+    if draw(st.booleans()):
+        factors = draw(st.lists(st.sampled_from(factors), min_size=1, max_size=2))
+        p = cr.crystal_product(*factors)
+    nodes = sorted(draw(st.lists(st.integers(1, d.rank), max_size=d.rank, unique=True)))
+    nu = tuple(draw(st.integers(0, 2)) for _ in nodes)
+    kappa = cr.jnu_coloring(factors, p, nodes, nu)
+    color = st.integers(1, d.rank)
+    changes = draw(st.integers(0, 4))           # 4: one extra key
+    rest = [x for x in range(p.n) if x not in kappa]
+    if changes == 4 and rest:
+        kappa[draw(st.sampled_from(rest))] = draw(color)
+    elif changes and kappa:
+        keys = st.lists(st.sampled_from(sorted(kappa)), min_size=1, max_size=changes, unique=True)
+        for x in draw(keys):
+            kappa[x] = draw(color)
+    return p, nodes, nu, kappa
+
+
+@settings(max_examples=100, deadline=None)
+@given(_jnu_cases())
+def test_jnu_check_is_the_literal_condition(case):
+    """The sub-block criterion read for chains gives the verdict of the
+    defining condition checked vertex by vertex."""
+    p, nodes, nu, kappa = case
+    ok, why = cr.verify_jnu_coloring(p, nodes, nu, kappa)
+    assert ok == literal_jnu_check(p, nodes, nu, kappa)
+    assert (why is None) == ok
+
+
+def test_jnu_check_needs_a_fibrous_poset():
+    """U(G2, (0,1)) has two edges of one color at a vertex: not fibrous, so
+    no kappa is a (J,nu)-coloring of it, even one with the right domain."""
+    u = ec.maximal_splitting_poset(G2, (0, 1))
+    assert not u.is_fibrous()
+    rest = sorted(set(range(u.n)) - set(cr.m_set(u, (1, 2), (0, 0))))
+    ok, why = cr.verify_jnu_coloring(u, (1, 2), (0, 0), dict.fromkeys(rest, 1))
+    assert not ok and "not fibrous" in why
 
 
 def _jnu_readers():

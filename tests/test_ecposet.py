@@ -184,7 +184,7 @@ def test_valid_posets_build_no_adjacency(monkeypatch):
     build, and read no out or inc of their own; read afterwards, out and
     inc equal the brute_adjacency oracle."""
     f = crystal.minuscule_poset(A2, (1, 0))
-    f.is_fibrous()          # the factor's out and inc, which the closure reads
+    f.is_fibrous()          # reads the edge columns only, as the closure's cover rows do
 
     def no_adjacency(*args):
         raise AssertionError("Adjacency built")

@@ -3,7 +3,8 @@
 Weights, numbers-game positions and strategies and lattice family
 parameters are read through DynkinDiagram.check_weight, check_dominant and
 cartan.int_tuple (the WeylSymFn constructor reads every key, and coeff its
-weight, through check_weight);
+weight, through check_weight, and so do DynkinDiagram.height,
+inner_product and to_root_coords);
 nodes, node subsets J and a numbers-game strategy's nodes through the one
 node rule, which check_node, sub_diagram and cartan.sub_weight (J with its
 nu) share, and the nodes of numbersgame.fire, DynkinDiagram.act and
@@ -203,6 +204,10 @@ PROBES = [
     # a generator of edges was spent inferring n or n_colors, so no edge was left
     ("ecposet.ColoredPoset(2, (e for e in [(0, 1, 1)])).edges", "returned ((0, 1, 1),)"),
     ("ecposet.build_poset((e for e in [(0, 1, 1)]), 1).edges", "returned ((0, 1, 1),)"),
+    # a short weight read as padded with zeros: 1, 2/3 and (2/3, 1/3)
+    ("d.height((1,))", "DiagramMismatch"),
+    ("d.inner_product((1,), (1, 0))", "DiagramMismatch"),
+    ("d.to_root_coords((1,))", "DiagramMismatch"),
 ]
 
 # One interpreter for the whole table; each call gets a 1 s alarm, so a walk

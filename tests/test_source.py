@@ -352,6 +352,15 @@ def test_outside_poset_data_has_one_gate():
         assert len(lines) == 1 and init.lineno <= lines[0] <= init.end_lineno, (error, lines)
 
 
+def test_one_vertex_coloring_criterion():
+    """verify_jnu_coloring reads the sub-block criterion and has no loop of
+    its own (no for, while or comprehension)."""
+    fn = _functions(SRC / "crystal.py")["verify_jnu_coloring"]
+    loops = (ast.For, ast.While, ast.comprehension)
+    assert not [node.lineno for node in ast.walk(fn) if isinstance(node, loops)]
+    assert _calls(fn, "verify_subblock_coloring")
+
+
 def test_the_numbers_game_states_no_graph_rule():
     """cartan holds the one GCM-graph class, RawGCMGraph, with the one s_i
     and the node rule, and DynkinDiagram extends it.  fire calls
