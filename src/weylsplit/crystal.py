@@ -13,7 +13,9 @@ lowering acts.  The two operators are mutually inverse, so a closure walks
 down from its seeds by lowering alone and records every edge once.
 """
 
+from array import array
 from collections import namedtuple
+from itertools import accumulate, chain, repeat
 
 from . import ecposet, wsf
 from .cartan import check_diagram, sub_weight, wadd, wsub, zero_weight
@@ -191,35 +193,108 @@ class TensorOps:
         return x[:r] + (self.factors[r]._down(i, x[r]),) + x[r + 1:]
 
     def closure(self, seeds):
-        """Everything reached from the seed tuples by lowering.
+        """Everything reached from the distinct seed tuples by lowering, as a
+        poset built through the trusted `ecposet.ColoredPoset._of`.
 
-        Each edge is recorded once, as (lowering(x), x, i).  Since raising
-        and lowering are mutually inverse, these are exactly the raising
-        edges of the vertices reached.  When every tuple is a seed
-        (crystal_product) this is the whole product; a seed of R(lambda) is
-        the highest-weight vertex of its component (see build_crystal), and
-        the whole component lies below it.  The poset's vertices are the
-        tuples reached, in sorted order; its labels hold them as one column
-        per factor position (an `ecposet.Columns`, which reads as the tuple
-        of the tuples), and its `tensor_ops` is this object.
+        The walk is in level order: the seeds first, then the vertices in
+        the order they are first reached, each numbered then.  Processing x
+        records, for each color i with z = lowering(i, x) defined, the edge
+        z -> x of color i, as the walk number of z and the color, in one run
+        per x.  Since raising and lowering are mutually inverse, these are
+        exactly the raising edges of the vertices reached, each once.  When
+        every tuple is a seed (crystal_product) this is the whole product; a
+        seed of R(lambda) is the highest-weight vertex of its component (see
+        build_crystal), and the whole component lies below it.  The poset's
+        vertices are the tuples reached, in sorted order; its labels hold
+        them as one column per factor position (an `ecposet.Columns`, which
+        reads as the tuple of the tuples), and its `tensor_ops` is this
+        object.  What it hands `_fill` is what the constructor finds on the
+        same edges:
+
+        - The edges.  A lowering moves one factor x_r to its cover below, so
+          z != x; the factor holds no vertex pair twice, so neither does the
+          product, and one pair has one color.  The walk ids are renumbered
+          once, in sorted tuple order.  The runs, taken in the new order of
+          their upper ends, list the edges by v and, within a run, by color;
+          a stable counting sort by the new lower end then sorts them by (u,
+          v, c).
+        - Ranks.  A lowering moves one factor one rank down in that factor,
+          so the sum of the factor ranks falls by one on every edge, and
+          every path of lowerings from a seed s to x has the same length,
+          that sum at s minus that at x.  With one seed, the level at which
+          the walk first reaches x is that length, its depth; each edge goes
+          one level down, so the walk has processed x before any lowering of
+          x.  rank = (greatest depth) - depth rises by one on every edge and
+          is 0 at a deepest vertex; the poset is connected, so that is the
+          constructor's rank.
+        - Components: with one seed, every vertex is reached from it along
+          recorded edges, so there is one.
+        - Color-i components.  Lowering is a function and raising its
+          inverse, so a vertex has at most one i-edge below it and one
+          above: each i-component is a chain, an i-string.  Its key is the
+          walk number of its top t, which no recorded i-edge enters from
+          above.  t keeps the key it was numbered with; any other member z is
+          lowering(i, x) of the member x above it, processed before z, and
+          takes x's key when that edge is recorded: t's, by induction on
+          depth.
+        - With many seeds the levels are not depths, and a component may
+          hold several seeds, so the ranks and keys are computed from the
+          sorted edges by `ecposet.rank_and_components`, the constructor's
+          own pass.
         """
-        seen = set(seeds)
-        frontier = list(seeds)
-        edges = []
-        while frontier:
-            x = frontier.pop()
-            for i in range(1, self.d.rank + 1):
+        n_colors = self.d.rank
+        found = list(seeds)
+        num = {x: k for k, x in enumerate(found)}
+        depth = array("I", bytes(4 * len(found)))
+        keys = [array("I", range(len(found))) for _ in range(n_colors)]     # by color - 1
+        ups = array("B", bytes(len(found)))     # edges up from each vertex, one per color at most
+        runs, lows, colors = array("I", [0]), array("I"), array("B")
+        for k, x in enumerate(found):       # found grows as the walk reaches more
+            for i in range(1, n_colors + 1):
                 z = self.lowering(i, x)
                 if z is not None:
-                    edges.append((z, x, i))
-                    if z not in seen:
-                        seen.add(z)
-                        frontier.append(z)
-        verts = sorted(seen)
-        ids = {v: k for k, v in enumerate(verts)}
-        poset = ecposet.ColoredPoset(
-            len(verts), [(ids[a], ids[b], i) for a, b, i in edges], diagram=self.d,
-            labels=ecposet.Columns.of(verts, [f.n - 1 for f in self.factors]))
+                    j = num.get(z)
+                    if j is None:
+                        j = num[z] = len(found)
+                        found.append(z)
+                        depth.append(depth[k] + 1)
+                        ups.append(0)
+                        for key in keys:
+                            key.append(j)
+                    keys[i - 1][j] = keys[i - 1][k]
+                    ups[j] += 1
+                    lows.append(j)
+                    colors.append(i)
+            runs.append(len(lows))
+        n = len(found)
+        found.sort()
+        order = array("I", map(num.__getitem__, found))     # the walk id of each sorted tuple
+        del num
+        labels = ecposet.Columns.of(found, [f.n - 1 for f in self.factors])
+        del found
+        where = array("I", bytes(4 * n))
+        for x, k in enumerate(order):
+            where[k] = x
+        pos = array("I", accumulate(map(ups.__getitem__, order), initial=0))
+        us = array("I", chain.from_iterable(map(repeat, range(n), map(ups.__getitem__, order))))
+        vs, cs = array("I", bytes(4 * len(lows))), array("B", bytes(len(lows)))
+        for x, k in enumerate(order):
+            for e in range(runs[k], runs[k + 1]):
+                u = where[lows[e]]
+                at = pos[u]
+                pos[u] = at + 1
+                vs[at] = x
+                cs[at] = colors[e]
+        del where, pos, runs, lows, colors
+        edges = ecposet.Columns.of_columns((us, vs, cs), (n - 1, n - 1, n_colors))
+        if len(seeds) == 1:
+            top = depth[-1]             # level order reaches the deepest vertex last
+            rank = map(top.__sub__, map(depth.__getitem__, order))
+            comp = bytes(n)
+            keys = [map(key.__getitem__, order) for key in keys]
+        else:
+            rank, (comp, *keys) = ecposet.rank_and_components(n, zip(us, vs, cs), n_colors)
+        poset = ecposet.ColoredPoset._of(self.d, n_colors, n, labels, edges, rank, comp, keys)
         poset.tensor_ops = self
         return poset
 
@@ -389,8 +464,11 @@ def build_crystal(d, lam):
     delta_i(x_q) - <s_{q-1}, alpha_i^v> <= 0 and no raising applies to x.
     So x is the highest-weight vertex of its component, which in a product
     of the crystals B(mu_q-hat) is B(lambda), all of it below x under
-    lowering (Kashiwara).  Results are cached in d.memo (posets are
-    immutable).  d is read by `cartan.check_diagram`.
+    lowering (Kashiwara).  The one-seed closure builds the poset through
+    the trusted `ColoredPoset._of`, with the ranks and keys its docstring
+    proves; R(0) is one vertex with no factor, built by the checking
+    constructor.  Results are cached in d.memo (posets are immutable).  d is
+    read by `cartan.check_diagram`.
     """
     lam = check_diagram(d).check_dominant(lam)
     memo = d.memo.setdefault("crystal", {})
@@ -414,11 +492,19 @@ def build_crystal(d, lam):
 # refined splitting data
 
 def m_set(p, nodes, nu):
-    """M_{J,nu}(p) = vertices with delta_j <= nu_j for all j in J."""
+    """M_{J,nu}(p) = vertices with delta_j <= nu_j for all j in J, ascending.
+
+    J and nu are read by `sub_weight`.  One pass per node j of J over its
+    rho and lng rows marks the vertices with delta_j = l_j - rho_j > nu_j;
+    the unmarked ones are the set, and an empty J marks none.
+    """
     _, nu_of = sub_weight(p.n_colors, nodes, nu)
-    rho, lng = p.rho, p.lng
-    return [x for x in range(p.n)
-            if all(lng[j][x] - rho[j][x] <= nu_of[j] for j in nu_of)]
+    out = bytearray(p.n)
+    for j, bound in nu_of.items():
+        for x, r, l in zip(range(p.n), p.rho[j], p.lng[j]):
+            if l - r > bound:
+                out[x] = 1
+    return [x for x, o in enumerate(out) if not o]
 
 
 def decompose(d, nu, lam):

@@ -38,9 +38,10 @@ lists of the components and the reachability masks are built only when
 first read, so a poset that is only asked for ranks, weights and edges
 never holds them.  A blow-up's columns are filled the first time an edge
 is read; their length is the sum of the block sizes, so `len(u.edges)`
-costs no edge.  Trusted producers (`_blow_up`, the pattern lattices) hand
-`_fill` their columns, ranks and component keys through `ColoredPoset._of`;
-every caller with outside data goes through the checking constructor.
+costs no edge.  Trusted producers (`_blow_up`, the pattern lattices, the
+crystal closure) hand `_fill` their columns, ranks and component keys
+through `ColoredPoset._of`; every caller with outside data goes through the
+checking constructor.
 
 Posets are immutable after construction; every cache is computed once.
 """
@@ -483,8 +484,8 @@ class ColoredPoset:
         component of the poset, and keys holds one row per color c =
         1..n_colors, equal on x and y exactly when they lie in one color-c
         component K: `rank_and_components` gives both to the constructor,
-        `_blow_up` reads them off q, and `patternlat.PatternLattice` off its
-        walk.  Whatever the keys are, every
+        `_blow_up` reads them off q, and `patternlat.PatternLattice` and
+        `crystal.TensorOps.closure` off their walks.  Whatever the keys are, every
         component is numbered by its smallest member; for x in K, rho_c(x)
         = rank(x) - min rank(K), l_c(x) = max rank(K) - min rank(K) and
         wt(x)_c = m_c(x) = 2 rho_c(x) - l_c(x).  rho_c and l_c lie in

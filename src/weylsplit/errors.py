@@ -75,6 +75,19 @@ class BadExponent(DomainError):
     """A power of a Weyl symmetric function whose exponent is not a plain int >= 0."""
 
 
+class NotAnExpansion(DomainError):
+    """A bialternant expansion given to `wsf.reconstruct` that is not a
+    mapping of dominant weights to coefficients."""
+
+
+# --- qpoly ---
+
+class BadQuotient(DomainError, ValueError):
+    """A quotient prod(1 - q^c) / prod(1 - q^e) with an exponent that is not
+    a plain int >= 1, or one that is not a polynomial
+    (`qpoly.quotient_rgf`).  Also a ValueError, which it raised before."""
+
+
 # --- ecposet ---
 
 class NotAcyclic(DomainError):

@@ -39,10 +39,11 @@ the A/B/C rank generating function products live here too.
 
 from array import array
 from collections import namedtuple
+from functools import lru_cache
 from itertools import repeat
 
 from . import ecposet, numbersgame, qpoly
-from .cartan import build_diagram, int_tuple, zero_weight
+from .cartan import MAX_RANK, build_diagram, int_tuple, zero_weight
 from .errors import ExactnessError, InvalidFamilyParams
 
 
@@ -61,6 +62,16 @@ class FamilyShape(namedtuple("FamilyShape", [
     __slots__ = ()
 
 
+@lru_cache(maxsize=4 * MAX_RANK)
+def _diagram(letter, rank):
+    """The diagram of one family and rank, built once and shared by every
+    lattice of that family and rank, with its constants, roots, orbit
+    tables and memos.  build_diagram raises past MAX_RANK and lru_cache
+    keeps no raised call, so each of the four letters holds at most
+    MAX_RANK diagrams and the cache never evicts."""
+    return build_diagram([(letter, rank)])
+
+
 def _shape(family, n, m=None, lam=None, node=None):
     if not {type(x) for x in (n, m, node) if x is not None} <= {int}:
         raise InvalidFamilyParams("n, m and node must be plain ints")
@@ -68,7 +79,7 @@ def _shape(family, n, m=None, lam=None, node=None):
         lam = int_tuple(lam, InvalidFamilyParams, "the gt weight")
         if n < 2 or len(lam) != n - 1 or any(a < 0 for a in lam):
             raise InvalidFamilyParams("gt needs size n >= 2 and a dominant weight")
-        d = build_diagram([("A", n - 1)])
+        d = _diagram("A", n - 1)
         fixed = tuple(sum(lam[k - 1] for k in range(n + 1 - j, n)) for j in range(1, n + 1))
         return FamilyShape("gt", n - 1, fixed[-1], fixed, n, n, False, lam, d)
     if m is None or m < 0:
@@ -76,13 +87,13 @@ def _shape(family, n, m=None, lam=None, node=None):
     if family == "oo":
         if n < 3:
             raise InvalidFamilyParams("odd orthogonal needs n >= 3")
-        d = build_diagram([("B", n)])
+        d = _diagram("B", n)
         lam = tuple(m if i == n else 0 for i in range(1, n + 1))
         return FamilyShape("oo", n, m, None, n, n, False, lam, d)
     if family == "sp":
         if n < 2:
             raise InvalidFamilyParams("symplectic needs n >= 2")
-        d = build_diagram([("C", n)])
+        d = _diagram("C", n)
         lam = tuple(m if i == n else 0 for i in range(1, n + 1))
         return FamilyShape("sp", n, m, None, n, n, True, lam, d)
     if family == "eo":
@@ -90,7 +101,7 @@ def _shape(family, n, m=None, lam=None, node=None):
             raise InvalidFamilyParams("even orthogonal needs n >= 4")
         if node not in (n - 1, n):
             raise InvalidFamilyParams("node must be n-1 or n")
-        d = build_diagram([("D", n)])
+        d = _diagram("D", n)
         lam = tuple(m if i == node else 0 for i in range(1, n + 1))
         return FamilyShape("eo", n, m, None, n - 1, n - 1, False, lam, d,
                            spin_node=node)

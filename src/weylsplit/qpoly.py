@@ -13,6 +13,8 @@ with stride e.  Each step is linear in the degree.
 from collections import Counter
 from itertools import accumulate
 
+from .errors import BadQuotient
+
 
 def is_palindromic(p):
     return list(p) == list(reversed(p))
@@ -29,16 +31,19 @@ def is_unimodal(p):
 
 
 def quotient_rgf(num_exponents, den_exponents):
-    """prod(1-q^c) / prod(1-q^e), exact; raises ValueError otherwise.
+    """prod(1-q^c) / prod(1-q^e), exact; raises BadQuotient otherwise.
 
-    The quotient is a polynomial exactly when the truncated series vanishes
-    past sum(c) - sum(e): then it times the denominator agrees with the
-    numerator up to and including their common degree sum(c).  Exponents
-    shared by both sides, counted with multiplicity, cancel first: the
-    quotient is the same, and so is its degree, on a shorter list.
+    Every exponent must be a plain int >= 1 (not bool, float or str), also
+    under python -O.  The quotient is a polynomial exactly when the
+    truncated series vanishes past sum(c) - sum(e): then it times the
+    denominator agrees with the numerator up to and including their common
+    degree sum(c).  Exponents shared by both sides, counted with
+    multiplicity, cancel first: the quotient is the same, and so is its
+    degree, on a shorter list.
     """
-    if min([*num_exponents, *den_exponents], default=1) < 1:
-        raise ValueError("exponents must be positive")
+    num_exponents, den_exponents = list(num_exponents), list(den_exponents)
+    if not all(type(c) is int and c >= 1 for c in num_exponents + den_exponents):
+        raise BadQuotient("exponents must be positive plain ints")
     num, den = Counter(num_exponents), Counter(den_exponents)
     num_exponents, den_exponents = list((num - den).elements()), list((den - num).elements())
     top = sum(num_exponents)
@@ -50,5 +55,5 @@ def quotient_rgf(num_exponents, den_exponents):
             s[r::e] = accumulate(s[r::e])
     deg = top - sum(den_exponents)
     if deg < 0 or any(s[deg + 1:]):
-        raise ValueError("inexact polynomial division")
+        raise BadQuotient("inexact polynomial division")
     return s[:deg + 1]

@@ -10,14 +10,15 @@ nonzero ints.
 """
 
 from collections import namedtuple
+from collections.abc import Mapping
 from fractions import Fraction
 from heapq import heappop, heappush
 from operator import mul
 
 from . import numbersgame, qpoly
 from .cartan import check_diagram, wadd, wneg, wsub, zero_weight
-from .errors import (BadExponent, DiagramMismatch, ExactnessError, NotInvariant,
-                     OrbitTooLarge)
+from .errors import (BadExponent, DiagramMismatch, ExactnessError, NotAnExpansion,
+                     NotInvariant, OrbitTooLarge)
 
 # Orbit-sum routes stay desk scale, F4's group the largest allowed: the
 # alternant writes all of W, and Kostant's pruned walk still visits every
@@ -498,8 +499,16 @@ def expand_in_bialternants(f):
 
 
 def reconstruct(d, expansion):
-    """Inverse of expand_in_bialternants: sum c_lambda chi_lambda."""
+    """Inverse of expand_in_bialternants: sum c_lambda chi_lambda.
+
+    d is read by `cartan.check_diagram`, then expansion as a mapping
+    (NotAnExpansion otherwise); each lambda is read by freudenthal, and a
+    coefficient that is not a plain int raises TypeError, as WeylSymFn's
+    product does.
+    """
     out = WeylSymFn._of(check_diagram(d), {})
+    if not isinstance(expansion, Mapping):
+        raise NotAnExpansion("expansion %r is not a mapping" % (expansion,))
     for lam, c in expansion.items():
         out = out + c * freudenthal(d, lam)
     return out

@@ -13,7 +13,7 @@ the whole orbit, bialternant expansions from peeling whole characters off
 the top, omega expressions from a deepening depth-first search,
 (J,nu)-colorings from a recursion on the prefix length
 that rescans each prefix's signature (and are checked by the defining
-condition, vertex by vertex), and colored posets are checked
+condition, vertex by vertex, as M_{J,nu} is found), and colored posets are checked
 against their full transitive closure, their adjacency against lists of
 the triples at each end, and their component member lists
 against networkx's weakly connected components of each color.  The
@@ -566,6 +566,14 @@ def brute_jnu_coloring(factors, poset, nodes, nu):
     return out
 
 
+def literal_m_set(p, nodes, nu):
+    """M_{J,nu}(p) by its definition, vertex by vertex: the x with
+    delta_j(x) <= nu_j for every j in J, J read as a set of nodes with nu in
+    their sorted order."""
+    nu_of = dict(zip(sorted(set(nodes)), nu))
+    return [x for x in range(p.n) if all(p.delta(j, x) <= nu_of[j] for j in nu_of)]
+
+
 def literal_jnu_check(p, nodes, nu, kappa):
     """The defining condition of a (J,nu)-coloring, checked literally vertex
     by vertex: kappa is defined exactly off M_{J,nu} (delta_j <= nu_j for
@@ -574,7 +582,7 @@ def literal_jnu_check(p, nodes, nu, kappa):
     minus its top nu_j + 1 members, the chain sorted by rho_j afresh for
     every vertex.  Returns only the verdict."""
     nu_of = dict(zip(sorted(set(nodes)), nu))
-    mem = {x for x in range(p.n) if all(p.delta(j, x) <= nu_of[j] for j in nu_of)}
+    mem = set(literal_m_set(p, nodes, nu))
     if set(kappa) != set(range(p.n)) - mem:
         return False
     for x, j in kappa.items():

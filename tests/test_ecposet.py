@@ -441,13 +441,14 @@ def _same_as_generic(p, diagram=None):
     the adjacency as materialized views, and the edge columns and every
     row by value and by array typecode.  The member lists are read on both
     sides first, since vars() holds a cache only once it is built.  A
-    lattice's producer sets _is_lattice on it, so the same is set on the
-    generic poset where p has one.
+    lattice's producer sets _is_lattice on it, and a crystal closure sets
+    tensor_ops, so the same is set on the generic poset where p has one.
     """
     generic = ec.ColoredPoset(p.n, list(p.edges), diagram=diagram,
                               n_colors=p.n_colors, labels=p.labels)
-    if "_is_lattice" in vars(p):
-        generic._is_lattice = p._is_lattice
+    for name in ("_is_lattice", "tensor_ops"):
+        if name in vars(p):
+            setattr(generic, name, getattr(p, name))
 
     def tables(poset):
         return {k: v for k, v in vars(poset).items() if k not in ("edges", "out", "inc")}
@@ -547,6 +548,33 @@ def test_lattice_matches_constructor(lat):
     _same_as_generic(lat.poset, diagram=lat.diagram)
     assert lat.poset.n == len(lat.patterns) == len(lat.index)
     assert all(lat.index[t] == x for x, t in enumerate(lat.patterns))
+
+
+CLOSURE_DIAGRAMS = [build_diagram(s) for s in ("A2", "C2", "G2", "B3", "A3", "C3", "A2+G2")]
+
+
+@st.composite
+def _closures(draw):
+    """(d, p): p is R(lambda) over d, lambda in {0,1,2}^rank, or the
+    crystal_product of one to three of its factors."""
+    d = draw(st.sampled_from(CLOSURE_DIAGRAMS))
+    lam = tuple(draw(st.lists(st.integers(0, 2), min_size=d.rank, max_size=d.rank)))
+    r = crystal.build_crystal(d, lam)
+    if any(lam) and draw(st.booleans()):
+        factors = draw(st.lists(st.sampled_from(r.tensor_ops.factors), min_size=1, max_size=3))
+        return d, crystal.crystal_product(*factors)
+    return d, r
+
+
+@settings(max_examples=40, deadline=None)
+@given(_closures())
+def test_closure_matches_constructor(case):
+    """The crystal closure's trusted producer gives the poset that the
+    checking constructor builds on the same edges, field by field and
+    typecode by typecode: R(lambda) with its proved ranks and keys, and a
+    crystal product with those of `rank_and_components`."""
+    d, p = case
+    _same_as_generic(p, diagram=d)
 
 
 FACTORS = [crystal.minuscule_poset(A2, (1, 0)), crystal.minuscule_poset(A2, (0, 1)),

@@ -18,7 +18,9 @@ each factor's rule and its node through check_node; the diagram of every
 wsf entry point, of build_crystal, decompose and branch, of the numbers
 game's fire, play and rgf_exponents (any GCM graph for fire and play) and
 of rgf_quotient through cartan.check_diagram; ecposet.recolor's sigma as a
-dict or a callable, and verify_splitting's targets as a list or tuple.
+dict or a callable, verify_splitting's targets as a list or tuple,
+wsf.reconstruct's expansion as a mapping, and qpoly.quotient_rgf's
+exponents as plain ints >= 1.
 Outside poset data goes through one gate, the ColoredPoset constructor,
 which build_poset and import_poset call: the diagram through
 cartan.check_diagram, the vertex count and a given color count as plain
@@ -208,13 +210,22 @@ PROBES = [
     ("d.height((1,))", "DiagramMismatch"),
     ("d.inner_product((1,), (1, 0))", "DiagramMismatch"),
     ("d.to_root_coords((1,))", "DiagramMismatch"),
+    # quotient_rgf read True as 1 and returned [1, -1]; a float or str
+    # exponent was a bare TypeError
+    ("qpoly.quotient_rgf([2, True], [2])", "BadQuotient"),
+    ("qpoly.quotient_rgf([2, 3], [1.5])", "BadQuotient"),
+    ("qpoly.quotient_rgf(['2'], [])", "BadQuotient"),
+    # an expansion that is not a mapping was a bare AttributeError
+    ("wsf.reconstruct(d, None)", "NotAnExpansion"),
+    ("wsf.reconstruct(d, [(1, 0)])", "NotAnExpansion"),
 ]
 
 # One interpreter for the whole table; each call gets a 1 s alarm, so a walk
 # that never ends shows as "bare TimeoutError" instead of hanging the test.
 RUNNER = """
 import json, signal, sys
-from weylsplit import build_diagram, cartan, crystal, ecposet, numbersgame, patternlat, wsf
+from weylsplit import (build_diagram, cartan, crystal, ecposet, numbersgame, patternlat,
+                       qpoly, wsf)
 from weylsplit.errors import DomainError
 
 

@@ -302,6 +302,31 @@ def test_node_rule_and_diagram_check_are_stated_once():
     assert not hasattr(ecposet.ColoredPoset, "wt_restricted")
 
 
+# the functions that build a poset through the checking constructor, each once
+CHECKED_BUILDERS = [
+    "ecposet.build_poset", "ecposet.import_poset",                  # outside data
+    "ecposet.dual", "ecposet.recolor", "ecposet.bowtie", "ecposet.components",
+    "ecposet.disjoint_sum", "ecposet.cartesian_product",            # the transforms
+    "ecposet.weight_poset", "crystal.quasi_minuscule_poset", "crystal._inflate",
+    "crystal.build_crystal",                                        # R(0), one vertex
+]
+
+
+def test_checking_constructor_callers():
+    """The ColoredPoset(...) calls in the package are exactly those of
+    CHECKED_BUILDERS: a package producer that is not on the list builds
+    through ColoredPoset._of, and cannot fall back to the checked path
+    unnoticed."""
+    found = []
+    for path in sorted(SRC.glob("*.py")):
+        for name, fn in _functions(path).items():
+            found += ["%s.%s" % (path.stem, name) for node in ast.walk(fn)
+                      if isinstance(node, ast.Call)
+                      and (getattr(node.func, "id", None) == "ColoredPoset"
+                           or getattr(node.func, "attr", None) == "ColoredPoset")]
+    assert sorted(found) == sorted(CHECKED_BUILDERS)
+
+
 def test_outside_poset_data_has_one_gate():
     """ColoredPoset.__init__ states the poset input rules once.  import_poset
     raises no DiagramMismatch and has no rule of its own for rank_n: it
