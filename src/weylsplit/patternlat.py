@@ -38,7 +38,9 @@ the A/B/C rank generating function products live here too.
 """
 
 from array import array
+from bisect import bisect_left
 from collections import namedtuple
+from collections.abc import Mapping
 from functools import lru_cache
 from itertools import repeat
 
@@ -208,13 +210,19 @@ class PatternLattice:
       c-cover, and keeps its own id; any other member has a lower c-cover
       in the box, visited before it, so the key passed down each c-cover
       is b's, by induction on rank.
+
+    `patterns` is the tuple of the sorted patterns, and `index` maps each
+    pattern to its id, its position there (a `PatternIndex`, which finds it
+    by binary search).  The walk shares one tuple per distinct row among
+    the patterns, and its own tables are gone when the lattice is built.
     """
 
     def __init__(self, shape):
         self.shape = shape
         self.diagram = d = shape.diagram
         self.lam = shape.lam
-        self.patterns, self.index, edges, rank, keys = _walk(shape)
+        self.patterns, edges, rank, keys = _walk(shape)
+        self.index = PatternIndex(self.patterns)
         self.poset = ecposet.ColoredPoset._of(d, d.rank, len(rank), self.patterns, edges,
                                               rank, bytes(len(rank)), keys)
         self.poset._is_lattice = True       # closed under componentwise min and max
@@ -264,26 +272,51 @@ class PatternLattice:
         return tuple(coeffs)
 
 
-def _bump(t, r, k):
+class PatternIndex(Mapping):
+    """The id of each pattern of a lattice: its position among the sorted
+    patterns, found by binary search; KeyError for any other pattern."""
+
+    __slots__ = ("_patterns",)
+
+    def __init__(self, patterns):
+        self._patterns = patterns
+
+    def __getitem__(self, t):
+        x = bisect_left(self._patterns, t)
+        if x < len(self._patterns) and self._patterns[x] == t:
+            return x
+        raise KeyError(t)
+
+    def __len__(self):
+        return len(self._patterns)
+
+    def __iter__(self):
+        return iter(self._patterns)
+
+
+def _bump(t, r, k, rows):
+    """t with entry (r, k) raised by one; the new row is the one tuple in
+    rows equal to it, so patterns share their equal rows."""
     row = list(t[r])
     row[k] += 1
-    return t[:r] + (tuple(row),) + t[r + 1:]
+    row = tuple(row)
+    return t[:r] + (rows.setdefault(row, row),) + t[r + 1:]
 
 
 def _walk(shape):
-    """(patterns, index, edges, rank, keys) of the lattice, as PatternLattice
-    reads them: the sorted patterns, the id of each, the sorted edge
-    Columns, and the ranks and color-c component keys in pattern id order,
-    as int arrays.  The walk's own tables are gone when it returns."""
+    """(patterns, edges, rank, keys) of the lattice, as PatternLattice reads
+    them: the sorted patterns, the sorted edge Columns, and the ranks and
+    color-c component keys in pattern id order, as int arrays.  The walk's
+    own tables are gone when it returns."""
     cells = _cells(shape)[::-1]         # so each pattern's covers ascend
     found = [_extreme_pattern(shape, 0)]
-    ids = {found[0]: 0}
-    rank, keys = [0], [[0] for _ in range(shape.diagram.rank)]     # keys by color - 1
+    ids, rows = {found[0]: 0}, {}
+    rank, keys = array("I", [0]), [array("I", [0]) for _ in range(shape.diagram.rank)]
     cover_at, cover_id, cover_c = array("I", [0]), array("I"), array("B")
     for i, t in enumerate(found):       # found grows as the walk reaches more
         for r, k, c in cells:
             if t[r][k] < _cell_bounds(shape, t, r, k)[1]:
-                u = _bump(t, r, k)
+                u = _bump(t, r, k, rows)
                 j = ids.get(u)
                 if j is None:
                     j = ids[u] = len(found)
@@ -297,19 +330,20 @@ def _walk(shape):
                 cover_c.append(c)
         cover_at.append(len(cover_id))
     n = len(found)
-    order = sorted(range(n), key=found.__getitem__)
-    patterns = tuple(map(found.__getitem__, order))
+    found.sort()
+    order = array("I", map(ids.__getitem__, found))    # the walk id of each sorted pattern
+    patterns = tuple(found)
+    del found, ids, rows
     where = array("I", [0]) * n
     for x, i in enumerate(order):
         where[i] = x
-        ids[found[i]] = x               # ids becomes the index of the sorted patterns
     us, vs, cs = array("I"), array("I"), array("B")
     for x, i in enumerate(order):
         a, b = cover_at[i], cover_at[i + 1]
         us.extend(repeat(x, b - a))
         vs.extend(map(where.__getitem__, cover_id[a:b]))
         cs.extend(cover_c[a:b])
-    return (patterns, ids,
+    return (patterns,
             ecposet.Columns.of_columns((us, vs, cs), (n - 1, n - 1, shape.diagram.rank)),
             array("I", map(rank.__getitem__, order)),
             [array("I", map(key.__getitem__, order)) for key in keys])

@@ -544,10 +544,15 @@ LATTICES = st.one_of(
 def test_lattice_matches_constructor(lat):
     """The pattern walk's trusted producer gives the poset that the checking
     constructor builds on the same edges, field by field and typecode by
-    typecode, and its index is the position of each sorted pattern."""
+    typecode, and its index is the position of each sorted pattern, with no
+    id for a pattern outside the lattice."""
     _same_as_generic(lat.poset, diagram=lat.diagram)
     assert lat.poset.n == len(lat.patterns) == len(lat.index)
     assert all(lat.index[t] == x for x, t in enumerate(lat.patterns))
+    assert list(lat.index) == list(lat.patterns) == sorted(set(lat.patterns))
+    top = lat.patterns[-1]
+    outside = ((top[0][0] + 1,) + top[0][1:],) + top[1:]
+    assert outside not in lat.index and lat.index.get(outside) is None
 
 
 CLOSURE_DIAGRAMS = [build_diagram(s) for s in ("A2", "C2", "G2", "B3", "A3", "C3", "A2+G2")]

@@ -33,11 +33,12 @@ def test_build_and_verify_peak_per_pattern():
     bounded traced peak.
 
     tracemalloc's peak over the build, verify_splitting, the slantwise
-    coloring and verify_subblock_coloring is 468 bytes per pattern on
+    coloring and verify_subblock_coloring is 359 bytes per pattern on
     CPython 3.11 x86-64, with the covers in int arrays handed straight to
-    the poset and the adjacency and member lists held as offsets; it was
-    1 160 with lists of triples, the checking constructor's copies of them
-    and member tuples.
+    the poset, the adjacency and member lists held as offsets, equal rows
+    shared by the patterns and the index a binary search over them; it was
+    468 with a fresh row per pattern and an index dict, and 1 160 with lists
+    of triples, the checking constructor's copies of them and member tuples.
     """
     gc.collect()
     tracemalloc.start()
@@ -48,7 +49,7 @@ def test_build_and_verify_peak_per_pattern():
     finally:
         tracemalloc.stop()
     assert lat.poset.n == 2548
-    assert peak / lat.poset.n <= 600, peak / lat.poset.n
+    assert peak / lat.poset.n <= 450, peak / lat.poset.n
 
 
 def test_gt_examples():
